@@ -22,10 +22,10 @@ from .cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                      segments_of, tableau_pair)
 from .packets import (AParameter, PacketMember, contains_lowest_weight,
                       d_zero, enumerate_D, epsilon, inf_char,
-                      lowest_weight_of_packet, member, packet,
-                      packets_containing)
-from .oracle import (SweepConfig, SweepReport, oracle_contains,
-                     oracle_lowest_weights, sweep_verify)
+                      lowest_weight_of_packet, member, oracle_contains,
+                      packet, packets_containing)
+from .oracle import (SweepConfig, SweepReport, oracle_lowest_weights,
+                     sweep_verify)
 
 __all__ = [
     "AParameter", "AntiTableau", "ColumnStack", "GroupSignature", "HalfInt",

@@ -28,10 +28,6 @@ class InputError(ValueError):
     pass
 
 
-def _render_entry(v: HalfInt) -> str:
-    return str(v)
-
-
 def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
     """One row per line, each box as [<entry><sign>].
 
@@ -45,18 +41,14 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
         signs = as_tab.row_signs(r)
         if len(signs) != length:
             raise InternalInconsistencyError("shape mismatch in rendering")
-        boxes = [f"[{_render_entry(e)}{'+' if s > 0 else '-'}]"
+        boxes = [f"[{e}{'+' if s > 0 else '-'}]"
                  for e, s in zip(entries, signs)]
         lines.append("".join(boxes))
     return "\n".join(lines)
 
 
-def _dump(obj: dict, mode: str, ascii_text: str | None = None) -> None:
-    if mode == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(ascii_text if ascii_text is not None else
-              json.dumps(obj, sort_keys=True, indent=2))
+def _dump(obj: dict, mode: str, ascii_text: str) -> None:
+    print(ascii_text if mode == "ascii" else json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _parse_sig(args: argparse.Namespace) -> GroupSignature:
@@ -66,29 +58,37 @@ def _parse_sig(args: argparse.Namespace) -> GroupSignature:
         raise InputError(str(exc)) from exc
 
 
-def _parse_psi(args: argparse.Namespace, sig: GroupSignature) -> AParameter:
+def _load_json(text: str, flag: str) -> object:
+    # ValueError covers malformed JSON and integers past Python's digit
+    # limit; RecursionError covers deeply nested brackets.
     try:
-        summands = json.loads(args.psi)
-        pairs = [(int(s["t"]), int(s["a"])) for s in summands]
-    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-        raise InputError(f"--psi must be a JSON list of {{t, a}} objects: {exc}")
-    for t, a in pairs:
-        if a < 1:
-            raise InputError(f"summand (t={t}, a={a}): dimension must be positive")
-        if (t + a + sig.N) % 2 != 0:
-            raise InputError(
-                f"summand (t={t}, a={a}) is not good for N={sig.N}: "
-                f"t + a + N must be even")
-    if sum(a for _, a in pairs) != sig.N:
-        raise InputError(f"summand dimensions must sum to N={sig.N}")
-    return AParameter.from_summands(sig, pairs)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{flag} is not valid JSON: {exc}") from exc
+
+
+def _int_list(obj: object, what: str) -> tuple[int, ...]:
+    """obj as a tuple of ints.  Only a JSON list of integers passes: a float
+    (even 1.0), a boolean or a string is refused, never coerced."""
+    if not isinstance(obj, list) or any(type(x) is not int for x in obj):
+        raise InputError(what)
+    return tuple(obj)
+
+
+def _parse_psi(args: argparse.Namespace, sig: GroupSignature) -> AParameter:
+    what = "--psi must be a JSON list of {t, a} objects with integer values"
+    summands = _load_json(args.psi, "--psi")
+    if not isinstance(summands, list) or not all(isinstance(s, dict) for s in summands):
+        raise InputError(what)
+    pairs = [_int_list([s.get("t"), s.get("a")], what) for s in summands]
+    try:
+        return AParameter.from_summands(sig, pairs)
+    except ValueError as exc:
+        raise InputError(f"{exc} (N={sig.N})") from exc
 
 
 def _parse_lambda(args: argparse.Namespace, sig: GroupSignature) -> KWeight:
-    try:
-        lam = tuple(int(x) for x in json.loads(args.lam))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise InputError(f"--lambda must be a JSON integer list: {exc}")
+    lam = _int_list(_load_json(args.lam, "--lambda"), "--lambda must be a JSON integer list")
     try:
         w = KWeight(sig, lam)
     except ValueError as exc:
@@ -158,11 +158,15 @@ def cmd_packet(args: argparse.Namespace) -> int:
 
 def cmd_tableau(args: argparse.Namespace) -> int:
     sig = _parse_sig(args)
-    try:
-        blocks = tuple((int(b[0]), int(b[1])) for b in json.loads(args.blocks))
-        values = tuple(int(v) for v in json.loads(args.values))
-    except (json.JSONDecodeError, TypeError, ValueError, IndexError) as exc:
-        raise InputError(f"bad --blocks/--values: {exc}")
+    what = "--blocks must be a JSON list of [p_i, q_i] integer pairs"
+    raw_blocks = _load_json(args.blocks, "--blocks")
+    if not isinstance(raw_blocks, list):
+        raise InputError(what)
+    blocks = tuple(_int_list(b, what) for b in raw_blocks)
+    if any(len(b) != 2 for b in blocks):
+        raise InputError(what)
+    values = _int_list(_load_json(args.values, "--values"),
+                       "--values must be a JSON integer list")
     try:
         desc = InductionDescriptor(ThetaData(sig, blocks), values)
     except ValueError as exc:
@@ -184,9 +188,12 @@ def cmd_tableau(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = SweepConfig(args.max_n, args.window,
-                      HalfInt.whole(args.char_window) if args.char_window is not None
-                      else HalfInt.whole(args.window + 1))
+    try:
+        cfg = SweepConfig(args.max_n, args.window,
+                          HalfInt.whole(args.char_window) if args.char_window is not None
+                          else HalfInt.whole(args.window + 1))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report = sweep_verify(cfg, jobs=args.jobs)
     print(report.dumps())
     return 0 if report.ok else 3

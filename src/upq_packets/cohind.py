@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment
-from .tableaux import (AntiTableau, ColumnStack, NormalizeOutcome, PLUS,
-                       SignedTableau, as_pair_equal, build_initial,
-                       trapa_normalize)
+from .halfint import HalfInt, HalfIntMultiset, Segment, _segment_union, _split_at
+from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
+                       as_pair_equal, build_initial, trapa_normalize)
 from .weights import (GroupSignature, KWeight, is_unitarizable, weight_stats)
 
 
@@ -90,10 +89,7 @@ class InductionDescriptor:
         return segments_of(self)
 
     def inf_char(self) -> HalfIntMultiset:
-        out = HalfIntMultiset.empty()
-        for seg in self.segments():
-            out = out.union(seg.as_multiset())
-        return out
+        return _segment_union(self.segments())
 
     def to_json(self) -> dict:
         return {"p": self.d.sig.p, "q": self.d.sig.q,
@@ -261,10 +257,6 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     return trapa_normalize(stack)
 
 
-def initial_stack(desc: InductionDescriptor) -> ColumnStack:
-    return build_initial(desc.d.sig, list(desc.d.blocks), desc.segments())
-
-
 def _split_case_columns(w: KWeight) -> tuple[list[HalfInt], list[HalfInt]]:
     # Independent two-column description for the fully split realization.
     # Index k of the K-type carries the character entry
@@ -319,7 +311,9 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
         raise InternalInconsistencyError(
             f"realization of unitarizable {w.lam} normalized to zero")
     ann, as_tab = out.ann, out.as_tab
-    assert ann is not None and as_tab is not None
+    if ann is None or as_tab is None:
+        raise InternalInconsistencyError(
+            f"nonzero outcome for {w.lam} carries no invariant pair")
     if as_tab.n_columns > 2:
         raise InternalInconsistencyError(
             f"lowest weight signed tableau {as_tab.rows} has >2 columns")
@@ -329,8 +323,8 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
                 f"two-box row of {as_tab.rows} is not plus-minus")
 
     sig = w.sig
-    if sig.p == 0 or sig.q == 0 or w.gap >= min(
-            sig.N - weight_stats(w).p_prime, sig.N - weight_stats(w).q_prime):
+    st = weight_stats(w)
+    if sig.p == 0 or sig.q == 0 or w.gap >= min(sig.N - st.p_prime, sig.N - st.q_prime):
         col1, col2 = _split_case_columns(w)
         expected = [c for c in (col1, col2) if c]
         got = [list(c) for c in ann.columns]
@@ -371,15 +365,7 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
     j = desc.d.pivot()
     if j is None:
         raise ValueError("datum is not holomorphic")
-    segs = segments_of(desc)
-    nu_j = segs[j].as_multiset()
-    nu_lt = HalfIntMultiset.empty()
-    for s in segs[:j]:
-        nu_lt = nu_lt.union(s.as_multiset())
-    nu_gt = HalfIntMultiset.empty()
-    for s in segs[j + 1:]:
-        nu_gt = nu_gt.union(s.as_multiset())
-
+    nu_lt, nu_j, nu_gt = _split_at(segments_of(desc), j)
     cap_lt = nu_j.intersection(nu_lt)
     cap_gt = nu_j.intersection(nu_gt)
     pieces = [nu_lt.difference(cap_lt), cap_lt, nu_j, cap_gt, nu_gt.difference(cap_gt)]
@@ -453,9 +439,12 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
     return out
 
 
-def invariants_preserved(a: InductionDescriptor, b: InductionDescriptor) -> bool:
-    """True when two mediocre data normalize to the same invariant pair."""
-    out_a, out_b = tableau_pair(a), tableau_pair(b)
+def _same_invariants(out_a: NormalizeOutcome, out_b: NormalizeOutcome) -> bool:
     if out_a.is_zero or out_b.is_zero:
         return out_a.is_zero == out_b.is_zero
     return as_pair_equal((out_a.ann, out_a.as_tab), (out_b.ann, out_b.as_tab))
+
+
+def invariants_preserved(a: InductionDescriptor, b: InductionDescriptor) -> bool:
+    """True when two mediocre data normalize to the same invariant pair."""
+    return _same_invariants(tableau_pair(a), tableau_pair(b))

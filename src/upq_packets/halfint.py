@@ -273,6 +273,18 @@ class HalfIntMultiset:
         return cls(tuple((HalfInt(int(e["twice"])), int(e["mult"])) for e in obj))
 
 
+def _segment_union(segs: Iterable[Segment]) -> HalfIntMultiset:
+    """The multiset union of the given segments."""
+    return HalfIntMultiset.from_values(v for s in segs for v in s.members_desc())
+
+
+def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMultiset,
+                                                    HalfIntMultiset]:
+    """(union of segs[:j], segs[j], union of segs[j+1:]) for a 0-based j:
+    the nu_{<j} / nu_j / nu_{>j} split around a pivot block."""
+    return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
+
+
 class MsetAlgebra(NamedTuple):
     union: HalfIntMultiset
     intersection: HalfIntMultiset

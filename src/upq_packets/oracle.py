@@ -19,16 +19,17 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from typing import Iterator
 
-from .cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
-                     invariants_preserved, lowest_weight_invariants,
+from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
+                     absorb_adjacent, lowest_weight_invariants,
                      normalize_blocks, range_class, realize_lowest_weight,
                      segments_of, holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment
-from .packets import (AParameter, PacketMember, contains_lowest_weight,
+from .halfint import HalfInt, HalfIntMultiset, Segment, _split_at
+from .packets import (AParameter, DZero, PacketMember, contains_lowest_weight,
                       d_zero, good_parameters_with_inf_char, inf_char,
-                      lowest_weight_of_packet, oracle_contains, packet)
+                      lowest_weight_of_packet, member, packet)
 from .tableaux import as_pair_equal, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -42,7 +43,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.max_N < 1 or self.weight_window < 0 or self.char_window.twice < 0:
-            raise ValueError("bad sweep configuration")
+            raise ValueError("bad sweep configuration: need max_N >= 1 and "
+                             "nonnegative weight and character windows")
 
     def to_json(self) -> dict:
         return {"max_N": self.max_N, "weight_window": self.weight_window,
@@ -129,10 +131,12 @@ def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[APar
     return out
 
 
-def _sub_multisets_of_size(chi: HalfIntMultiset, size: int) -> list[HalfIntMultiset]:
+def _unitarizable_splits(sig: GroupSignature, chi: HalfIntMultiset) -> Iterator[KWeight]:
+    # Every unitarizable weight whose infinitesimal character is chi: one
+    # candidate per sub-multiset P of chi of size p, with Q the rest.
     entries = list(chi.entries)
 
-    def rec(i: int, remaining: int, acc: list[tuple[HalfInt, int]]):
+    def sub_multisets(i: int, remaining: int, acc: list[tuple[HalfInt, int]]):
         if remaining == 0:
             yield HalfIntMultiset(tuple(acc))
             return
@@ -142,45 +146,41 @@ def _sub_multisets_of_size(chi: HalfIntMultiset, size: int) -> list[HalfIntMulti
         for k in range(min(mult, remaining), -1, -1):
             if k:
                 acc.append((v, k))
-            yield from rec(i + 1, remaining - k, acc)
+            yield from sub_multisets(i + 1, remaining - k, acc)
             if k:
                 acc.pop()
 
-    return list(rec(0, size, []))
+    for P in sub_multisets(0, sig.p, []):
+        w = kweight_from_pq(sig, P, chi.difference(P))
+        if w is not None and is_unitarizable(w):
+            yield w
 
 
 def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     """All unitarizable dominant weights whose lowest weight module lies in
-    the packet, found by brute force over the splittings of the character."""
-    chi = inf_char(psi)
-    sig = psi.sig
+    the packet, found by brute force over the splittings of the character:
+    the holomorphic member's invariant pair is compared with the pair of
+    each split's lowest weight module."""
+    pair = None
     found = []
-    for P in _sub_multisets_of_size(chi, sig.p):
-        w = kweight_from_pq(sig, P, chi.difference(P))
-        if w is None or not is_unitarizable(w):
-            continue
-        if oracle_contains(psi, w):
+    for w in _unitarizable_splits(psi.sig, inf_char(psi)):
+        if pair is None:
+            pair = member(psi, d_zero(psi).d0).invariants
+            if pair is None:  # the holomorphic member vanishes
+                return []
+        if as_pair_equal(pair, lowest_weight_invariants(w)):
             found.append(w)
     return found
 
 
-def _basic_d0_properties(psi: AParameter, w: KWeight) -> list[str]:
-    """The structural facts about the holomorphic candidate that hold
-    whenever the packet contains the lowest weight module of w.  Returns
-    the labels of violated items."""
-    dz = d_zero(psi)
+def _basic_d0_properties(psi: AParameter, dz: DZero, i_seg: HalfIntMultiset) -> list[str]:
+    """The structural facts about the holomorphic candidate dz = d_zero(psi)
+    that hold whenever the packet contains the lowest weight module whose
+    I-segment is i_seg.  Returns the labels of violated items."""
     if dz.j is None:
         return []
-    j = dz.j
-    lt = HalfIntMultiset.empty()
-    for i in range(j - 1):
-        lt = lt.union(psi.segment(i).as_multiset())
-    mid = psi.segment(j - 1).as_multiset()
-    gt = HalfIntMultiset.empty()
-    for i in range(j, psi.r):
-        gt = gt.union(psi.segment(i).as_multiset())
-    q_j = dz.d0.blocks[j - 1][1]
-    i_seg = weight_stats(w).I.as_multiset()
+    lt, mid, gt = _split_at([psi.segment(i) for i in range(psi.r)], dz.j - 1)
+    q_j = dz.d0.blocks[dz.j - 1][1]
     lt_cap_gt = lt.intersection(gt)
 
     bad = []
@@ -231,10 +231,7 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
         report.property_failures.append(
             {"kind": "round-trip", "lambda": list(w.lam), "p": sig.p,
              "q": sig.q, "got": list(round_trip.lam)})
-    seg_union = HalfIntMultiset.empty()
-    for s in segments_of(desc):
-        seg_union = seg_union.union(s.as_multiset())
-    if seg_union != chi:
+    if desc.inf_char() != chi:
         report.property_failures.append(
             {"kind": "realization-inf-char", "lambda": list(w.lam),
              "p": sig.p, "q": sig.q})
@@ -243,16 +240,24 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
         five = normalize_blocks(desc)
     except ValueError:
         five = None
-    if five is not None and not invariants_preserved(desc, five):
-        report.property_failures.append(
-            {"kind": "normalize-blocks", "lambda": list(w.lam),
-             "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
+    if five is not None:
+        # The rewrite must keep the realization's invariant pair.
+        out = tableau_pair(five)
+        if out.is_zero or not as_pair_equal((out.ann, out.as_tab), pair):
+            report.property_failures.append(
+                {"kind": "normalize-blocks", "lambda": list(w.lam),
+                 "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
 
+    # Ground truth for each packet with this character: its holomorphic
+    # member's pair equals the pair held above.
+    i_seg = st.I.as_multiset()
     for psi in good_parameters_with_inf_char(sig, chi):
         report.bump("membership-pairs")
         try:
             theorem = contains_lowest_weight(psi, w)
-            oracle = oracle_contains(psi, w)
+            dz = d_zero(psi)
+            held = member(psi, dz.d0).invariants
+            oracle = held is not None and as_pair_equal(held, pair)
         except InternalInconsistencyError as exc:
             report.property_failures.append(
                 {"kind": "membership-error", "psi": psi.to_json(),
@@ -277,7 +282,7 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
                      "lambda": list(w.lam),
                      "extracted": list(back.lam) if back else None})
         if oracle:
-            for label in _basic_d0_properties(psi, w):
+            for label in _basic_d0_properties(psi, dz, i_seg):
                 report.property_failures.append(
                     {"kind": "holomorphic-candidate-property", "item": label,
                      "psi": psi.to_json(), "lambda": list(w.lam)})
@@ -326,13 +331,9 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
         report.property_failures.append(
             {"kind": "multiplicity-one", "psi": psi.to_json(), "error": str(exc)})
         return
-    d0_blocks = d_zero(psi).d0.blocks
+    d0 = d_zero(psi).d0
     candidates: list[tuple[PacketMember, KWeight]] = []
-    chi = inf_char(psi)
-    for P in _sub_multisets_of_size(chi, sig.p):
-        w = kweight_from_pq(sig, P, chi.difference(P))
-        if w is None or not is_unitarizable(w):
-            continue
+    for w in _unitarizable_splits(sig, inf_char(psi)):
         key = (sig.p, sig.q, w.lam)
         if key not in lw_cache:
             lw_cache[key] = lowest_weight_invariants(w)
@@ -345,11 +346,11 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
             {"kind": "packet-member-uniqueness", "psi": psi.to_json(),
              "members": [list(map(list, m.d.blocks)) for m, _ in candidates]})
     for m, w in candidates:
-        if m.d.blocks != d0_blocks:
+        if m.d.blocks != d0.blocks:
             report.property_failures.append(
                 {"kind": "lowest-weight-member-not-holomorphic",
                  "psi": psi.to_json(), "member": [list(b) for b in m.d.blocks]})
-        if not d_zero(psi).d0.is_holomorphic():
+        if not d0.is_holomorphic():
             report.property_failures.append(
                 {"kind": "holomorphic-candidate", "psi": psi.to_json()})
 
@@ -403,7 +404,7 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
                 swapped = absorb_adjacent(desc, side)
             except ValueError:
                 continue
-            if not invariants_preserved(desc, swapped):
+            if not _same_invariants(out, tableau_pair(swapped)):
                 report.property_failures.append(
                     {"kind": "absorb-adjacent", "descriptor": desc.to_json(),
                      "side": side})

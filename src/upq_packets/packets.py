@@ -21,7 +21,8 @@ from typing import Optional
 from .cohind import (InductionDescriptor, ThetaData, lowest_weight_invariants,
                      segments_of, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
+from .halfint import (HalfInt, HalfIntMultiset, Segment, _segment_union, _split_at,
+                      partition_into_segments)
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -84,10 +85,7 @@ class AParameter:
 
 def inf_char(psi: AParameter) -> HalfIntMultiset:
     """The infinitesimal character: the union of the summand segments."""
-    out = HalfIntMultiset.empty()
-    for i in range(psi.r):
-        out = out.union(psi.segment(i).as_multiset())
-    return out
+    return _segment_union(psi.segment(i) for i in range(psi.r))
 
 
 def enumerate_D(psi: AParameter) -> list[ThetaData]:
@@ -210,16 +208,21 @@ def packet(psi: AParameter) -> list[PacketMember]:
     return members
 
 
-def _nu_parts(psi: AParameter, j: int) -> tuple[HalfIntMultiset, HalfIntMultiset, HalfIntMultiset]:
-    """(nu_{<j}, nu_j, nu_{>j}) for 1-based j."""
-    lt = HalfIntMultiset.empty()
-    for i in range(j - 1):
-        lt = lt.union(psi.segment(i).as_multiset())
-    mid = psi.segment(j - 1).as_multiset()
-    gt = HalfIntMultiset.empty()
-    for i in range(j, psi.r):
-        gt = gt.union(psi.segment(i).as_multiset())
-    return lt, mid, gt
+def _holomorphic_candidate(psi: AParameter, chi: HalfIntMultiset
+                           ) -> tuple[DZero, Optional[tuple[HalfIntMultiset, ...]], bool]:
+    """d_0(psi), its split (nu_{<j}, nu_j, nu_{>j}) -- None when p = 0 --
+    and whether the holomorphic member is nonzero (see d_zero_nonvanishing),
+    derived once for each caller below.  chi is inf_char(psi)."""
+    dz = d_zero(psi)
+    if dz.j is None:
+        return dz, None, chi.is_multiplicity_free
+    lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], dz.j - 1)
+    p_j, q_j = dz.d0.blocks[dz.j - 1]
+    nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
+               and mid.intersection(lt).intersection(gt).is_empty
+               and mid.intersection(gt).size <= p_j
+               and mid.intersection(lt).size <= q_j)
+    return dz, parts, nonzero
 
 
 def d_zero_nonvanishing(psi: AParameter) -> bool:
@@ -232,29 +235,10 @@ def d_zero_nonvanishing(psi: AParameter) -> bool:
     at most two columns, and its antitableau twin cannot hold any entry
     three times; a value in all three parts has multiplicity three.  When
     the character matches a lowest weight module (multiplicity at most
-    two), the condition is vacuous.
+    two), the condition is vacuous.  For p = 0 the member is nonzero exactly
+    when the infinitesimal character is multiplicity free.
     """
-    dz = d_zero(psi)
-    if dz.j is None:
-        segs = [psi.segment(i).as_multiset() for i in range(psi.r)]
-        total = HalfIntMultiset.empty()
-        for s in segs:
-            total = total.union(s)
-        return total.is_multiplicity_free
-    j = dz.j
-    lt, mid, gt = _nu_parts(psi, j)
-    p_j, q_j = dz.d0.blocks[j - 1]
-    if not (lt.is_multiplicity_free and gt.is_multiplicity_free):
-        return False
-    if not mid.intersection(lt).intersection(gt).is_empty:
-        return False
-    return mid.intersection(gt).size <= p_j and mid.intersection(lt).size <= q_j
-
-
-def oracle_member_pair(psi: AParameter) -> Optional[tuple[AntiTableau, SignedTableau]]:
-    """Invariants of the holomorphic member, None when it vanishes."""
-    m = member(psi, d_zero(psi).d0)
-    return m.invariants
+    return _holomorphic_candidate(psi, inf_char(psi))[2]
 
 
 def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
@@ -277,9 +261,13 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     """
     if not is_unitarizable(w):
         raise ValueError(f"{w.lam} is not unitarizable")
-    if inf_char(psi) != inf_char_of_lowest_weight(w):
+    if psi.sig != w.sig:
+        raise ValueError(f"{psi} and {w.lam} belong to different signatures")
+    chi = inf_char(psi)
+    if chi != inf_char_of_lowest_weight(w):
         return False
-    if not d_zero_nonvanishing(psi):
+    _, parts, nonzero = _holomorphic_candidate(psi, chi)
+    if not nonzero:
         return False
     sig = w.sig
     if sig.p == 0 or sig.q == 0:
@@ -288,9 +276,7 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     st = weight_stats(w)
     n = sig.N
     gap = w.gap
-    dz = d_zero(psi)
-    assert dz.j is not None
-    lt, mid, gt = _nu_parts(psi, dz.j)
+    lt, mid, gt = parts
     nu_le = lt.union(mid)
     bracket = Segment.from_bounds(
         HalfInt(2 * w.lam[sig.p - 1] - (n - 1)),
@@ -319,10 +305,8 @@ def oracle_contains(psi: AParameter, w: KWeight) -> bool:
         raise ValueError(f"{w.lam} is not unitarizable")
     if inf_char(psi) != inf_char_of_lowest_weight(w):
         return False
-    pair = oracle_member_pair(psi)
-    if pair is None:
-        return False
-    return as_pair_equal(pair, lowest_weight_invariants(w))
+    pair = member(psi, d_zero(psi).d0).invariants
+    return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
 
 
 def _lambda_case4(psi: AParameter, lt: HalfIntMultiset,
@@ -374,20 +358,20 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     bounds are attained, or by the explicit coordinate formula in the
     interior case.
     """
-    if not d_zero_nonvanishing(psi):
+    chi = inf_char(psi)
+    dz, parts, nonzero = _holomorphic_candidate(psi, chi)
+    if not nonzero:
         return None
     sig = psi.sig
-    dz = d_zero(psi)
 
-    if dz.j is None:  # p = 0: everything sits on the Q side.
-        w = kweight_from_pq(sig, HalfIntMultiset.empty(), inf_char(psi))
+    if parts is None:  # p = 0: everything sits on the Q side.
+        w = kweight_from_pq(sig, HalfIntMultiset.empty(), chi)
         if w is None or not is_unitarizable(w):
             return None
         return w if oracle_contains(psi, w) else None
 
-    j = dz.j
-    lt, mid, gt = _nu_parts(psi, j)
-    p_j, q_j = dz.d0.blocks[j - 1]
+    lt, mid, gt = parts
+    p_j, q_j = dz.d0.blocks[dz.j - 1]
     cap_gt = mid.intersection(gt)
     cap_lt = mid.intersection(lt)
 

@@ -136,9 +136,6 @@ class ColumnStack:
     blocks: tuple[tuple[Box, ...], ...]
     row_shapes: tuple[tuple[int, int], ...]
 
-    def block_entries(self, i: int) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(b.entry for b in self.blocks[i])
-
     def entry_multiset(self) -> HalfIntMultiset:
         return HalfIntMultiset.from_values(b.entry for blk in self.blocks for b in blk)
 
@@ -311,6 +308,15 @@ def _lower_step(pair: list[_WBox], value: HalfInt) -> None:
     target.entry = value
 
 
+def _unit_shift(twice: int) -> int:
+    # The shift between the endpoints of nested segments: a whole number of
+    # unit steps, never negative.
+    if twice % 2 != 0 or twice < 0:
+        raise InternalInconsistencyError(
+            f"nested segments are {twice}/2 apart, not a nonnegative integer")
+    return twice // 2
+
+
 def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     """Normalize the adjacent pair (i, i+1) in place.
 
@@ -333,9 +339,7 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     if ov < sg:
         return None
     if ov == sg == aj and seg_l.as_multiset().contains(seg_r.as_multiset()):
-        m = seg_r.start.twice - seg_l.start.twice
-        assert m % 2 == 0 and m >= 0
-        m //= 2
+        m = _unit_shift(seg_r.start.twice - seg_l.start.twice)
         if m > 0:
             for b in right:
                 b.entry = b.entry - m
@@ -344,9 +348,7 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
                     target = HalfInt(seg_r.end.twice - 2 * k) - s
                     _raise_step(pair, target)
     elif ov == sg == ai and seg_r.as_multiset().contains(seg_l.as_multiset()):
-        m = seg_r.end.twice - seg_l.end.twice
-        assert m % 2 == 0 and m >= 0
-        m //= 2
+        m = _unit_shift(seg_r.end.twice - seg_l.end.twice)
         if m > 0:
             for b in left:
                 b.entry = b.entry + m

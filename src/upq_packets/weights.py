@@ -146,7 +146,7 @@ def unitarity_class(w: KWeight) -> UnitarityClass:
 
     Discrete series above N-1, limits at N-1, unitarizable down to
     N - p' - q', non-unitary below.  Degenerate signatures (p = 0 or q = 0)
-    have no gap and are reported as UNITARY; is_degenerate distinguishes them.
+    have no gap and are reported as UNITARY.
     """
     if w.sig.p == 0 or w.sig.q == 0:
         return UnitarityClass.UNITARY
@@ -160,10 +160,6 @@ def unitarity_class(w: KWeight) -> UnitarityClass:
     if gap >= n - st.p_prime - st.q_prime:
         return UnitarityClass.UNITARY
     return UnitarityClass.NON_UNITARY
-
-
-def is_degenerate(w: KWeight) -> bool:
-    return w.sig.p == 0 or w.sig.q == 0
 
 
 def is_unitarizable(w: KWeight) -> bool:

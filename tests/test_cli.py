@@ -112,6 +112,28 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     assert "mediocre" in json.loads(err)["message"]
 
+    # Bad sweep bounds and non-integer numbers are refused, never coerced.
+    for argv in (
+            ("verify", "--max-n", "0", "--window", "2"),
+            ("verify", "--max-n", "2", "--window", "-1"),
+            ("verify", "--max-n", "2", "--window", "2", "--char-window", "-1"),
+            ("classify-lambda", "--p", "1", "--q", "1", "--lambda", "[1.5,0]"),
+            ("classify-lambda", "--p", "1", "--q", "1", "--lambda", "[true,false]"),
+            ("tableau", "--p", "1", "--q", "1", "--blocks", "[[1,1]]",
+             "--values", "[0.5]"),
+            ("tableau", "--p", "1", "--q", "0", "--blocks", "[[1.5,0]]",
+             "--values", "[0]"),
+            ("classify-psi", "--p", "1", "--q", "1", "--psi", '[{"t":1.5,"a":2}]'),
+            ("packet", "--p", "1", "--q", "1", "--psi", '[{"t":0.5,"a":2}]')):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(err)["error"] == "invalid-input", argv
+
+    code, _, err = run_cli(capsys, "classify-psi", "--p", "1", "--q", "1",
+                           "--psi", "{}")
+    assert code == 2
+    assert "--psi must be a JSON list" in json.loads(err)["message"]
+
 
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--window", "2")

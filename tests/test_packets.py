@@ -126,6 +126,9 @@ def test_contains_lowest_weight_u11():
     assert not contains_lowest_weight(psi_ds, triv)
     assert oracle_contains(psi_ds, ds)
     assert not oracle_contains(psi_triv, ds)
+    # Same infinitesimal character, different signature: a usage error.
+    with pytest.raises(ValueError):
+        contains_lowest_weight(psi_of(0, 2, (0, 2)), triv)
 
 
 def test_lowest_weight_of_packet_fixtures():

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .cohind import InductionDescriptor, ThetaData, range_class
+from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt
 from .oracle import SweepConfig, sweep_verify
@@ -169,12 +169,9 @@ def cmd_tableau(args: argparse.Namespace) -> int:
                        "--values must be a JSON integer list")
     try:
         desc = InductionDescriptor(ThetaData(sig, blocks), values)
+        out = tableau_pair(desc)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if not range_class(desc).mediocre:
-        raise InputError("datum is outside the mediocre range")
-    from .cohind import tableau_pair
-    out = tableau_pair(desc)
     obj = {"descriptor": desc.to_json(), "zero": out.is_zero}
     if out.is_zero:
         text = "formal zero tableau"
@@ -189,6 +186,8 @@ def cmd_tableau(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = SweepConfig(args.max_n, args.window,
                           HalfInt.whole(args.char_window) if args.char_window is not None
                           else HalfInt.whole(args.window + 1))

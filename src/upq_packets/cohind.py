@@ -252,7 +252,7 @@ def realize_lowest_weight(w: KWeight) -> InductionDescriptor:
 def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     """Build the initial stack for a mediocre-range datum and normalize it."""
     if not range_class(desc).mediocre:
-        raise ValueError("datum outside the mediocre range")
+        raise ValueError("datum is outside the mediocre range")
     stack = build_initial(desc.d.sig, list(desc.d.blocks), desc.segments())
     return trapa_normalize(stack)
 
@@ -415,7 +415,7 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
         if j + 1 >= len(blocks):
             raise ValueError("no next block")
         a_next = blocks[j + 1][0] + blocks[j + 1][1]
-        if not segs[j].as_multiset().contains(segs[j + 1].as_multiset()):
+        if segs[j].intersect(segs[j + 1]) != segs[j + 1]:
             raise ValueError("next segment not contained in pivot segment")
         if p_j < a_next:
             raise ValueError("pivot has too few plus parts for the swap")
@@ -425,7 +425,7 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
         if j == 0:
             raise ValueError("no previous block")
         a_prev = blocks[j - 1][0] + blocks[j - 1][1]
-        if not segs[j].as_multiset().contains(segs[j - 1].as_multiset()):
+        if segs[j].intersect(segs[j - 1]) != segs[j - 1]:
             raise ValueError("previous segment not contained in pivot segment")
         if q_j < a_prev:
             raise ValueError("pivot has too few minus parts for the swap")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -377,7 +378,7 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
     report.bump("two-block")
     (p1, q1), (p2, q2) = desc.d.blocks
     s1, s2 = segments_of(desc)
-    sing = s1.as_multiset().intersection(s2.as_multiset()).size
+    sing = s1.intersect(s2).length
     expected = min(p1, q2) + min(q1, p2) >= sing
     try:
         out = tableau_pair(desc)
@@ -436,13 +437,15 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
 
     Signatures are enumerated small to large, so the first recorded
     disagreement is already a minimal counterexample for its kind.  With
-    jobs > 1 the per-signature work runs in a process pool; reports are
+    jobs > 1 the per-signature work runs in a process pool of at most jobs
+    processes, and no more than there are signatures or CPUs; reports are
     merged in signature order, so the output is identical either way.
     """
     sigs = [(p, n - p) for n in range(1, cfg.max_N + 1) for p in range(n + 1)]
     report = SweepReport(config=cfg.to_json())
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    processes = min(jobs, len(sigs), os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes) as pool:
             parts = pool.map(_sweep_signature_task,
                              [(p, q, cfg.to_json()) for p, q in sigs])
         for part in parts:

@@ -139,7 +139,7 @@ def d_zero(psi: AParameter) -> DZero:
             blocks += [(0, x) for x in sizes[idx + 1:]]
             return DZero(idx + 1, ThetaData(psi.sig, tuple(blocks)))
         before += a
-    raise AssertionError("unreachable: sizes sum to N >= p")
+    raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
 
 
 def epsilon(psi: AParameter, d: ThetaData) -> tuple[int, ...]:

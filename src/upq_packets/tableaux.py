@@ -228,11 +228,17 @@ class _WBox:
 
 
 def _entries_segment(block: list[_WBox]) -> Segment:
-    values = HalfIntMultiset.from_values(b.entry for b in block)
-    if not values.is_segment():
-        raise InternalInconsistencyError(
-            f"block entries {values} do not form a segment")
-    return values.as_segment()
+    """The segment a block holds.
+
+    Blocks list their entries largest first (build_initial places them so
+    and the repartition sorts them), so this checks that order and never
+    sorts: each entry must be exactly 1 above the next.
+    """
+    for upper, lower in zip(block, block[1:]):
+        if upper.entry.twice - lower.entry.twice != 2:
+            raise InternalInconsistencyError(
+                f"block entries {[str(b.entry) for b in block]} do not form a segment")
+    return Segment(block[-1].entry, len(block))
 
 
 def _overlap(left: list[_WBox], right: list[_WBox]) -> int:
@@ -241,12 +247,6 @@ def _overlap(left: list[_WBox], right: list[_WBox]) -> int:
         if all(left[ai - m + k].col < right[k].col for k in range(m)):
             return m
     return 0
-
-
-def _sing(left: list[_WBox], right: list[_WBox]) -> int:
-    a = HalfIntMultiset.from_values(b.entry for b in left)
-    b = HalfIntMultiset.from_values(x.entry for x in right)
-    return a.intersection(b).size
 
 
 class OverlapSing(NamedTuple):
@@ -258,53 +258,30 @@ def overlap_and_sing(stack: ColumnStack, i: int) -> OverlapSing:
     """Overlap and sing for the adjacent blocks i, i+1 of the stack."""
     left = [_WBox(b) for b in stack.blocks[i]]
     right = [_WBox(b) for b in stack.blocks[i + 1]]
-    return OverlapSing(_overlap(left, right), _sing(left, right))
+    sing = _entries_segment(left).intersect(_entries_segment(right)).length
+    return OverlapSing(_overlap(left, right), sing)
 
 
-def _raise_step(pair: list[_WBox], value: HalfInt) -> None:
-    # One bump toward restoring entry `value`: a box holding value-1 strictly
-    # to the right of the unique box holding `value` gains 1; with no such
-    # box, the left-most box holding value-1 gains 1.
+def _bump(pair: list[_WBox], value: HalfInt, step: int) -> None:
+    # One bump toward restoring entry `value`, for step = +1 (raise) or -1
+    # (lower): the box holding value - step strictly beyond the unique box
+    # holding `value` in the step's direction (right for +1, left for -1)
+    # moves to `value`; with no such box, the first box holding value - step
+    # in that direction's column order (left-most for +1, right-most for -1).
     refs = [b for b in pair if b.entry == value]
     if len(refs) != 1:
         raise InternalInconsistencyError(
             f"expected a unique box holding {value}, found {len(refs)}")
-    ref = refs[0]
-    lower = value - 1
-    right_of = [b for b in pair if b.entry == lower and b.col > ref.col]
-    if len(right_of) > 1:
+    ref_col = refs[0].col
+    source = value - step
+    candidates = [b for b in pair if b.entry == source]
+    beyond = [b for b in candidates if step * (b.col - ref_col) > 0]
+    if len(beyond) > 1:
         raise InternalInconsistencyError(
-            f"more than one box holding {lower} right of the {value} box")
-    if right_of:
-        right_of[0].entry = value
-        return
-    candidates = [b for b in pair if b.entry == lower]
+            f"more than one box holding {source} beyond the {value} box")
     if not candidates:
-        raise InternalInconsistencyError(f"no box holding {lower} to raise")
-    target = min(candidates, key=lambda b: (b.col, b.row))
-    target.entry = value
-
-
-def _lower_step(pair: list[_WBox], value: HalfInt) -> None:
-    # Mirror image of _raise_step: a box holding value+1 strictly left of the
-    # unique `value` box loses 1, else the right-most box holding value+1.
-    refs = [b for b in pair if b.entry == value]
-    if len(refs) != 1:
-        raise InternalInconsistencyError(
-            f"expected a unique box holding {value}, found {len(refs)}")
-    ref = refs[0]
-    upper = value + 1
-    left_of = [b for b in pair if b.entry == upper and b.col < ref.col]
-    if len(left_of) > 1:
-        raise InternalInconsistencyError(
-            f"more than one box holding {upper} left of the {value} box")
-    if left_of:
-        left_of[0].entry = value
-        return
-    candidates = [b for b in pair if b.entry == upper]
-    if not candidates:
-        raise InternalInconsistencyError(f"no box holding {upper} to lower")
-    target = max(candidates, key=lambda b: (b.col, -b.row))
+        raise InternalInconsistencyError(f"no box holding {source} to move to {value}")
+    target = beyond[0] if beyond else min(candidates, key=lambda b: (step * b.col, b.row))
     target.entry = value
 
 
@@ -330,7 +307,7 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     left, right = blocks[i], blocks[i + 1]
     seg_l, seg_r = _entries_segment(left), _entries_segment(right)
     ov = _overlap(left, right)
-    sg = _sing(left, right)
+    sg = seg_l.intersect(seg_r).length
     ai, aj = len(left), len(right)
 
     before = ([(b.col, b.entry) for b in left], [(b.col, b.entry) for b in right])
@@ -338,25 +315,24 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
 
     if ov < sg:
         return None
-    if ov == sg == aj and seg_l.as_multiset().contains(seg_r.as_multiset()):
+    # Segments repeat no entry, so sg == aj puts seg_r inside seg_l, sg == ai the reverse.
+    # Descent shifts the right block down by m and raises it back (step +1);
+    # ascent shifts the left block up and lowers it back (step -1).  Either
+    # way the targets run from the shifted segment's far end, `anchor`.
+    m = 0
+    if ov == sg == aj:
+        moved, step, anchor = right, 1, seg_r.end
         m = _unit_shift(seg_r.start.twice - seg_l.start.twice)
-        if m > 0:
-            for b in right:
-                b.entry = b.entry - m
-            for s in range(m - 1, -1, -1):
-                for k in range(aj):
-                    target = HalfInt(seg_r.end.twice - 2 * k) - s
-                    _raise_step(pair, target)
-    elif ov == sg == ai and seg_r.as_multiset().contains(seg_l.as_multiset()):
+    elif ov == sg == ai:
+        moved, step, anchor = left, -1, seg_l.start
         m = _unit_shift(seg_r.end.twice - seg_l.end.twice)
-        if m > 0:
-            for b in left:
-                b.entry = b.entry + m
-            for s in range(m - 1, -1, -1):
-                for k in range(ai):
-                    target = HalfInt(seg_l.start.twice + 2 * k) + s
-                    _lower_step(pair, target)
     # Remaining possibilities (ov = sg < min or ov > sg) keep the filling.
+    if m > 0:
+        for b in moved:
+            b.entry = b.entry - step * m
+        for s in range(m - 1, -1, -1):
+            for k in range(len(moved)):
+                _bump(pair, anchor - step * (k + s), step)
 
     # Repartition: the new right block is the chain of right-most boxes
     # holding min(bottoms), min(bottoms)+1, ..., min(tops).
@@ -466,7 +442,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         lo, hi = segs[i + 1], segs[i]
         if not (lo.start <= hi.start and lo.end <= hi.end):
             return NormalizeOutcome.zero()
-        if _overlap(blocks[i], blocks[i + 1]) < _sing(blocks[i], blocks[i + 1]):
+        if _overlap(blocks[i], blocks[i + 1]) < hi.intersect(lo).length:
             return NormalizeOutcome.zero()
 
     out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),

@@ -117,6 +117,8 @@ def test_invalid_inputs_exit_2(capsys):
             ("verify", "--max-n", "0", "--window", "2"),
             ("verify", "--max-n", "2", "--window", "-1"),
             ("verify", "--max-n", "2", "--window", "2", "--char-window", "-1"),
+            ("verify", "--max-n", "2", "--window", "2", "--jobs", "0"),
+            ("verify", "--max-n", "2", "--window", "2", "--jobs", "-3"),
             ("classify-lambda", "--p", "1", "--q", "1", "--lambda", "[1.5,0]"),
             ("classify-lambda", "--p", "1", "--q", "1", "--lambda", "[true,false]"),
             ("tableau", "--p", "1", "--q", "1", "--blocks", "[[1,1]]",

@@ -1,3 +1,4 @@
+from upq_packets import oracle
 from upq_packets.halfint import HalfInt
 from upq_packets.oracle import (SweepConfig, dominant_weights,
                                 good_parameters_in_window,
@@ -67,6 +68,42 @@ def test_sweep_parallel_matches_serial():
     serial = sweep_verify(cfg, jobs=1).dumps()
     parallel = sweep_verify(cfg, jobs=2).dumps()
     assert serial == parallel
+
+
+def test_pool_size_is_bounded_by_signatures_and_cpus(monkeypatch):
+    # A recorder stands in for the pool, so no process is ever started.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable):
+            return list(map(func, iterable))
+
+    monkeypatch.setattr(oracle, "Pool", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(max_N=2, weight_window=1, char_window=HalfInt.whole(2))
+    serial = sweep_verify(cfg, jobs=1).dumps()
+    assert requested == []
+    # Five signatures up to N=2, three CPUs: the CPUs bound the pool.
+    assert sweep_verify(cfg, jobs=10**6).dumps() == serial
+    assert requested == [3]
+    # Two signatures at N=1: the signatures bound it.
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    small = SweepConfig(max_N=1, weight_window=1, char_window=HalfInt.whole(1))
+    assert sweep_verify(small, jobs=10**6).dumps() == sweep_verify(small).dumps()
+    assert requested == [3, 2]
+    # An unknown CPU count leaves one process: the sweep runs serially.
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert sweep_verify(cfg, jobs=4).dumps() == serial
+    assert requested == [3, 2]
 
 
 def test_signature_sweep_counts_instances():

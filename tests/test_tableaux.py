@@ -71,6 +71,18 @@ def test_overlap_and_sing_examples():
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(-1, -1)])
     assert overlap_and_sing(stack, 0)[1] == 0
 
+    # Multi-box blocks: [-1/2,1/2] and [-3/2,-1/2] share one entry.
+    stack = build(2, 2, [(1, 1), (1, 1)], [seg(-1, 1), seg(-3, -1)])
+    assert overlap_and_sing(stack, 0) == (2, 1)
+
+    # [1,2] lies inside [0,3].
+    stack = build(2, 4, [(2, 2), (0, 2)], [seg(0, 6), seg(2, 4)])
+    assert overlap_and_sing(stack, 0) == (2, 2)
+
+    # [0,1] and [-1/2,1/2] are a half-integer apart: nothing is shared.
+    stack = build(2, 2, [(1, 1), (1, 1)], [seg(0, 2), seg(-1, 1)])
+    assert overlap_and_sing(stack, 0) == (2, 0)
+
 
 def test_normalize_u11_one_row():
     out = trapa_normalize(build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)]))
@@ -98,6 +110,15 @@ def test_normalize_descent_case_with_shift():
     assert not out.is_zero
     assert ann_columns(out) == [[6, 4, 2, 0], [4]]
     assert sorted(out.as_tab.rows) == [(1, MINUS), (1, MINUS), (1, PLUS), (2, PLUS)]
+
+
+def test_normalize_ascent_case_with_shift():
+    # Mirror image: nu_1 = {2} inside nu_2 = [0,3]; the left block's entry
+    # is shifted up to the top of the right segment and lowered back.
+    out = trapa_normalize(build(3, 2, [(1, 0), (2, 2)], [seg(4, 4), seg(0, 6)]))
+    assert not out.is_zero
+    assert ann_columns(out) == [[6, 4, 2, 0], [4]]
+    assert sorted(out.as_tab.rows) == [(1, MINUS), (1, PLUS), (1, PLUS), (2, PLUS)]
 
 
 def test_normalize_preserves_entries_and_shape():

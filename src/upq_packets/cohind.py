@@ -20,7 +20,7 @@ from .errors import InternalInconsistencyError
 from .halfint import HalfInt, HalfIntMultiset, Segment, _segment_union, _split_at
 from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
                        as_pair_equal, build_initial, trapa_normalize)
-from .weights import (GroupSignature, KWeight, is_unitarizable, weight_stats)
+from .weights import GroupSignature, KWeight, _primes, is_unitarizable
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def realize_lowest_weight(w: KWeight) -> InductionDescriptor:
     sig = w.sig
     p, q, n = sig.p, sig.q, sig.N
     lam = w.lam
-    st = weight_stats(w)
-    pp, qp = st.p_prime, st.q_prime
+    pp, qp = _primes(w)
 
     blocks: list[tuple[int, int]] = []
     values: list[int] = []
@@ -322,9 +321,9 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
             raise InternalInconsistencyError(
                 f"two-box row of {as_tab.rows} is not plus-minus")
 
-    sig = w.sig
-    st = weight_stats(w)
-    if sig.p == 0 or sig.q == 0 or w.gap >= min(sig.N - st.p_prime, sig.N - st.q_prime):
+    # The realization is fully split exactly when no block mixes plus and
+    # minus: the small-gap mixed block (p', N - gap - p') has both parts > 0.
+    if all(pk == 0 or qk == 0 for pk, qk in desc.d.blocks):
         col1, col2 = _split_case_columns(w)
         expected = [c for c in (col1, col2) if c]
         got = [list(c) for c in ann.columns]

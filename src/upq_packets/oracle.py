@@ -27,10 +27,10 @@ from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
                      normalize_blocks, range_class, realize_lowest_weight,
                      segments_of, holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment, _split_at
-from .packets import (AParameter, DZero, PacketMember, contains_lowest_weight,
-                      d_zero, good_parameters_with_inf_char, inf_char,
-                      lowest_weight_of_packet, member, packet)
+from .halfint import HalfInt, HalfIntMultiset, Segment
+from .packets import (AParameter, PacketMember, _holomorphic_candidate,
+                      contains_lowest_weight, d_zero, good_parameters_with_inf_char,
+                      inf_char, lowest_weight_of_packet, member, packet)
 from .tableaux import as_pair_equal, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -174,13 +174,11 @@ def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     return found
 
 
-def _basic_d0_properties(psi: AParameter, dz: DZero, i_seg: HalfIntMultiset) -> list[str]:
-    """The structural facts about the holomorphic candidate dz = d_zero(psi)
+def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
+    """The structural facts about the holomorphic candidate d_zero(psi)
     that hold whenever the packet contains the lowest weight module whose
     I-segment is i_seg.  Returns the labels of violated items."""
-    if dz.j is None:
-        return []
-    lt, mid, gt = _split_at([psi.segment(i) for i in range(psi.r)], dz.j - 1)
+    dz, (lt, mid, gt), _ = _holomorphic_candidate(psi)
     q_j = dz.d0.blocks[dz.j - 1][1]
     lt_cap_gt = lt.intersection(gt)
 
@@ -256,8 +254,7 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
         report.bump("membership-pairs")
         try:
             theorem = contains_lowest_weight(psi, w)
-            dz = d_zero(psi)
-            held = member(psi, dz.d0).invariants
+            held = member(psi, d_zero(psi).d0).invariants
             oracle = held is not None and as_pair_equal(held, pair)
         except InternalInconsistencyError as exc:
             report.property_failures.append(
@@ -283,7 +280,7 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
                      "lambda": list(w.lam),
                      "extracted": list(back.lam) if back else None})
         if oracle:
-            for label in _basic_d0_properties(psi, dz, i_seg):
+            for label in _basic_d0_properties(psi, i_seg):
                 report.property_failures.append(
                     {"kind": "holomorphic-candidate-property", "item": label,
                      "psi": psi.to_json(), "lambda": list(w.lam)})

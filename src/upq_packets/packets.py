@@ -116,7 +116,7 @@ def enumerate_D(psi: AParameter) -> list[ThetaData]:
 
 @dataclass(frozen=True)
 class DZero:
-    j: Optional[int]  # 1-based straddling index; None when p = 0
+    j: int  # 1-based straddling index, d0.pivot() + 1
     d0: ThetaData
 
 
@@ -125,11 +125,9 @@ def d_zero(psi: AParameter) -> DZero:
 
     j is minimal with a_1 + ... + a_j >= p; the straddling block gets
     (p - a_{<j}, q - a_{>j}) and everything after is pure minus.  For p = 0
-    there is no straddling index and the datum is all minus."""
+    this is j = 1 and the datum is all minus."""
     sizes = psi.sizes()
     p, q = psi.sig.p, psi.sig.q
-    if p == 0:
-        return DZero(None, ThetaData(psi.sig, tuple((0, a) for a in sizes)))
     before = 0
     for idx, a in enumerate(sizes):
         if before + a >= p:
@@ -208,14 +206,12 @@ def packet(psi: AParameter) -> list[PacketMember]:
     return members
 
 
-def _holomorphic_candidate(psi: AParameter, chi: HalfIntMultiset
-                           ) -> tuple[DZero, Optional[tuple[HalfIntMultiset, ...]], bool]:
-    """d_0(psi), its split (nu_{<j}, nu_j, nu_{>j}) -- None when p = 0 --
-    and whether the holomorphic member is nonzero (see d_zero_nonvanishing),
-    derived once for each caller below.  chi is inf_char(psi)."""
+def _holomorphic_candidate(psi: AParameter
+                           ) -> tuple[DZero, tuple[HalfIntMultiset, ...], bool]:
+    """d_0(psi), its split (nu_{<j}, nu_j, nu_{>j}) and whether the
+    holomorphic member is nonzero (see d_zero_nonvanishing), derived once
+    for each caller."""
     dz = d_zero(psi)
-    if dz.j is None:
-        return dz, None, chi.is_multiplicity_free
     lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], dz.j - 1)
     p_j, q_j = dz.d0.blocks[dz.j - 1]
     nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
@@ -235,10 +231,12 @@ def d_zero_nonvanishing(psi: AParameter) -> bool:
     at most two columns, and its antitableau twin cannot hold any entry
     three times; a value in all three parts has multiplicity three.  When
     the character matches a lowest weight module (multiplicity at most
-    two), the condition is vacuous.  For p = 0 the member is nonzero exactly
-    when the infinitesimal character is multiplicity free.
+    two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
+    p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
+    from nu_1", so the member is nonzero exactly when the infinitesimal
+    character is multiplicity free.
     """
-    return _holomorphic_candidate(psi, inf_char(psi))[2]
+    return _holomorphic_candidate(psi)[2]
 
 
 def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
@@ -266,7 +264,7 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     chi = inf_char(psi)
     if chi != inf_char_of_lowest_weight(w):
         return False
-    _, parts, nonzero = _holomorphic_candidate(psi, chi)
+    _, (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
     if not nonzero:
         return False
     sig = w.sig
@@ -276,7 +274,6 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     st = weight_stats(w)
     n = sig.N
     gap = w.gap
-    lt, mid, gt = parts
     nu_le = lt.union(mid)
     bracket = Segment.from_bounds(
         HalfInt(2 * w.lam[sig.p - 1] - (n - 1)),
@@ -358,19 +355,9 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     bounds are attained, or by the explicit coordinate formula in the
     interior case.
     """
-    chi = inf_char(psi)
-    dz, parts, nonzero = _holomorphic_candidate(psi, chi)
+    dz, (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
     if not nonzero:
         return None
-    sig = psi.sig
-
-    if parts is None:  # p = 0: everything sits on the Q side.
-        w = kweight_from_pq(sig, HalfIntMultiset.empty(), chi)
-        if w is None or not is_unitarizable(w):
-            return None
-        return w if oracle_contains(psi, w) else None
-
-    lt, mid, gt = parts
     p_j, q_j = dz.d0.blocks[dz.j - 1]
     cap_gt = mid.intersection(gt)
     cap_lt = mid.intersection(lt)
@@ -390,7 +377,7 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
                 f"case-4 weight {w.lam} for {psi} is not unitarizable")
         return w
 
-    w = kweight_from_pq(sig, P, Q)
+    w = kweight_from_pq(psi.sig, P, Q)
     if w is None:
         raise InternalInconsistencyError(
             f"P = {P}, Q = {Q} for {psi} do not invert to a dominant weight")

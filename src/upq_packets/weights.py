@@ -97,12 +97,19 @@ def _q_entry(w: KWeight, i: int) -> HalfInt:
     return HalfInt(2 * w.lam[i - 1] + (p - q + 1) + 2 * (n - i))
 
 
+def _primes(w: KWeight) -> tuple[int, int]:
+    """p' = #{i <= p : lambda_i = lambda_p} and
+    q' = #{i > p : lambda_i = lambda_{p+1}}; 0 on an empty side."""
+    p, q, lam = w.sig.p, w.sig.q, w.lam
+    return (lam[:p].count(lam[p - 1]) if p else 0,
+            lam[p:].count(lam[p]) if q else 0)
+
+
 def weight_stats(w: KWeight) -> WeightStats:
     """p', q', the multisets P and Q, the segments P', Q' and I = P' /\\ Q'."""
     p, q, n = w.sig.p, w.sig.q, w.sig.N
     lam = w.lam
-    p_prime = sum(1 for i in range(p) if lam[i] == lam[p - 1]) if p else 0
-    q_prime = sum(1 for i in range(p, n) if lam[i] == lam[p]) if q else 0
+    p_prime, q_prime = _primes(w)
 
     P = HalfIntMultiset.from_values(_p_entry(w, i) for i in range(1, p + 1))
     Q = HalfIntMultiset.from_values(_q_entry(w, i) for i in range(p + 1, n + 1))
@@ -150,14 +157,14 @@ def unitarity_class(w: KWeight) -> UnitarityClass:
     """
     if w.sig.p == 0 or w.sig.q == 0:
         return UnitarityClass.UNITARY
-    st = weight_stats(w)
+    p_prime, q_prime = _primes(w)
     gap = w.gap
     n = w.sig.N
     if gap > n - 1:
         return UnitarityClass.DISCRETE_SERIES
     if gap == n - 1:
         return UnitarityClass.LIMIT_OF_DISCRETE_SERIES
-    if gap >= n - st.p_prime - st.q_prime:
+    if gap >= n - p_prime - q_prime:
         return UnitarityClass.UNITARY
     return UnitarityClass.NON_UNITARY
 

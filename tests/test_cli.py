@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
 
 from upq_packets.cli import main
 
@@ -153,3 +157,47 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lowest_k_type"] == [0, 0]
+
+
+small_ints = st.integers(-6, 6)
+# Arbitrary JSON, small enough that a well-formed draw stays cheap.
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(("t", "a")) | st.text(max_size=2),
+                                    kids, max_size=4)),
+    max_leaves=12)
+# Per flag, payloads of the expected shape too, so that some queries get
+# past the parsers and are answered.
+shaped = {
+    "--psi": st.lists(st.fixed_dictionaries({"t": small_ints, "a": st.integers(0, 4)}),
+                      max_size=4),
+    "--lambda": st.lists(small_ints, max_size=6),
+    "--blocks": st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), max_size=4),
+    "--values": st.lists(small_ints, max_size=4),
+}
+FLAGS = {"classify-psi": ("--psi",), "classify-lambda": ("--lambda",),
+         "packet": ("--psi",), "tableau": ("--blocks", "--values")}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command, f"--p={draw(st.integers(0, 3))}", f"--q={draw(st.integers(0, 3))}",
+            f"--output={draw(st.sampled_from(('json', 'ascii')))}"]
+    # "--flag=value" keeps a payload such as -1e-05 from reading as a flag.
+    return argv + [f"{flag}={json.dumps(draw(json_values | shaped[flag]))}"
+                   for flag in FLAGS[command]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(cli_argvs())
+def test_cli_contract_holds_for_any_payload(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if err.getvalue():
+        assert json.loads(err.getvalue())["error"] in (
+            "invalid-input", "internal-inconsistency"), argv

@@ -70,7 +70,7 @@ def test_d_zero_examples():
     dz = d_zero(psi_of(2, 3, (1, 2), (0, 3)))
     assert dz.j == 1 and dz.d0.blocks == ((2, 0), (0, 3))
     dz = d_zero(psi_of(0, 2, (0, 2)))
-    assert dz.j is None and dz.d0.blocks == ((0, 2),)
+    assert dz.j == 1 and dz.d0.blocks == ((0, 2),)
 
 
 def test_epsilon_values():

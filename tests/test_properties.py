@@ -1,14 +1,19 @@
-"""Seeded property tests past the sweep's window: N = 7..9.
+"""Seeded property tests past the sweep's window: N = 7..9, and JSON
+round trips.
 
 The exhaustive sweep stops at N = 6.  Here hypothesis draws good
 parameters and unitarizable weights at larger N, with a fixed seed
 (derandomize=True), and checks the closed forms against the tableau
-oracle and the rewriting engine against itself.
+oracle and the rewriting engine against itself.  It also checks that
+every type with a from_json reads back what its to_json wrote.
 """
+
+import json
 
 from hypothesis import given, settings, strategies as st
 
-from upq_packets.cohind import tableau_pair
+from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
+from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
 from upq_packets.oracle import oracle_lowest_weights
 from upq_packets.packets import (AParameter, contains_lowest_weight,
                                  good_parameters_with_inf_char,
@@ -96,3 +101,52 @@ def test_contains_lowest_weight_matches_oracle(w):
     chi = inf_char_of_lowest_weight(w)
     for psi in good_parameters_with_inf_char(w.sig, chi):
         assert contains_lowest_weight(psi, w) == oracle_contains(psi, w), psi
+
+
+def _wire(obj):
+    # What a reader of the canonical JSON gets back.
+    return json.loads(json.dumps(obj, sort_keys=True))
+
+
+half_ints = st.integers(-40, 40).map(HalfInt)
+segments = st.builds(Segment, half_ints, st.integers(0, 8)) | st.just(Segment.empty())
+
+
+@st.composite
+def kweights(draw):
+    n = draw(st.integers(1, 9))
+    p = draw(st.integers(0, n))
+
+    def side(length):
+        return sorted(draw(st.lists(st.integers(-5, 5), min_size=length,
+                                    max_size=length)), reverse=True)
+
+    return KWeight(GroupSignature(p, n - p), tuple(side(p) + side(n - p)))
+
+
+@st.composite
+def descriptors(draw):
+    blocks = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                           .filter(lambda b: b != (0, 0)), min_size=1, max_size=4))
+    sig = GroupSignature(sum(b[0] for b in blocks), sum(b[1] for b in blocks))
+    values = draw(st.lists(st.integers(-5, 5), min_size=len(blocks), max_size=len(blocks)))
+    return InductionDescriptor(ThetaData(sig, tuple(blocks)), tuple(values))
+
+
+@SEEDED
+@given(half_ints, segments, st.lists(half_ints, max_size=8).map(HalfIntMultiset.from_values),
+       kweights(), random_psis())
+def test_json_round_trips(x, seg, mset, w, psi):
+    assert HalfInt.from_json(_wire(x.to_json())) == x
+    assert Segment.from_json(_wire(seg.to_json())) == seg
+    assert HalfIntMultiset.from_json(_wire(mset.to_json())) == mset
+    assert KWeight.from_json(_wire(w.to_json())) == w
+    assert AParameter.from_json(_wire(psi.to_json())) == psi
+
+
+@SEEDED
+@given(descriptors())
+def test_descriptor_json_round_trip_echoes_its_segments(desc):
+    obj = _wire(desc.to_json())
+    assert InductionDescriptor.from_json(obj) == desc
+    assert [Segment.from_json(s) for s in obj["segments"]] == segments_of(desc)

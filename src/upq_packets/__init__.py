@@ -8,8 +8,7 @@ support), which is a complete isomorphism invariant.
 """
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
-from .halfint import (HalfInt, HalfIntMultiset, Segment, half, mset_algebra,
-                      partition_into_segments, seg_compare)
+from .halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
 from .weights import (GroupSignature, KWeight, UnitarityClass,
                       inf_char_of_lowest_weight, is_unitarizable,
                       kweight_from_pq, unitarity_class, weight_stats)
@@ -33,12 +32,12 @@ __all__ = [
     "IterationCapExceeded", "KWeight", "NormalizeOutcome", "PacketMember",
     "Segment", "SignedTableau", "SweepConfig", "SweepReport", "ThetaData",
     "UnitarityClass", "absorb_adjacent", "as_pair_equal", "build_initial",
-    "contains_lowest_weight", "d_zero", "enumerate_D", "epsilon", "half",
+    "contains_lowest_weight", "d_zero", "enumerate_D", "epsilon",
     "holomorphic_lowest_ktype", "inf_char", "inf_char_of_lowest_weight",
     "is_unitarizable", "kweight_from_pq", "lowest_weight_invariants",
-    "lowest_weight_of_packet", "member", "mset_algebra", "normalize_blocks",
+    "lowest_weight_of_packet", "member", "normalize_blocks",
     "oracle_contains", "oracle_lowest_weights", "overlap_and_sing", "packet",
     "packets_containing", "partition_into_segments", "range_class",
-    "realize_lowest_weight", "seg_compare", "segments_of", "sweep_verify",
+    "realize_lowest_weight", "segments_of", "sweep_verify",
     "tableau_pair", "trapa_normalize", "unitarity_class", "weight_stats",
 ]

@@ -102,10 +102,10 @@ def cmd_classify_psi(args: argparse.Namespace) -> int:
     sig = _parse_sig(args)
     psi = _parse_psi(args, sig)
     w = lowest_weight_of_packet(psi)
-    dz = d_zero(psi)
-    m = member(psi, dz.d0)
+    d0 = d_zero(psi)
+    m = member(psi, d0)
     member_obj = m.to_json()
-    member_obj["d0"] = [list(b) for b in dz.d0.blocks]
+    member_obj["d0"] = [list(b) for b in d0.blocks]
     obj = {
         "psi": psi.to_json(),
         "inf_char": inf_char(psi).to_json(),

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment, _segment_union, _split_at
+from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
+                      _split_at)
 from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
                        as_pair_equal, build_initial, trapa_normalize)
 from .weights import GroupSignature, KWeight, _primes, is_unitarizable
@@ -85,23 +86,20 @@ class InductionDescriptor:
         if len(self.values) != self.d.r:
             raise ValueError("one value per block required")
 
-    def segments(self) -> list[Segment]:
-        return segments_of(self)
-
     def inf_char(self) -> HalfIntMultiset:
-        return _segment_union(self.segments())
+        return _segment_union(segments_of(self))
 
     def to_json(self) -> dict:
         return {"p": self.d.sig.p, "q": self.d.sig.q,
                 "blocks": [list(b) for b in self.d.blocks],
                 "values": list(self.values),
-                "segments": [s.to_json() for s in self.segments()]}
+                "segments": [s.to_json() for s in segments_of(self)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "InductionDescriptor":
-        sig = GroupSignature(int(obj["p"]), int(obj["q"]))
-        blocks = tuple((int(b[0]), int(b[1])) for b in obj["blocks"])
-        return cls(ThetaData(sig, blocks), tuple(int(v) for v in obj["values"]))
+        sig = GroupSignature(_json_int(obj["p"]), _json_int(obj["q"]))
+        blocks = tuple(tuple(_json_int(x) for x in b) for b in obj["blocks"])
+        return cls(ThetaData(sig, blocks), tuple(_json_int(v) for v in obj["values"]))
 
 
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
@@ -252,7 +250,7 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     """Build the initial stack for a mediocre-range datum and normalize it."""
     if not range_class(desc).mediocre:
         raise ValueError("datum is outside the mediocre range")
-    stack = build_initial(desc.d.sig, list(desc.d.blocks), desc.segments())
+    stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
     return trapa_normalize(stack)
 
 
@@ -442,8 +440,3 @@ def _same_invariants(out_a: NormalizeOutcome, out_b: NormalizeOutcome) -> bool:
     if out_a.is_zero or out_b.is_zero:
         return out_a.is_zero == out_b.is_zero
     return as_pair_equal((out_a.ann, out_a.as_tab), (out_b.ann, out_b.as_tab))
-
-
-def invariants_preserved(a: InductionDescriptor, b: InductionDescriptor) -> bool:
-    """True when two mediocre data normalize to the same invariant pair."""
-    return _same_invariants(tableau_pair(a), tableau_pair(b))

@@ -9,7 +9,7 @@ intervals [a, a+n] regarded as multiplicity-free multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -25,11 +25,6 @@ class HalfInt:
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
 
     def __add__(self, other: "HalfInt | int") -> "HalfInt":
         if isinstance(other, HalfInt):
@@ -57,12 +52,15 @@ class HalfInt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HalfInt":
-        return cls(int(obj["twice"]))
+        return cls(_json_int(obj["twice"]))
 
 
-def half(twice: int) -> HalfInt:
-    """Shorthand constructor from the doubled value."""
-    return HalfInt(twice)
+def _json_int(x: object) -> int:
+    """x itself when it is a JSON integer.  A float (even 1.0), a boolean
+    or a string is refused, never truncated or coerced."""
+    if type(x) is not int:
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -135,30 +133,7 @@ class Segment:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Segment":
-        return cls(HalfInt(int(obj["start_twice"])), int(obj["len"]))
-
-
-class SegmentRelation(NamedTuple):
-    linked: bool
-    leq: bool
-    subset: bool
-
-
-def seg_compare(s1: Segment, s2: Segment) -> SegmentRelation:
-    """Linkedness, the [a,b] <= [c,d] order, and containment of s1 in s2.
-
-    For [a,b] and [c,d]: linked iff c = b+1 or a = d+1; leq iff a <= c and
-    b <= d; subset iff c <= a and b <= d.  Empty segments are never linked,
-    are <= everything, and are contained in everything.
-    """
-    if s1.is_empty:
-        return SegmentRelation(linked=False, leq=True, subset=True)
-    if s2.is_empty:
-        return SegmentRelation(linked=False, leq=False, subset=False)
-    a, b = s1.start, s1.end
-    c, d = s2.start, s2.end
-    linked = c == b + 1 or a == d + 1
-    return SegmentRelation(linked=linked, leq=a <= c and b <= d, subset=c <= a and b <= d)
+        return cls(HalfInt(_json_int(obj["start_twice"])), _json_int(obj["len"]))
 
 
 @dataclass(frozen=True)
@@ -270,7 +245,7 @@ class HalfIntMultiset:
 
     @classmethod
     def from_json(cls, obj: list) -> "HalfIntMultiset":
-        return cls(tuple((HalfInt(int(e["twice"])), int(e["mult"])) for e in obj))
+        return cls(tuple((HalfInt.from_json(e), _json_int(e["mult"])) for e in obj))
 
 
 def _segment_union(segs: Iterable[Segment]) -> HalfIntMultiset:
@@ -283,23 +258,6 @@ def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMult
     """(union of segs[:j], segs[j], union of segs[j+1:]) for a 0-based j:
     the nu_{<j} / nu_j / nu_{>j} split around a pivot block."""
     return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
-
-
-class MsetAlgebra(NamedTuple):
-    union: HalfIntMultiset
-    intersection: HalfIntMultiset
-    difference: HalfIntMultiset
-    B_mult_free: bool
-
-
-def mset_algebra(A: HalfIntMultiset, B: HalfIntMultiset) -> MsetAlgebra:
-    """Union, intersection and A-minus-B under multiset semantics."""
-    return MsetAlgebra(
-        union=A.union(B),
-        intersection=A.intersection(B),
-        difference=A.difference(B),
-        B_mult_free=B.is_multiplicity_free,
-    )
 
 
 def _canonical_part_key(seg: Segment) -> tuple[int, int]:

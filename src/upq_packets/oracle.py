@@ -166,7 +166,7 @@ def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     found = []
     for w in _unitarizable_splits(psi.sig, inf_char(psi)):
         if pair is None:
-            pair = member(psi, d_zero(psi).d0).invariants
+            pair = member(psi, d_zero(psi)).invariants
             if pair is None:  # the holomorphic member vanishes
                 return []
         if as_pair_equal(pair, lowest_weight_invariants(w)):
@@ -178,8 +178,7 @@ def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
     """The structural facts about the holomorphic candidate d_zero(psi)
     that hold whenever the packet contains the lowest weight module whose
     I-segment is i_seg.  Returns the labels of violated items."""
-    dz, (lt, mid, gt), _ = _holomorphic_candidate(psi)
-    q_j = dz.d0.blocks[dz.j - 1][1]
+    (_, q_j), (lt, mid, gt), _ = _holomorphic_candidate(psi)
     lt_cap_gt = lt.intersection(gt)
 
     bad = []
@@ -254,7 +253,7 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
         report.bump("membership-pairs")
         try:
             theorem = contains_lowest_weight(psi, w)
-            held = member(psi, d_zero(psi).d0).invariants
+            held = member(psi, d_zero(psi)).invariants
             oracle = held is not None and as_pair_equal(held, pair)
         except InternalInconsistencyError as exc:
             report.property_failures.append(
@@ -329,7 +328,7 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
         report.property_failures.append(
             {"kind": "multiplicity-one", "psi": psi.to_json(), "error": str(exc)})
         return
-    d0 = d_zero(psi).d0
+    d0 = d_zero(psi)
     candidates: list[tuple[PacketMember, KWeight]] = []
     for w in _unitarizable_splits(sig, inf_char(psi)):
         key = (sig.p, sig.q, w.lam)
@@ -353,9 +352,9 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
                 {"kind": "holomorphic-candidate", "psi": psi.to_json()})
 
 
-def two_block_data(max_N: int, value_span: int = 8) -> list[InductionDescriptor]:
-    """Every two-block datum with N <= max_N and mediocre values, the first
-    value ranging over a window of the given width around the second."""
+def two_block_data(max_N: int) -> list[InductionDescriptor]:
+    """Every two-block datum with N <= max_N and mediocre values: the second
+    value is 0 and the first ranges over [-4, 3], a window of width 8."""
     out = []
     for n in range(2, max_N + 1):
         for a1 in range(1, n):
@@ -364,7 +363,7 @@ def two_block_data(max_N: int, value_span: int = 8) -> list[InductionDescriptor]
                 for p2 in range(a2 + 1):
                     sig = GroupSignature(p1 + p2, (a1 - p1) + (a2 - p2))
                     d = ThetaData(sig, ((p1, a1 - p1), (p2, a2 - p2)))
-                    for v1 in range(-(value_span // 2), value_span - value_span // 2):
+                    for v1 in range(-4, 4):
                         desc = InductionDescriptor(d, (v1, 0))
                         if range_class(desc).mediocre:
                             out.append(desc)

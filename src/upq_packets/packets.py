@@ -21,8 +21,8 @@ from typing import Optional
 from .cohind import (InductionDescriptor, ThetaData, lowest_weight_invariants,
                      segments_of, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import (HalfInt, HalfIntMultiset, Segment, _segment_union, _split_at,
-                      partition_into_segments)
+from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
+                      _split_at, partition_into_segments)
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -76,8 +76,9 @@ class AParameter:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AParameter":
-        sig = GroupSignature(int(obj["p"]), int(obj["q"]))
-        return cls.from_summands(sig, [(int(s["t"]), int(s["a"])) for s in obj["summands"]])
+        sig = GroupSignature(_json_int(obj["p"]), _json_int(obj["q"]))
+        return cls.from_summands(sig, [(_json_int(s["t"]), _json_int(s["a"]))
+                                       for s in obj["summands"]])
 
     def __str__(self) -> str:
         return " + ".join(f"chi_{t}*S_{a}" for t, a in self.summands)
@@ -114,18 +115,13 @@ def enumerate_D(psi: AParameter) -> list[ThetaData]:
     return out
 
 
-@dataclass(frozen=True)
-class DZero:
-    j: int  # 1-based straddling index, d0.pivot() + 1
-    d0: ThetaData
-
-
-def d_zero(psi: AParameter) -> DZero:
-    """The unique holomorphic candidate: plus parts fill the first blocks.
+def d_zero(psi: AParameter) -> ThetaData:
+    """The unique holomorphic candidate d_0: plus parts fill the first blocks.
 
     j is minimal with a_1 + ... + a_j >= p; the straddling block gets
     (p - a_{<j}, q - a_{>j}) and everything after is pure minus.  For p = 0
-    this is j = 1 and the datum is all minus."""
+    this is j = 1 and the datum is all minus.  d_0 fixes j: it is
+    d_0.pivot() + 1."""
     sizes = psi.sizes()
     p, q = psi.sig.p, psi.sig.q
     before = 0
@@ -135,7 +131,7 @@ def d_zero(psi: AParameter) -> DZero:
             blocks = [(x, 0) for x in sizes[:idx]]
             blocks.append((p - before, q - after))
             blocks += [(0, x) for x in sizes[idx + 1:]]
-            return DZero(idx + 1, ThetaData(psi.sig, tuple(blocks)))
+            return ThetaData(psi.sig, tuple(blocks))
         before += a
     raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
 
@@ -207,18 +203,20 @@ def packet(psi: AParameter) -> list[PacketMember]:
 
 
 def _holomorphic_candidate(psi: AParameter
-                           ) -> tuple[DZero, tuple[HalfIntMultiset, ...], bool]:
-    """d_0(psi), its split (nu_{<j}, nu_j, nu_{>j}) and whether the
-    holomorphic member is nonzero (see d_zero_nonvanishing), derived once
-    for each caller."""
-    dz = d_zero(psi)
-    lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], dz.j - 1)
-    p_j, q_j = dz.d0.blocks[dz.j - 1]
+                           ) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
+    """The straddling block (p_j, q_j) of d_0(psi), the split
+    (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is nonzero
+    (see d_zero_nonvanishing), derived once for each caller.  j is
+    d_0.pivot() + 1."""
+    d0 = d_zero(psi)
+    j = d0.pivot()
+    lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], j)
+    p_j, q_j = block = d0.blocks[j]
     nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
                and mid.intersection(lt).intersection(gt).is_empty
                and mid.intersection(gt).size <= p_j
                and mid.intersection(lt).size <= q_j)
-    return dz, parts, nonzero
+    return block, parts, nonzero
 
 
 def d_zero_nonvanishing(psi: AParameter) -> bool:
@@ -302,7 +300,7 @@ def oracle_contains(psi: AParameter, w: KWeight) -> bool:
         raise ValueError(f"{w.lam} is not unitarizable")
     if inf_char(psi) != inf_char_of_lowest_weight(w):
         return False
-    pair = member(psi, d_zero(psi).d0).invariants
+    pair = member(psi, d_zero(psi)).invariants
     return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
 
 
@@ -355,10 +353,9 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     bounds are attained, or by the explicit coordinate formula in the
     interior case.
     """
-    dz, (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
+    (p_j, q_j), (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
     if not nonzero:
         return None
-    p_j, q_j = dz.d0.blocks[dz.j - 1]
     cap_gt = mid.intersection(gt)
     cap_lt = mid.intersection(lt)
 

@@ -395,11 +395,7 @@ def assemble_antitableau(stack: ColumnStack) -> AntiTableau:
         raise InternalInconsistencyError("columns are not contiguous")
     columns = []
     for c in range(1, n_cols + 1):
-        col = sorted(by_col[c], key=lambda v: -v.twice)
-        if any(col[i] == col[i + 1] for i in range(len(col) - 1)):
-            raise InternalInconsistencyError(
-                f"column {c} has a repeated entry; not an antitableau")
-        columns.append(tuple(col))
+        columns.append(tuple(sorted(by_col[c], key=lambda v: -v.twice)))
     try:
         ann = AntiTableau(tuple(columns))
     except ValueError as exc:

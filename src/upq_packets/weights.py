@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .halfint import HalfInt, HalfIntMultiset, Segment
+from .halfint import HalfInt, HalfIntMultiset, Segment, _json_int
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,6 @@ class GroupSignature:
     @property
     def N(self) -> int:
         return self.p + self.q
-
-    def rho(self) -> list[HalfInt]:
-        """((N-1)/2, (N-3)/2, ..., -(N-1)/2)."""
-        n = self.N
-        return [HalfInt(n - 1 - 2 * k) for k in range(n)]
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q}
@@ -68,8 +63,8 @@ class KWeight:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KWeight":
-        return cls(GroupSignature(int(obj["p"]), int(obj["q"])),
-                   tuple(int(x) for x in obj["lambda"]))
+        return cls(GroupSignature(_json_int(obj["p"]), _json_int(obj["q"])),
+                   tuple(_json_int(x) for x in obj["lambda"]))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import pytest
 
 from upq_packets.cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
-                                holomorphic_lowest_ktype, invariants_preserved,
+                                holomorphic_lowest_ktype,
                                 lowest_weight_invariants, normalize_blocks,
                                 range_class, realize_lowest_weight, segments_of,
                                 tableau_pair, two_rho_u_cap_p)
@@ -22,6 +22,11 @@ def desc(p, q, blocks, values):
 
 def w(p, q, *lam):
     return KWeight(GroupSignature(p, q), tuple(lam))
+
+
+def invariants(dd):
+    out = tableau_pair(dd)
+    return out.ann, out.as_tab
 
 
 def test_theta_data_validation():
@@ -176,7 +181,7 @@ def test_normalize_blocks_identity_and_preservation():
     # Intersections are empty here, so only the middle and tail survive.
     assert out.d.blocks == dd.d.blocks
     assert segments_of(out) == segments_of(dd)
-    assert invariants_preserved(dd, out)
+    assert invariants(dd) == invariants(out)
 
 
 def test_normalize_blocks_five_block_form():
@@ -187,7 +192,7 @@ def test_normalize_blocks_five_block_form():
     out = normalize_blocks(dd)
     assert out.d.blocks == ((1, 0), (1, 0), (1, 2))
     assert segments_of(out) == [seg(6, 6), seg(4, 4), seg(0, 4)]
-    assert invariants_preserved(dd, out)
+    assert invariants(dd) == invariants(out)
 
 
 def test_normalize_blocks_refuses_non_segment_piece():
@@ -205,7 +210,7 @@ def test_absorb_adjacent_preserves_invariants():
     assert segments_of(dd) == [seg(0, 2), seg(0, 0)]
     swapped = absorb_adjacent(dd, "next")
     assert segments_of(swapped) == [seg(0, 0), seg(0, 2)]
-    assert invariants_preserved(dd, swapped)
+    assert invariants(dd) == invariants(swapped)
 
 
 def test_tableau_pair_requires_mediocre():

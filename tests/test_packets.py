@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from upq_packets.halfint import HalfInt, HalfIntMultiset
+from upq_packets.oracle import good_parameters_in_window
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  d_zero_nonvanishing, enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
@@ -63,19 +66,35 @@ def test_enumerate_D_counts():
 
 
 def test_d_zero_examples():
-    dz = d_zero(psi_of(1, 1, (1, 1), (-1, 1)))
-    assert dz.j == 1 and dz.d0.blocks == ((1, 0), (0, 1))
-    dz = d_zero(psi_of(1, 1, (0, 2)))
-    assert dz.j == 1 and dz.d0.blocks == ((1, 1),)
-    dz = d_zero(psi_of(2, 3, (1, 2), (0, 3)))
-    assert dz.j == 1 and dz.d0.blocks == ((2, 0), (0, 3))
-    dz = d_zero(psi_of(0, 2, (0, 2)))
-    assert dz.j == 1 and dz.d0.blocks == ((0, 2),)
+    d0 = d_zero(psi_of(1, 1, (1, 1), (-1, 1)))
+    assert d0.pivot() == 0 and d0.blocks == ((1, 0), (0, 1))
+    d0 = d_zero(psi_of(1, 1, (0, 2)))
+    assert d0.pivot() == 0 and d0.blocks == ((1, 1),)
+    d0 = d_zero(psi_of(2, 3, (1, 2), (0, 3)))
+    assert d0.pivot() == 0 and d0.blocks == ((2, 0), (0, 3))
+    d0 = d_zero(psi_of(0, 2, (0, 2)))
+    assert d0.pivot() == 0 and d0.blocks == ((0, 2),)
+
+
+def test_d_zero_pivot_is_the_straddling_index():
+    # j = d_0.pivot() + 1 is the least j with a_1 + ... + a_j >= p.
+    count = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                d0 = d_zero(psi)
+                assert d0 in enumerate_D(psi), psi
+                assert d0.is_holomorphic(), psi
+                least = next(j for j, total in enumerate(itertools.accumulate(psi.sizes()), 1)
+                             if total >= p)
+                assert d0.pivot() + 1 == least, psi
+                count += 1
+    assert count == 5358
 
 
 def test_epsilon_values():
     psi = psi_of(1, 1, (0, 2))
-    assert epsilon(psi, d_zero(psi).d0) == (1,)
+    assert epsilon(psi, d_zero(psi)) == (1,)
     psi = psi_of(1, 1, (1, 1), (-1, 1))
     ds = enumerate_D(psi)
     assert epsilon(psi, ds[0]) == (1, 1)
@@ -92,7 +111,7 @@ def test_epsilon_ignores_t():
 
 def test_member_examples():
     psi = psi_of(1, 1, (0, 2))
-    m = member(psi, d_zero(psi).d0)
+    m = member(psi, d_zero(psi))
     assert m.descriptor.values == (0,)
     assert m.nonzero
     psi = psi_of(2, 0, (1, 1), (1, 1))
@@ -161,10 +180,10 @@ def test_triple_overlap_forces_vanishing():
     # thrice, so the packet has no lowest weight member even though the
     # one-sided bounds hold.
     psi = psi_of(3, 3, (2, 2), (1, 3), (1, 1))
-    dz = d_zero(psi)
-    assert dz.j == 2 and dz.d0.blocks == ((2, 0), (1, 2), (0, 1))
+    d0 = d_zero(psi)
+    assert d0.pivot() == 1 and d0.blocks == ((2, 0), (1, 2), (0, 1))
     assert not d_zero_nonvanishing(psi)
-    assert not member(psi, dz.d0).nonzero
+    assert not member(psi, d0).nonzero
     assert lowest_weight_of_packet(psi) is None
 
 

@@ -5,11 +5,13 @@ The exhaustive sweep stops at N = 6.  Here hypothesis draws good
 parameters and unitarizable weights at larger N, with a fixed seed
 (derandomize=True), and checks the closed forms against the tableau
 oracle and the rewriting engine against itself.  It also checks that
-every type with a from_json reads back what its to_json wrote.
+every type with a from_json reads back what its to_json wrote, and
+refuses any number that is not a JSON integer.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
@@ -150,3 +152,55 @@ def test_descriptor_json_round_trip_echoes_its_segments(desc):
     obj = _wire(desc.to_json())
     assert InductionDescriptor.from_json(obj) == desc
     assert [Segment.from_json(s) for s in obj["segments"]] == segments_of(desc)
+
+
+def _int_paths(obj, path=()):
+    # The path to every integer leaf of a JSON value.
+    if type(obj) is int:
+        yield path
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _int_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for index, value in enumerate(obj):
+            yield from _int_paths(value, path + (index,))
+
+
+def _replaced(obj, path, value):
+    obj = _wire(obj)
+    target = obj
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return obj
+
+
+READER_SAMPLES = [
+    HalfInt(-3), Segment(HalfInt(-1), 3),
+    HalfIntMultiset.from_values([HalfInt(3), HalfInt(3), HalfInt(-1)]),
+    KWeight(GroupSignature(1, 2), (1, 0, -1)),
+    AParameter.from_summands(GroupSignature(1, 2), [(1, 2), (-2, 1)]),
+    InductionDescriptor(ThetaData(GroupSignature(2, 1), ((1, 0), (1, 1))), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, "3"])
+def test_from_json_refuses_non_integers(bad):
+    for value in READER_SAMPLES:
+        obj = value.to_json()
+        if isinstance(value, InductionDescriptor):
+            del obj["segments"]  # an echo the reader does not read
+        paths = list(_int_paths(obj))
+        assert paths and type(value).from_json(obj) == value
+        for path in paths:
+            with pytest.raises(ValueError, match="JSON integer"):
+                type(value).from_json(_replaced(obj, path, bad))
+
+
+def test_descriptor_from_json_refuses_a_block_that_is_not_a_pair():
+    obj = {"p": 1, "q": 1, "blocks": [[1, 1, 5]], "values": [0]}
+    with pytest.raises(ValueError):
+        InductionDescriptor.from_json(obj)
+    obj["blocks"] = [[1], [0, 1]]
+    with pytest.raises(ValueError):
+        InductionDescriptor.from_json(obj)

@@ -2,8 +2,10 @@ import pytest
 
 from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
+from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
-from upq_packets.tableaux import (MINUS, PLUS, as_pair_equal, build_initial,
+from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, as_pair_equal,
+                                  assemble_antitableau, build_initial,
                                   overlap_and_sing, trapa_normalize)
 from upq_packets.weights import GroupSignature
 
@@ -201,3 +203,17 @@ def test_nonzero_outcome_is_valid_antitableau():
         for s in segments_of(dd):
             total = total.union(s.as_multiset())
         assert ann.entry_multiset() == total
+
+
+def test_assemble_antitableau_refuses_a_repeated_column_entry():
+    def stack(top, bottom):
+        # Two one-box blocks stacked in column 1 of U(2,0).
+        return ColumnStack(GroupSignature(2, 0),
+                           ((Box(1, 1, PLUS, HalfInt(top)),),
+                            (Box(2, 1, PLUS, HalfInt(bottom)),)),
+                           ((1, PLUS), (1, PLUS)))
+
+    ann = assemble_antitableau(stack(0, 2))
+    assert [[v.twice for v in col] for col in ann.columns] == [[2, 0]]
+    with pytest.raises(InternalInconsistencyError):
+        assemble_antitableau(stack(0, 0))

@@ -24,10 +24,6 @@ def test_dominance_is_enforced():
     w(1, 2, -5, 3, 3)  # no constraint across the p/q boundary
 
 
-def test_rho():
-    assert [v.twice for v in GroupSignature(1, 2).rho()] == [2, 0, -2]
-
-
 def _stats_by_direct_evaluation(kw):
     # Independent oracle: evaluate the displayed formulas coordinate by
     # coordinate over the doubled integers.

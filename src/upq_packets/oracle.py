@@ -329,15 +329,23 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
             {"kind": "multiplicity-one", "psi": psi.to_json(), "error": str(exc)})
         return
     d0 = d_zero(psi)
+    chi = inf_char(psi)
+    # packet() has checked every live pair against psi and found no repeat,
+    # so a split pair matches at most one member: one lookup per split.
+    by_pair = {m.invariants: m for m in members if m.nonzero}
     candidates: list[tuple[PacketMember, KWeight]] = []
-    for w in _unitarizable_splits(sig, inf_char(psi)):
+    for w in _unitarizable_splits(sig, chi):
         key = (sig.p, sig.q, w.lam)
         if key not in lw_cache:
             lw_cache[key] = lowest_weight_invariants(w)
         pair = lw_cache[key]
-        for m in members:
-            if m.nonzero and as_pair_equal(m.invariants, pair):
-                candidates.append((m, w))
+        if pair[1].sig != sig or pair[0].entry_multiset() != chi:
+            raise InternalInconsistencyError(
+                f"invariants of {w.lam} do not have the signature and "
+                f"infinitesimal character of {psi}")
+        m = by_pair.get(pair)
+        if m is not None and as_pair_equal(m.invariants, pair):
+            candidates.append((m, w))
     if len(candidates) > 1:
         report.property_failures.append(
             {"kind": "packet-member-uniqueness", "psi": psi.to_json(),

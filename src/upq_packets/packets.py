@@ -190,15 +190,32 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
 
 def packet(psi: AParameter) -> list[PacketMember]:
     """All members, in enumerate_D order.  Nonzero members must have pairwise
-    distinct invariant pairs (multiplicity one); a repeat raises."""
+    distinct invariant pairs (multiplicity one); a repeat raises.
+
+    Every nonzero member is first checked against psi: its signed tableau
+    has psi's signature and its antitableau holds exactly inf_char(psi).
+    With the signature fixed, the sort key (the antitableau's columns as
+    doubled ints, then the signed tableau's rows) determines the pair, so
+    equal pairs get equal keys and the sort puts them next to each other.
+    Comparing each member with its neighbour therefore finds any repeat in
+    live - 1 comparisons.  The sort is stable, so a clash names its two
+    members in enumerate_D order."""
     members = [member(psi, d) for d in enumerate_D(psi)]
     live = [m for m in members if m.nonzero]
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            if as_pair_equal(live[i].invariants, live[j].invariants):
-                raise InternalInconsistencyError(
-                    f"members {live[i].d.blocks} and {live[j].d.blocks} of "
-                    f"{psi} share an invariant pair")
+    chi = inf_char(psi)
+    for m in live:
+        ann, as_tab = m.invariants
+        if as_tab.sig != psi.sig or ann.entry_multiset() != chi:
+            raise InternalInconsistencyError(
+                f"member {m.d.blocks} of {psi} has invariants of another "
+                f"signature or infinitesimal character")
+    live.sort(key=lambda m: (tuple(tuple(v.twice for v in col)
+                                   for col in m.invariants[0].columns),
+                             m.invariants[1].rows))
+    for a, b in zip(live, live[1:]):
+        if as_pair_equal(a.invariants, b.invariants):
+            raise InternalInconsistencyError(
+                f"members {a.d.blocks} and {b.d.blocks} of {psi} share an invariant pair")
     return members
 
 

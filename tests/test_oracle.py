@@ -64,7 +64,7 @@ def test_sweep_reports_are_deterministic():
 
 
 def test_sweep_parallel_matches_serial():
-    cfg = SweepConfig(max_N=2, weight_window=1, char_window=HalfInt.whole(2))
+    cfg = SweepConfig(max_N=3, weight_window=1, char_window=HalfInt.whole(2))
     serial = sweep_verify(cfg, jobs=1).dumps()
     parallel = sweep_verify(cfg, jobs=2).dumps()
     assert serial == parallel

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
+from upq_packets import packets
+from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import good_parameters_in_window
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
@@ -132,6 +136,62 @@ def test_packet_multiplicity_one():
     assert [m.nonzero for m in ms] == [True, True]
     assert ms[0].invariants[1].rows == ((2, PLUS),)
     assert ms[1].invariants[1].rows == ((2, MINUS),)
+
+
+# U(3,2) with five far-apart S_1 summands: all ten members are nonzero.
+TEN_LIVE = psi_of(3, 2, (8, 1), (4, 1), (0, 1), (-4, 1), (-8, 1))
+
+
+def _with_invariants(monkeypatch, invariants_of):
+    """Make packets.member hand out the invariants invariants_of(d, real)
+    returns for each datum d, where real is the member actually built."""
+    real_member = packets.member
+
+    def fake(psi, d):
+        m = real_member(psi, d)
+        return dataclasses.replace(m, invariants=invariants_of(d, m))
+
+    monkeypatch.setattr(packets, "member", fake)
+
+
+@pytest.mark.parametrize("source, target", [(1, 4), (4, 1), (0, 9)])
+def test_packet_repeated_pair_raises_naming_members_in_order(monkeypatch, source, target):
+    psi = TEN_LIVE
+    ds = enumerate_D(psi)
+    copied = member(psi, ds[source]).invariants
+    _with_invariants(monkeypatch,
+                     lambda d, m: copied if d == ds[target] else m.invariants)
+    first, second = sorted((source, target))
+    expected = f"members {ds[first].blocks} and {ds[second].blocks} of"
+    with pytest.raises(InternalInconsistencyError, match=re.escape(expected)):
+        packet(psi)
+
+
+def test_packet_compares_each_live_member_with_one_neighbour(monkeypatch):
+    psi = TEN_LIVE
+    calls = []
+    real = packets.as_pair_equal
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(packets, "as_pair_equal", counting)
+    live = sum(m.nonzero for m in packet(psi))
+    assert live >= 10
+    assert len(calls) == live - 1
+
+
+def test_packet_refuses_a_member_of_another_character(monkeypatch):
+    psi = TEN_LIVE
+    shifted = psi_of(3, 2, *[(t + 2, a) for t, a in psi.summands])
+    assert inf_char(shifted) != inf_char(psi)
+    foreign = member(shifted, enumerate_D(shifted)[3]).invariants
+    target = enumerate_D(psi)[3]
+    _with_invariants(monkeypatch,
+                     lambda d, m: foreign if d == target else m.invariants)
+    with pytest.raises(InternalInconsistencyError, match="infinitesimal character"):
+        packet(psi)
 
 
 def test_contains_lowest_weight_u11():

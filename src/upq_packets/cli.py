@@ -16,7 +16,7 @@ import sys
 
 from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt
+from .halfint import HalfInt, _json_dumps
 from .oracle import SweepConfig, sweep_verify
 from .packets import (AParameter, d_zero, inf_char, lowest_weight_of_packet,
                       member, packet, packets_containing)
@@ -48,7 +48,7 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
 
 
 def _dump(obj: dict, mode: str, ascii_text: str) -> None:
-    print(ascii_text if mode == "ascii" else json.dumps(obj, sort_keys=True, indent=2))
+    print(ascii_text if mode == "ascii" else _json_dumps(obj))
 
 
 def _parse_sig(args: argparse.Namespace) -> GroupSignature:

@@ -14,6 +14,7 @@ and rewrites block decompositions without changing the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
@@ -104,16 +105,19 @@ class InductionDescriptor:
 
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
     """The per-block segments; block i has |nu_i| = p_i + q_i."""
+    return [Segment(HalfInt(start), size)
+            for start, size in zip(_segment_starts(desc), desc.d.sizes())]
+
+
+def _segment_starts(desc: InductionDescriptor) -> list[int]:
+    # The doubled start of each block's segment.
     n = desc.d.sig.N
-    segs = []
-    before = 0
-    for (pk, qk), value in zip(desc.d.blocks, desc.values):
-        size = pk + qk
-        upto = before + size
-        start = HalfInt(2 * value + (n + 1) - 2 * upto)
-        segs.append(Segment(start, size))
-        before = upto
-    return segs
+    starts = []
+    upto = 0
+    for size, value in zip(desc.d.sizes(), desc.values):
+        upto += size
+        starts.append(2 * value + (n + 1) - 2 * upto)
+    return starts
 
 
 class RangeClass(NamedTuple):
@@ -130,15 +134,11 @@ def range_class(desc: InductionDescriptor) -> RangeClass:
     one, equivalently value_i - value_j >= -max(a_i, a_j) - (sizes between)
     for all i < j.  Both routes are computed and must agree.
     """
-    segs = segments_of(desc)
-    sizes = desc.d.sizes()
-    values = desc.values
-    r = desc.d.r
+    sizes, values, r = desc.d.sizes(), desc.values, desc.d.r
+    starts = _segment_starts(desc)
+    ends = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
 
-    wf_means = all(
-        segs[i].start.twice + segs[i].end.twice
-        >= segs[i + 1].start.twice + segs[i + 1].end.twice
-        for i in range(r - 1))
+    wf_means = all(starts[i] + ends[i] >= starts[i + 1] + ends[i + 1] for i in range(r - 1))
     wf_values = all(
         2 * (values[i] - values[i + 1]) >= -(sizes[i] + sizes[i + 1])
         for i in range(r - 1))
@@ -149,12 +149,13 @@ def range_class(desc: InductionDescriptor) -> RangeClass:
     med_segs = True
     med_values = True
     for i in range(r):
+        between = 0
         for j in range(i + 1, r):
-            if segs[i].start < segs[j].start and segs[i].end < segs[j].end:
+            if starts[i] < starts[j] and ends[i] < ends[j]:
                 med_segs = False
-            gap_bound = -max(sizes[i], sizes[j]) - sum(sizes[i + 1:j])
-            if values[i] - values[j] < gap_bound:
+            if values[i] - values[j] < -max(sizes[i], sizes[j]) - between:
                 med_values = False
+            between += sizes[j]
     if med_segs != med_values:
         raise InternalInconsistencyError(
             f"mediocre tests disagree on {desc.to_json()}")
@@ -254,37 +255,35 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     return trapa_normalize(stack)
 
 
-def _split_case_columns(w: KWeight) -> tuple[list[HalfInt], list[HalfInt]]:
+def _split_case_columns(w: KWeight) -> tuple[list[int], list[int]]:
     # Independent two-column description for the fully split realization.
     # Index k of the K-type carries the character entry
     # lambda_k + (p-q+1)/2 - k (p-side) or lambda_k + (N+1)/2 - (k-p)
     # (q-side).  The first column holds the p-side indices and the q-side
     # surplus beyond min(p,q), except that the i_0 bottom p-side indices
     # trade places with the i_0 bottom covered q-side indices; i_0 is the
-    # least trade for which the arrangement is an antitableau.
+    # least trade for which the arrangement is an antitableau.  Entries are
+    # doubled.
     p, q, n = w.sig.p, w.sig.q, w.sig.N
     lam = w.lam
     m = min(p, q)
 
-    def entry(k: int) -> HalfInt:
+    def entry(k: int) -> int:
         if k <= p:
-            return HalfInt(2 * lam[k - 1] + (p - q + 1) - 2 * k)
-        return HalfInt(2 * lam[k - 1] + (n + 1) - 2 * (k - p))
+            return 2 * lam[k - 1] + (p - q + 1) - 2 * k
+        return 2 * lam[k - 1] + (n + 1) - 2 * (k - p)
 
-    def arrangement(i0: int) -> tuple[list[HalfInt], list[HalfInt]]:
+    def arrangement(i0: int) -> tuple[list[int], list[int]]:
         col1 = [entry(k) for k in range(1, p - i0 + 1)]
         col1 += [entry(k) for k in range(p + m + 1 - i0, n + 1)]
         col2 = [entry(k) for k in range(p + 1, p + m - i0 + 1)]
         col2 += [entry(k) for k in range(p + 1 - i0, p + 1)]
-        col1.sort(key=lambda v: -v.twice)
-        col2.sort(key=lambda v: -v.twice)
-        return col1, col2
+        return sorted(col1, reverse=True), sorted(col2, reverse=True)
 
-    def valid(col1: list[HalfInt], col2: list[HalfInt]) -> bool:
-        for col in (col1, col2):
-            if any(col[i] == col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return all(col1[r] >= col2[r] for r in range(len(col2)))
+    def valid(col1: list[int], col2: list[int]) -> bool:
+        # col2 (m entries) is no longer than col1 (N - m), so zip covers every row.
+        return (all(map(gt, col1, col1[1:])) and all(map(gt, col2, col2[1:]))
+                and all(map(ge, col1, col2)))
 
     for i0 in range(m + 1):
         col1, col2 = arrangement(i0)
@@ -324,10 +323,11 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     if all(pk == 0 or qk == 0 for pk, qk in desc.d.blocks):
         col1, col2 = _split_case_columns(w)
         expected = [c for c in (col1, col2) if c]
-        got = [list(c) for c in ann.columns]
+        got = [[v.twice for v in c] for c in ann.columns]
         if got != expected:
+            shown = [[[str(HalfInt(v)) for v in c] for c in cols] for cols in (expected, got)]
             raise InternalInconsistencyError(
-                f"split-case columns {expected} differ from pipeline {got}")
+                f"split-case columns {shown[0]} differ from pipeline {shown[1]}")
     return ann, as_tab
 
 

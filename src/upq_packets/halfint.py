@@ -9,6 +9,7 @@ intervals [a, a+n] regarded as multiplicity-free multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 
@@ -61,6 +62,29 @@ def _json_int(x: object) -> int:
     if type(x) is not int:
         raise ValueError(f"expected a JSON integer, got {x!r}")
     return x
+
+
+def _json_dumps(obj: object, indent: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for trees
+    of dicts with string keys, lists, ints, bools, None and strings.  An
+    indent sends json.dumps to its pure-Python encoder; this renderer keeps
+    string escaping in C.  `indent` is the line break and leading spaces of
+    obj's own line.  Any other type, floats included, raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_dumps(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json_dumps(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)

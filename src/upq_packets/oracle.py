@@ -16,7 +16,6 @@ workers and merged in signature order without affecting the report.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -27,7 +26,7 @@ from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
                      normalize_blocks, range_class, realize_lowest_weight,
                      segments_of, holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment
+from .halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
 from .packets import (AParameter, PacketMember, _holomorphic_candidate,
                       contains_lowest_weight, d_zero, good_parameters_with_inf_char,
                       inf_char, lowest_weight_of_packet, member, packet)
@@ -84,7 +83,7 @@ class SweepReport:
                 "ok": self.ok}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return _json_dumps(self.to_json())
 
 
 def dominant_weights(sig: GroupSignature, window: int) -> list[KWeight]:

@@ -9,11 +9,16 @@ equivalent to the formal zero tableau or produces the pair of complete
 invariants: an antitableau (entries strictly decreasing down columns,
 weakly decreasing along rows) and a signed tableau (rows of alternating
 signs, considered up to interchange of equal-length rows).
+
+The rewriting works on doubled ints: a working entry is twice its value,
+and a segment is (doubled start, length).  HalfInt is built only when the
+rewritten boxes are frozen back into Boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, ge, gt
 from typing import NamedTuple, Optional
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
@@ -55,17 +60,12 @@ class SignedTableau:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(sorted(self.rows, key=lambda r: (-r[0], -r[1]))))
-        plus = sum(self._count(length, first, PLUS) for length, first in self.rows)
-        minus = sum(self._count(length, first, MINUS) for length, first in self.rows)
+        # A row of length L has ceil(L/2) boxes of its first sign, floor(L/2) of the other.
+        plus = sum((length + (first == PLUS)) // 2 for length, first in self.rows)
+        minus = sum((length + (first == MINUS)) // 2 for length, first in self.rows)
         if (plus, minus) != (self.sig.p, self.sig.q):
             raise ValueError(f"row signs ({plus},{minus}) do not match signature "
                              f"({self.sig.p},{self.sig.q})")
-
-    @staticmethod
-    def _count(length: int, first: int, sign: int) -> int:
-        if sign == first:
-            return (length + 1) // 2
-        return length // 2
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,26 +92,22 @@ class AntiTableau:
     columns: tuple[tuple[HalfInt, ...], ...]
 
     def __post_init__(self) -> None:
-        heights = [len(c) for c in self.columns]
-        if any(h == 0 for h in heights):
+        columns = [[v.twice for v in col] for col in self.columns]
+        heights = [len(c) for c in columns]
+        if 0 in heights:
             raise ValueError("empty column")
-        if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
+        if not all(map(ge, heights, heights[1:])):
             raise ValueError(f"column heights {heights} not weakly decreasing")
-        for col in self.columns:
-            if any(col[i] <= col[i + 1] for i in range(len(col) - 1)):
-                raise ValueError("column entries must strictly decrease downward")
-        for c in range(len(self.columns) - 1):
-            left, right = self.columns[c], self.columns[c + 1]
-            if any(left[r] < right[r] for r in range(len(right))):
-                raise ValueError("row entries must weakly decrease rightward")
+        if not all(all(map(gt, col, col[1:])) for col in columns):
+            raise ValueError("column entries must strictly decrease downward")
+        if not all(all(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
+            raise ValueError("row entries must weakly decrease rightward")
 
     @property
     def shape(self) -> tuple[int, ...]:
         # Row lengths: row r spans the columns of height > r.
-        if not self.columns:
-            return ()
-        return tuple(sum(1 for c in self.columns if len(c) > r)
-                     for r in range(len(self.columns[0])))
+        heights = [len(c) for c in self.columns]
+        return tuple(sum(h > r for h in heights) for r in range(heights[0] if heights else 0))
 
     def entry_multiset(self) -> HalfIntMultiset:
         return HalfIntMultiset.from_values(v for col in self.columns for v in col)
@@ -148,12 +144,12 @@ class ColumnStack:
 
 
 class _Row:
-    __slots__ = ("rid", "length", "last_sign")
+    __slots__ = ("rid", "length", "first_sign", "last_sign")
 
     def __init__(self, rid: int, sign: int) -> None:
         self.rid = rid
         self.length = 1
-        self.last_sign = sign
+        self.first_sign = self.last_sign = sign
 
 
 def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
@@ -178,42 +174,30 @@ def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
         raise ValueError("block signs do not sum to the signature")
 
     rows: list[_Row] = []
-    next_rid = 0
     blocks: list[tuple[Box, ...]] = []
-    for k, ((pk, qk), seg) in enumerate(zip(block_signs, segments)):
+    for (pk, qk), seg in zip(block_signs, segments):
         placed: list[tuple[int, int, int]] = []  # (row id, col, sign)
         budget = {PLUS: pk, MINUS: qk}
-        if k > 0:
-            for row in sorted(rows, key=lambda r: (-r.length, r.rid)):
-                forced = -row.last_sign
-                if budget[forced] > 0:
-                    budget[forced] -= 1
-                    row.length += 1
-                    row.last_sign = forced
-                    placed.append((row.rid, row.length, forced))
+        for row in sorted(rows, key=lambda r: (-r.length, r.rid)):
+            forced = -row.last_sign
+            if budget[forced] > 0:
+                budget[forced] -= 1
+                row.length += 1
+                row.last_sign = forced
+                placed.append((row.rid, row.length, forced))
         for sign in (PLUS, MINUS):
             for _ in range(budget[sign]):
-                rows.append(_Row(next_rid, sign))
-                placed.append((next_rid, 1, sign))
-                next_rid += 1
-            budget[sign] = 0
-        entries = seg.members_desc()
-        blocks.append(tuple(Box(rid, col, sign, entry)
-                            for (rid, col, sign), entry in zip(placed, entries)))
-
-    row_shapes: list[tuple[int, int]] = []
-    first_sign: dict[int, int] = {}
-    for blk in blocks:
-        for b in blk:
-            if b.col == 1:
-                first_sign[b.row] = b.sign
-    for row in rows:
-        row_shapes.append((row.length, first_sign[row.rid]))
-    return ColumnStack(sig, tuple(blocks), tuple(row_shapes))
+                placed.append((len(rows), 1, sign))
+                rows.append(_Row(len(rows), sign))
+        top = seg.start.twice + 2 * len(placed)
+        blocks.append(tuple(Box(rid, col, sign, HalfInt(top - 2 * n))
+                            for n, (rid, col, sign) in enumerate(placed, 1)))
+    return ColumnStack(sig, tuple(blocks), tuple((row.length, row.first_sign) for row in rows))
 
 
 class _WBox:
-    """Mutable working box; position and sign are fixed, the entry moves."""
+    """Mutable working box: position and sign are fixed, the entry moves.
+    The entry is a doubled int; freeze() alone turns it back into a HalfInt."""
 
     __slots__ = ("row", "col", "sign", "entry")
 
@@ -221,30 +205,39 @@ class _WBox:
         self.row = box.row
         self.col = box.col
         self.sign = box.sign
-        self.entry = box.entry
+        self.entry = box.entry.twice
 
-    def freeze(self) -> Box:
-        return Box(self.row, self.col, self.sign, self.entry)
+    def freeze(self, halves: dict[int, HalfInt]) -> Box:
+        return Box(self.row, self.col, self.sign, halves.get(self.entry) or HalfInt(self.entry))
 
 
-def _entries_segment(block: list[_WBox]) -> Segment:
-    """The segment a block holds.
+def _entries_segment(block: list[_WBox]) -> tuple[int, int]:
+    """The segment a block holds, as (start doubled, length).
 
     Blocks list their entries largest first (build_initial places them so
     and the repartition sorts them), so this checks that order and never
     sorts: each entry must be exactly 1 above the next.
     """
-    for upper, lower in zip(block, block[1:]):
-        if upper.entry.twice - lower.entry.twice != 2:
+    top = block[0].entry
+    for k, b in enumerate(block):
+        if b.entry != top - 2 * k:
             raise InternalInconsistencyError(
-                f"block entries {[str(b.entry) for b in block]} do not form a segment")
-    return Segment(block[-1].entry, len(block))
+                f"block entries {[str(HalfInt(b.entry)) for b in block]} do not form a segment")
+    return block[-1].entry, len(block)
+
+
+def _sing(a: tuple[int, int], b: tuple[int, int]) -> int:
+    # The number of entries two (start doubled, length) segments share.
+    if (a[0] - b[0]) % 2:
+        return 0
+    lo, hi = max(a[0], b[0]), min(a[0] + 2 * a[1], b[0] + 2 * b[1]) - 2
+    return (hi - lo) // 2 + 1 if hi >= lo else 0
 
 
 def _overlap(left: list[_WBox], right: list[_WBox]) -> int:
     ai, aj = len(left), len(right)
     for m in range(min(ai, aj), 0, -1):
-        if all(left[ai - m + k].col < right[k].col for k in range(m)):
+        if all(a.col < b.col for a, b in zip(left[ai - m:], right)):
             return m
     return 0
 
@@ -256,32 +249,39 @@ class OverlapSing(NamedTuple):
 
 def overlap_and_sing(stack: ColumnStack, i: int) -> OverlapSing:
     """Overlap and sing for the adjacent blocks i, i+1 of the stack."""
+    r = len(stack.blocks)
+    if not 0 <= i < r - 1:
+        raise ValueError(f"pair index {i} is outside 0 <= i < r - 1 for r = {r}")
     left = [_WBox(b) for b in stack.blocks[i]]
     right = [_WBox(b) for b in stack.blocks[i + 1]]
-    sing = _entries_segment(left).intersect(_entries_segment(right)).length
-    return OverlapSing(_overlap(left, right), sing)
+    return OverlapSing(_overlap(left, right),
+                       _sing(_entries_segment(left), _entries_segment(right)))
 
 
-def _bump(pair: list[_WBox], value: HalfInt, step: int) -> None:
-    # One bump toward restoring entry `value`, for step = +1 (raise) or -1
-    # (lower): the box holding value - step strictly beyond the unique box
-    # holding `value` in the step's direction (right for +1, left for -1)
+def _bump(at: dict[int, list[_WBox]], value: int, step: int) -> None:
+    # One bump toward restoring doubled entry `value`, for step = +2 (raise)
+    # or -2 (lower): the box holding value - step strictly beyond the unique
+    # box holding `value` in the step's direction (right for +2, left for -2)
     # moves to `value`; with no such box, the first box holding value - step
-    # in that direction's column order (left-most for +1, right-most for -1).
-    refs = [b for b in pair if b.entry == value]
+    # in that direction's column order (left-most for +2, right-most for -2).
+    # `at` is the pair's entry -> boxes index, kept current.
+    refs = at.setdefault(value, [])
     if len(refs) != 1:
         raise InternalInconsistencyError(
-            f"expected a unique box holding {value}, found {len(refs)}")
+            f"expected a unique box holding {HalfInt(value)}, found {len(refs)}")
     ref_col = refs[0].col
     source = value - step
-    candidates = [b for b in pair if b.entry == source]
+    candidates = at.get(source, [])
     beyond = [b for b in candidates if step * (b.col - ref_col) > 0]
     if len(beyond) > 1:
         raise InternalInconsistencyError(
-            f"more than one box holding {source} beyond the {value} box")
+            f"more than one box holding {HalfInt(source)} beyond the {HalfInt(value)} box")
     if not candidates:
-        raise InternalInconsistencyError(f"no box holding {source} to move to {value}")
+        raise InternalInconsistencyError(
+            f"no box holding {HalfInt(source)} to move to {HalfInt(value)}")
     target = beyond[0] if beyond else min(candidates, key=lambda b: (step * b.col, b.row))
+    candidates.remove(target)
+    refs.append(target)
     target.entry = value
 
 
@@ -307,61 +307,61 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     left, right = blocks[i], blocks[i + 1]
     seg_l, seg_r = _entries_segment(left), _entries_segment(right)
     ov = _overlap(left, right)
-    sg = seg_l.intersect(seg_r).length
-    ai, aj = len(left), len(right)
-
+    sg = _sing(seg_l, seg_r)
+    if ov < sg:
+        return None
+    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
     before = ([(b.col, b.entry) for b in left], [(b.col, b.entry) for b in right])
     pair = left + right
 
-    if ov < sg:
-        return None
     # Segments repeat no entry, so sg == aj puts seg_r inside seg_l, sg == ai the reverse.
-    # Descent shifts the right block down by m and raises it back (step +1);
-    # ascent shifts the left block up and lowers it back (step -1).  Either
-    # way the targets run from the shifted segment's far end, `anchor`.
+    # Descent shifts the right block down by m units and raises it back (step
+    # +2, one unit doubled); ascent shifts the left block up and lowers it
+    # back (step -2).  Either way the targets run from the shifted segment's
+    # far end, `anchor`.
     m = 0
     if ov == sg == aj:
-        moved, step, anchor = right, 1, seg_r.end
-        m = _unit_shift(seg_r.start.twice - seg_l.start.twice)
+        moved, step, anchor = right, 2, end_r
+        m = _unit_shift(start_r - start_l)
     elif ov == sg == ai:
-        moved, step, anchor = left, -1, seg_l.start
-        m = _unit_shift(seg_r.end.twice - seg_l.end.twice)
+        moved, step, anchor = left, -2, start_l
+        m = _unit_shift(end_r - end_l)
     # Remaining possibilities (ov = sg < min or ov > sg) keep the filling.
     if m > 0:
         for b in moved:
-            b.entry = b.entry - step * m
+            b.entry -= step * m
+        at: dict[int, list[_WBox]] = {}  # doubled entry -> the boxes holding it
+        for b in pair:
+            at.setdefault(b.entry, []).append(b)
         for s in range(m - 1, -1, -1):
             for k in range(len(moved)):
-                _bump(pair, anchor - step * (k + s), step)
+                _bump(at, anchor - step * (k + s), step)
 
     # Repartition: the new right block is the chain of right-most boxes
-    # holding min(bottoms), min(bottoms)+1, ..., min(tops).
-    bot = min(seg_l.start, seg_r.start)
-    top = min(seg_l.end, seg_r.end)
+    # holding min(bottoms), min(bottoms)+1, ..., min(tops); of two in one
+    # column, the later in the pair.
+    rightmost: dict[int, _WBox] = {}
+    for b in pair:
+        if b.entry not in rightmost or b.col >= rightmost[b.entry].col:
+            rightmost[b.entry] = b
     chain: list[_WBox] = []
-    taken: set[int] = set()
-    value = bot
-    while value <= top:
-        candidates = [(idx, b) for idx, b in enumerate(pair)
-                      if b.entry == value and idx not in taken]
-        if not candidates:
+    for value in range(min(start_l, start_r), min(end_l, end_r) + 1, 2):
+        if value not in rightmost:
             raise InternalInconsistencyError(
-                f"repartition found no box holding {value}")
-        idx, box = max(candidates, key=lambda ib: (ib[1].col, ib[0]))
-        taken.add(idx)
-        chain.append(box)
-        value = value + 1
-    rest = [b for idx, b in enumerate(pair) if idx not in taken]
-    rest.sort(key=lambda b: -b.entry.twice)
-    chain.sort(key=lambda b: -b.entry.twice)
+                f"repartition found no box holding {HalfInt(value)}")
+        chain.append(rightmost[value])
+    taken = set(chain)
+    rest = [b for b in pair if b not in taken]
+    rest.sort(key=attrgetter("entry"), reverse=True)
+    chain.reverse()
     if not rest or not chain:
         raise InternalInconsistencyError("repartition emptied a block")
     blocks[i] = rest
     blocks[i + 1] = chain
     _entries_segment(rest)
 
-    after = ([(b.col, b.entry) for b in blocks[i]],
-             [(b.col, b.entry) for b in blocks[i + 1]])
+    after = ([(b.col, b.entry) for b in rest], [(b.col, b.entry) for b in chain])
     return before != after
 
 
@@ -390,14 +390,11 @@ def assemble_antitableau(stack: ColumnStack) -> AntiTableau:
     for blk in stack.blocks:
         for b in blk:
             by_col.setdefault(b.col, []).append(b.entry)
-    n_cols = max(by_col) if by_col else 0
-    if sorted(by_col) != list(range(1, n_cols + 1)):
+    if sorted(by_col) != list(range(1, len(by_col) + 1)):
         raise InternalInconsistencyError("columns are not contiguous")
-    columns = []
-    for c in range(1, n_cols + 1):
-        columns.append(tuple(sorted(by_col[c], key=lambda v: -v.twice)))
     try:
-        ann = AntiTableau(tuple(columns))
+        ann = AntiTableau(tuple(tuple(sorted(by_col[c], key=attrgetter("twice"), reverse=True))
+                                for c in range(1, len(by_col) + 1)))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
     shape = sorted((length for length, _ in stack.row_shapes), reverse=True)
@@ -435,13 +432,15 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
 
     segs = [_entries_segment(blk) for blk in blocks]
     for i in range(r - 1):
-        lo, hi = segs[i + 1], segs[i]
-        if not (lo.start <= hi.start and lo.end <= hi.end):
+        (lo_start, lo_len), (hi_start, hi_len) = segs[i + 1], segs[i]
+        if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero()
-        if _overlap(blocks[i], blocks[i + 1]) < hi.intersect(lo).length:
+        if _overlap(blocks[i], blocks[i + 1]) < _sing(segs[i], segs[i + 1]):
             return NormalizeOutcome.zero()
 
-    out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
+    # Rewriting permutes the entries, so the input's HalfInts serve again.
+    halves = {b.entry.twice: b.entry for blk in stack.blocks for b in blk}
+    out = ColumnStack(stack.sig, tuple(tuple(b.freeze(halves) for b in blk) for blk in blocks),
                       stack.row_shapes)
     ann = assemble_antitableau(out)
     return NormalizeOutcome(out, ann, out.signed_tableau())

@@ -6,7 +6,8 @@ parameters and unitarizable weights at larger N, with a fixed seed
 (derandomize=True), and checks the closed forms against the tableau
 oracle and the rewriting engine against itself.  It also checks that
 every type with a from_json reads back what its to_json wrote, and
-refuses any number that is not a JSON integer.
+refuses any number that is not a JSON integer, and that the package's JSON
+writer matches `json.dumps(obj, sort_keys=True, indent=2)` byte for byte.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
-from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
+from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
 from upq_packets.oracle import oracle_lowest_weights
 from upq_packets.packets import (AParameter, contains_lowest_weight,
                                  good_parameters_with_inf_char,
@@ -204,3 +205,27 @@ def test_descriptor_from_json_refuses_a_block_that_is_not_a_pair():
     obj["blocks"] = [[1], [0, 1]]
     with pytest.raises(ValueError):
         InductionDescriptor.from_json(obj)
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text,
+# beside whatever hypothesis draws.
+json_strings = st.text() | st.sampled_from(['', '"', '\\', '\n\t\x00\x1f', 'é', '€😀', 'a"b\\c'])
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=30)
+
+
+@SEEDED
+@given(json_trees)
+def test_json_writer_matches_the_standard_encoder(tree):
+    assert _json_dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    for empty in ([], {}):
+        assert _json_dumps([tree, empty]) == json.dumps([tree, empty], sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, {"a": [0.0]}, [float("nan")], {1, 2}])
+def test_json_writer_refuses_what_json_does_not_hold(bad):
+    with pytest.raises(TypeError):
+        _json_dumps(bad)

@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 
 from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
+from upq_packets.oracle import good_parameters_in_window, two_block_data
+from upq_packets.packets import AParameter, enumerate_D, member
 from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, as_pair_equal,
                                   assemble_antitableau, build_initial,
                                   overlap_and_sing, trapa_normalize)
@@ -217,3 +222,75 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
     assert [[v.twice for v in col] for col in ann.columns] == [[2, 0]]
     with pytest.raises(InternalInconsistencyError):
         assemble_antitableau(stack(0, 0))
+
+
+def _bad_block_stack(top, bottom):
+    # U(1,2): block 0 holds `top` over `bottom` in column 1, block 1 one box
+    # in column 2.  Entries are doubled.
+    return ColumnStack(GroupSignature(1, 2),
+                       ((Box(0, 1, PLUS, HalfInt(top)), Box(1, 1, MINUS, HalfInt(bottom))),
+                        (Box(0, 2, MINUS, HalfInt(-1)),)),
+                       ((2, PLUS), (1, MINUS)))
+
+
+@pytest.mark.parametrize("top, bottom, shown", [
+    (1, 3, "['1/2', '3/2']"),  # a segment, listed smallest first
+    (5, 1, "['5/2', '1/2']"),  # largest first, but 2 apart
+])
+def test_a_block_that_is_not_a_segment_listed_largest_first_is_refused(top, bottom, shown):
+    stack = _bad_block_stack(top, bottom)
+    for run in (trapa_normalize, lambda s: overlap_and_sing(s, 0)):
+        with pytest.raises(InternalInconsistencyError) as info:
+            run(stack)
+        assert shown in str(info.value)
+        assert "twice" not in str(info.value)
+
+
+@pytest.mark.parametrize("i", [-1, -2, 1])
+def test_overlap_and_sing_refuses_a_pair_index_outside_the_stack(i):
+    stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
+    with pytest.raises(ValueError, match=rf"pair index {i} .* r = 2"):
+        overlap_and_sing(stack, i)
+
+
+# Packets whose members need many bump steps, at N = 8 and 9.
+LONG_REWRITES = [
+    ((4, 5), [(-2, 1), (-2, 1), (-1, 4), (-1, 2), (2, 1)]),
+    ((5, 4), [(0, 1), (0, 5), (1, 2), (0, 1)]),
+    ((4, 4), [(1, 1), (1, 3), (-3, 1), (1, 1), (3, 1), (1, 1)]),
+    ((6, 3), [(-2, 5), (0, 1), (2, 1), (-2, 1), (-2, 1)]),
+    ((5, 4), [(2, 3), (2, 5), (2, 1)]),
+]
+
+
+PINNED_COUNT = 3741
+PINNED_SHA256 = "8afd95ba0d225d800f463c7714f5c7f340cbcb4bc9d18df0325c91ccc134822a"
+
+
+def _pinned_descriptors():
+    yield from two_block_data(6)
+    psis = [psi for n in range(1, 7) for p in range(n + 1)
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(1))]
+    psis += [AParameter.from_summands(GroupSignature(*sig), summands)
+             for sig, summands in LONG_REWRITES]
+    for psi in psis:
+        for d in enumerate_D(psi):
+            yield member(psi, d).descriptor
+
+
+def test_rewrite_engine_outputs_are_pinned():
+    # The full tableau_pair output, rewritten stack included, for every
+    # two-block datum up to N = 6, every member of every packet whose
+    # character lies in [-1, 1] up to N = 6, and the packets above.  The
+    # digest was recorded before the engine moved to doubled ints.
+    digest = hashlib.sha256()
+    count = 0
+    for desc in _pinned_descriptors():
+        out = tableau_pair(desc)
+        record = {"descriptor": desc.to_json(), "zero": out.is_zero}
+        if not out.is_zero:
+            record.update({"stack": out.stack.to_json(), "ann": out.ann.to_json(),
+                           "as": out.as_tab.to_json()})
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (PINNED_COUNT, PINNED_SHA256)

@@ -1,21 +1,30 @@
-"""Before/after timing of `packet()`'s multiplicity-one check.
+"""Before/after timing of two source trees on perfbench's workloads.
 
     python3 tools/bench_packet_pairs.py --before DIR --after DIR [--pairs 10]
+        [--workload NAME ...] [--count MODULE.FUNC] [--out FILE]
 
-DIR is the root of a source checkout (with `src/upq_packets`).  For each
-seed (1 and 5) the script sends the fixed prefix of perfbench's
-`packets-large` query stream (44 `packet` queries at N = 8, 9, read from
-`perfbench/workloads.py` of this checkout, so both sides answer the same
-queries) through the in-process `cli.main` of each tree.  Every run is a
-fresh process; a pair is one run of each side, and the side that goes
-first alternates from pair to pair so that drift in the machine's speed
-falls on both.
+DIR is the root of a source checkout (with `src/upq_packets`).  Each
+workload is read from `perfbench/workloads.py` of this checkout, so both
+sides do the same work:
 
-Each run records wall time, CPU time, the median and 90th-percentile
-query latency, the number of `tableaux.as_pair_equal` calls (counted by a
-wrapper bound in place of that name in every module of the run's own
-package) and the SHA-256 of the outputs.  The summary goes to
-`BENCH_packet_pairs.json` at the root of this checkout.
+- `packets-large` (the default): for each seed (1 and 5), the fixed prefix
+  of the query stream (44 `packet` queries at N = 8, 9) through the
+  in-process `cli.main`;
+- `sweep-n4`: one `sweep_verify` pass at the workload's windows.  A sweep
+  is exhaustive, so it has a single seed.
+
+Every run is a fresh process; a pair is one run of each side, and the side
+that goes first alternates from pair to pair so that drift in the
+machine's speed falls on both.
+
+Each run records wall time, CPU time, for queries the median and
+90th-percentile query latency, the calls to the `--count` function
+(default `tableaux.as_pair_equal`) and the time spent inside them, and the
+SHA-256 of the outputs.  The function is counted by a wrapper bound in
+place of that name in every module of the run's own package; its clock
+calls are part of the wall time of both sides.  The summary goes to
+`--out` (default `BENCH_packet_pairs.json` at the root of this checkout).
+With more than one `--workload`, the file holds one section per workload.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD = "packets-large"
-SEEDS = (1, 5)
+QUERY_SEEDS = (1, 5)
+SWEEP_SEEDS = (1,)
 
 
 def percentile(samples: list[float], pct: float) -> float:
@@ -61,67 +70,81 @@ def source_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def count_pair_comparisons(package) -> list[int]:
-    """Rebind `as_pair_equal` in every module of the package to a wrapper
-    that counts its calls; return the one-element counter."""
-    tableaux = importlib.import_module(package.__name__ + ".tableaux")
-    real = tableaux.as_pair_equal
-    counter = [0]
+def count_calls(package, name: str) -> list[float]:
+    """Rebind MODULE.FUNC `name` in every module of the package to a wrapper
+    that counts its calls and sums the time inside them; return the
+    [calls, seconds] counter."""
+    module_name, func_name = name.split(".")
+    real = getattr(importlib.import_module(f"{package.__name__}.{module_name}"), func_name)
+    counter = [0, 0.0]
 
-    def counted(a, b):
-        counter[0] += 1
-        return real(a, b)
+    def counted(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            counter[0] += 1
+            counter[1] += time.perf_counter() - start
 
     for info in pkgutil.iter_modules(package.__path__):
         module = importlib.import_module(f"{package.__name__}.{info.name}")
-        if getattr(module, "as_pair_equal", None) is real:
-            module.as_pair_equal = counted
+        if getattr(module, func_name, None) is real:
+            setattr(module, func_name, counted)
     return counter
 
 
-def run_child(tree: Path, seed: int) -> dict:
-    """One timed run in this process: the query prefix through `cli.main`."""
+def run_child(tree: Path, workload: str, seed: int, count: str) -> dict:
+    """One timed run of the workload in this process."""
     sys.path.insert(0, str(tree / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import upq_packets
-    from upq_packets import cli
-    from workloads import WARMUP, WORKLOADS, generate_queries
+    from upq_packets import HalfInt, SweepConfig, cli, sweep_verify
+    from workloads import WARMUP, WORKLOADS, SweepWorkload, generate_queries
 
     if Path(upq_packets.__file__).resolve().parent != (tree / "src" / "upq_packets").resolve():
         raise SystemExit(f"imported the package from {upq_packets.__file__}")
-    wl = WORKLOADS[WORKLOAD]
-    stream, _ = generate_queries(wl, seed, wl.digest_queries)
-    counter = count_pair_comparisons(upq_packets)
-
-    def call(argv: list[str]) -> tuple[int, str]:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(list(argv))
-        return rc, out.getvalue()
-
-    for argv in WARMUP:
-        call(argv)
-    counter[0] = 0
+    wl = WORKLOADS[workload]
+    counter = count_calls(upq_packets, count)
+    label = count.split(".")[1]
     digest = hashlib.sha256()
-    latencies = []
-    c0 = cpu_now()
-    start = time.perf_counter()
-    for argv in stream:
-        t0 = time.perf_counter()
-        rc, out = call(argv)
-        latencies.append(time.perf_counter() - t0)
-        digest.update(json.dumps([argv, rc, out]).encode())
-    wall = time.perf_counter() - start
-    return {"wall_s": wall, "cpu_s": cpu_now() - c0,
-            "latency_p50_ms": 1000 * percentile(latencies, 50),
-            "latency_p90_ms": 1000 * percentile(latencies, 90),
-            "as_pair_equal_calls": counter[0], "queries": len(stream),
-            "output_sha256": digest.hexdigest()}
+    if isinstance(wl, SweepWorkload):
+        sweep_verify(SweepConfig(2, 1, HalfInt.whole(1)))
+        counter[:] = [0, 0.0]
+        c0, start = cpu_now(), time.perf_counter()
+        report = sweep_verify(SweepConfig(wl.max_N, wl.weight_window,
+                                          HalfInt.whole(wl.char_window)), jobs=wl.jobs)
+        wall, cpu = time.perf_counter() - start, cpu_now() - c0
+        digest.update(report.dumps().encode())
+        out = {"instances": report.instances_checked}
+    else:
+        stream, _ = generate_queries(wl, seed, wl.digest_queries)
+
+        def call(argv: list[str]) -> tuple[int, str]:
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+                rc = cli.main(list(argv))
+            return rc, buf.getvalue()
+
+        for argv in WARMUP:
+            call(argv)
+        counter[:] = [0, 0.0]
+        latencies = []
+        c0, start = cpu_now(), time.perf_counter()
+        for argv in stream:
+            t0 = time.perf_counter()
+            rc, text = call(argv)
+            latencies.append(time.perf_counter() - t0)
+            digest.update(json.dumps([argv, rc, text]).encode())
+        wall, cpu = time.perf_counter() - start, cpu_now() - c0
+        out = {"latency_p50_ms": 1000 * percentile(latencies, 50),
+               "latency_p90_ms": 1000 * percentile(latencies, 90), "queries": len(stream)}
+    return {"wall_s": wall, "cpu_s": cpu, **out, f"{label}_calls": counter[0],
+            f"{label}_s": counter[1], "output_sha256": digest.hexdigest()}
 
 
-def spawn(tree: Path, seed: int) -> dict:
+def spawn(tree: Path, workload: str, seed: int, count: str) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
-           "--seed", str(seed)]
+           "--workload", workload, "--seed", str(seed), "--count", count]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -129,47 +152,34 @@ def spawn(tree: Path, seed: int) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     out = {"runs": len(runs)}
-    for key in ("wall_s", "cpu_s", "latency_p50_ms", "latency_p90_ms"):
+    for key, value in runs[0].items():
         values = [r[key] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[key] = {"median": median, "q1": q1, "q3": q3, "all": values}
-    for key in ("as_pair_equal_calls", "queries", "output_sha256"):
-        values = sorted({r[key] for r in runs})
-        out[key] = values[0] if len(values) == 1 else values
+        if isinstance(value, float):
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            out[key] = {"median": median, "q1": q1, "q3": q3, "all": values}
+        else:
+            distinct = sorted(set(values))
+            out[key] = distinct[0] if len(distinct) == 1 else distinct
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--before", type=Path)
-    ap.add_argument("--after", type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.child is not None:
-        print(json.dumps(run_child(args.child, args.seed)))
-        return 0
-    if args.before is None or args.after is None or args.pairs < 2:
-        ap.error("--before DIR and --after DIR are required, and --pairs must be at least 2")
-
-    sides = {"before": args.before, "after": args.after}
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-    result = {
-        "what": f"the first {WORKLOADS[WORKLOAD].digest_queries} queries of perfbench's "
-                f"{WORKLOAD} stream through cli.main, one fresh process per run",
-        "machine": {"python": platform.python_version(), "platform": platform.platform(),
-                    "cpus": os.cpu_count()},
-        "source_sha256": {side: source_sha256(tree) for side, tree in sides.items()},
-        "pairs": args.pairs, "seeds": {}}
-    for seed in SEEDS:
+def bench_workload(sides: dict[str, Path], workload: str, pairs: int, count: str) -> dict:
+    from workloads import WORKLOADS, SweepWorkload
+    wl = WORKLOADS[workload]
+    sweep = isinstance(wl, SweepWorkload)
+    what = (f"one sweep_verify pass of perfbench's {workload} workload "
+            f"({json.dumps(wl.to_json(), sort_keys=True)})" if sweep else
+            f"the first {wl.digest_queries} queries of perfbench's {workload} stream "
+            f"through cli.main") + ", one fresh process per run"
+    result = {"what": what, "seeds": {}}
+    for seed in SWEEP_SEEDS if sweep else QUERY_SEEDS:
         runs: dict[str, list[dict]] = {"before": [], "after": []}
-        for k in range(args.pairs):
+        for k in range(pairs):
             order = ("before", "after") if k % 2 == 0 else ("after", "before")
             for side in order:
-                runs[side].append(spawn(sides[side], seed))
-            print(f"seed {seed} pair {k + 1}: before {runs['before'][-1]['wall_s']:.2f} s, "
+                runs[side].append(spawn(sides[side], workload, seed, count))
+            print(f"{workload} seed {seed} pair {k + 1}: "
+                  f"before {runs['before'][-1]['wall_s']:.2f} s, "
                   f"after {runs['after'][-1]['wall_s']:.2f} s", file=sys.stderr)
         wins = sum(a["wall_s"] < b["wall_s"] for a, b in zip(runs["after"], runs["before"]))
         before, after = summarize(runs["before"]), summarize(runs["after"])
@@ -183,9 +193,47 @@ def main(argv: list[str] | None = None) -> int:
             # of the before side's own runs.
             "median_gap_exceeds_before_iqr":
                 wall_b["median"] - wall_a["median"] > wall_b["q3"] - wall_b["q1"]}
-    (ROOT / "BENCH_packet_pairs.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(json.dumps({seed: {k: v for k, v in res.items() if k not in ("before", "after")}
-                      for seed, res in result["seeds"].items()}))
+    return result
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--before", type=Path)
+    ap.add_argument("--after", type=Path)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", choices=("packets-large", "sweep-n4"),
+                    help="packets-large (default) or sweep-n4; may be given twice")
+    ap.add_argument("--count", default="tableaux.as_pair_equal", metavar="MODULE.FUNC",
+                    help="function whose calls and inside time are recorded")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_packet_pairs.json")
+    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    workloads = args.workload or ["packets-large"]
+    if args.count.count(".") != 1:
+        ap.error("--count takes MODULE.FUNC, e.g. tableaux.trapa_normalize")
+    if args.child is not None:
+        print(json.dumps(run_child(args.child, workloads[0], args.seed, args.count)))
+        return 0
+    if args.before is None or args.after is None or args.pairs < 2:
+        ap.error("--before DIR and --after DIR are required, and --pairs must be at least 2")
+
+    sides = {"before": args.before, "after": args.after}
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    result = {
+        "machine": {"python": platform.python_version(), "platform": platform.platform(),
+                    "cpus": os.cpu_count()},
+        "source_sha256": {side: source_sha256(tree) for side, tree in sides.items()},
+        "pairs": args.pairs, "count": args.count}
+    sections = {wl: bench_workload(sides, wl, args.pairs, args.count) for wl in workloads}
+    if len(sections) == 1:
+        result.update(sections[workloads[0]])
+    else:
+        result["workloads"] = sections
+    args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(json.dumps({wl: {seed: {k: v for k, v in res.items() if k not in ("before", "after")}
+                           for seed, res in section["seeds"].items()}
+                      for wl, section in sections.items()}))
     return 0
 
 

@@ -8,9 +8,11 @@ intervals [a, a+n] regarded as multiplicity-free multisets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from operator import ge, gt
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -127,9 +129,6 @@ class Segment:
             raise ValueError("empty segment has no endpoint")
         return self.start + (self.length - 1)
 
-    def members_desc(self) -> list[HalfInt]:
-        return [self.start + k for k in range(self.length - 1, -1, -1)]
-
     def __contains__(self, value: HalfInt) -> bool:
         if self.is_empty:
             return False
@@ -145,7 +144,8 @@ class Segment:
         return Segment.from_bounds(lo, hi)
 
     def as_multiset(self) -> "HalfIntMultiset":
-        return HalfIntMultiset.from_values(self.members_desc())
+        return HalfIntMultiset(tuple(reversed(range(self.start.twice,
+                                                     self.start.twice + 2 * self.length, 2))))
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -164,26 +164,23 @@ class Segment:
 class HalfIntMultiset:
     """A finite multiset of half-integers.
 
-    Canonical form: values strictly decreasing, multiplicities >= 1, matching
-    the convention of listing entries largest first.
+    Canonical form: `twice` lists the doubled values largest first, each
+    repeated by its multiplicity, matching the convention of listing entries
+    largest first.
     """
 
-    entries: tuple[tuple[HalfInt, int], ...]
+    twice: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for value, mult in self.entries:
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-        values = [v for v, _ in self.entries]
-        if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
-            raise ValueError("entries must be strictly decreasing by value")
+        if type(self.twice) is not tuple or not {int}.issuperset(map(type, self.twice)):
+            raise ValueError(f"a multiset holds a tuple of doubled ints, not {self.twice!r}")
+        if not all(map(ge, self.twice, self.twice[1:])):
+            raise ValueError(f"doubled values {self.twice} are not listed largest first")
 
     @classmethod
-    def from_values(cls, values: Iterable[HalfInt]) -> "HalfIntMultiset":
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v.twice] = counts.get(v.twice, 0) + 1
-        return cls(tuple((HalfInt(t), m) for t, m in sorted(counts.items(), reverse=True)))
+    def from_values(cls, twice: Iterable[int]) -> "HalfIntMultiset":
+        """The multiset of the given doubled values, in any order."""
+        return cls(tuple(sorted(twice, reverse=True)))
 
     @classmethod
     def empty(cls) -> "HalfIntMultiset":
@@ -191,90 +188,83 @@ class HalfIntMultiset:
 
     @property
     def size(self) -> int:
-        return sum(m for _, m in self.entries)
+        return len(self.twice)
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.twice
 
     @property
     def is_multiplicity_free(self) -> bool:
-        return all(m == 1 for _, m in self.entries)
-
-    def multiplicity(self, value: HalfInt) -> int:
-        for v, m in self.entries:
-            if v == value:
-                return m
-        return 0
-
-    def values_desc(self) -> list[HalfInt]:
-        out: list[HalfInt] = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return out
-
-    def support_desc(self) -> list[HalfInt]:
-        return [v for v, _ in self.entries]
-
-    def __iter__(self) -> Iterator[HalfInt]:
-        return iter(self.values_desc())
+        return all(map(gt, self.twice, self.twice[1:]))
 
     def union(self, other: "HalfIntMultiset") -> "HalfIntMultiset":
-        counts = {v.twice: m for v, m in self.entries}
-        for v, m in other.entries:
-            counts[v.twice] = counts.get(v.twice, 0) + m
-        return HalfIntMultiset(tuple((HalfInt(t), m) for t, m in sorted(counts.items(), reverse=True)))
+        return HalfIntMultiset(tuple(sorted(self.twice + other.twice, reverse=True)))
+
+    def _merge(self, other: "HalfIntMultiset") -> tuple[list[int], list[int]]:
+        # One pass over both descending tuples: (the values of self matched
+        # in other, the unmatched rest of self), each largest first.
+        a, b = self.twice, other.twice
+        common: list[int] = []
+        rest: list[int] = []
+        j = 0
+        for t in a:
+            while j < len(b) and b[j] > t:
+                j += 1
+            if j < len(b) and b[j] == t:
+                common.append(t)
+                j += 1
+            else:
+                rest.append(t)
+        return common, rest
 
     def intersection(self, other: "HalfIntMultiset") -> "HalfIntMultiset":
-        pairs = []
-        for v, m in self.entries:
-            k = min(m, other.multiplicity(v))
-            if k:
-                pairs.append((v, k))
-        return HalfIntMultiset(tuple(pairs))
+        return HalfIntMultiset(tuple(self._merge(other)[0]))
 
     def difference(self, other: "HalfIntMultiset") -> "HalfIntMultiset":
-        pairs = []
-        for v, m in self.entries:
-            k = m - other.multiplicity(v)
-            if k > 0:
-                pairs.append((v, k))
-        return HalfIntMultiset(tuple(pairs))
+        return HalfIntMultiset(tuple(self._merge(other)[1]))
 
     def contains(self, other: "HalfIntMultiset") -> bool:
-        return all(self.multiplicity(v) >= m for v, m in other.entries)
+        # Both lists are sorted, so containment is being a subsequence;
+        # `in` on the shared iterator consumes self up to each match.
+        rest = iter(self.twice)
+        return all(t in rest for t in other.twice)
 
     def is_segment(self) -> bool:
         """True iff this multiset is exactly a segment (consecutive, all mult 1)."""
-        if not self.is_multiplicity_free:
-            return False
-        vals = self.support_desc()
-        return all(vals[i].twice - vals[i + 1].twice == 2 for i in range(len(vals) - 1))
+        return all(a - b == 2 for a, b in zip(self.twice, self.twice[1:]))
 
     def as_segment(self) -> Segment:
         if self.is_empty:
             return Segment.empty()
         if not self.is_segment():
             raise ValueError(f"{self} is not a segment")
-        return Segment(self.support_desc()[-1], self.size)
+        return Segment(HalfInt(self.twice[-1]), self.size)
 
     def __str__(self) -> str:
         parts = []
-        for v, m in self.entries:
-            parts.append(str(v) if m == 1 else f"{v}:{m}")
+        for t, m in Counter(self.twice).items():
+            parts.append(str(HalfInt(t)) if m == 1 else f"{HalfInt(t)}:{m}")
         return "{" + ",".join(parts) + "}"
 
     def to_json(self) -> list:
-        return [{"twice": v.twice, "mult": m} for v, m in self.entries]
+        return [{"twice": t, "mult": m} for t, m in Counter(self.twice).items()]
 
     @classmethod
     def from_json(cls, obj: list) -> "HalfIntMultiset":
-        return cls(tuple((HalfInt.from_json(e), _json_int(e["mult"])) for e in obj))
+        runs = [(_json_int(e["twice"]), _json_int(e["mult"])) for e in obj]
+        if any(m < 1 for _, m in runs):
+            raise ValueError("multiplicities must be positive")
+        values = [t for t, _ in runs]
+        if not all(map(gt, values, values[1:])):
+            raise ValueError("entries must be strictly decreasing by value")
+        return cls(tuple(t for t, m in runs for _ in range(m)))
 
 
 def _segment_union(segs: Iterable[Segment]) -> HalfIntMultiset:
     """The multiset union of the given segments."""
-    return HalfIntMultiset.from_values(v for s in segs for v in s.members_desc())
+    return HalfIntMultiset.from_values(
+        t for s in segs for t in range(s.start.twice, s.start.twice + 2 * s.length, 2))
 
 
 def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMultiset,
@@ -304,7 +294,7 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
     output order is reproducible.
     """
     results: list[list[Segment]] = []
-    counts = {v.twice: mult for v, mult in m.entries}
+    counts = Counter(m.twice)
 
     def rec(acc: list[Segment], last: tuple[int, int] | None) -> None:
         live = [t for t, c in counts.items() if c > 0]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -134,21 +135,19 @@ def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[APar
 def _unitarizable_splits(sig: GroupSignature, chi: HalfIntMultiset) -> Iterator[KWeight]:
     # Every unitarizable weight whose infinitesimal character is chi: one
     # candidate per sub-multiset P of chi of size p, with Q the rest.
-    entries = list(chi.entries)
+    runs = list(Counter(chi.twice).items())
 
-    def sub_multisets(i: int, remaining: int, acc: list[tuple[HalfInt, int]]):
+    def sub_multisets(i: int, remaining: int, acc: list[int]):
         if remaining == 0:
             yield HalfIntMultiset(tuple(acc))
             return
-        if i == len(entries):
+        if i == len(runs):
             return
-        v, mult = entries[i]
+        t, mult = runs[i]
         for k in range(min(mult, remaining), -1, -1):
-            if k:
-                acc.append((v, k))
+            acc.extend([t] * k)
             yield from sub_multisets(i + 1, remaining - k, acc)
-            if k:
-                acc.pop()
+            del acc[len(acc) - k:]
 
     for P in sub_multisets(0, sig.p, []):
         w = kweight_from_pq(sig, P, chi.difference(P))

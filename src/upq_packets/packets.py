@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohind import (InductionDescriptor, ThetaData, lowest_weight_invariants,
-                     segments_of, tableau_pair)
+from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
+                     lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
                       _split_at, partition_into_segments)
@@ -177,12 +177,12 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
         values.append((t + a - n) // 2 + before)
         before += a
     desc = InductionDescriptor(d, tuple(values))
-    segs = segments_of(desc)
-    for i in range(psi.r):
-        if segs[i] != psi.segment(i):
+    # The sizes match psi's, so the segments agree when their starts do.
+    for i, (start, (t, a)) in enumerate(zip(_segment_starts(desc), psi.summands)):
+        if start != t - a + 1:
             raise InternalInconsistencyError(
-                f"segment {segs[i]} of the member differs from nu_{i + 1} = "
-                f"{psi.segment(i)}")
+                f"segment {Segment(HalfInt(start), a)} of the member differs from "
+                f"nu_{i + 1} = {psi.segment(i)}")
     out = tableau_pair(desc)
     invariants = None if out.is_zero else (out.ann, out.as_tab)
     return PacketMember(d, desc, epsilon(psi, d), not out.is_zero, invariants)
@@ -290,9 +290,9 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     n = sig.N
     gap = w.gap
     nu_le = lt.union(mid)
-    bracket = Segment.from_bounds(
-        HalfInt(2 * w.lam[sig.p - 1] - (n - 1)),
-        HalfInt(2 * w.lam[sig.p] + (n - 1))).as_multiset()
+    # [lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2], empty when reversed.
+    bracket = HalfIntMultiset(tuple(range(2 * w.lam[sig.p] + (n - 1),
+                                          2 * w.lam[sig.p - 1] - (n - 1) - 1, -2)))
     p_seg = st.P_seg.as_multiset()
     q_seg = st.Q_seg.as_multiset()
     i_seg = st.I.as_multiset()
@@ -325,8 +325,8 @@ def _lambda_case4(psi: AParameter, lt: HalfIntMultiset,
                   mid: HalfIntMultiset, gt: HalfIntMultiset) -> KWeight:
     sig = psi.sig
     p, n = sig.p, sig.N
-    sigma = lt.union(gt).values_desc()
-    nu_vals = mid.values_desc()
+    sigma = lt.union(gt).twice
+    nu_vals = mid.twice
     size = mid.size
     i0 = None
     for cand in range(1, size + 1):
@@ -342,13 +342,13 @@ def _lambda_case4(psi: AParameter, lt: HalfIntMultiset,
     lam: list[int] = []
     for i in range(1, n + 1):
         if i < p - size + i0:
-            val = sigma[i - 1].twice - (p - sig.q + 1) + 2 * i
+            val = sigma[i - 1] - (p - sig.q + 1) + 2 * i
         elif i <= p:
-            val = top.twice + (n + 1) - 2 * size
+            val = top + (n + 1) - 2 * size
         elif i <= p + i0 - 1:
-            val = top.twice - (n - 1)
+            val = top - (n - 1)
         else:
-            val = sigma[i - size - 1].twice - (n + 1) - 2 * p + 2 * i
+            val = sigma[i - size - 1] - (n + 1) - 2 * p + 2 * i
         if val % 2 != 0:
             raise InternalInconsistencyError(
                 f"non-integral lowest K-type coordinate for {psi}")

@@ -110,7 +110,7 @@ class AntiTableau:
         return tuple(sum(h > r for h in heights) for r in range(heights[0] if heights else 0))
 
     def entry_multiset(self) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(v for col in self.columns for v in col)
+        return HalfIntMultiset.from_values(v.twice for col in self.columns for v in col)
 
     def row(self, r: int) -> list[HalfInt]:
         return [col[r] for col in self.columns if len(col) > r]
@@ -133,7 +133,7 @@ class ColumnStack:
     row_shapes: tuple[tuple[int, int], ...]
 
     def entry_multiset(self) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(b.entry for blk in self.blocks for b in blk)
+        return HalfIntMultiset.from_values(b.entry.twice for blk in self.blocks for b in blk)
 
     def signed_tableau(self) -> SignedTableau:
         return SignedTableau(self.sig, self.row_shapes)
@@ -409,10 +409,12 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
 
     Returns the zero outcome as soon as a pair rewrites to the formal zero
     tableau, or when the final conditions fail: every adjacent pair must
-    satisfy seg(i+1) <= seg(i) componentwise and overlap >= sing.  Otherwise
-    returns the rewritten stack together with its antitableau and signed
-    tableau.  The sweep count is capped; hitting the cap raises, it never
-    hangs or silently stops.
+    satisfy seg(i+1) <= seg(i) componentwise and overlap >= sing.  Only the
+    first is tested after the loop: the last sweep changed no pair, so its
+    _rewrite_pair calls already found overlap >= sing on the final blocks.
+    Otherwise returns the rewritten stack together with its antitableau and
+    signed tableau.  The sweep count is capped; hitting the cap raises, it
+    never hangs or silently stops.
     """
     blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
     r = len(blocks)
@@ -434,8 +436,6 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     for i in range(r - 1):
         (lo_start, lo_len), (hi_start, hi_len) = segs[i + 1], segs[i]
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
-            return NormalizeOutcome.zero()
-        if _overlap(blocks[i], blocks[i + 1]) < _sing(segs[i], segs[i + 1]):
             return NormalizeOutcome.zero()
 
     # Rewriting permutes the entries, so the input's HalfInts serve again.

@@ -78,18 +78,18 @@ class WeightStats:
     I: Segment
 
 
-def _p_entry(w: KWeight, i: int) -> HalfInt:
-    # Entry attached to lambda_i on the p-side (1-based i <= p):
-    # lambda_i - (N-1)/2 + (p-i).
+def _p_entries(w: KWeight) -> list[int]:
+    # Doubled entries attached to lambda_1, ..., lambda_p on the p-side:
+    # lambda_i - (N-1)/2 + (p-i), strictly decreasing in i.
     n, p = w.sig.N, w.sig.p
-    return HalfInt(2 * w.lam[i - 1] - (n - 1) + 2 * (p - i))
+    return [2 * w.lam[i - 1] - (n - 1) + 2 * (p - i) for i in range(1, p + 1)]
 
 
-def _q_entry(w: KWeight, i: int) -> HalfInt:
-    # Entry attached to lambda_i on the q-side (1-based p < i <= N):
-    # lambda_i + (p-q+1)/2 + (N-i).
+def _q_entries(w: KWeight) -> list[int]:
+    # Doubled entries attached to lambda_{p+1}, ..., lambda_N on the q-side:
+    # lambda_i + (p-q+1)/2 + (N-i), strictly decreasing in i.
     n, p, q = w.sig.N, w.sig.p, w.sig.q
-    return HalfInt(2 * w.lam[i - 1] + (p - q + 1) + 2 * (n - i))
+    return [2 * w.lam[i - 1] + (p - q + 1) + 2 * (n - i) for i in range(p + 1, n + 1)]
 
 
 def _primes(w: KWeight) -> tuple[int, int]:
@@ -106,8 +106,8 @@ def weight_stats(w: KWeight) -> WeightStats:
     lam = w.lam
     p_prime, q_prime = _primes(w)
 
-    P = HalfIntMultiset.from_values(_p_entry(w, i) for i in range(1, p + 1))
-    Q = HalfIntMultiset.from_values(_q_entry(w, i) for i in range(p + 1, n + 1))
+    P = HalfIntMultiset(tuple(_p_entries(w)))
+    Q = HalfIntMultiset(tuple(_q_entries(w)))
 
     if p:
         p_start = HalfInt(2 * lam[p - 1] - (n - 1))
@@ -130,10 +130,7 @@ def inf_char_of_lowest_weight(w: KWeight) -> HalfIntMultiset:
     p-side and lambda_{p+1} + (N-1)/2, ..., lambda_N + (p-q+1)/2 on the
     q-side; as a multiset this is P || Q.
     """
-    p, n = w.sig.p, w.sig.N
-    values = [_p_entry(w, i) for i in range(1, p + 1)]
-    values += [_q_entry(w, i) for i in range(p + 1, n + 1)]
-    return HalfIntMultiset.from_values(values)
+    return HalfIntMultiset.from_values(_p_entries(w) + _q_entries(w))
 
 
 class UnitarityClass(enum.Enum):
@@ -181,13 +178,13 @@ def kweight_from_pq(sig: GroupSignature, P: HalfIntMultiset,
     if P.size != p or Q.size != q:
         return None
     lam: list[int] = []
-    for i, v in enumerate(P.values_desc(), start=1):
-        twice = v.twice + (n - 1) - 2 * (p - i)
+    for i, v in enumerate(P.twice, start=1):
+        twice = v + (n - 1) - 2 * (p - i)
         if twice % 2 != 0:
             return None
         lam.append(twice // 2)
-    for ell, v in enumerate(Q.values_desc(), start=1):
-        twice = v.twice - (n + 1) + 2 * ell
+    for ell, v in enumerate(Q.twice, start=1):
+        twice = v - (n + 1) + 2 * ell
         if twice % 2 != 0:
             return None
         lam.append(twice // 2)

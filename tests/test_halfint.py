@@ -1,10 +1,13 @@
 import itertools
+from collections import Counter
+
+import pytest
 
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
 
 
 def mset(*twices):
-    return HalfIntMultiset.from_values(HalfInt(t) for t in twices)
+    return HalfIntMultiset.from_values(twices)
 
 
 def seg(lo_twice, hi_twice):
@@ -25,7 +28,7 @@ def test_halfint_arithmetic_is_exact():
 def test_segment_membership_and_bounds():
     s = seg(-1, 3)  # [-1/2, 3/2]
     assert s.length == 3
-    assert [v.twice for v in s.members_desc()] == [3, 1, -1]
+    assert s.as_multiset().twice == (3, 1, -1)
     assert HalfInt(1) in s and HalfInt(5) not in s and HalfInt(0) not in s
     assert seg(3, -1).is_empty
     assert Segment.empty() == Segment(HalfInt(7), 0)
@@ -48,25 +51,39 @@ def test_mset_algebra_examples():
 
 
 def test_mset_algebra_identities():
+    # Every operation against collections.Counter on the same pools.
     values = [-2, 0, 1, 3]
     pools = list(itertools.product(range(3), repeat=len(values)))[:40]
+
+    def desc(counts):
+        return tuple(sorted(counts.elements(), reverse=True))
+
     for ma in pools:
         for mb in pools[::3]:
-            A = HalfIntMultiset(tuple((HalfInt(v), m) for v, m in
-                                      sorted(zip(values, ma), reverse=True) if m))
-            B = HalfIntMultiset(tuple((HalfInt(v), m) for v, m in
-                                      sorted(zip(values, mb), reverse=True) if m))
-            assert A.union(B) == B.union(A)
-            assert A.intersection(B) == B.intersection(A)
-            assert A.difference(B).size + A.intersection(B).size == A.size
+            ca, cb = Counter(dict(zip(values, ma))), Counter(dict(zip(values, mb)))
+            A, B = HalfIntMultiset(desc(ca)), HalfIntMultiset(desc(cb))
+            assert A.union(B).twice == B.union(A).twice == desc(ca + cb)
+            assert A.intersection(B).twice == B.intersection(A).twice == desc(ca & cb)
+            assert A.difference(B).twice == desc(ca - cb)
+            assert A.contains(B) == (cb - ca == Counter())
+            assert A.size == sum(ma)
+            assert A.is_multiplicity_free == (max(ma) <= 1)
+
+
+@pytest.mark.parametrize("bad", [(0, 2), (2, True), (HalfInt(2),), ((HalfInt(2), 1),), [2, 0]])
+def test_multiset_constructor_refuses_other_forms(bad):
+    # Unsorted, a bool, a HalfInt, the old (HalfInt, multiplicity) pairs, a list.
+    with pytest.raises(ValueError):
+        HalfIntMultiset(bad)
 
 
 def test_multiset_canonical_form_is_decreasing():
     m = mset(0, 4, 4, -2)
-    assert [v.twice for v, _ in m.entries] == [4, 0, -2]
-    assert m.multiplicity(HalfInt(4)) == 2
+    assert m.twice == (4, 4, 0, -2)
     assert not m.is_multiplicity_free
-    assert m.values_desc() == [HalfInt(4), HalfInt(4), HalfInt(0), HalfInt(-2)]
+    assert str(m) == "{2:2,0,-1}"
+    assert m.to_json() == [{"twice": 4, "mult": 2}, {"twice": 0, "mult": 1},
+                           {"twice": -2, "mult": 1}]
 
 
 def test_partition_examples():
@@ -91,13 +108,13 @@ def _set_partitions(items):
 
 def _brute_force_segment_partitions(m):
     items = list(range(m.size))
-    values = m.values_desc()
+    values = m.twice
     seen = set()
     for part in _set_partitions(items):
         blocks = []
         ok = True
         for block in part:
-            vals = sorted(values[i].twice for i in block)
+            vals = sorted(values[i] for i in block)
             if any(vals[k + 1] - vals[k] != 2 for k in range(len(vals) - 1)):
                 ok = False
                 break
@@ -122,7 +139,7 @@ def test_partition_against_brute_force():
                 u = u.union(s.as_multiset())
             assert u == m
             reassembled.append(tuple(sorted(
-                tuple(v.twice for v in sorted(s.members_desc()))
+                tuple(sorted(s.as_multiset().twice))
                 for s in parts)))
         assert len(set(reassembled)) == len(got), "duplicate partitions"
         assert set(reassembled) == _brute_force_segment_partitions(m)
@@ -140,3 +157,15 @@ def test_json_round_trips():
     assert Segment.from_json(s.to_json()) == s
     m = mset(1, 1, -3)
     assert HalfIntMultiset.from_json(m.to_json()) == m
+
+
+@pytest.mark.parametrize("runs", [
+    [{"twice": 1, "mult": 0}],
+    [{"twice": 1, "mult": -2}],
+    [{"twice": 1, "mult": 1}, {"twice": 1, "mult": 1}],
+    [{"twice": -1, "mult": 1}, {"twice": 1, "mult": 2}],
+])
+def test_multiset_from_json_refuses_bad_runs(runs):
+    # Multiplicity 0, a negative one, a repeated value, increasing values.
+    with pytest.raises(ValueError):
+        HalfIntMultiset.from_json(runs)

@@ -23,8 +23,8 @@ def test_good_parameters_in_window():
     assert {p.summands for p in psis} == {
         ((0, 2),), ((1, 1), (1, 1)), ((1, 1), (-1, 1)), ((-1, 1), (-1, 1))}
     for p in psis:
-        for v in inf_char(p).values_desc():
-            assert abs(v.twice) <= 2
+        for t in inf_char(p).twice:
+            assert abs(t) <= 2
 
 
 def test_oracle_lowest_weights_uniqueness():

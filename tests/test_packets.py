@@ -22,7 +22,7 @@ def psi_of(p, q, *summands):
 
 
 def mset(*twices):
-    return HalfIntMultiset.from_values(HalfInt(t) for t in twices)
+    return HalfIntMultiset.from_values(twices)
 
 
 def w(p, q, *lam):

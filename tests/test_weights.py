@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from upq_packets.halfint import HalfInt, HalfIntMultiset
+from upq_packets.halfint import HalfIntMultiset
 from upq_packets.weights import (GroupSignature, KWeight, UnitarityClass,
                                  inf_char_of_lowest_weight, is_unitarizable,
                                  kweight_from_pq, unitarity_class, weight_stats)
@@ -13,7 +13,7 @@ def w(p, q, *lam):
 
 
 def mset(*twices):
-    return HalfIntMultiset.from_values(HalfInt(t) for t in twices)
+    return HalfIntMultiset.from_values(twices)
 
 
 def test_dominance_is_enforced():
@@ -55,8 +55,8 @@ def test_weight_stats_u12():
     st = weight_stats(w(1, 2, 1, 0, -1))
     assert (st.p_prime, st.q_prime) == (1, 1)
     P_twice, Q_twice = _stats_by_direct_evaluation(w(1, 2, 1, 0, -1))
-    assert sorted(v.twice for v in st.P.values_desc()) == P_twice
-    assert sorted(v.twice for v in st.Q.values_desc()) == Q_twice
+    assert sorted(st.P.twice) == P_twice
+    assert sorted(st.Q.twice) == Q_twice
     assert st.P == mset(0)
     assert st.Q == mset(2, -2)
     assert st.Q_seg.as_multiset() == mset(2)
@@ -78,7 +78,7 @@ def test_inf_char_is_P_union_Q_everywhere():
                     assert chi == st.P.union(st.Q)
                     assert chi.size == sig.N
                     P_tw, Q_tw = _stats_by_direct_evaluation(kw)
-                    assert sorted(v.twice for v in chi.values_desc()) == sorted(P_tw + Q_tw)
+                    assert sorted(chi.twice) == sorted(P_tw + Q_tw)
 
 
 def test_inf_char_examples():
@@ -92,7 +92,7 @@ def test_bottom_segment_of_P():
     st = weight_stats(kw)
     # Members of P' are exactly the P-entries of indices with lambda_i = lambda_p.
     expected = [2 * 2 - 3 + 2 * (3 - i) for i in (2, 3)]
-    assert sorted(v.twice for v in st.P_seg.members_desc()) == sorted(expected)
+    assert sorted(st.P_seg.as_multiset().twice) == sorted(expected)
     assert st.P.contains(st.P_seg.as_multiset())
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
@@ -32,7 +33,9 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
     """One row per line, each box as [<entry><sign>].
 
     Rows pair the antitableau rows with same-length signed rows; signs
-    alternate from each row's first sign.
+    alternate from each row's first sign.  The shape check cannot fire on
+    a pair from trapa_normalize: assemble_antitableau already requires
+    ann.shape to equal the signed tableau's row lengths.
     """
     lines = []
     shape = ann.shape
@@ -47,8 +50,9 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
     return "\n".join(lines)
 
 
-def _dump(obj: dict, mode: str, ascii_text: str) -> None:
-    print(ascii_text if mode == "ascii" else _json_dumps(obj))
+def _dump(mode: str, as_json: Callable[[], dict], as_ascii: Callable[[], str]) -> None:
+    """Print the rendering that --output asks for; only that one is built."""
+    print(as_ascii() if mode == "ascii" else _json_dumps(as_json()))
 
 
 def _parse_sig(args: argparse.Namespace) -> GroupSignature:
@@ -104,25 +108,31 @@ def cmd_classify_psi(args: argparse.Namespace) -> int:
     w = lowest_weight_of_packet(psi)
     d0 = d_zero(psi)
     m = member(psi, d0)
-    member_obj = m.to_json()
-    member_obj["d0"] = [list(b) for b in d0.blocks]
-    obj = {
-        "psi": psi.to_json(),
-        "inf_char": inf_char(psi).to_json(),
-        "contains": w is not None,
-        "lowest_k_type": list(w.lam) if w is not None else None,
-        "member": member_obj,
-    }
-    lines = [f"packet of {psi}",
-             f"contains a unitary lowest weight representation: {obj['contains']}"]
-    if w is not None:
-        lines.append(f"lowest K-type: {list(w.lam)}")
-    if m.nonzero:
-        lines.append("holomorphic member invariants:")
-        lines.append(render_pair_ascii(*m.invariants))
-    else:
-        lines.append("holomorphic member vanishes")
-    _dump(obj, args.output, "\n".join(lines))
+
+    def as_json() -> dict:
+        member_obj = m.to_json()
+        member_obj["d0"] = [list(b) for b in d0.blocks]
+        return {
+            "psi": psi.to_json(),
+            "inf_char": inf_char(psi).to_json(),
+            "contains": w is not None,
+            "lowest_k_type": list(w.lam) if w is not None else None,
+            "member": member_obj,
+        }
+
+    def as_ascii() -> str:
+        lines = [f"packet of {psi}",
+                 f"contains a unitary lowest weight representation: {w is not None}"]
+        if w is not None:
+            lines.append(f"lowest K-type: {list(w.lam)}")
+        if m.nonzero:
+            lines.append("holomorphic member invariants:")
+            lines.append(render_pair_ascii(*m.invariants))
+        else:
+            lines.append("holomorphic member vanishes")
+        return "\n".join(lines)
+
+    _dump(args.output, as_json, as_ascii)
     return 0
 
 
@@ -130,11 +140,17 @@ def cmd_classify_lambda(args: argparse.Namespace) -> int:
     sig = _parse_sig(args)
     w = _parse_lambda(args, sig)
     psis = packets_containing(w)
-    obj = {"lambda": list(w.lam), "p": sig.p, "q": sig.q,
-           "packets": [psi.to_json() for psi in psis]}
-    lines = [f"lambda = {list(w.lam)} on U({sig.p},{sig.q})"]
-    lines += [f"  {psi}" for psi in psis] or ["  (no packet contains it)"]
-    _dump(obj, args.output, "\n".join(lines))
+
+    def as_json() -> dict:
+        return {"lambda": list(w.lam), "p": sig.p, "q": sig.q,
+                "packets": [psi.to_json() for psi in psis]}
+
+    def as_ascii() -> str:
+        lines = [f"lambda = {list(w.lam)} on U({sig.p},{sig.q})"]
+        lines += [f"  {psi}" for psi in psis] or ["  (no packet contains it)"]
+        return "\n".join(lines)
+
+    _dump(args.output, as_json, as_ascii)
     return 0
 
 
@@ -142,17 +158,23 @@ def cmd_packet(args: argparse.Namespace) -> int:
     sig = _parse_sig(args)
     psi = _parse_psi(args, sig)
     members = packet(psi)
-    obj = {"psi": psi.to_json(),
-           "inf_char": inf_char(psi).to_json(),
-           "members": [m.to_json() for m in members]}
-    lines = [f"packet of {psi}: {len(members)} members"]
-    for m in members:
-        tag = "nonzero" if m.nonzero else "zero"
-        lines.append(f"d = {[list(b) for b in m.d.blocks]}  epsilon = "
-                     f"{list(m.epsilon)}  ({tag})")
-        if m.nonzero:
-            lines.append(render_pair_ascii(*m.invariants))
-    _dump(obj, args.output, "\n".join(lines))
+
+    def as_json() -> dict:
+        return {"psi": psi.to_json(),
+                "inf_char": inf_char(psi).to_json(),
+                "members": [m.to_json() for m in members]}
+
+    def as_ascii() -> str:
+        lines = [f"packet of {psi}: {len(members)} members"]
+        for m in members:
+            tag = "nonzero" if m.nonzero else "zero"
+            lines.append(f"d = {[list(b) for b in m.d.blocks]}  epsilon = "
+                         f"{list(m.epsilon)}  ({tag})")
+            if m.nonzero:
+                lines.append(render_pair_ascii(*m.invariants))
+        return "\n".join(lines)
+
+    _dump(args.output, as_json, as_ascii)
     return 0
 
 
@@ -172,15 +194,19 @@ def cmd_tableau(args: argparse.Namespace) -> int:
         out = tableau_pair(desc)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    obj = {"descriptor": desc.to_json(), "zero": out.is_zero}
-    if out.is_zero:
-        text = "formal zero tableau"
-    else:
-        obj["ann"] = out.ann.to_json()
-        obj["as"] = out.as_tab.to_json()
-        obj["stack"] = out.stack.to_json()
-        text = render_pair_ascii(out.ann, out.as_tab)
-    _dump(obj, args.output, text)
+
+    def as_json() -> dict:
+        obj = {"descriptor": desc.to_json(), "zero": out.is_zero}
+        if not out.is_zero:
+            obj["ann"] = out.ann.to_json()
+            obj["as"] = out.as_tab.to_json()
+            obj["stack"] = out.stack.to_json()
+        return obj
+
+    def as_ascii() -> str:
+        return "formal zero tableau" if out.is_zero else render_pair_ascii(out.ann, out.as_tab)
+
+    _dump(args.output, as_json, as_ascii)
     return 0
 
 

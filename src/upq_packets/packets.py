@@ -16,6 +16,7 @@ independent ground truth for both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
@@ -51,6 +52,8 @@ class AParameter:
             if t1 < t2 or (t1 == t2 and a1 < a2):
                 raise ValueError("summands must be listed with t decreasing, "
                                  "a decreasing among equal t")
+        # Tuples, so that parameters built from lists hash and compare equal.
+        object.__setattr__(self, "summands", tuple(map(tuple, self.summands)))
 
     @classmethod
     def from_summands(cls, sig: GroupSignature,
@@ -219,6 +222,7 @@ def packet(psi: AParameter) -> list[PacketMember]:
     return members
 
 
+@lru_cache(maxsize=256)  # holds every repeat of verify at N <= 4 (windows 2/2) and N <= 6 (1/1)
 def _holomorphic_candidate(psi: AParameter
                            ) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
     """The straddling block (p_j, q_j) of d_0(psi), the split

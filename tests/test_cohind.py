@@ -1,5 +1,6 @@
 import pytest
 
+from upq_packets import cohind
 from upq_packets.cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                                 holomorphic_lowest_ktype,
                                 lowest_weight_invariants, normalize_blocks,
@@ -216,3 +217,29 @@ def test_absorb_adjacent_preserves_invariants():
 def test_tableau_pair_requires_mediocre():
     with pytest.raises(ValueError):
         tableau_pair(desc(1, 1, [(0, 1), (1, 0)], [-1, 1]))
+
+
+def test_data_built_from_lists_equal_data_built_from_tuples():
+    sig = GroupSignature(1, 2)
+    from_lists = InductionDescriptor(ThetaData(sig, [[1, 1], [0, 1]]), [0, 0])
+    from_tuples = desc(1, 2, [(1, 1), (0, 1)], [0, 0])
+    assert from_lists.d.blocks == ((1, 1), (0, 1)) and from_lists.values == (0, 0)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists.to_json() == from_tuples.to_json()
+    assert invariants(from_lists) == invariants(from_tuples)
+    with pytest.raises(ValueError):
+        ThetaData(sig, [[1, 1, 0], [0, 1]])
+
+
+def test_tableau_pair_normalizes_equal_data_once(monkeypatch):
+    calls = []
+    real = cohind.trapa_normalize
+    monkeypatch.setattr(cohind, "trapa_normalize", lambda stack: calls.append(stack) or real(stack))
+    tableau_pair.cache_clear()
+    first = tableau_pair(desc(1, 2, [(1, 1), (0, 1)], [0, 0]))
+    again = tableau_pair(desc(1, 2, [(1, 1), (0, 1)], [0, 0]))
+    assert len(calls) == 1 and again is first
+    # Exceptions are not kept: a datum outside the mediocre range raises every time.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mediocre"):
+            tableau_pair(desc(1, 1, [(0, 1), (1, 0)], [-1, 1]))

@@ -5,9 +5,10 @@ import re
 import pytest
 
 from upq_packets import packets
+from upq_packets.cohind import tableau_pair
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
-from upq_packets.oracle import good_parameters_in_window
+from upq_packets.oracle import good_parameters_in_window, two_block_data
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  d_zero_nonvanishing, enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
@@ -271,3 +272,29 @@ def test_degenerate_signatures():
 def test_json_round_trip():
     psi = psi_of(1, 2, (1, 2), (-2, 1))
     assert AParameter.from_json(psi.to_json()) == psi
+
+
+def test_parameters_built_from_lists_equal_parameters_built_from_tuples():
+    sig = GroupSignature(1, 1)
+    from_tuples = AParameter(sig, ((0, 2),))
+    for summands in ([(0, 2)], [[0, 2]]):
+        from_lists = AParameter(sig, summands)
+        assert from_lists.summands == ((0, 2),)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert from_lists.to_json() == from_tuples.to_json()
+        assert lowest_weight_of_packet(from_lists) == lowest_weight_of_packet(from_tuples)
+
+
+def test_memos_return_what_the_functions_compute():
+    # Each datum is asked twice, so the second answer is a memo hit.
+    descs = list(two_block_data(4))
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                for _ in range(2):
+                    assert (packets._holomorphic_candidate(psi)
+                            == packets._holomorphic_candidate.__wrapped__(psi)), psi
+                descs += [member(psi, d).descriptor for d in enumerate_D(psi)]
+    for desc in descs:
+        for _ in range(2):
+            assert tableau_pair(desc) == tableau_pair.__wrapped__(desc), desc

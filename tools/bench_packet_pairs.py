@@ -1,7 +1,7 @@
 """Before/after timing of two source trees on perfbench's workloads.
 
     python3 tools/bench_packet_pairs.py --before DIR --after DIR [--pairs 10]
-        [--workload NAME ...] [--count MODULE.FUNC] [--out FILE]
+        [--workload NAME ...] [--count MODULE.FUNC ...] [--out FILE]
 
 DIR is the root of a source checkout (with `src/upq_packets`).  Each
 workload is read from `perfbench/workloads.py` of this checkout, so both
@@ -18,13 +18,14 @@ that goes first alternates from pair to pair so that drift in the
 machine's speed falls on both.
 
 Each run records wall time, CPU time, for queries the median and
-90th-percentile query latency, the calls to the `--count` function
-(default `tableaux.as_pair_equal`) and the time spent inside them, and the
-SHA-256 of the outputs.  The function is counted by a wrapper bound in
-place of that name in every module of the run's own package; its clock
-calls are part of the wall time of both sides.  The summary goes to
-`--out` (default `BENCH_packet_pairs.json` at the root of this checkout).
-With more than one `--workload`, the file holds one section per workload.
+90th-percentile query latency, the calls to each `--count` function
+(default `tableaux.as_pair_equal`; the option may be repeated) and the
+time spent inside them, and the SHA-256 of the outputs.  A function is
+counted by a wrapper bound in place of that name in every module of the
+run's own package; its clock calls are part of the wall time of both
+sides.  The summary goes to `--out` (default `BENCH_packet_pairs.json` at
+the root of this checkout).  With more than one `--workload`, the file
+holds one section per workload.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def count_calls(package, name: str) -> list[float]:
     return counter
 
 
-def run_child(tree: Path, workload: str, seed: int, count: str) -> dict:
+def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
     """One timed run of the workload in this process."""
     sys.path.insert(0, str(tree / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -104,12 +105,12 @@ def run_child(tree: Path, workload: str, seed: int, count: str) -> dict:
     if Path(upq_packets.__file__).resolve().parent != (tree / "src" / "upq_packets").resolve():
         raise SystemExit(f"imported the package from {upq_packets.__file__}")
     wl = WORKLOADS[workload]
-    counter = count_calls(upq_packets, count)
-    label = count.split(".")[1]
+    counters = {name.split(".")[1]: count_calls(upq_packets, name) for name in counts}
     digest = hashlib.sha256()
     if isinstance(wl, SweepWorkload):
         sweep_verify(SweepConfig(2, 1, HalfInt.whole(1)))
-        counter[:] = [0, 0.0]
+        for counter in counters.values():
+            counter[:] = [0, 0.0]
         c0, start = cpu_now(), time.perf_counter()
         report = sweep_verify(SweepConfig(wl.max_N, wl.weight_window,
                                           HalfInt.whole(wl.char_window)), jobs=wl.jobs)
@@ -127,7 +128,8 @@ def run_child(tree: Path, workload: str, seed: int, count: str) -> dict:
 
         for argv in WARMUP:
             call(argv)
-        counter[:] = [0, 0.0]
+        for counter in counters.values():
+            counter[:] = [0, 0.0]
         latencies = []
         c0, start = cpu_now(), time.perf_counter()
         for argv in stream:
@@ -138,13 +140,15 @@ def run_child(tree: Path, workload: str, seed: int, count: str) -> dict:
         wall, cpu = time.perf_counter() - start, cpu_now() - c0
         out = {"latency_p50_ms": 1000 * percentile(latencies, 50),
                "latency_p90_ms": 1000 * percentile(latencies, 90), "queries": len(stream)}
-    return {"wall_s": wall, "cpu_s": cpu, **out, f"{label}_calls": counter[0],
-            f"{label}_s": counter[1], "output_sha256": digest.hexdigest()}
+    for label, (calls, inside) in counters.items():
+        out.update({f"{label}_calls": calls, f"{label}_s": inside})
+    return {"wall_s": wall, "cpu_s": cpu, **out, "output_sha256": digest.hexdigest()}
 
 
-def spawn(tree: Path, workload: str, seed: int, count: str) -> dict:
+def spawn(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
-           "--workload", workload, "--seed", str(seed), "--count", count]
+           "--workload", workload, "--seed", str(seed)]
+    cmd += [arg for name in counts for arg in ("--count", name)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -163,7 +167,8 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def bench_workload(sides: dict[str, Path], workload: str, pairs: int, count: str) -> dict:
+def bench_workload(sides: dict[str, Path], workload: str, pairs: int,
+                   counts: list[str]) -> dict:
     from workloads import WORKLOADS, SweepWorkload
     wl = WORKLOADS[workload]
     sweep = isinstance(wl, SweepWorkload)
@@ -177,7 +182,7 @@ def bench_workload(sides: dict[str, Path], workload: str, pairs: int, count: str
         for k in range(pairs):
             order = ("before", "after") if k % 2 == 0 else ("after", "before")
             for side in order:
-                runs[side].append(spawn(sides[side], workload, seed, count))
+                runs[side].append(spawn(sides[side], workload, seed, counts))
             print(f"{workload} seed {seed} pair {k + 1}: "
                   f"before {runs['before'][-1]['wall_s']:.2f} s, "
                   f"after {runs['after'][-1]['wall_s']:.2f} s", file=sys.stderr)
@@ -203,17 +208,21 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append", choices=("packets-large", "sweep-n4"),
                     help="packets-large (default) or sweep-n4; may be given twice")
-    ap.add_argument("--count", default="tableaux.as_pair_equal", metavar="MODULE.FUNC",
-                    help="function whose calls and inside time are recorded")
+    ap.add_argument("--count", action="append", metavar="MODULE.FUNC",
+                    help="function whose calls and inside time are recorded "
+                         "(default tableaux.as_pair_equal); may be repeated")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_packet_pairs.json")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     workloads = args.workload or ["packets-large"]
-    if args.count.count(".") != 1:
+    counts = args.count or ["tableaux.as_pair_equal"]
+    if any(name.count(".") != 1 for name in counts):
         ap.error("--count takes MODULE.FUNC, e.g. tableaux.trapa_normalize")
+    if len({name.split(".")[1] for name in counts}) != len(counts):
+        ap.error("each --count must name a different function")
     if args.child is not None:
-        print(json.dumps(run_child(args.child, workloads[0], args.seed, args.count)))
+        print(json.dumps(run_child(args.child, workloads[0], args.seed, counts)))
         return 0
     if args.before is None or args.after is None or args.pairs < 2:
         ap.error("--before DIR and --after DIR are required, and --pairs must be at least 2")
@@ -224,8 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "source_sha256": {side: source_sha256(tree) for side, tree in sides.items()},
-        "pairs": args.pairs, "count": args.count}
-    sections = {wl: bench_workload(sides, wl, args.pairs, args.count) for wl in workloads}
+        "pairs": args.pairs, "count": counts[0] if len(counts) == 1 else counts}
+    sections = {wl: bench_workload(sides, wl, args.pairs, counts) for wl in workloads}
     if len(sections) == 1:
         result.update(sections[workloads[0]])
     else:

@@ -44,7 +44,7 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
         signs = as_tab.row_signs(r)
         if len(signs) != length:
             raise InternalInconsistencyError("shape mismatch in rendering")
-        boxes = [f"[{e}{'+' if s > 0 else '-'}]"
+        boxes = [f"[{HalfInt(e)}{'+' if s > 0 else '-'}]"
                  for e, s in zip(entries, signs)]
         lines.append("".join(boxes))
     return "\n".join(lines)

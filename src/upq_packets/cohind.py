@@ -109,7 +109,7 @@ class InductionDescriptor:
 
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
     """The per-block segments; block i has |nu_i| = p_i + q_i."""
-    return [Segment(HalfInt(start), size)
+    return [Segment(start, size)
             for start, size in zip(_segment_starts(desc), desc.d.sizes())]
 
 
@@ -332,7 +332,7 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     if all(pk == 0 or qk == 0 for pk, qk in desc.d.blocks):
         col1, col2 = _split_case_columns(w)
         expected = [c for c in (col1, col2) if c]
-        got = [[v.twice for v in c] for c in ann.columns]
+        got = list(map(list, ann.columns))
         if got != expected:
             shown = [[[str(HalfInt(v)) for v in c] for c in cols] for cols in (expected, got)]
             raise InternalInconsistencyError(
@@ -350,7 +350,7 @@ def _descriptor_from_segments(sig: GroupSignature,
         size = pk + qk
         if seg.length != size:
             raise ValueError("segment size mismatch")
-        twice = seg.end.twice - (n - 1) + 2 * before
+        twice = seg.end - (n - 1) + 2 * before
         if twice % 2 != 0:
             raise ValueError(f"segment {seg} not realizable at this position")
         values.append(twice // 2)

@@ -1,9 +1,10 @@
 """Exact arithmetic in (1/2)Z, segments, and finite multisets of half-integers.
 
 Every quantity that can be a strict half-integer (tableau entries,
-infinitesimal-character coordinates) is stored as its doubled integer value,
-so all arithmetic and comparisons stay exact.  Segments are integer-step
-intervals [a, a+n] regarded as multiplicity-free multisets.
+infinitesimal-character coordinates, segment starts) is stored as its
+doubled integer value, so all arithmetic and comparisons stay exact.
+Segments are integer-step intervals [a, a+n] regarded as multiplicity-free
+multisets.  HalfInt reads and prints one such value.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from operator import ge, gt
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInt:
-    """An element of (1/2)Z, stored as twice its value."""
+    """One element of (1/2)Z, stored as twice its value: the form in which
+    a doubled int is read from JSON and printed.  Arithmetic is done on the
+    doubled ints themselves."""
 
     twice: int
 
@@ -25,28 +28,8 @@ class HalfInt:
     def whole(cls, k: int) -> "HalfInt":
         return cls(2 * k)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice + other.twice)
-        return HalfInt(self.twice + 2 * other)
-
-    def __radd__(self, other: int) -> "HalfInt":
-        return self.__add__(other)
-
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice - other.twice)
-        return HalfInt(self.twice - 2 * other)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
     def __str__(self) -> str:
-        if self.is_integer:
+        if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
 
@@ -91,73 +74,69 @@ def _json_dumps(obj: object, indent: str = "\n") -> str:
 
 @dataclass(frozen=True)
 class Segment:
-    """The interval [start, start + length - 1] stepping by 1.
+    """The interval [start, start + length - 1] stepping by 1; `start` is
+    doubled.
 
     A segment is always multiplicity free.  length == 0 denotes the empty
     segment, normalized to start at 0 so empties compare equal.
     """
 
-    start: HalfInt
+    start: int
     length: int
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int:
+            raise ValueError(f"a segment starts at a doubled int, not {self.start!r}")
         if self.length < 0:
             raise ValueError("segment length must be nonnegative")
-        if self.length == 0 and self.start.twice != 0:
-            object.__setattr__(self, "start", HalfInt(0))
+        if self.length == 0 and self.start != 0:
+            object.__setattr__(self, "start", 0)
 
     @classmethod
     def empty(cls) -> "Segment":
-        return cls(HalfInt(0), 0)
+        return cls(0, 0)
 
     @classmethod
-    def from_bounds(cls, lo: HalfInt, hi: HalfInt) -> "Segment":
-        """Segment [lo, hi]; empty when hi < lo.  Requires hi - lo integral."""
+    def from_bounds(cls, lo: int, hi: int) -> "Segment":
+        """Segment [lo, hi] of doubled bounds; empty when hi < lo.  Requires
+        hi - lo integral."""
         if hi < lo:
             return cls.empty()
-        if (hi.twice - lo.twice) % 2 != 0:
-            raise ValueError(f"bounds {lo}, {hi} differ by a non-integer")
-        return cls(lo, (hi.twice - lo.twice) // 2 + 1)
+        if (hi - lo) % 2 != 0:
+            raise ValueError(f"bounds {HalfInt(lo)}, {HalfInt(hi)} differ by a non-integer")
+        return cls(lo, (hi - lo) // 2 + 1)
 
     @property
     def is_empty(self) -> bool:
         return self.length == 0
 
     @property
-    def end(self) -> HalfInt:
+    def end(self) -> int:
+        """The doubled last entry."""
         if self.is_empty:
             raise ValueError("empty segment has no endpoint")
-        return self.start + (self.length - 1)
-
-    def __contains__(self, value: HalfInt) -> bool:
-        if self.is_empty:
-            return False
-        return self.start <= value <= self.end and (value.twice - self.start.twice) % 2 == 0
+        return self.start + 2 * (self.length - 1)
 
     def intersect(self, other: "Segment") -> "Segment":
-        if self.is_empty or other.is_empty:
+        if self.is_empty or other.is_empty or (self.start - other.start) % 2 != 0:
             return Segment.empty()
-        if (self.start.twice - other.start.twice) % 2 != 0:
-            return Segment.empty()
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        return Segment.from_bounds(lo, hi)
+        return Segment.from_bounds(max(self.start, other.start), min(self.end, other.end))
 
     def as_multiset(self) -> "HalfIntMultiset":
-        return HalfIntMultiset(tuple(reversed(range(self.start.twice,
-                                                     self.start.twice + 2 * self.length, 2))))
+        return HalfIntMultiset(tuple(range(self.start + 2 * self.length - 2,
+                                           self.start - 2, -2)))
 
     def __str__(self) -> str:
         if self.is_empty:
             return "[]"
-        return f"[{self.start},{self.end}]"
+        return f"[{HalfInt(self.start)},{HalfInt(self.end)}]"
 
     def to_json(self) -> dict:
-        return {"start_twice": self.start.twice, "len": self.length}
+        return {"start_twice": self.start, "len": self.length}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Segment":
-        return cls(HalfInt(_json_int(obj["start_twice"])), _json_int(obj["len"]))
+        return cls(_json_int(obj["start_twice"]), _json_int(obj["len"]))
 
 
 @dataclass(frozen=True)
@@ -239,7 +218,7 @@ class HalfIntMultiset:
             return Segment.empty()
         if not self.is_segment():
             raise ValueError(f"{self} is not a segment")
-        return Segment(HalfInt(self.twice[-1]), self.size)
+        return Segment(self.twice[-1], self.size)
 
     def __str__(self) -> str:
         parts = []
@@ -264,7 +243,7 @@ class HalfIntMultiset:
 def _segment_union(segs: Iterable[Segment]) -> HalfIntMultiset:
     """The multiset union of the given segments."""
     return HalfIntMultiset.from_values(
-        t for s in segs for t in range(s.start.twice, s.start.twice + 2 * s.length, 2))
+        t for s in segs for t in range(s.start, s.start + 2 * s.length, 2))
 
 
 def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMultiset,
@@ -277,12 +256,11 @@ def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMult
 def _canonical_part_key(seg: Segment) -> tuple[int, int]:
     # (t, a) with t = sum of endpoints; parts are listed with t decreasing,
     # then lengths decreasing.
-    t_twice = seg.start.twice + seg.end.twice
-    return (-t_twice, -seg.length)
+    return (-(seg.start + seg.end), -seg.length)
 
 
 def _partition_sort_key(parts: list[Segment]) -> list[tuple[int, int]]:
-    return [(seg.start.twice + seg.end.twice, seg.length) for seg in parts]
+    return [(seg.start + seg.end, seg.length) for seg in parts]
 
 
 def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
@@ -313,7 +291,7 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
             length += 1
             for k in range(length):
                 counts[top - 2 * k] -= 1
-            rec(acc + [Segment(HalfInt(top - 2 * (length - 1)), length)], (top, length))
+            rec(acc + [Segment(top - 2 * (length - 1), length)], (top, length))
             for k in range(length):
                 counts[top - 2 * k] += 1
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -105,7 +106,7 @@ def _segments_in_window(n: int, window: HalfInt) -> list[Segment]:
         for length in range(1, n + 1):
             if start + 2 * (length - 1) > hi:
                 break
-            out.append(Segment(HalfInt(start), length))
+            out.append(Segment(start, length))
     return out
 
 
@@ -113,13 +114,13 @@ def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[APar
     """All good parameters with every character coordinate in the window."""
     n = sig.N
     segs = _segments_in_window(n, window)
-    keyed = sorted(segs, key=lambda s: (-(s.start.twice + s.end.twice), -s.length))
+    keyed = sorted(segs, key=lambda s: (-(s.start + s.end), -s.length))
     out: list[AParameter] = []
 
     def rec(i: int, remaining: int, acc: list[Segment]) -> None:
         if remaining == 0:
             out.append(AParameter.from_summands(
-                sig, [((s.start.twice + s.end.twice) // 2, s.length) for s in acc]))
+                sig, [((s.start + s.end) // 2, s.length) for s in acc]))
             return
         for k in range(i, len(keyed)):
             s = keyed[k]
@@ -434,6 +435,15 @@ def _sweep_signature_task(args: tuple[int, int, dict]) -> SweepReport:
     return sweep_signature(GroupSignature(p, q), cfg)
 
 
+def _default_sigterm() -> None:
+    # The pool ends idle workers with SIGTERM.  A Python handler inherited
+    # from the parent only sets a flag, and a worker that gets SIGTERM just
+    # before it blocks on the task queue's lock never runs it: it sleeps
+    # forever, and so does the parent joining it.  The default action ends
+    # the worker wherever it is.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     """Run the full verification sweep.
 
@@ -447,7 +457,7 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     report = SweepReport(config=cfg.to_json())
     processes = min(jobs, len(sigs), os.cpu_count() or 1)
     if processes > 1:
-        with Pool(processes) as pool:
+        with Pool(processes, _default_sigterm) as pool:
             parts = pool.map(_sweep_signature_task,
                              [(p, q, cfg.to_json()) for p, q in sigs])
         for part in parts:

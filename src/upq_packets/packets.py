@@ -22,7 +22,7 @@ from typing import Optional
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
+from .halfint import (HalfIntMultiset, Segment, _json_int, _segment_union,
                       _split_at, partition_into_segments)
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
@@ -71,7 +71,7 @@ class AParameter:
     def segment(self, i: int) -> Segment:
         """nu_i = [(t_i - a_i + 1)/2, (t_i + a_i - 1)/2]."""
         t, a = self.summands[i]
-        return Segment(HalfInt(t - a + 1), a)
+        return Segment(t - a + 1, a)
 
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q,
@@ -184,7 +184,7 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
     for i, (start, (t, a)) in enumerate(zip(_segment_starts(desc), psi.summands)):
         if start != t - a + 1:
             raise InternalInconsistencyError(
-                f"segment {Segment(HalfInt(start), a)} of the member differs from "
+                f"segment {Segment(start, a)} of the member differs from "
                 f"nu_{i + 1} = {psi.segment(i)}")
     out = tableau_pair(desc)
     invariants = None if out.is_zero else (out.ann, out.as_tab)
@@ -212,9 +212,7 @@ def packet(psi: AParameter) -> list[PacketMember]:
             raise InternalInconsistencyError(
                 f"member {m.d.blocks} of {psi} has invariants of another "
                 f"signature or infinitesimal character")
-    live.sort(key=lambda m: (tuple(tuple(v.twice for v in col)
-                                   for col in m.invariants[0].columns),
-                             m.invariants[1].rows))
+    live.sort(key=lambda m: (m.invariants[0].columns, m.invariants[1].rows))
     for a, b in zip(live, live[1:]):
         if as_pair_equal(a.invariants, b.invariants):
             raise InternalInconsistencyError(
@@ -417,7 +415,7 @@ def good_parameters_with_inf_char(sig: GroupSignature,
     for parts in partition_into_segments(chi):
         summands = []
         for seg in parts:
-            t_twice = seg.start.twice + seg.end.twice
+            t_twice = seg.start + seg.end
             if t_twice % 2 != 0:
                 raise ValueError(f"segment {seg} has non-integral endpoint sum")
             summands.append((t_twice // 2, seg.length))

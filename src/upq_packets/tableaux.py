@@ -10,16 +10,16 @@ invariants: an antitableau (entries strictly decreasing down columns,
 weakly decreasing along rows) and a signed tableau (rows of alternating
 signs, considered up to interchange of equal-length rows).
 
-The rewriting works on doubled ints: a working entry is twice its value,
-and a segment is (doubled start, length).  HalfInt is built only when the
-rewritten boxes are frozen back into Boxes.
+Entries are doubled ints throughout: a box, an antitableau column and a
+working entry hold twice the value, and a segment is (doubled start,
+length).  HalfInt is built only to print an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, ge, gt
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
 from .halfint import HalfInt, HalfIntMultiset, Segment
@@ -33,16 +33,15 @@ def _sign_str(sign: int) -> str:
     return "+" if sign == PLUS else "-"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     row: int
     col: int
     sign: int
-    entry: HalfInt
+    entry: int  # doubled
 
     def to_json(self) -> dict:
         return {"row": self.row, "col": self.col,
-                "sign": _sign_str(self.sign), "entry": self.entry.to_json()}
+                "sign": _sign_str(self.sign), "entry": {"twice": self.entry}}
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,13 @@ class SignedTableau:
 
 @dataclass(frozen=True)
 class AntiTableau:
-    """An antitableau: one tuple of entries per column, read top to bottom."""
+    """An antitableau: one tuple of doubled entries per column, read top to
+    bottom."""
 
-    columns: tuple[tuple[HalfInt, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        columns = [[v.twice for v in col] for col in self.columns]
+        columns = self.columns
         heights = [len(c) for c in columns]
         if 0 in heights:
             raise ValueError("empty column")
@@ -110,13 +110,13 @@ class AntiTableau:
         return tuple(sum(h > r for h in heights) for r in range(heights[0] if heights else 0))
 
     def entry_multiset(self) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(v.twice for col in self.columns for v in col)
+        return HalfIntMultiset.from_values(v for col in self.columns for v in col)
 
-    def row(self, r: int) -> list[HalfInt]:
+    def row(self, r: int) -> list[int]:
         return [col[r] for col in self.columns if len(col) > r]
 
     def to_json(self) -> dict:
-        return {"columns": [[v.to_json() for v in col] for col in self.columns]}
+        return {"columns": [[{"twice": v} for v in col] for col in self.columns]}
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,6 @@ class ColumnStack:
     sig: GroupSignature
     blocks: tuple[tuple[Box, ...], ...]
     row_shapes: tuple[tuple[int, int], ...]
-
-    def entry_multiset(self) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(b.entry.twice for blk in self.blocks for b in blk)
 
     def signed_tableau(self) -> SignedTableau:
         return SignedTableau(self.sig, self.row_shapes)
@@ -189,29 +186,25 @@ def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
             for _ in range(budget[sign]):
                 placed.append((len(rows), 1, sign))
                 rows.append(_Row(len(rows), sign))
-        top = seg.start.twice + 2 * len(placed)
-        blocks.append(tuple(Box(rid, col, sign, HalfInt(top - 2 * n))
+        top = seg.start + 2 * len(placed)
+        blocks.append(tuple(Box(rid, col, sign, top - 2 * n)
                             for n, (rid, col, sign) in enumerate(placed, 1)))
     return ColumnStack(sig, tuple(blocks), tuple((row.length, row.first_sign) for row in rows))
 
 
 class _WBox:
-    """Mutable working box: position and sign are fixed, the entry moves.
-    The entry is a doubled int; freeze() alone turns it back into a HalfInt."""
+    """Mutable working box: position and sign are fixed, the entry moves."""
 
     __slots__ = ("row", "col", "sign", "entry")
 
     def __init__(self, box: Box) -> None:
-        self.row = box.row
-        self.col = box.col
-        self.sign = box.sign
-        self.entry = box.entry.twice
+        self.row, self.col, self.sign, self.entry = box
 
-    def freeze(self, halves: dict[int, HalfInt]) -> Box:
-        return Box(self.row, self.col, self.sign, halves.get(self.entry) or HalfInt(self.entry))
+    def freeze(self) -> Box:
+        return Box(self.row, self.col, self.sign, self.entry)
 
 
-def _entries_segment(block: list[_WBox]) -> tuple[int, int]:
+def _entries_segment(block: Sequence[Box | _WBox]) -> tuple[int, int]:
     """The segment a block holds, as (start doubled, length).
 
     Blocks list their entries largest first (build_initial places them so
@@ -234,7 +227,7 @@ def _sing(a: tuple[int, int], b: tuple[int, int]) -> int:
     return (hi - lo) // 2 + 1 if hi >= lo else 0
 
 
-def _overlap(left: list[_WBox], right: list[_WBox]) -> int:
+def _overlap(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox]) -> int:
     ai, aj = len(left), len(right)
     for m in range(min(ai, aj), 0, -1):
         if all(a.col < b.col for a, b in zip(left[ai - m:], right)):
@@ -252,8 +245,7 @@ def overlap_and_sing(stack: ColumnStack, i: int) -> OverlapSing:
     r = len(stack.blocks)
     if not 0 <= i < r - 1:
         raise ValueError(f"pair index {i} is outside 0 <= i < r - 1 for r = {r}")
-    left = [_WBox(b) for b in stack.blocks[i]]
-    right = [_WBox(b) for b in stack.blocks[i + 1]]
+    left, right = stack.blocks[i], stack.blocks[i + 1]
     return OverlapSing(_overlap(left, right),
                        _sing(_entries_segment(left), _entries_segment(right)))
 
@@ -386,14 +378,14 @@ def assemble_antitableau(stack: ColumnStack) -> AntiTableau:
     """Read off the antitableau: column c holds, sorted decreasingly, the
     entries of all boxes in column c.  Raises if the result violates either
     antitableau condition (this is asserted, never assumed)."""
-    by_col: dict[int, list[HalfInt]] = {}
+    by_col: dict[int, list[int]] = {}
     for blk in stack.blocks:
         for b in blk:
             by_col.setdefault(b.col, []).append(b.entry)
     if sorted(by_col) != list(range(1, len(by_col) + 1)):
         raise InternalInconsistencyError("columns are not contiguous")
     try:
-        ann = AntiTableau(tuple(tuple(sorted(by_col[c], key=attrgetter("twice"), reverse=True))
+        ann = AntiTableau(tuple(tuple(sorted(by_col[c], reverse=True))
                                 for c in range(1, len(by_col) + 1)))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
@@ -438,9 +430,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero()
 
-    # Rewriting permutes the entries, so the input's HalfInts serve again.
-    halves = {b.entry.twice: b.entry for blk in stack.blocks for b in blk}
-    out = ColumnStack(stack.sig, tuple(tuple(b.freeze(halves) for b in blk) for blk in blocks),
+    out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
                       stack.row_shapes)
     ann = assemble_antitableau(out)
     return NormalizeOutcome(out, ann, out.signed_tableau())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .halfint import HalfInt, HalfIntMultiset, Segment, _json_int
+from .halfint import HalfIntMultiset, Segment, _json_int
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,11 @@ def weight_stats(w: KWeight) -> WeightStats:
     Q = HalfIntMultiset(tuple(_q_entries(w)))
 
     if p:
-        p_start = HalfInt(2 * lam[p - 1] - (n - 1))
-        P_seg = Segment(p_start, p_prime)
+        P_seg = Segment(2 * lam[p - 1] - (n - 1), p_prime)
     else:
         P_seg = Segment.empty()
     if q:
-        q_start = HalfInt(2 * lam[p] + (n + 1) - 2 * q_prime)
-        Q_seg = Segment(q_start, q_prime)
+        Q_seg = Segment(2 * lam[p] + (n + 1) - 2 * q_prime, q_prime)
     else:
         Q_seg = Segment.empty()
 

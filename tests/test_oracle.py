@@ -75,7 +75,7 @@ def test_pool_size_is_bounded_by_signatures_and_cpus(monkeypatch):
     requested = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer):
             requested.append(processes)
 
         def __enter__(self):

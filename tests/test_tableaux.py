@@ -16,7 +16,7 @@ from upq_packets.weights import GroupSignature
 
 
 def seg(lo_twice, hi_twice):
-    return Segment.from_bounds(HalfInt(lo_twice), HalfInt(hi_twice))
+    return Segment.from_bounds(lo_twice, hi_twice)
 
 
 def build(p, q, blocks, segments):
@@ -29,28 +29,28 @@ def desc(p, q, blocks, values):
 
 
 def ann_columns(out):
-    return [[v.twice for v in col] for col in out.ann.columns]
+    return list(map(list, out.ann.columns))
 
 
 def test_build_single_block_u11():
     stack = build(1, 1, [(1, 1)], [seg(-1, 1)])
     assert sorted(stack.row_shapes) == [(1, MINUS), (1, PLUS)]
     boxes = stack.blocks[0]
-    assert [(b.col, b.sign, b.entry.twice) for b in boxes] == [
+    assert [(b.col, b.sign, b.entry) for b in boxes] == [
         (1, PLUS, 1), (1, MINUS, -1)]
 
 
 def test_build_two_singleton_blocks_merge_into_one_row():
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
     assert stack.row_shapes == ((2, PLUS),)
-    assert [(b.col, b.entry.twice) for b in stack.blocks[1]] == [(2, 1)]
+    assert [(b.col, b.entry) for b in stack.blocks[1]] == [(2, 1)]
 
 
 def test_build_mixed_then_minus():
     stack = build(1, 2, [(1, 1), (0, 1)], [seg(0, 2), seg(-2, -2)])
     assert sorted(stack.row_shapes) == [(1, MINUS), (2, PLUS)]
-    assert [(b.col, b.entry.twice) for b in stack.blocks[0]] == [(1, 2), (1, 0)]
-    assert [(b.col, b.entry.twice) for b in stack.blocks[1]] == [(2, -2)]
+    assert [(b.col, b.entry) for b in stack.blocks[0]] == [(1, 2), (1, 0)]
+    assert [(b.col, b.entry) for b in stack.blocks[1]] == [(2, -2)]
 
 
 def test_build_rejects_empty_block():
@@ -132,7 +132,11 @@ def test_normalize_preserves_entries_and_shape():
     stack = build(2, 2, [(1, 1), (1, 1)], [seg(-1, 1), seg(-3, -1)])
     out = trapa_normalize(stack)
     assert not out.is_zero
-    assert out.stack.entry_multiset() == stack.entry_multiset()
+    def entries(s):
+        return HalfIntMultiset.from_values(b.entry for blk in s.blocks for b in blk)
+
+    assert entries(out.stack) == entries(stack)
+    assert entries(stack) == HalfIntMultiset.from_values([1, -1, -1, -3])
     assert out.as_tab == stack.signed_tableau()
 
 
@@ -214,12 +218,12 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
     def stack(top, bottom):
         # Two one-box blocks stacked in column 1 of U(2,0).
         return ColumnStack(GroupSignature(2, 0),
-                           ((Box(1, 1, PLUS, HalfInt(top)),),
-                            (Box(2, 1, PLUS, HalfInt(bottom)),)),
+                           ((Box(1, 1, PLUS, top),),
+                            (Box(2, 1, PLUS, bottom),)),
                            ((1, PLUS), (1, PLUS)))
 
     ann = assemble_antitableau(stack(0, 2))
-    assert [[v.twice for v in col] for col in ann.columns] == [[2, 0]]
+    assert ann.columns == ((2, 0),)
     with pytest.raises(InternalInconsistencyError):
         assemble_antitableau(stack(0, 0))
 
@@ -228,8 +232,8 @@ def _bad_block_stack(top, bottom):
     # U(1,2): block 0 holds `top` over `bottom` in column 1, block 1 one box
     # in column 2.  Entries are doubled.
     return ColumnStack(GroupSignature(1, 2),
-                       ((Box(0, 1, PLUS, HalfInt(top)), Box(1, 1, MINUS, HalfInt(bottom))),
-                        (Box(0, 2, MINUS, HalfInt(-1)),)),
+                       ((Box(0, 1, PLUS, top), Box(1, 1, MINUS, bottom)),
+                        (Box(0, 2, MINUS, -1),)),
                        ((2, PLUS), (1, MINUS)))
 
 

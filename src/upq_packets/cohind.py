@@ -302,6 +302,7 @@ def _split_case_columns(w: KWeight) -> tuple[list[int], list[int]]:
         f"no column arrangement for {w.lam} is an antitableau")
 
 
+@lru_cache(maxsize=256)  # holds every repeat of verify at N <= 4 (windows 2/2) and N <= 6 (1/1)
 def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     """The invariant pair of the lowest weight module of w, via the pipeline.
 
@@ -309,7 +310,9 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     module: the signed tableau has at most two columns and every two-box row
     reads plus-minus; in the fully split case the columns are cross-checked
     against the closed-form two-column description.
-    """
+
+    The last 256 pairs are kept per process.  A weight that is not
+    unitarizable, or whose checks fail, raises on every call."""
     desc = realize_lowest_weight(w)
     out = tableau_pair(desc)
     if out.is_zero:

@@ -161,16 +161,11 @@ def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     the packet, found by brute force over the splittings of the character:
     the holomorphic member's invariant pair is compared with the pair of
     each split's lowest weight module."""
-    pair = None
-    found = []
-    for w in _unitarizable_splits(psi.sig, inf_char(psi)):
-        if pair is None:
-            pair = member(psi, d_zero(psi)).invariants
-            if pair is None:  # the holomorphic member vanishes
-                return []
-        if as_pair_equal(pair, lowest_weight_invariants(w)):
-            found.append(w)
-    return found
+    pair = member(psi, d_zero(psi)).invariants
+    if pair is None:  # the holomorphic member vanishes
+        return []
+    return [w for w in _unitarizable_splits(psi.sig, inf_char(psi))
+            if as_pair_equal(pair, lowest_weight_invariants(w))]
 
 
 def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
@@ -202,9 +197,7 @@ def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
     return bad
 
 
-def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
-                       lw_cache: dict) -> None:
-    key = (sig.p, sig.q, w.lam)
+def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport) -> None:
     chi = inf_char_of_lowest_weight(w)
     st = weight_stats(w)
     if chi != st.P.union(st.Q):
@@ -215,7 +208,6 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
 
     try:
         pair = lowest_weight_invariants(w)
-        lw_cache[key] = pair
     except InternalInconsistencyError as exc:
         report.property_failures.append(
             {"kind": "lowest-weight-invariants", "lambda": list(w.lam),
@@ -247,7 +239,6 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
 
     # Ground truth for each packet with this character: its holomorphic
     # member's pair equals the pair held above.
-    i_seg = st.I.as_multiset()
     for psi in good_parameters_with_inf_char(sig, chi):
         report.bump("membership-pairs")
         try:
@@ -278,14 +269,13 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport,
                      "lambda": list(w.lam),
                      "extracted": list(back.lam) if back else None})
         if oracle:
-            for label in _basic_d0_properties(psi, i_seg):
+            for label in _basic_d0_properties(psi, st.I):
                 report.property_failures.append(
                     {"kind": "holomorphic-candidate-property", "item": label,
                      "psi": psi.to_json(), "lambda": list(w.lam)})
 
 
-def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
-                    lw_cache: dict) -> None:
+def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport) -> None:
     report.bump("packets")
     try:
         claimed = lowest_weight_of_packet(psi)
@@ -334,16 +324,13 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport,
     by_pair = {m.invariants: m for m in members if m.nonzero}
     candidates: list[tuple[PacketMember, KWeight]] = []
     for w in _unitarizable_splits(sig, chi):
-        key = (sig.p, sig.q, w.lam)
-        if key not in lw_cache:
-            lw_cache[key] = lowest_weight_invariants(w)
-        pair = lw_cache[key]
+        pair = lowest_weight_invariants(w)
         if pair[1].sig != sig or pair[0].entry_multiset() != chi:
             raise InternalInconsistencyError(
                 f"invariants of {w.lam} do not have the signature and "
                 f"infinitesimal character of {psi}")
         m = by_pair.get(pair)
-        if m is not None and as_pair_equal(m.invariants, pair):
+        if m is not None:
             candidates.append((m, w))
     if len(candidates) > 1:
         report.property_failures.append(
@@ -417,21 +404,18 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
 def sweep_signature(sig: GroupSignature, cfg: SweepConfig) -> SweepReport:
     """The part of the sweep attached to one signature."""
     report = SweepReport(config=cfg.to_json())
-    lw_cache: dict = {}
     for w in dominant_weights(sig, cfg.weight_window):
         if not is_unitarizable(w):
             continue
         report.bump("weights")
-        _check_lambda_side(sig, w, report, lw_cache)
+        _check_lambda_side(sig, w, report)
     for psi in good_parameters_in_window(sig, cfg.char_window):
-        _check_psi_side(sig, psi, report, lw_cache)
+        _check_psi_side(sig, psi, report)
     return report
 
 
-def _sweep_signature_task(args: tuple[int, int, dict]) -> SweepReport:
-    p, q, cfg_json = args
-    cfg = SweepConfig(cfg_json["max_N"], cfg_json["weight_window"],
-                      HalfInt(cfg_json["char_window_twice"]))
+def _sweep_signature_task(args: tuple[int, int, SweepConfig]) -> SweepReport:
+    p, q, cfg = args
     return sweep_signature(GroupSignature(p, q), cfg)
 
 
@@ -459,7 +443,7 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     if processes > 1:
         with Pool(processes, _default_sigterm) as pool:
             parts = pool.map(_sweep_signature_task,
-                             [(p, q, cfg.to_json()) for p, q in sigs])
+                             [(p, q, cfg) for p, q in sigs])
         for part in parts:
             report.merge(part)
     else:

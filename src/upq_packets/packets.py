@@ -224,9 +224,20 @@ def packet(psi: AParameter) -> list[PacketMember]:
 def _holomorphic_candidate(psi: AParameter
                            ) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
     """The straddling block (p_j, q_j) of d_0(psi), the split
-    (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is nonzero
-    (see d_zero_nonvanishing), derived once for each caller.  j is
-    d_0.pivot() + 1."""
+    (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is nonzero,
+    derived once for each caller.  j is d_0.pivot() + 1.
+
+    The member is nonzero exactly when nu_{<j} and nu_{>j} are multiplicity
+    free, |nu_j /\\ nu_{>j}| <= p_j, |nu_j /\\ nu_{<j}| <= q_j, and no value
+    is common to all three parts.  The last condition is forced by the
+    complete invariants: a holomorphic datum builds a signed tableau with
+    at most two columns, and its antitableau twin cannot hold any entry
+    three times; a value in all three parts has multiplicity three.  When
+    the character matches a lowest weight module (multiplicity at most
+    two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
+    p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
+    from nu_1", so the member is nonzero exactly when the infinitesimal
+    character is multiplicity free."""
     d0 = d_zero(psi)
     j = d0.pivot()
     lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], j)
@@ -236,24 +247,6 @@ def _holomorphic_candidate(psi: AParameter
                and mid.intersection(gt).size <= p_j
                and mid.intersection(lt).size <= q_j)
     return block, parts, nonzero
-
-
-def d_zero_nonvanishing(psi: AParameter) -> bool:
-    """Closed-form nonvanishing of the holomorphic member.
-
-    Requires nu_{<j} and nu_{>j} multiplicity free,
-    |nu_j /\\ nu_{>j}| <= p_j, |nu_j /\\ nu_{<j}| <= q_j, and no value
-    common to all three parts.  The last condition is forced by the
-    complete invariants: a holomorphic datum builds a signed tableau with
-    at most two columns, and its antitableau twin cannot hold any entry
-    three times; a value in all three parts has multiplicity three.  When
-    the character matches a lowest weight module (multiplicity at most
-    two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
-    p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
-    from nu_1", so the member is nonzero exactly when the infinitesimal
-    character is multiplicity free.
-    """
-    return _holomorphic_candidate(psi)[2]
 
 
 def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
@@ -295,18 +288,15 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     # [lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2], empty when reversed.
     bracket = HalfIntMultiset(tuple(range(2 * w.lam[sig.p] + (n - 1),
                                           2 * w.lam[sig.p - 1] - (n - 1) - 1, -2)))
-    p_seg = st.P_seg.as_multiset()
-    q_seg = st.Q_seg.as_multiset()
-    i_seg = st.I.as_multiset()
 
     lo_p, lo_q = n - st.p_prime, n - st.q_prime
     if lo_p <= gap < lo_q:
-        return mid.contains(bracket) and p_seg.contains(mid)
+        return mid.contains(bracket) and st.P_seg.contains(mid)
     if lo_q <= gap < lo_p:
-        return nu_le == st.P or (mid.contains(bracket) and q_seg.contains(mid))
+        return nu_le == st.P or (mid.contains(bracket) and st.Q_seg.contains(mid))
     if gap >= lo_p and gap >= lo_q:
-        first = nu_le.contains(st.P) and st.P.union(i_seg).contains(nu_le)
-        second = mid.contains(i_seg) and q_seg.contains(mid)
+        first = nu_le.contains(st.P) and st.P.union(st.I).contains(nu_le)
+        second = mid.contains(st.I) and st.Q_seg.contains(mid)
         return first or second
     return mid == bracket
 
@@ -411,16 +401,9 @@ def good_parameters_with_inf_char(sig: GroupSignature,
     the summand (t, a) = (x + y, length).  The parity condition holds
     automatically for characters of lowest weight modules.
     """
-    out = []
-    for parts in partition_into_segments(chi):
-        summands = []
-        for seg in parts:
-            t_twice = seg.start + seg.end
-            if t_twice % 2 != 0:
-                raise ValueError(f"segment {seg} has non-integral endpoint sum")
-            summands.append((t_twice // 2, seg.length))
-        out.append(AParameter.from_summands(sig, summands))
-    return out
+    return [AParameter.from_summands(sig, [((seg.start + seg.end) // 2, seg.length)
+                                           for seg in parts])
+            for parts in partition_into_segments(chi)]
 
 
 def packets_containing(w: KWeight) -> list[AParameter]:

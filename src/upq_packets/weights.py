@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .halfint import HalfIntMultiset, Segment, _json_int
+from .halfint import HalfIntMultiset, _json_int
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class KWeight:
             raise ValueError(f"p-side of {self.lam} is not weakly decreasing")
         if any(self.lam[i] < self.lam[i + 1] for i in range(p, p + q - 1)):
             raise ValueError(f"q-side of {self.lam} is not weakly decreasing")
+        # A tuple, so that weights built from lists hash and compare equal.
+        object.__setattr__(self, "lam", tuple(self.lam))
 
     @property
     def gap(self) -> int:
@@ -73,9 +75,9 @@ class WeightStats:
     q_prime: int
     P: HalfIntMultiset
     Q: HalfIntMultiset
-    P_seg: Segment
-    Q_seg: Segment
-    I: Segment
+    P_seg: HalfIntMultiset
+    Q_seg: HalfIntMultiset
+    I: HalfIntMultiset
 
 
 def _p_entries(w: KWeight) -> list[int]:
@@ -101,24 +103,17 @@ def _primes(w: KWeight) -> tuple[int, int]:
 
 
 def weight_stats(w: KWeight) -> WeightStats:
-    """p', q', the multisets P and Q, the segments P', Q' and I = P' /\\ Q'."""
-    p, q, n = w.sig.p, w.sig.q, w.sig.N
-    lam = w.lam
-    p_prime, q_prime = _primes(w)
+    """p', q', the multisets P and Q, the segments P', Q' and I = P' /\\ Q'.
 
+    P' holds the entries of the p' indices with lambda_i = lambda_p, the
+    smallest of P; Q' those of the q' indices with lambda_i = lambda_{p+1},
+    the largest of Q."""
+    p_prime, q_prime = _primes(w)
     P = HalfIntMultiset(tuple(_p_entries(w)))
     Q = HalfIntMultiset(tuple(_q_entries(w)))
-
-    if p:
-        P_seg = Segment(2 * lam[p - 1] - (n - 1), p_prime)
-    else:
-        P_seg = Segment.empty()
-    if q:
-        Q_seg = Segment(2 * lam[p] + (n + 1) - 2 * q_prime, q_prime)
-    else:
-        Q_seg = Segment.empty()
-
-    return WeightStats(p_prime, q_prime, P, Q, P_seg, Q_seg, P_seg.intersect(Q_seg))
+    P_seg = HalfIntMultiset(P.twice[P.size - p_prime:])
+    Q_seg = HalfIntMultiset(Q.twice[:q_prime])
+    return WeightStats(p_prime, q_prime, P, Q, P_seg, Q_seg, P_seg.intersection(Q_seg))
 
 
 def inf_char_of_lowest_weight(w: KWeight) -> HalfIntMultiset:

@@ -229,6 +229,10 @@ def test_data_built_from_lists_equal_data_built_from_tuples():
     assert invariants(from_lists) == invariants(from_tuples)
     with pytest.raises(ValueError):
         ThetaData(sig, [[1, 1, 0], [0, 1]])
+    weight_from_list, weight = KWeight(sig, [1, -1, -1]), w(1, 2, 1, -1, -1)
+    assert weight_from_list.lam == (1, -1, -1)
+    assert weight_from_list == weight and hash(weight_from_list) == hash(weight)
+    assert lowest_weight_invariants(weight_from_list) == lowest_weight_invariants(weight)
 
 
 def test_tableau_pair_normalizes_equal_data_once(monkeypatch):

@@ -5,17 +5,18 @@ import re
 import pytest
 
 from upq_packets import packets
-from upq_packets.cohind import tableau_pair
+from upq_packets.cohind import lowest_weight_invariants, tableau_pair
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
-from upq_packets.oracle import good_parameters_in_window, two_block_data
+from upq_packets.oracle import (dominant_weights, good_parameters_in_window,
+                                two_block_data)
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
-                                 d_zero_nonvanishing, enumerate_D, epsilon,
+                                 enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
 from upq_packets.tableaux import MINUS, PLUS
-from upq_packets.weights import GroupSignature, KWeight
+from upq_packets.weights import GroupSignature, KWeight, is_unitarizable
 
 
 def psi_of(p, q, *summands):
@@ -243,7 +244,6 @@ def test_triple_overlap_forces_vanishing():
     psi = psi_of(3, 3, (2, 2), (1, 3), (1, 1))
     d0 = d_zero(psi)
     assert d0.pivot() == 1 and d0.blocks == ((2, 0), (1, 2), (0, 1))
-    assert not d_zero_nonvanishing(psi)
     assert not member(psi, d0).nonzero
     assert lowest_weight_of_packet(psi) is None
 
@@ -298,3 +298,14 @@ def test_memos_return_what_the_functions_compute():
     for desc in descs:
         for _ in range(2):
             assert tableau_pair(desc) == tableau_pair.__wrapped__(desc), desc
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for kw in dominant_weights(GroupSignature(p, n - p), 2):
+                for _ in range(2):
+                    if is_unitarizable(kw):
+                        assert (lowest_weight_invariants(kw)
+                                == lowest_weight_invariants.__wrapped__(kw)), kw
+                    else:
+                        # Exceptions are not kept: each call raises again.
+                        with pytest.raises(ValueError, match="not unitarizable"):
+                            lowest_weight_invariants(kw)

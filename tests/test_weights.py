@@ -38,16 +38,16 @@ def test_weight_stats_u11_discrete_series():
     st = weight_stats(w(1, 1, 1, -1))
     assert (st.p_prime, st.q_prime) == (1, 1)
     assert st.P == mset(1) and st.Q == mset(-1)
-    assert st.P_seg.as_multiset() == mset(1)
-    assert st.Q_seg.as_multiset() == mset(-1)
+    assert st.P_seg == mset(1)
+    assert st.Q_seg == mset(-1)
     assert st.I.is_empty
 
 
 def test_weight_stats_u11_trivial():
     st = weight_stats(w(1, 1, 0, 0))
     assert st.P == mset(-1) and st.Q == mset(1)
-    assert st.P_seg.as_multiset() == mset(-1)
-    assert st.Q_seg.as_multiset() == mset(1)
+    assert st.P_seg == mset(-1)
+    assert st.Q_seg == mset(1)
     assert st.I.is_empty
 
 
@@ -59,7 +59,7 @@ def test_weight_stats_u12():
     assert sorted(st.Q.twice) == Q_twice
     assert st.P == mset(0)
     assert st.Q == mset(2, -2)
-    assert st.Q_seg.as_multiset() == mset(2)
+    assert st.Q_seg == mset(2)
     assert st.I.is_empty
 
 
@@ -92,16 +92,16 @@ def test_bottom_segment_of_P():
     st = weight_stats(kw)
     # Members of P' are exactly the P-entries of indices with lambda_i = lambda_p.
     expected = [2 * 2 - 3 + 2 * (3 - i) for i in (2, 3)]
-    assert sorted(st.P_seg.as_multiset().twice) == sorted(expected)
-    assert st.P.contains(st.P_seg.as_multiset())
+    assert sorted(st.P_seg.twice) == sorted(expected)
+    assert st.P.contains(st.P_seg)
 
 
 def test_all_equal_rows_collapse_to_segments():
     # q' = q forces Q = Q' (and symmetrically for P = P').
     st = weight_stats(w(2, 3, 4, 1, 0, 0, 0))
-    assert st.q_prime == 3 and st.Q == st.Q_seg.as_multiset()
+    assert st.q_prime == 3 and st.Q == st.Q_seg
     st = weight_stats(w(3, 1, 2, 2, 2, -4))
-    assert st.p_prime == 3 and st.P == st.P_seg.as_multiset()
+    assert st.p_prime == 3 and st.P == st.P_seg
 
 
 def test_degenerate_signatures():

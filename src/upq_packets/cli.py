@@ -11,6 +11,7 @@ values.  Exit codes: 0 ok, 2 invalid input, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -224,7 +225,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs about as much as a small query, and parse_args keeps
+    no state between calls, so main reuses one parser per process.  It is
+    not built at import."""
     parser = argparse.ArgumentParser(
         prog="upq-packets",
         description="Arthur packets of U(p,q) and unitary lowest weight "
@@ -273,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge, gt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError
 from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
@@ -109,16 +109,17 @@ class InductionDescriptor:
 
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
     """The per-block segments; block i has |nu_i| = p_i + q_i."""
+    sizes = desc.d.sizes()
     return [Segment(start, size)
-            for start, size in zip(_segment_starts(desc), desc.d.sizes())]
+            for start, size in zip(_segment_starts(desc.d.sig.N, sizes, desc.values), sizes)]
 
 
-def _segment_starts(desc: InductionDescriptor) -> list[int]:
-    # The doubled start of each block's segment.
-    n = desc.d.sig.N
+def _segment_starts(n: int, sizes: Sequence[int], values: Sequence[int]) -> list[int]:
+    # The doubled start of each block's segment, for blocks of these sizes
+    # and values at rank N = n.
     starts = []
     upto = 0
-    for size, value in zip(desc.d.sizes(), desc.values):
+    for size, value in zip(sizes, values):
         upto += size
         starts.append(2 * value + (n + 1) - 2 * upto)
     return starts
@@ -137,9 +138,19 @@ def range_class(desc: InductionDescriptor) -> RangeClass:
     Mediocre: no earlier segment sits strictly componentwise below a later
     one, equivalently value_i - value_j >= -max(a_i, a_j) - (sizes between)
     for all i < j.  Both routes are computed and must agree.
+
+    The class reads only N, the block sizes and the values, not how each
+    block splits into plus and minus parts.  Every member of a packet
+    shares those three, so the last 256 classes are kept per process and a
+    packet computes its class once, for its first member.
     """
-    sizes, values, r = desc.d.sizes(), desc.values, desc.d.r
-    starts = _segment_starts(desc)
+    return _range_class(desc.d.sig.N, tuple(desc.d.sizes()), desc.values)
+
+
+@lru_cache(maxsize=256)
+def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> RangeClass:
+    r = len(sizes)
+    starts = _segment_starts(n, sizes, values)
     ends = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
 
     wf_means = all(starts[i] + ends[i] >= starts[i + 1] + ends[i + 1] for i in range(r - 1))
@@ -148,7 +159,7 @@ def range_class(desc: InductionDescriptor) -> RangeClass:
         for i in range(r - 1))
     if wf_means != wf_values:
         raise InternalInconsistencyError(
-            f"weakly-fair tests disagree on {desc.to_json()}")
+            f"weakly-fair tests disagree on sizes {sizes}, values {values} at N = {n}")
 
     med_segs = True
     med_values = True
@@ -162,7 +173,7 @@ def range_class(desc: InductionDescriptor) -> RangeClass:
             between += sizes[j]
     if med_segs != med_values:
         raise InternalInconsistencyError(
-            f"mediocre tests disagree on {desc.to_json()}")
+            f"mediocre tests disagree on sizes {sizes}, values {values} at N = {n}")
     return RangeClass(weakly_fair=wf_means, mediocre=med_segs)
 
 
@@ -257,7 +268,12 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
 
     The last 256 results are kept per process.  A result is a shared
     immutable object: equal descriptors get the same one.  A datum outside
-    the mediocre range raises on every call."""
+    the mediocre range raises on every call.
+
+    The mediocre test is asked of range_class on every call, but it depends
+    only on what a whole packet shares (N, sizes, values), so within one
+    packet(psi) it is computed once, for the first member.  The stack and
+    its rewriting depend on the member's own signs and run for each."""
     if not range_class(desc).mediocre:
         raise ValueError("datum is outside the mediocre range")
     stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))

@@ -54,21 +54,35 @@ def _json_dumps(obj: object, indent: str = "\n") -> str:
     of dicts with string keys, lists, ints, bools, None and strings.  An
     indent sends json.dumps to its pure-Python encoder; this renderer keeps
     string escaping in C.  `indent` is the line break and leading spaces of
-    obj's own line.  Any other type, floats included, raises TypeError."""
-    if isinstance(obj, str):
+    obj's own line.  Any other type, floats included, raises TypeError.
+
+    Dispatch is by exact type, most common first: a plain int, then a plain
+    str, then the three constants, dict and list.  An int leaf inside a
+    dict or list is rendered in place, without a recursive call, since
+    canonical output is mostly small ints.  Each container joins its
+    rendered children, so no list of all the output's pieces is held.
+    Subclasses of int, str, dict and list (bool excepted) fall through to
+    isinstance tests and render as json.dumps renders them."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_dumps(v, inner)}"
+        items = [f"{encode_basestring_ascii(k)}: "
+                 f"{int.__repr__(v) if type(v) is int else _json_dumps(v, inner)}"
                  for k, v in sorted(obj.items())]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = [_json_dumps(v, inner) for v in obj]
+        items = [int.__repr__(v) if type(v) is int else _json_dumps(v, inner) for v in obj]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -169,26 +169,38 @@ class PacketMember:
         return obj
 
 
-def member(psi: AParameter, d: ThetaData) -> PacketMember:
-    """The packet member attached to d, with its tableau invariants."""
-    if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
-        raise ValueError(f"{d.blocks} does not belong to D({psi})")
+def _block_values(psi: AParameter) -> tuple[int, ...]:
+    """The block values (t_i + a_i - N)/2 + a_{<i} that every member of psi
+    shares, checked to give psi's segments back."""
     values = []
     before = 0
     n = psi.sig.N
     for t, a in psi.summands:
         values.append((t + a - n) // 2 + before)
         before += a
-    desc = InductionDescriptor(d, tuple(values))
-    # The sizes match psi's, so the segments agree when their starts do.
-    for i, (start, (t, a)) in enumerate(zip(_segment_starts(desc), psi.summands)):
+    # A member's sizes are psi's, so its segments agree when their starts do.
+    for i, (start, (t, a)) in enumerate(zip(_segment_starts(n, psi.sizes(), values),
+                                            psi.summands)):
         if start != t - a + 1:
             raise InternalInconsistencyError(
-                f"segment {Segment(start, a)} of the member differs from "
+                f"segment {Segment(start, a)} of the block values differs from "
                 f"nu_{i + 1} = {psi.segment(i)}")
+    return tuple(values)
+
+
+def _member(psi: AParameter, d: ThetaData, values: tuple[int, ...]) -> PacketMember:
+    # The member for d in D(psi), given psi's _block_values.
+    desc = InductionDescriptor(d, values)
     out = tableau_pair(desc)
     invariants = None if out.is_zero else (out.ann, out.as_tab)
     return PacketMember(d, desc, epsilon(psi, d), not out.is_zero, invariants)
+
+
+def member(psi: AParameter, d: ThetaData) -> PacketMember:
+    """The packet member attached to d, with its tableau invariants."""
+    if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
+        raise ValueError(f"{d.blocks} does not belong to D({psi})")
+    return _member(psi, d, _block_values(psi))
 
 
 def packet(psi: AParameter) -> list[PacketMember]:
@@ -202,8 +214,13 @@ def packet(psi: AParameter) -> list[PacketMember]:
     equal pairs get equal keys and the sort puts them next to each other.
     Comparing each member with its neighbour therefore finds any repeat in
     live - 1 comparisons.  The sort is stable, so a clash names its two
-    members in enumerate_D order."""
-    members = [member(psi, d) for d in enumerate_D(psi)]
+    members in enumerate_D order.
+
+    What every member shares is derived once per packet: the block values
+    and their check against psi's segments here, and the mediocre test
+    through range_class's memo."""
+    values = _block_values(psi)
+    members = [_member(psi, d, values) for d in enumerate_D(psi)]
     live = [m for m in members if m.nonzero]
     chi = inf_char(psi)
     for m in live:

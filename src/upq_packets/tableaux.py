@@ -295,15 +295,25 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     entries and restores them one unit at a time through bump steps, and
     every case ends with the chain repartition that re-splits the pair along
     the right-most boxes of consecutive entries.
+
+    A pair whose right segment lies wholly below the left one (end_r <
+    start_l) returns False at once, which is what the full path returns:
+    the segments share no entry, so sing is 0 and neither the zero case
+    nor a shift applies; every value in [start_r, end_r] is held only by a
+    right-block box, so the repartition chain is the right block in its
+    own order; the rest is the left block in its own order; so the blocks
+    after equal the blocks before.
     """
     left, right = blocks[i], blocks[i + 1]
     seg_l, seg_r = _entries_segment(left), _entries_segment(right)
+    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
+    if end_r < start_l:
+        return False
     ov = _overlap(left, right)
     sg = _sing(seg_l, seg_r)
     if ov < sg:
         return None
-    (start_l, ai), (start_r, aj) = seg_l, seg_r
-    end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
     before = ([(b.col, b.entry) for b in left], [(b.col, b.entry) for b in right])
     pair = left + right
 
@@ -374,12 +384,15 @@ class NormalizeOutcome:
         return cls(None, None, None)
 
 
-def assemble_antitableau(stack: ColumnStack) -> AntiTableau:
-    """Read off the antitableau: column c holds, sorted decreasingly, the
-    entries of all boxes in column c.  Raises if the result violates either
-    antitableau condition (this is asserted, never assumed)."""
+def assemble_antitableau(blocks: Sequence[Sequence[Box | _WBox]],
+                         row_shapes: tuple[tuple[int, int], ...]) -> AntiTableau:
+    """Read off the antitableau of a stack's boxes, frozen or working: column
+    c holds, sorted decreasingly, the entries of all boxes in column c.
+    Raises if the columns are not contiguous, if the result violates either
+    antitableau condition, or if its shape is not the multiset of row
+    lengths (this is asserted, never assumed)."""
     by_col: dict[int, list[int]] = {}
-    for blk in stack.blocks:
+    for blk in blocks:
         for b in blk:
             by_col.setdefault(b.col, []).append(b.entry)
     if sorted(by_col) != list(range(1, len(by_col) + 1)):
@@ -389,7 +402,7 @@ def assemble_antitableau(stack: ColumnStack) -> AntiTableau:
                                 for c in range(1, len(by_col) + 1)))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
-    shape = sorted((length for length, _ in stack.row_shapes), reverse=True)
+    shape = sorted((length for length, _ in row_shapes), reverse=True)
     if list(ann.shape) != shape:
         raise InternalInconsistencyError(
             f"antitableau shape {ann.shape} differs from row shape {shape}")
@@ -430,9 +443,9 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero()
 
+    ann = assemble_antitableau(blocks, stack.row_shapes)
     out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
                       stack.row_shapes)
-    ann = assemble_antitableau(out)
     return NormalizeOutcome(out, ann, out.signed_tableau())
 
 

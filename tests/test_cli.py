@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 from hypothesis import given, settings, strategies as st
 
+import upq_packets
 from upq_packets.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -157,6 +159,49 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lowest_k_type"] == [0, 0]
+
+
+# Every subcommand, ascii output then the default, verify with and without
+# --char-window, and argparse errors (a missing flag, a bad choice) between
+# well-formed calls.
+REUSE_SEQUENCE = [
+    ["classify-psi", "--p", "1", "--q", "2", "--psi", '[{"t":1,"a":2},{"t":-2,"a":1}]',
+     "--output", "ascii"],
+    ["classify-psi", "--p", "1", "--q", "2", "--psi", '[{"t":1,"a":2},{"t":-2,"a":1}]'],
+    ["classify-lambda", "--p", "1", "--q", "1", "--lambda", "[1,0]", "--output", "ascii"],
+    ["packet", "--p", "1", "--q", "1", "--psi", '[{"t":1,"a":1},{"t":-1,"a":1}]',
+     "--output", "ascii"],
+    ["packet", "--p", "1"],
+    ["packet", "--p", "1", "--q", "1", "--psi", '[{"t":1,"a":1},{"t":-1,"a":1}]'],
+    ["classify-lambda", "--p", "1", "--q", "1", "--lambda", "[1,0]"],
+    ["tableau", "--p", "1", "--q", "2", "--blocks", "[[1,1],[0,1]]", "--values", "[0,0]",
+     "--output", "xml"],
+    ["tableau", "--p", "1", "--q", "2", "--blocks", "[[1,1],[0,1]]", "--values", "[0,0]"],
+    ["verify", "--max-n", "2", "--window", "1", "--char-window", "3"],
+    ["verify", "--max-n", "2", "--window", "1"],
+    ["classify-psi", "--p", "1", "--q", "1", "--psi", '[{"t":1,"a":2}]'],
+]
+
+
+def test_calls_in_one_process_match_fresh_interpreters(monkeypatch):
+    # main reuses one parser per process; no call may see another's flags.
+    # A fixed width keeps argparse's usage lines alike on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    codes = set()
+    for argv in REUSE_SEQUENCE:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "upq_packets.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 small_ints = st.integers(-6, 6)

@@ -75,6 +75,17 @@ def test_range_class_examples():
     assert rc.mediocre and not rc.weakly_fair
 
 
+def test_a_held_range_class_still_refuses_on_every_call():
+    # The class is kept by (N, sizes, values), which both sign splits share;
+    # tableau_pair asks for it on every call and refuses every time.
+    for blocks in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
+        outside = desc(1, 1, blocks, [-1, 1])
+        for _ in range(2):
+            assert range_class(outside) == (False, False)
+            with pytest.raises(ValueError, match="mediocre"):
+                tableau_pair(outside)
+
+
 def test_two_rho_u_cap_p():
     d = ThetaData(GroupSignature(1, 1), ((1, 0), (0, 1)))
     assert two_rho_u_cap_p(d) == [1, -1]

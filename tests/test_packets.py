@@ -145,15 +145,16 @@ TEN_LIVE = psi_of(3, 2, (8, 1), (4, 1), (0, 1), (-4, 1), (-8, 1))
 
 
 def _with_invariants(monkeypatch, invariants_of):
-    """Make packets.member hand out the invariants invariants_of(d, real)
-    returns for each datum d, where real is the member actually built."""
-    real_member = packets.member
+    """Make packets._member, which packet() builds each member with, hand
+    out the invariants invariants_of(d, real) returns for each datum d,
+    where real is the member actually built."""
+    real_member = packets._member
 
-    def fake(psi, d):
-        m = real_member(psi, d)
+    def fake(psi, d, values):
+        m = real_member(psi, d, values)
         return dataclasses.replace(m, invariants=invariants_of(d, m))
 
-    monkeypatch.setattr(packets, "member", fake)
+    monkeypatch.setattr(packets, "_member", fake)
 
 
 @pytest.mark.parametrize("source, target", [(1, 4), (4, 1), (0, 9)])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -9,9 +10,9 @@ from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
 from upq_packets.oracle import good_parameters_in_window, two_block_data
 from upq_packets.packets import AParameter, enumerate_D, member
-from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, as_pair_equal,
-                                  assemble_antitableau, build_initial,
-                                  overlap_and_sing, trapa_normalize)
+from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, _rewrite_pair,
+                                  _WBox, as_pair_equal, assemble_antitableau,
+                                  build_initial, overlap_and_sing, trapa_normalize)
 from upq_packets.weights import GroupSignature
 
 
@@ -222,10 +223,11 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
                             (Box(2, 1, PLUS, bottom),)),
                            ((1, PLUS), (1, PLUS)))
 
-    ann = assemble_antitableau(stack(0, 2))
+    good, bad = stack(0, 2), stack(0, 0)
+    ann = assemble_antitableau(good.blocks, good.row_shapes)
     assert ann.columns == ((2, 0),)
     with pytest.raises(InternalInconsistencyError):
-        assemble_antitableau(stack(0, 0))
+        assemble_antitableau(bad.blocks, bad.row_shapes)
 
 
 def _bad_block_stack(top, bottom):
@@ -255,6 +257,64 @@ def test_overlap_and_sing_refuses_a_pair_index_outside_the_stack(i):
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
     with pytest.raises(ValueError, match=rf"pair index {i} .* r = 2"):
         overlap_and_sing(stack, i)
+
+
+def _disjoint_pair_stacks(max_n=6, window=2):
+    """Every two- and three-block stack up to N = max_n, over every sign
+    split of every block and every doubled segment start in
+    [-2 * window - 1, 2 * window + 1] of the parity a datum at that N has,
+    in which some adjacent pair has its right segment wholly below its left
+    one.  Yields the stack and the indices of those pairs."""
+    for n in range(2, max_n + 1):
+        starts = range(-2 * window - (n + 1) % 2, 2 * window + 2, 2)
+        for r in (2, 3):
+            for sizes in itertools.product(range(1, n), repeat=r):
+                if sum(sizes) != n:
+                    continue
+                for signs in itertools.product(*[[(pk, a - pk) for pk in range(a + 1)]
+                                                 for a in sizes]):
+                    sig = GroupSignature(sum(pk for pk, _ in signs),
+                                         sum(qk for _, qk in signs))
+                    for firsts in itertools.product(starts, repeat=r):
+                        segs = [Segment(s, a) for s, a in zip(firsts, sizes)]
+                        below = [i for i in range(r - 1) if segs[i + 1].end < segs[i].start]
+                        if below:
+                            yield build_initial(sig, list(signs), segs), below
+
+
+def _written_out_repartition(left, right):
+    # Trapa's repartition of a pair, spelled out: the new right block is the
+    # chain of right-most boxes holding min(bottoms), ..., min(tops) (of two
+    # in one column, the later in the pair), largest first; the new left
+    # block is every other box, largest first.
+    pair = left + right
+    rightmost = {}
+    for b in pair:
+        if b.entry not in rightmost or b.col >= rightmost[b.entry].col:
+            rightmost[b.entry] = b
+    low = min(left[-1].entry, right[-1].entry)
+    high = min(left[0].entry, right[0].entry)
+    chain = [rightmost[v] for v in range(high, low - 1, -2)]
+    rest = sorted((b for b in pair if b not in chain), key=lambda b: -b.entry)
+    return rest, chain
+
+
+def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
+    stacks = wholly_disjoint = 0
+    for stack, below in _disjoint_pair_stacks():
+        for i in below:
+            blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
+            left, right = blocks[i], blocks[i + 1]
+            rest, chain = _written_out_repartition(left, right)
+            assert _rewrite_pair(blocks, i) is False, (stack.blocks, i)
+            assert blocks[i] == left == rest and blocks[i + 1] == right == chain
+            assert [[b.freeze() for b in blk] for blk in blocks] == list(map(list, stack.blocks))
+        if len(below) == len(stack.blocks) - 1:
+            out = trapa_normalize(stack)
+            assert not out.is_zero and out.stack.blocks == stack.blocks, stack.blocks
+            wholly_disjoint += 1
+        stacks += 1
+    assert (stacks, wholly_disjoint) == (42149, 3297)
 
 
 # Packets whose members need many bump steps, at N = 8 and 9.

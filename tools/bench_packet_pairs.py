@@ -10,6 +10,8 @@ sides do the same work:
 - `packets-large` (the default): for each seed (1 and 5), the fixed prefix
   of the query stream (44 `packet` queries at N = 8, 9) through the
   in-process `cli.main`;
+- `queries-mixed`: the same for the mixed stream's prefix (360 small
+  `classify-psi`, `classify-lambda` and `packet` queries at N = 5..8);
 - `sweep-n4`: one `sweep_verify` pass at the workload's windows.  A sweep
   is exhaustive, so it has a single seed.
 
@@ -17,10 +19,11 @@ Every run is a fresh process; a pair is one run of each side, and the side
 that goes first alternates from pair to pair so that drift in the
 machine's speed falls on both.
 
-Each run records wall time, CPU time, for queries the median and
-90th-percentile query latency, the calls to each `--count` function
-(default `tableaux.as_pair_equal`; the option may be repeated) and the
-time spent inside them, and the SHA-256 of the outputs.  A function is
+Each run records wall time, CPU time, the process's peak resident set
+size in MB (`ru_maxrss`, which also covers start-up and warm-up), for
+queries the median and 90th-percentile query latency, the calls to each
+`--count` function (default `tableaux.as_pair_equal`; the option may be
+repeated) and the time spent inside them, and the SHA-256 of the outputs.  A function is
 counted by a wrapper bound in place of that name in every module of the
 run's own package; its clock calls are part of the wall time of both
 sides.  The summary goes to `--out` (default `BENCH_packet_pairs.json` at
@@ -142,7 +145,9 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
                "latency_p90_ms": 1000 * percentile(latencies, 90), "queries": len(stream)}
     for label, (calls, inside) in counters.items():
         out.update({f"{label}_calls": calls, f"{label}_s": inside})
-    return {"wall_s": wall, "cpu_s": cpu, **out, "output_sha256": digest.hexdigest()}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak_rss_mb, **out,
+            "output_sha256": digest.hexdigest()}
 
 
 def spawn(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
@@ -206,8 +211,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--before", type=Path)
     ap.add_argument("--after", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=("packets-large", "sweep-n4"),
-                    help="packets-large (default) or sweep-n4; may be given twice")
+    ap.add_argument("--workload", action="append",
+                    choices=("packets-large", "queries-mixed", "sweep-n4"),
+                    help="packets-large (default), queries-mixed or sweep-n4; "
+                         "may be repeated")
     ap.add_argument("--count", action="append", metavar="MODULE.FUNC",
                     help="function whose calls and inside time are recorded "
                          "(default tableaux.as_pair_equal); may be repeated")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge, gt
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InternalInconsistencyError
 from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
@@ -74,10 +74,6 @@ class ThetaData:
             return None
         return j
 
-    def to_json(self) -> dict:
-        return {"p": self.sig.p, "q": self.sig.q,
-                "blocks": [list(b) for b in self.blocks]}
-
 
 @dataclass(frozen=True)
 class InductionDescriptor:
@@ -125,42 +121,26 @@ def _segment_starts(n: int, sizes: Sequence[int], values: Sequence[int]) -> list
     return starts
 
 
-class RangeClass(NamedTuple):
-    weakly_fair: bool
-    mediocre: bool
+def range_class(desc: InductionDescriptor) -> bool:
+    """Is the datum in the mediocre range?
 
-
-def range_class(desc: InductionDescriptor) -> RangeClass:
-    """Weakly fair and mediocre range membership.
-
-    Weakly fair: the segment means weakly decrease, equivalently
-    2(value_i - value_{i+1}) >= -(a_i + a_{i+1}) for adjacent blocks.
     Mediocre: no earlier segment sits strictly componentwise below a later
     one, equivalently value_i - value_j >= -max(a_i, a_j) - (sizes between)
     for all i < j.  Both routes are computed and must agree.
 
-    The class reads only N, the block sizes and the values, not how each
+    The answer reads only N, the block sizes and the values, not how each
     block splits into plus and minus parts.  Every member of a packet
-    shares those three, so the last 256 classes are kept per process and a
-    packet computes its class once, for its first member.
+    shares those three, so the last 256 answers are kept per process and a
+    packet computes its answer once, for its first member.
     """
     return _range_class(desc.d.sig.N, tuple(desc.d.sizes()), desc.values)
 
 
 @lru_cache(maxsize=256)
-def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> RangeClass:
+def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> bool:
     r = len(sizes)
     starts = _segment_starts(n, sizes, values)
     ends = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
-
-    wf_means = all(starts[i] + ends[i] >= starts[i + 1] + ends[i + 1] for i in range(r - 1))
-    wf_values = all(
-        2 * (values[i] - values[i + 1]) >= -(sizes[i] + sizes[i + 1])
-        for i in range(r - 1))
-    if wf_means != wf_values:
-        raise InternalInconsistencyError(
-            f"weakly-fair tests disagree on sizes {sizes}, values {values} at N = {n}")
-
     med_segs = True
     med_values = True
     for i in range(r):
@@ -174,7 +154,7 @@ def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> Ran
     if med_segs != med_values:
         raise InternalInconsistencyError(
             f"mediocre tests disagree on sizes {sizes}, values {values} at N = {n}")
-    return RangeClass(weakly_fair=wf_means, mediocre=med_segs)
+    return med_segs
 
 
 def two_rho_u_cap_p(d: ThetaData) -> list[int]:
@@ -274,7 +254,7 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     only on what a whole packet shares (N, sizes, values), so within one
     packet(psi) it is computed once, for the first member.  The stack and
     its rewriting depend on the member's own signs and run for each."""
-    if not range_class(desc).mediocre:
+    if not range_class(desc):
         raise ValueError("datum is outside the mediocre range")
     stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
     return trapa_normalize(stack)
@@ -417,7 +397,7 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
         out = _descriptor_from_segments(desc.d.sig, blocks, new_segs)
     except ValueError as exc:
         raise ValueError(f"rewrite unavailable: {exc}") from exc
-    if not range_class(out).mediocre:
+    if not range_class(out):
         raise ValueError("rewrite unavailable: outside mediocre range")
     return out
 
@@ -459,7 +439,7 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
     else:
         raise ValueError("side must be 'next' or 'prev'")
     out = _descriptor_from_segments(desc.d.sig, new_blocks, new_segs)
-    if not range_class(out).mediocre:
+    if not range_class(out):
         raise ValueError("rewrite unavailable: outside mediocre range")
     return out
 

@@ -29,9 +29,9 @@ from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
                      segments_of, holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
-from .packets import (AParameter, PacketMember, _holomorphic_candidate,
-                      contains_lowest_weight, d_zero, good_parameters_with_inf_char,
-                      inf_char, lowest_weight_of_packet, member, packet)
+from .packets import (AParameter, _holomorphic_candidate, contains_lowest_weight,
+                      d_zero, good_parameters_with_inf_char, inf_char,
+                      lowest_weight_of_packet, member, packet)
 from .tableaux import as_pair_equal, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -159,13 +159,23 @@ def _unitarizable_splits(sig: GroupSignature, chi: HalfIntMultiset) -> Iterator[
 def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     """All unitarizable dominant weights whose lowest weight module lies in
     the packet, found by brute force over the splittings of the character:
-    the holomorphic member's invariant pair is compared with the pair of
-    each split's lowest weight module."""
-    pair = member(psi, d_zero(psi)).invariants
-    if pair is None:  # the holomorphic member vanishes
-        return []
-    return [w for w in _unitarizable_splits(psi.sig, inf_char(psi))
-            if as_pair_equal(pair, lowest_weight_invariants(w))]
+    the pair of each split's lowest weight module is looked up among the
+    pairs of the packet's nonzero members.
+
+    packet() checks multiplicity one, so a split matches at most one member
+    and two hits mean two lowest weight members."""
+    chi = inf_char(psi)
+    pairs = {m.invariants for m in packet(psi) if m.nonzero}
+    hits = []
+    for w in _unitarizable_splits(psi.sig, chi):
+        pair = lowest_weight_invariants(w)
+        if pair[1].sig != psi.sig or pair[0].entry_multiset() != chi:
+            raise InternalInconsistencyError(
+                f"invariants of {w.lam} do not have the signature and "
+                f"infinitesimal character of {psi}")
+        if pair in pairs:
+            hits.append(w)
+    return hits
 
 
 def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
@@ -275,14 +285,19 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport) -> 
                      "psi": psi.to_json(), "lambda": list(w.lam)})
 
 
-def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport) -> None:
+def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
     report.bump("packets")
     try:
         claimed = lowest_weight_of_packet(psi)
-        oracle_hits = oracle_lowest_weights(psi)
     except InternalInconsistencyError as exc:
         report.property_failures.append(
             {"kind": "extraction-error", "psi": psi.to_json(), "error": str(exc)})
+        return
+    try:
+        oracle_hits = oracle_lowest_weights(psi)
+    except InternalInconsistencyError as exc:
+        report.property_failures.append(
+            {"kind": "multiplicity-one", "psi": psi.to_json(), "error": str(exc)})
         return
     if len(oracle_hits) > 1:
         report.property_failures.append(
@@ -308,39 +323,16 @@ def _check_psi_side(sig: GroupSignature, psi: AParameter, report: SweepReport) -
                 {"kind": "round-trip-membership", "psi": psi.to_json(),
                  "lambda": list(claimed.lam)})
 
-    # Packet-level uniqueness: at most one nonzero member can carry the
-    # invariants of any lowest weight module, and it must be the
-    # holomorphic candidate.
-    try:
-        members = packet(psi)
-    except InternalInconsistencyError as exc:
-        report.property_failures.append(
-            {"kind": "multiplicity-one", "psi": psi.to_json(), "error": str(exc)})
+    if not oracle_hits:
         return
+    # The lowest weight member must be the holomorphic candidate.
     d0 = d_zero(psi)
-    chi = inf_char(psi)
-    # packet() has checked every live pair against psi and found no repeat,
-    # so a split pair matches at most one member: one lookup per split.
-    by_pair = {m.invariants: m for m in members if m.nonzero}
-    candidates: list[tuple[PacketMember, KWeight]] = []
-    for w in _unitarizable_splits(sig, chi):
-        pair = lowest_weight_invariants(w)
-        if pair[1].sig != sig or pair[0].entry_multiset() != chi:
-            raise InternalInconsistencyError(
-                f"invariants of {w.lam} do not have the signature and "
-                f"infinitesimal character of {psi}")
-        m = by_pair.get(pair)
-        if m is not None:
-            candidates.append((m, w))
-    if len(candidates) > 1:
-        report.property_failures.append(
-            {"kind": "packet-member-uniqueness", "psi": psi.to_json(),
-             "members": [list(map(list, m.d.blocks)) for m, _ in candidates]})
-    for m, w in candidates:
-        if m.d.blocks != d0.blocks:
+    held = member(psi, d0).invariants
+    for w in oracle_hits:
+        if lowest_weight_invariants(w) != held:
             report.property_failures.append(
                 {"kind": "lowest-weight-member-not-holomorphic",
-                 "psi": psi.to_json(), "member": [list(b) for b in m.d.blocks]})
+                 "psi": psi.to_json(), "lambda": list(w.lam)})
         if not d0.is_holomorphic():
             report.property_failures.append(
                 {"kind": "holomorphic-candidate", "psi": psi.to_json()})
@@ -359,7 +351,7 @@ def two_block_data(max_N: int) -> list[InductionDescriptor]:
                     d = ThetaData(sig, ((p1, a1 - p1), (p2, a2 - p2)))
                     for v1 in range(-4, 4):
                         desc = InductionDescriptor(d, (v1, 0))
-                        if range_class(desc).mediocre:
+                        if range_class(desc):
                             out.append(desc)
     return out
 
@@ -410,7 +402,7 @@ def sweep_signature(sig: GroupSignature, cfg: SweepConfig) -> SweepReport:
         report.bump("weights")
         _check_lambda_side(sig, w, report)
     for psi in good_parameters_in_window(sig, cfg.char_window):
-        _check_psi_side(sig, psi, report)
+        _check_psi_side(psi, report)
     return report
 
 

@@ -67,10 +67,6 @@ class SignedTableau:
                              f"({self.sig.p},{self.sig.q})")
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(length for length, _ in self.rows)
-
-    @property
     def n_columns(self) -> int:
         return self.rows[0][0] if self.rows else 0
 

@@ -77,7 +77,7 @@ def test_criterion_2_lowest_weight_extraction(report):
 
 
 def test_criterion_3_uniqueness(report):
-    bad = _failures(report, {"packet-member-uniqueness", "multiplicity-one",
+    bad = _failures(report, {"packet-uniqueness", "multiplicity-one",
                              "lowest-weight-member-not-holomorphic",
                              "holomorphic-candidate"})
     _verdict("criterion 3 (at most one lowest weight member, at d0)", bad,
@@ -157,3 +157,9 @@ def test_criterion_8_holomorphic_candidate_properties(report):
     bad = _failures(report, {"holomorphic-candidate-property"})
     _verdict("criterion 8 (structural properties of the holomorphic candidate)",
              bad, "items 1-8 on every packet containing a lowest weight module")
+
+
+def test_report_is_ok(report):
+    # A failure of a kind that no criterion above lists fails here.
+    _verdict("whole report ok", report.mismatches + report.property_failures,
+             f"{report.instances_checked} instances checked")

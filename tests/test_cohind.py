@@ -62,17 +62,16 @@ def test_segments_sizes_and_union():
 
 
 def test_range_class_examples():
-    assert range_class(desc(1, 1, [(1, 1)], [0])) == (True, True)
-    assert range_class(desc(1, 1, [(1, 0), (0, 1)], [0, 0])) == (True, True)
-    # Segments ({-1/2}, {1/2}): means increase and the first segment sits
-    # strictly below the second, so neither range contains it.
-    assert range_class(desc(1, 1, [(0, 1), (1, 0)], [-1, 1])) == (False, False)
-    # Equal segments are weakly fair.
-    assert range_class(desc(1, 1, [(1, 0), (0, 1)], [0, 1])).weakly_fair
-    # Mediocre but not weakly fair: contained with a later higher mean.
-    dd = desc(2, 1, [(1, 1), (1, 0)], [0, 2])
-    rc = range_class(dd)
-    assert rc.mediocre and not rc.weakly_fair
+    assert range_class(desc(1, 1, [(1, 1)], [0]))
+    assert range_class(desc(1, 1, [(1, 0), (0, 1)], [0, 0]))
+    # Segments ({-1/2}, {1/2}): the first segment sits strictly below the
+    # second, so the datum is not mediocre.
+    assert not range_class(desc(1, 1, [(0, 1), (1, 0)], [-1, 1]))
+    # Equal segments are mediocre.
+    assert range_class(desc(1, 1, [(1, 0), (0, 1)], [0, 1]))
+    # Mediocre although a later segment has a higher mean: it is contained
+    # in the earlier one, not strictly above it.
+    assert range_class(desc(2, 1, [(1, 1), (1, 0)], [0, 2]))
 
 
 def test_a_held_range_class_still_refuses_on_every_call():
@@ -81,7 +80,7 @@ def test_a_held_range_class_still_refuses_on_every_call():
     for blocks in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
         outside = desc(1, 1, blocks, [-1, 1])
         for _ in range(2):
-            assert range_class(outside) == (False, False)
+            assert not range_class(outside)
             with pytest.raises(ValueError, match="mediocre"):
                 tableau_pair(outside)
 
@@ -211,7 +210,7 @@ def test_normalize_blocks_refuses_non_segment_piece():
     # nu_{<j} = {5/2, 1/2} meets the pivot segment in a non-consecutive
     # set, which cannot serve as a block segment.
     dd = desc(4, 2, [(1, 0), (1, 0), (2, 2)], [0, -1, 2])
-    assert range_class(dd).mediocre
+    assert range_class(dd)
     with pytest.raises(ValueError):
         normalize_blocks(dd)
 

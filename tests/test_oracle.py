@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
+
 from upq_packets import oracle
 from upq_packets.halfint import HalfInt
-from upq_packets.oracle import (SweepConfig, dominant_weights,
+from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weights,
                                 good_parameters_in_window,
                                 oracle_lowest_weights, sweep_signature,
                                 sweep_verify, two_block_data)
-from upq_packets.packets import inf_char
+from upq_packets.packets import AParameter, d_zero, inf_char, packet
 from upq_packets.weights import GroupSignature
 
 
@@ -34,10 +37,45 @@ def test_oracle_lowest_weights_uniqueness():
         assert len(hits) <= 1
 
 
+PINNED_COUNTS = {"membership-pairs": 1294, "packets": 681, "two-block": 258, "weights": 411}
+PINNED_SHA256 = "6b67448339eb5503d7ea7037736f0eaf5328940cbf54ed8b9b12b3b2550b471a"
+
+
+def test_sweep_report_is_pinned():
+    # The serial sweep at N <= 4, weight window 2 and character window 2:
+    # any change to the report's bytes shows here.
+    rep = sweep_verify(SweepConfig(4, 2, HalfInt.whole(2)))
+    assert rep.instances_checked == 2644
+    assert rep.counts == PINNED_COUNTS
+    assert hashlib.sha256(rep.dumps().encode()).hexdigest() == PINNED_SHA256
+
+
+def test_a_lowest_weight_member_off_d0_is_found_and_reported(monkeypatch):
+    # Swap the pairs of the two members of the U(1,1) discrete series
+    # packet, so that the lowest weight module sits at the member that is
+    # not d0: the oracle must still find it, and the sweep must say where.
+    psi = AParameter.from_summands(GroupSignature(1, 1), [(1, 1), (-1, 1)])
+    hits = oracle_lowest_weights(psi)
+    first, second = packet(psi)
+    assert first.d == d_zero(psi) and first.nonzero and second.nonzero and hits
+    swapped = [dataclasses.replace(first, invariants=second.invariants),
+               dataclasses.replace(second, invariants=first.invariants)]
+    monkeypatch.setattr(oracle, "packet", lambda p: swapped)
+    monkeypatch.setattr(oracle, "member",
+                        lambda p, d: next(m for m in swapped if m.d == d))
+    assert oracle_lowest_weights(psi) == hits
+    report = SweepReport(config={})
+    oracle._check_psi_side(psi, report)
+    assert report.mismatches == []
+    assert report.property_failures == [
+        {"kind": "lowest-weight-member-not-holomorphic", "psi": psi.to_json(),
+         "lambda": list(hits[0].lam)}]
+
+
 def test_two_block_data_all_mediocre():
     from upq_packets.cohind import range_class
     data = two_block_data(4)
-    assert all(range_class(d).mediocre for d in data)
+    assert all(range_class(d) for d in data)
     assert len(data) > 200
 
 

@@ -187,7 +187,7 @@ def _two_block_descriptors(max_n, span=8):
 def test_two_block_nonvanishing_criterion():
     checked = 0
     for dd in _two_block_descriptors(5):
-        if not range_class(dd).mediocre:
+        if not range_class(dd):
             continue
         (p1, q1), (p2, q2) = dd.d.blocks
         s1, s2 = segments_of(dd)
@@ -203,7 +203,7 @@ def test_two_block_nonvanishing_criterion():
 
 def test_nonzero_outcome_is_valid_antitableau():
     for dd in _two_block_descriptors(4, span=4):
-        if not range_class(dd).mediocre:
+        if not range_class(dd):
             continue
         out = tableau_pair(dd)
         if out.is_zero:

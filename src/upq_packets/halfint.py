@@ -60,9 +60,7 @@ def _json_dumps(obj: object, indent: str = "\n") -> str:
     str, then the three constants, dict and list.  An int leaf inside a
     dict or list is rendered in place, without a recursive call, since
     canonical output is mostly small ints.  Each container joins its
-    rendered children, so no list of all the output's pieces is held.
-    Subclasses of int, str, dict and list (bool excepted) fall through to
-    isinstance tests and render as json.dumps renders them."""
+    rendered children, so no list of all the output's pieces is held."""
     kind = type(obj)
     if kind is int:
         return int.__repr__(obj)
@@ -71,18 +69,14 @@ def _json_dumps(obj: object, indent: str = "\n") -> str:
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     inner = indent + "  "
-    if isinstance(obj, dict):
+    if kind is dict:
         items = [f"{encode_basestring_ascii(k)}: "
                  f"{int.__repr__(v) if type(v) is int else _json_dumps(v, inner)}"
                  for k, v in sorted(obj.items())]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         items = [int.__repr__(v) if type(v) is int else _json_dumps(v, inner) for v in obj]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

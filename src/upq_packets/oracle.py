@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import os
 import signal
-from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -29,9 +28,9 @@ from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
                      segments_of, holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
-from .packets import (AParameter, _holomorphic_candidate, contains_lowest_weight,
-                      d_zero, good_parameters_with_inf_char, inf_char,
-                      lowest_weight_of_packet, member, packet)
+from .packets import (AParameter, contains_lowest_weight, d_zero,
+                      good_parameters_with_inf_char, inf_char,
+                      lowest_weight_of_packet, oracle_contains, packet)
 from .tableaux import as_pair_equal, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -135,22 +134,11 @@ def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[APar
 
 def _unitarizable_splits(sig: GroupSignature, chi: HalfIntMultiset) -> Iterator[KWeight]:
     # Every unitarizable weight whose infinitesimal character is chi: one
-    # candidate per sub-multiset P of chi of size p, with Q the rest.
-    runs = list(Counter(chi.twice).items())
-
-    def sub_multisets(i: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            yield HalfIntMultiset(tuple(acc))
-            return
-        if i == len(runs):
-            return
-        t, mult = runs[i]
-        for k in range(min(mult, remaining), -1, -1):
-            acc.extend([t] * k)
-            yield from sub_multisets(i + 1, remaining - k, acc)
-            del acc[len(acc) - k:]
-
-    for P in sub_multisets(0, sig.p, []):
+    # candidate per sub-multiset P of chi of size p, with Q the rest.  The
+    # combinations of chi's entries, largest first, list each sub-multiset
+    # largest first; repeats are dropped in order.
+    for twice in dict.fromkeys(itertools.combinations(chi.twice, sig.p)):
+        P = HalfIntMultiset(twice)
         w = kweight_from_pq(sig, P, chi.difference(P))
         if w is not None and is_unitarizable(w):
             yield w
@@ -182,7 +170,7 @@ def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
     """The structural facts about the holomorphic candidate d_zero(psi)
     that hold whenever the packet contains the lowest weight module whose
     I-segment is i_seg.  Returns the labels of violated items."""
-    (_, q_j), (lt, mid, gt), _ = _holomorphic_candidate(psi)
+    (_, q_j), (lt, mid, gt), _ = psi._candidate
     lt_cap_gt = lt.intersection(gt)
 
     bad = []
@@ -248,13 +236,12 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport) -> 
                  "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
 
     # Ground truth for each packet with this character: its holomorphic
-    # member's pair equals the pair held above.
+    # member's pair equals w's, which oracle_contains reads from the memo.
     for psi in good_parameters_with_inf_char(sig, chi):
         report.bump("membership-pairs")
         try:
             theorem = contains_lowest_weight(psi, w)
-            held = member(psi, d_zero(psi)).invariants
-            oracle = held is not None and as_pair_equal(held, pair)
+            oracle = oracle_contains(psi, w)
         except InternalInconsistencyError as exc:
             report.property_failures.append(
                 {"kind": "membership-error", "psi": psi.to_json(),
@@ -327,9 +314,8 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
         return
     # The lowest weight member must be the holomorphic candidate.
     d0 = d_zero(psi)
-    held = member(psi, d0).invariants
     for w in oracle_hits:
-        if lowest_weight_invariants(w) != held:
+        if not oracle_contains(psi, w):
             report.property_failures.append(
                 {"kind": "lowest-weight-member-not-holomorphic",
                  "psi": psi.to_json(), "lambda": list(w.lam)})

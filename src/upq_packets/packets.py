@@ -16,7 +16,7 @@ independent ground truth for both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
@@ -31,7 +31,8 @@ from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
 
 @dataclass(frozen=True)
 class AParameter:
-    """A good A-parameter, canonically ordered."""
+    """A good A-parameter, canonically ordered.  What it determines is
+    derived on first use and kept on it, outside the fields."""
 
     sig: GroupSignature
     summands: tuple[tuple[int, int], ...]
@@ -73,6 +74,73 @@ class AParameter:
         t, a = self.summands[i]
         return Segment(t - a + 1, a)
 
+    @cached_property
+    def _chi(self) -> HalfIntMultiset:
+        # inf_char(self).
+        return _segment_union(self.segment(i) for i in range(self.r))
+
+    @cached_property
+    def _values(self) -> tuple[int, ...]:
+        """The block values (t_i + a_i - N)/2 + a_{<i} that every member
+        shares, checked to give psi's segments back."""
+        values = []
+        before = 0
+        n = self.sig.N
+        for t, a in self.summands:
+            values.append((t + a - n) // 2 + before)
+            before += a
+        # A member's sizes are psi's, so its segments agree when their starts do.
+        for i, (start, (t, a)) in enumerate(zip(_segment_starts(n, self.sizes(), values),
+                                                self.summands)):
+            if start != t - a + 1:
+                raise InternalInconsistencyError(
+                    f"segment {Segment(start, a)} of the block values differs from "
+                    f"nu_{i + 1} = {self.segment(i)}")
+        return tuple(values)
+
+    @cached_property
+    def _d0(self) -> ThetaData:
+        # d_zero(self).
+        sizes = self.sizes()
+        p, q = self.sig.p, self.sig.q
+        before = 0
+        for idx, a in enumerate(sizes):
+            if before + a >= p:
+                after = sum(sizes[idx + 1:])
+                blocks = [(x, 0) for x in sizes[:idx]]
+                blocks.append((p - before, q - after))
+                blocks += [(0, x) for x in sizes[idx + 1:]]
+                return ThetaData(self.sig, tuple(blocks))
+            before += a
+        raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
+
+    @cached_property
+    def _candidate(self) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
+        """The straddling block (p_j, q_j) of d_0, the split
+        (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is
+        nonzero.  j is d_0.pivot() + 1.
+
+        The member is nonzero exactly when nu_{<j} and nu_{>j} are multiplicity
+        free, |nu_j /\\ nu_{>j}| <= p_j, |nu_j /\\ nu_{<j}| <= q_j, and no value
+        is common to all three parts.  The last condition is forced by the
+        complete invariants: a holomorphic datum builds a signed tableau with
+        at most two columns, and its antitableau twin cannot hold any entry
+        three times; a value in all three parts has multiplicity three.  When
+        the character matches a lowest weight module (multiplicity at most
+        two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
+        p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
+        from nu_1", so the member is nonzero exactly when the infinitesimal
+        character is multiplicity free."""
+        d0 = self._d0
+        j = d0.pivot()
+        lt, mid, gt = parts = _split_at([self.segment(i) for i in range(self.r)], j)
+        p_j, q_j = block = d0.blocks[j]
+        nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
+                   and mid.intersection(lt).intersection(gt).is_empty
+                   and mid.intersection(gt).size <= p_j
+                   and mid.intersection(lt).size <= q_j)
+        return block, parts, nonzero
+
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q,
                 "summands": [{"t": t, "a": a} for t, a in self.summands]}
@@ -89,7 +157,7 @@ class AParameter:
 
 def inf_char(psi: AParameter) -> HalfIntMultiset:
     """The infinitesimal character: the union of the summand segments."""
-    return _segment_union(psi.segment(i) for i in range(psi.r))
+    return psi._chi
 
 
 def enumerate_D(psi: AParameter) -> list[ThetaData]:
@@ -125,18 +193,7 @@ def d_zero(psi: AParameter) -> ThetaData:
     (p - a_{<j}, q - a_{>j}) and everything after is pure minus.  For p = 0
     this is j = 1 and the datum is all minus.  d_0 fixes j: it is
     d_0.pivot() + 1."""
-    sizes = psi.sizes()
-    p, q = psi.sig.p, psi.sig.q
-    before = 0
-    for idx, a in enumerate(sizes):
-        if before + a >= p:
-            after = sum(sizes[idx + 1:])
-            blocks = [(x, 0) for x in sizes[:idx]]
-            blocks.append((p - before, q - after))
-            blocks += [(0, x) for x in sizes[idx + 1:]]
-            return ThetaData(psi.sig, tuple(blocks))
-        before += a
-    raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
+    return psi._d0
 
 
 def epsilon(psi: AParameter, d: ThetaData) -> tuple[int, ...]:
@@ -169,28 +226,9 @@ class PacketMember:
         return obj
 
 
-def _block_values(psi: AParameter) -> tuple[int, ...]:
-    """The block values (t_i + a_i - N)/2 + a_{<i} that every member of psi
-    shares, checked to give psi's segments back."""
-    values = []
-    before = 0
-    n = psi.sig.N
-    for t, a in psi.summands:
-        values.append((t + a - n) // 2 + before)
-        before += a
-    # A member's sizes are psi's, so its segments agree when their starts do.
-    for i, (start, (t, a)) in enumerate(zip(_segment_starts(n, psi.sizes(), values),
-                                            psi.summands)):
-        if start != t - a + 1:
-            raise InternalInconsistencyError(
-                f"segment {Segment(start, a)} of the block values differs from "
-                f"nu_{i + 1} = {psi.segment(i)}")
-    return tuple(values)
-
-
-def _member(psi: AParameter, d: ThetaData, values: tuple[int, ...]) -> PacketMember:
-    # The member for d in D(psi), given psi's _block_values.
-    desc = InductionDescriptor(d, values)
+def _member(psi: AParameter, d: ThetaData) -> PacketMember:
+    # The member for d in D(psi).
+    desc = InductionDescriptor(d, psi._values)
     out = tableau_pair(desc)
     invariants = None if out.is_zero else (out.ann, out.as_tab)
     return PacketMember(d, desc, epsilon(psi, d), not out.is_zero, invariants)
@@ -200,7 +238,7 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
     """The packet member attached to d, with its tableau invariants."""
     if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
         raise ValueError(f"{d.blocks} does not belong to D({psi})")
-    return _member(psi, d, _block_values(psi))
+    return _member(psi, d)
 
 
 def packet(psi: AParameter) -> list[PacketMember]:
@@ -216,13 +254,12 @@ def packet(psi: AParameter) -> list[PacketMember]:
     live - 1 comparisons.  The sort is stable, so a clash names its two
     members in enumerate_D order.
 
-    What every member shares is derived once per packet: the block values
-    and their check against psi's segments here, and the mediocre test
-    through range_class's memo."""
-    values = _block_values(psi)
-    members = [_member(psi, d, values) for d in enumerate_D(psi)]
+    What every member shares is derived once: the block values and their
+    check against psi's segments are kept on psi, and the mediocre test
+    runs once through range_class's memo."""
+    members = [_member(psi, d) for d in enumerate_D(psi)]
     live = [m for m in members if m.nonzero]
-    chi = inf_char(psi)
+    chi = psi._chi
     for m in live:
         ann, as_tab = m.invariants
         if as_tab.sig != psi.sig or ann.entry_multiset() != chi:
@@ -235,35 +272,6 @@ def packet(psi: AParameter) -> list[PacketMember]:
             raise InternalInconsistencyError(
                 f"members {a.d.blocks} and {b.d.blocks} of {psi} share an invariant pair")
     return members
-
-
-@lru_cache(maxsize=256)  # holds every repeat of verify at N <= 4 (windows 2/2) and N <= 6 (1/1)
-def _holomorphic_candidate(psi: AParameter
-                           ) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
-    """The straddling block (p_j, q_j) of d_0(psi), the split
-    (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is nonzero,
-    derived once for each caller.  j is d_0.pivot() + 1.
-
-    The member is nonzero exactly when nu_{<j} and nu_{>j} are multiplicity
-    free, |nu_j /\\ nu_{>j}| <= p_j, |nu_j /\\ nu_{<j}| <= q_j, and no value
-    is common to all three parts.  The last condition is forced by the
-    complete invariants: a holomorphic datum builds a signed tableau with
-    at most two columns, and its antitableau twin cannot hold any entry
-    three times; a value in all three parts has multiplicity three.  When
-    the character matches a lowest weight module (multiplicity at most
-    two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
-    p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
-    from nu_1", so the member is nonzero exactly when the infinitesimal
-    character is multiplicity free."""
-    d0 = d_zero(psi)
-    j = d0.pivot()
-    lt, mid, gt = parts = _split_at([psi.segment(i) for i in range(psi.r)], j)
-    p_j, q_j = block = d0.blocks[j]
-    nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
-               and mid.intersection(lt).intersection(gt).is_empty
-               and mid.intersection(gt).size <= p_j
-               and mid.intersection(lt).size <= q_j)
-    return block, parts, nonzero
 
 
 def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
@@ -288,10 +296,9 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
         raise ValueError(f"{w.lam} is not unitarizable")
     if psi.sig != w.sig:
         raise ValueError(f"{psi} and {w.lam} belong to different signatures")
-    chi = inf_char(psi)
-    if chi != inf_char_of_lowest_weight(w):
+    if psi._chi != inf_char_of_lowest_weight(w):
         return False
-    _, (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
+    _, (lt, mid, gt), nonzero = psi._candidate
     if not nonzero:
         return False
     sig = w.sig
@@ -324,9 +331,9 @@ def oracle_contains(psi: AParameter, w: KWeight) -> bool:
     an immediate False."""
     if not is_unitarizable(w):
         raise ValueError(f"{w.lam} is not unitarizable")
-    if inf_char(psi) != inf_char_of_lowest_weight(w):
+    if psi._chi != inf_char_of_lowest_weight(w):
         return False
-    pair = member(psi, d_zero(psi)).invariants
+    pair = member(psi, psi._d0).invariants
     return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
 
 
@@ -379,7 +386,7 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     bounds are attained, or by the explicit coordinate formula in the
     interior case.
     """
-    (p_j, q_j), (lt, mid, gt), nonzero = _holomorphic_candidate(psi)
+    (p_j, q_j), (lt, mid, gt), nonzero = psi._candidate
     if not nonzero:
         return None
     cap_gt = mid.intersection(gt)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .halfint import HalfIntMultiset, _json_int
 
@@ -36,7 +37,8 @@ class GroupSignature:
 
 @dataclass(frozen=True)
 class KWeight:
-    """A Delta_c^+-dominant integral weight of K = U(p) x U(q)."""
+    """A Delta_c^+-dominant integral weight of K = U(p) x U(q).  Its
+    character and WeightStats are kept on it from first use, outside the fields."""
 
     sig: GroupSignature
     lam: tuple[int, ...]
@@ -59,6 +61,21 @@ class KWeight:
         if p == 0 or q == 0:
             raise ValueError("gap undefined when p = 0 or q = 0")
         return self.lam[p - 1] - self.lam[p]
+
+    @cached_property
+    def _chi(self) -> HalfIntMultiset:
+        # inf_char_of_lowest_weight(self).
+        return HalfIntMultiset.from_values(_p_entries(self) + _q_entries(self))
+
+    @cached_property
+    def _stats(self) -> WeightStats:
+        # weight_stats(self).
+        p_prime, q_prime = _primes(self)
+        P = HalfIntMultiset(tuple(_p_entries(self)))
+        Q = HalfIntMultiset(tuple(_q_entries(self)))
+        P_seg = HalfIntMultiset(P.twice[P.size - p_prime:])
+        Q_seg = HalfIntMultiset(Q.twice[:q_prime])
+        return WeightStats(p_prime, q_prime, P, Q, P_seg, Q_seg, P_seg.intersection(Q_seg))
 
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q, "lambda": list(self.lam)}
@@ -108,12 +125,7 @@ def weight_stats(w: KWeight) -> WeightStats:
     P' holds the entries of the p' indices with lambda_i = lambda_p, the
     smallest of P; Q' those of the q' indices with lambda_i = lambda_{p+1},
     the largest of Q."""
-    p_prime, q_prime = _primes(w)
-    P = HalfIntMultiset(tuple(_p_entries(w)))
-    Q = HalfIntMultiset(tuple(_q_entries(w)))
-    P_seg = HalfIntMultiset(P.twice[P.size - p_prime:])
-    Q_seg = HalfIntMultiset(Q.twice[:q_prime])
-    return WeightStats(p_prime, q_prime, P, Q, P_seg, Q_seg, P_seg.intersection(Q_seg))
+    return w._stats
 
 
 def inf_char_of_lowest_weight(w: KWeight) -> HalfIntMultiset:
@@ -123,7 +135,7 @@ def inf_char_of_lowest_weight(w: KWeight) -> HalfIntMultiset:
     p-side and lambda_{p+1} + (N-1)/2, ..., lambda_N + (p-q+1)/2 on the
     q-side; as a multiset this is P || Q.
     """
-    return HalfIntMultiset.from_values(_p_entries(w) + _q_entries(w))
+    return w._chi
 
 
 class UnitarityClass(enum.Enum):

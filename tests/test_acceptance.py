@@ -7,6 +7,7 @@ backs the theorem-equivalence, uniqueness, and structural criteria.  Each
 criterion prints one PASS/FAIL line; all comparisons are exact.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -59,6 +60,16 @@ def _swept_weights():
             for w in dominant_weights(sig, WEIGHT_WINDOW):
                 if is_unitarizable(w):
                     yield w
+
+
+def test_report_is_pinned(report):
+    # The sweep's report, byte for byte: any change to its counts, its
+    # mismatch lists or their order shows here.
+    assert report.instances_checked == 112652
+    assert report.counts == {"membership-pairs": 36564, "packets": 69719,
+                             "two-block": 1130, "weights": 5239}
+    assert (hashlib.sha256(report.dumps().encode()).hexdigest()
+            == "91be772d9b1e830296f3a26b3e8c01df4b68bff21ecbb279d287138eb0a29987")
 
 
 def test_criterion_1_membership_equivalence(report):

@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
+import itertools
+from collections import Counter
 
-from upq_packets import oracle
-from upq_packets.halfint import HalfInt
+from upq_packets import oracle, packets
+from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weights,
                                 good_parameters_in_window,
                                 oracle_lowest_weights, sweep_signature,
                                 sweep_verify, two_block_data)
 from upq_packets.packets import AParameter, d_zero, inf_char, packet
-from upq_packets.weights import GroupSignature
+from upq_packets.weights import GroupSignature, is_unitarizable, kweight_from_pq
 
 
 def test_dominant_weights_enumeration():
@@ -61,7 +63,7 @@ def test_a_lowest_weight_member_off_d0_is_found_and_reported(monkeypatch):
     swapped = [dataclasses.replace(first, invariants=second.invariants),
                dataclasses.replace(second, invariants=first.invariants)]
     monkeypatch.setattr(oracle, "packet", lambda p: swapped)
-    monkeypatch.setattr(oracle, "member",
+    monkeypatch.setattr(packets, "member",
                         lambda p, d: next(m for m in swapped if m.d == d))
     assert oracle_lowest_weights(psi) == hits
     report = SweepReport(config={})
@@ -70,6 +72,29 @@ def test_a_lowest_weight_member_off_d0_is_found_and_reported(monkeypatch):
     assert report.property_failures == [
         {"kind": "lowest-weight-member-not-holomorphic", "psi": psi.to_json(),
          "lambda": list(hits[0].lam)}]
+
+
+def test_unitarizable_splits_follow_the_multiplicities_in_order():
+    # An independent enumeration of the sub-multisets P of chi of size p:
+    # how many of each value go to P, for the values largest first, each
+    # count running from its largest down to 0.
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            chis = dict.fromkeys(inf_char(psi) for psi in
+                                 good_parameters_in_window(sig, HalfInt.whole(2)))
+            for chi in chis:
+                runs = list(Counter(chi.twice).items())
+                expected = []
+                for counts in itertools.product(*[range(m, -1, -1) for _, m in runs]):
+                    if sum(counts) != p:
+                        continue
+                    P = HalfIntMultiset(tuple(t for (t, _), k in zip(runs, counts)
+                                              for _ in range(k)))
+                    w = kweight_from_pq(sig, P, chi.difference(P))
+                    if w is not None and is_unitarizable(w):
+                        expected.append(w)
+                assert list(oracle._unitarizable_splits(sig, chi)) == expected, chi
 
 
 def test_two_block_data_all_mediocre():

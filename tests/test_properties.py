@@ -236,7 +236,23 @@ def test_json_writer_matches_the_standard_encoder(tree):
         assert _json_dumps([tree, empty]) == json.dumps([tree, empty], sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, {"a": [0.0]}, [float("nan")], {1, 2}])
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# Canonical output is built from plain dicts, lists, ints and strings; a
+# tuple or a subclass is refused, not rendered as json.dumps would.
+@pytest.mark.parametrize("bad", [1.5, 1.0, {"a": [0.0]}, [float("nan")], {1, 2},
+                                 (1, 2), [(0,)], _Int(3), {"a": _Int(3)}, _Str("a"),
+                                 [_Str("a")], _Dict(a=1), [_Dict()]])
 def test_json_writer_refuses_what_json_does_not_hold(bad):
     with pytest.raises(TypeError):
         _json_dumps(bad)

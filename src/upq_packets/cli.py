@@ -13,16 +13,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable
 
-from .cohind import InductionDescriptor, ThetaData, tableau_pair
+from .cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, _json_dumps
 from .oracle import SweepConfig, sweep_verify
-from .packets import (AParameter, d_zero, inf_char, lowest_weight_of_packet,
-                      member, packet, packets_containing)
-from .tableaux import AntiTableau, SignedTableau
+from .packets import (AParameter, PacketMember, d_zero, inf_char,
+                      lowest_weight_of_packet, member, packet, packets_containing)
+from .tableaux import MINUS, PLUS, AntiTableau, SignedTableau
 from .weights import GroupSignature, KWeight, is_unitarizable
 
 
@@ -51,9 +52,78 @@ def render_pair_ascii(ann: AntiTableau, as_tab: SignedTableau) -> str:
     return "\n".join(lines)
 
 
-def _dump(mode: str, as_json: Callable[[], dict], as_ascii: Callable[[], str]) -> None:
-    """Print the rendering that --output asks for; only that one is built."""
-    print(as_ascii() if mode == "ascii" else _json_dumps(as_json()))
+def _dump(mode: str, as_json: Callable[[], str], as_ascii: Callable[[], str]) -> str:
+    """The rendering that --output asks for; only that one is built."""
+    return as_ascii() if mode == "ascii" else as_json()
+
+
+# A string leaf that no output holds; _cut splits a rendered tree at it.
+_HOLE = "\0"
+_HOLE_JSON = json.dumps(_HOLE)
+
+
+def _cut(tree: object, indent: str) -> list[str]:
+    """`_json_dumps(tree, indent)` cut at each `_HOLE` leaf: the fixed text
+    between the values that vary."""
+    return _json_dumps(tree, indent).split(_HOLE_JSON)
+
+
+@functools.cache
+def _shapes(indent: str) -> tuple[list[str], list[str], dict[int, list[str]]]:
+    """The fixed text of a block's [p_i, q_i], of an `ann` column and of an
+    `as` row by its first sign, as list items whose own line has this
+    indent."""
+    return (_cut([_HOLE, _HOLE], indent), _cut([{"twice": _HOLE}, {"twice": _HOLE}], indent),
+            {PLUS: _cut({"first_sign": "+", "len": _HOLE}, indent),
+             MINUS: _cut({"first_sign": "-", "len": _HOLE}, indent)})
+
+
+def _members_json(members: list[PacketMember], indent: str,
+                  d0: ThetaData | None = None) -> list[str]:
+    """Each member as `_json_dumps(obj, indent)` writes it, byte for byte,
+    where obj is `m.to_json()` plus, when d0 is given, a `d0` key holding
+    d0's blocks.  The members are those of one packet, in any number.
+
+    The members of a packet share their signature, values and segments, so
+    the text around a member's own values is rendered once, from one
+    skeleton for the zero and one for the nonzero members.  Per member only
+    the blocks, epsilon, `ann` columns and `as` rows are written, the last
+    two from their fixed shapes ({"twice": v} per entry, {"first_sign",
+    "len"} per row), with no dict per entry.  None of these lists is empty:
+    a packet has at least one block, a column at least one entry and, as
+    N >= 1, a tableau at least one row."""
+    i1 = indent + "  "
+    desc = members[0].descriptor
+    sig = desc.d.sig
+    desc_open, desc_close = _cut({"blocks": [_HOLE], "p": sig.p, "q": sig.q,
+                                  "segments": [s.to_json() for s in segments_of(desc)],
+                                  "values": list(desc.values)}, i1)
+    tail = {"descriptor": _HOLE, "epsilon": [_HOLE]}
+    if d0 is not None:
+        tail["d0"] = [list(b) for b in d0.blocks]
+    kinds = {m.nonzero for m in members}
+    zero = _cut({**tail, "nonzero": False}, indent) if False in kinds else None
+    live = (_cut({**tail, "nonzero": True, "ann": {"columns": [_HOLE]},
+                  "as": {"p": sig.p, "q": sig.q, "rows": [_HOLE]}}, indent)
+            if True in kinds else None)
+    i2, i3 = i1 + "  ", i1 + "    "
+    pair, column, row = _shapes(i3)
+    sep2, sep3 = "," + i2, "," + i3
+    out = []
+    for m in members:
+        blocks = sep3.join([f"{pair[0]}{a}{pair[1]}{b}{pair[2]}" for a, b in m.d.blocks])
+        epsilon = sep2.join(map(str, m.epsilon))
+        if m.invariants is None:
+            out.append(f"{zero[0]}{desc_open}{blocks}{desc_close}{zero[1]}{epsilon}{zero[2]}")
+            continue
+        ann, as_tab = m.invariants
+        columns = sep3.join([column[0] + column[1].join(map(str, entries)) + column[2]
+                             for entries in ann.columns])
+        rows = sep3.join([f"{row[first][0]}{length}{row[first][1]}"
+                          for length, first in as_tab.rows])
+        out.append(f"{live[0]}{columns}{live[1]}{rows}{live[2]}{desc_open}{blocks}{desc_close}"
+                   f"{live[3]}{epsilon}{live[4]}")
+    return out
 
 
 def _parse_sig(args: argparse.Namespace) -> GroupSignature:
@@ -103,23 +173,19 @@ def _parse_lambda(args: argparse.Namespace, sig: GroupSignature) -> KWeight:
     return w
 
 
-def cmd_classify_psi(args: argparse.Namespace) -> int:
+def cmd_classify_psi(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     psi = _parse_psi(args, sig)
     w = lowest_weight_of_packet(psi)
     d0 = d_zero(psi)
     m = member(psi, d0)
 
-    def as_json() -> dict:
-        member_obj = m.to_json()
-        member_obj["d0"] = [list(b) for b in d0.blocks]
-        return {
-            "psi": psi.to_json(),
-            "inf_char": inf_char(psi).to_json(),
-            "contains": w is not None,
-            "lowest_k_type": list(w.lam) if w is not None else None,
-            "member": member_obj,
-        }
+    def as_json() -> str:
+        head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),
+                           "contains": w is not None,
+                           "lowest_k_type": list(w.lam) if w is not None else None,
+                           "member": _HOLE}, "\n")
+        return head + _members_json([m], "\n  ", d0)[0] + tail
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}",
@@ -133,37 +199,35 @@ def cmd_classify_psi(args: argparse.Namespace) -> int:
             lines.append("holomorphic member vanishes")
         return "\n".join(lines)
 
-    _dump(args.output, as_json, as_ascii)
-    return 0
+    return 0, _dump(args.output, as_json, as_ascii)
 
 
-def cmd_classify_lambda(args: argparse.Namespace) -> int:
+def cmd_classify_lambda(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     w = _parse_lambda(args, sig)
     psis = packets_containing(w)
 
-    def as_json() -> dict:
-        return {"lambda": list(w.lam), "p": sig.p, "q": sig.q,
-                "packets": [psi.to_json() for psi in psis]}
+    def as_json() -> str:
+        return _json_dumps({"lambda": list(w.lam), "p": sig.p, "q": sig.q,
+                            "packets": [psi.to_json() for psi in psis]})
 
     def as_ascii() -> str:
         lines = [f"lambda = {list(w.lam)} on U({sig.p},{sig.q})"]
         lines += [f"  {psi}" for psi in psis] or ["  (no packet contains it)"]
         return "\n".join(lines)
 
-    _dump(args.output, as_json, as_ascii)
-    return 0
+    return 0, _dump(args.output, as_json, as_ascii)
 
 
-def cmd_packet(args: argparse.Namespace) -> int:
+def cmd_packet(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     psi = _parse_psi(args, sig)
     members = packet(psi)
 
-    def as_json() -> dict:
-        return {"psi": psi.to_json(),
-                "inf_char": inf_char(psi).to_json(),
-                "members": [m.to_json() for m in members]}
+    def as_json() -> str:
+        head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),
+                           "members": [_HOLE]}, "\n")
+        return head + ",\n    ".join(_members_json(members, "\n    ")) + tail
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}: {len(members)} members"]
@@ -175,11 +239,10 @@ def cmd_packet(args: argparse.Namespace) -> int:
                 lines.append(render_pair_ascii(*m.invariants))
         return "\n".join(lines)
 
-    _dump(args.output, as_json, as_ascii)
-    return 0
+    return 0, _dump(args.output, as_json, as_ascii)
 
 
-def cmd_tableau(args: argparse.Namespace) -> int:
+def cmd_tableau(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     what = "--blocks must be a JSON list of [p_i, q_i] integer pairs"
     raw_blocks = _load_json(args.blocks, "--blocks")
@@ -196,22 +259,21 @@ def cmd_tableau(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    def as_json() -> dict:
+    def as_json() -> str:
         obj = {"descriptor": desc.to_json(), "zero": out.is_zero}
         if not out.is_zero:
             obj["ann"] = out.ann.to_json()
             obj["as"] = out.as_tab.to_json()
             obj["stack"] = out.stack.to_json()
-        return obj
+        return _json_dumps(obj)
 
     def as_ascii() -> str:
         return "formal zero tableau" if out.is_zero else render_pair_ascii(out.ann, out.as_tab)
 
-    _dump(args.output, as_json, as_ascii)
-    return 0
+    return 0, _dump(args.output, as_json, as_ascii)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -221,8 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = sweep_verify(cfg, jobs=args.jobs)
-    print(report.dumps())
-    return 0 if report.ok else 3
+    return 0 if report.ok else 3, report.dumps()
 
 
 @functools.cache
@@ -280,9 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit status.
+
+    Each subcommand returns its status and its text, and main writes the
+    text.  A reader that closes stdout early (`| head`) gets no traceback:
+    stdout is pointed at the null device, so the flush at shutdown cannot
+    raise again, and the command's own status is returned."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except InputError as exc:
         print(json.dumps({"error": "invalid-input", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
@@ -291,6 +358,13 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "internal-inconsistency", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -6,12 +7,16 @@ import pathlib
 import subprocess
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import upq_packets
 from upq_packets.cli import main
+from upq_packets.packets import (AParameter, d_zero, inf_char, lowest_weight_of_packet,
+                                 member, packet)
+from upq_packets.weights import GroupSignature
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -246,3 +251,101 @@ def test_cli_contract_holds_for_any_payload(argv):
     if err.getvalue():
         assert json.loads(err.getvalue())["error"] in (
             "invalid-input", "internal-inconsistency"), argv
+
+
+def reference_json(argv):
+    """The `packet` or `classify-psi` payload of argv as the tree that
+    `PacketMember.to_json` and friends build, through `json.dumps`."""
+    command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    sig = GroupSignature(int(flags["--p"]), int(flags["--q"]))
+    psi = AParameter.from_summands(sig, [(s["t"], s["a"]) for s in json.loads(flags["--psi"])])
+    tree = {"psi": psi.to_json(), "inf_char": inf_char(psi).to_json()}
+    if command == "packet":
+        tree["members"] = [m.to_json() for m in packet(psi)]
+    else:
+        w, d0 = lowest_weight_of_packet(psi), d_zero(psi)
+        tree["member"] = {**member(psi, d0).to_json(), "d0": [list(b) for b in d0.blocks]}
+        tree.update(contains=w is not None, lowest_k_type=list(w.lam) if w is not None else None)
+    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def assert_written_as_json_dumps(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    assert out.getvalue() == reference_json(argv), argv
+
+
+def perfbench_queries(name, seed, count):
+    """The first count queries of a perfbench workload's stream."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.generate_queries(workloads.WORKLOADS[name], seed, count)[0][:count]
+
+
+def test_member_json_matches_json_dumps_on_large_packets():
+    for seed in (1, 5):
+        for argv in perfbench_queries("packets-large", seed, 44):
+            assert_written_as_json_dumps(argv)
+
+
+def test_member_json_matches_json_dumps_on_mixed_queries():
+    queries = [argv for argv in perfbench_queries("queries-mixed", 1, 360)
+               if argv[0] in ("packet", "classify-psi")]
+    assert len(queries) == 240
+    for argv in queries:
+        assert_written_as_json_dumps(argv)
+
+
+@st.composite
+def small_psi_argvs(draw):
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    sizes = [1]
+    for cut in draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)):
+        if cut:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    # t + a + N must be even.
+    summands = [{"t": 2 * draw(st.integers(-2, 2)) + (a + n) % 2, "a": a} for a in sizes]
+    return [draw(st.sampled_from(("packet", "classify-psi"))), "--p", str(p),
+            "--q", str(n - p), "--psi", json.dumps(summands)]
+
+
+# Pinned examples: p = 0 and q = 0 with a vanishing holomorphic member, and a
+# packet whose first and last members vanish.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(["classify-psi", "--p", "0", "--q", "2", "--psi", '[{"t":1,"a":1},{"t":1,"a":1}]'])
+@example(["packet", "--p", "2", "--q", "0", "--psi", '[{"t":1,"a":1},{"t":1,"a":1}]'])
+@example(["packet", "--p", "2", "--q", "1", "--psi",
+          '[{"t":0,"a":1},{"t":0,"a":1},{"t":0,"a":1}]'])
+@given(small_psi_argvs())
+def test_member_json_matches_json_dumps_on_drawn_psi(argv):
+    assert_written_as_json_dumps(argv)
+
+
+# The packet is 111 kB of JSON, more than a pipe holds (64 kB on Linux), so
+# the writer is still writing when the reader goes away.
+CLOSED_EARLY = [
+    ["packet", "--p", "4", "--q", "4", "--psi",
+     '[{"t":-9,"a":1},{"t":-7,"a":1},{"t":-4,"a":2},{"t":1,"a":1},{"t":3,"a":1},'
+     '{"t":5,"a":1},{"t":7,"a":1}]'],
+    ["verify", "--max-n", "3", "--window", "2"],
+]
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    for argv in CLOSED_EARLY:
+        proc = subprocess.Popen([sys.executable, "-m", "upq_packets.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 2, 3), argv
+        assert err == b"", argv

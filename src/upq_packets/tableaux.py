@@ -18,6 +18,7 @@ length).  HalfInt is built only to print an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, ge, gt
 from typing import NamedTuple, Optional, Sequence
 
@@ -101,12 +102,21 @@ class AntiTableau:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        # Row lengths: row r spans the columns of height > r.
-        heights = [len(c) for c in self.columns]
-        return tuple(sum(h > r for h in heights) for r in range(heights[0] if heights else 0))
+        # Row lengths, the conjugate of the column heights: the rows from
+        # height(c+1) to height(c) - 1 have length c.
+        heights = [len(c) for c in self.columns] + [0]
+        out: list[int] = []
+        for c in range(len(self.columns), 0, -1):
+            out += [c] * (heights[c - 1] - heights[c])
+        return tuple(out)
+
+    @cached_property
+    def _entries(self) -> HalfIntMultiset:
+        # entry_multiset(), built on first read and kept outside the fields.
+        return HalfIntMultiset.from_values(v for col in self.columns for v in col)
 
     def entry_multiset(self) -> HalfIntMultiset:
-        return HalfIntMultiset.from_values(v for col in self.columns for v in col)
+        return self._entries
 
     def row(self, r: int) -> list[int]:
         return [col[r] for col in self.columns if len(col) > r]
@@ -136,25 +146,21 @@ class ColumnStack:
                 "blocks": [[b.to_json() for b in blk] for blk in self.blocks]}
 
 
-class _Row:
-    __slots__ = ("rid", "length", "first_sign", "last_sign")
-
-    def __init__(self, rid: int, sign: int) -> None:
-        self.rid = rid
-        self.length = 1
-        self.first_sign = self.last_sign = sign
-
-
 def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
                   segments: list[Segment]) -> ColumnStack:
     """Construct the initial stack for blocks (p_i, q_i) and their segments.
 
     Stage 1 is a single column with p_1 plus boxes above q_1 minus boxes.
     Stage k appends at most one box per existing row end, scanning rows top
-    to bottom (longest first), with the sign forced by alternation and
-    limited by the stage's remaining budget; leftover pluses then minuses
-    open new one-box rows at the bottom.  Block k's boxes, in that placement
-    order, receive its segment's entries in decreasing order.
+    to bottom (longest first, then by row id), with the sign forced by
+    alternation and limited by the stage's remaining budget; the scan stops
+    once the budget is spent.  Leftover pluses then minuses open new one-box
+    rows at the bottom.  Block k's boxes, in that placement order, receive
+    its segment's entries in decreasing order.
+
+    The scan order is carried from stage to stage, not sorted afresh: a
+    stage lengthens some rows by one, and each of them moves up past the
+    rows it now outranks, which keeps the order exact.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
@@ -166,26 +172,59 @@ def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
     if sum(pk for pk, _ in block_signs) != sig.p or sum(qk for _, qk in block_signs) != sig.q:
         raise ValueError("block signs do not sum to the signature")
 
-    rows: list[_Row] = []
+    # Per row id: its length, first and last signs, and its rank, id - n * length,
+    # which orders rows longest first, then by id (there are at most n rows).
+    n = sig.N
+    lengths: list[int] = []
+    firsts: list[int] = []
+    lasts: list[int] = []
+    ranks: list[int] = []
+    order: list[int] = []  # row ids by rank
     blocks: list[tuple[Box, ...]] = []
     for (pk, qk), seg in zip(block_signs, segments):
-        placed: list[tuple[int, int, int]] = []  # (row id, col, sign)
-        budget = {PLUS: pk, MINUS: qk}
-        for row in sorted(rows, key=lambda r: (-r.length, r.rid)):
-            forced = -row.last_sign
-            if budget[forced] > 0:
-                budget[forced] -= 1
-                row.length += 1
-                row.last_sign = forced
-                placed.append((row.rid, row.length, forced))
-        for sign in (PLUS, MINUS):
-            for _ in range(budget[sign]):
-                placed.append((len(rows), 1, sign))
-                rows.append(_Row(len(rows), sign))
-        top = seg.start + 2 * len(placed)
-        blocks.append(tuple(Box(rid, col, sign, top - 2 * n)
-                            for n, (rid, col, sign) in enumerate(placed, 1)))
-    return ColumnStack(sig, tuple(blocks), tuple((row.length, row.first_sign) for row in rows))
+        entry = seg.start + 2 * (pk + qk)  # the entry above the block's top
+        boxes: list[Box] = []
+        grown: list[int] = []  # positions in `order` of the rows lengthened
+        for pos, rid in enumerate(order):
+            if not (pk or qk):
+                break
+            if lasts[rid] == MINUS:
+                if not pk:
+                    continue
+                pk -= 1
+                sign = PLUS
+            else:
+                if not qk:
+                    continue
+                qk -= 1
+                sign = MINUS
+            lasts[rid] = sign
+            lengths[rid] += 1
+            ranks[rid] -= n
+            entry -= 2
+            boxes.append(Box(rid, lengths[rid], sign, entry))
+            grown.append(pos)
+        # Rows not lengthened keep their order, and so do the lengthened
+        # ones; move each lengthened row up past the rows it now outranks.
+        for pos in grown:
+            rid = order[pos]
+            rank = ranks[rid]
+            while pos and ranks[order[pos - 1]] > rank:
+                order[pos] = order[pos - 1]
+                pos -= 1
+            order[pos] = rid
+        for sign, count in ((PLUS, pk), (MINUS, qk)):
+            for _ in range(count):
+                rid = len(lengths)
+                entry -= 2
+                boxes.append(Box(rid, 1, sign, entry))
+                lengths.append(1)
+                firsts.append(sign)
+                lasts.append(sign)
+                ranks.append(rid - n)
+                order.append(rid)
+        blocks.append(tuple(boxes))
+    return ColumnStack(sig, tuple(blocks), tuple(zip(lengths, firsts)))
 
 
 class _WBox:
@@ -416,32 +455,46 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     Otherwise returns the rewritten stack together with its antitableau and
     signed tableau.  The sweep count is capped; hitting the cap raises, it
     never hangs or silently stops.
-    """
-    blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
-    r = len(blocks)
-    n = stack.sig.N
-    cap = max(4, n * n)
-    for _ in range(cap):
-        changed = False
-        for i in range(r - 1):
-            result = _rewrite_pair(blocks, i)
-            if result is None:
-                return NormalizeOutcome.zero()
-            changed = changed or result
-        if not changed:
-            break
-    else:
-        raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
 
+    The returned stack is the input object itself when no pair moved.  In
+    particular, a stack in which every block's segment lies wholly below
+    the one before is already the fixpoint (_rewrite_pair would leave every
+    pair alone at once), so it is read off the frozen boxes with no working
+    copy and no sweep.
+    """
+    blocks: Sequence[Sequence[Box | _WBox]] = stack.blocks
     segs = [_entries_segment(blk) for blk in blocks]
+    r = len(blocks)
+    if not all(lo_start + 2 * lo_len - 2 < hi_start
+               for (hi_start, _), (lo_start, lo_len) in zip(segs, segs[1:])):
+        work = [[_WBox(b) for b in blk] for blk in blocks]
+        moved = False
+        n = stack.sig.N
+        cap = max(4, n * n)
+        for _ in range(cap):
+            changed = False
+            for i in range(r - 1):
+                result = _rewrite_pair(work, i)
+                if result is None:
+                    return NormalizeOutcome.zero()
+                changed = changed or result
+            if not changed:
+                break
+            moved = True
+        else:
+            raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
+        if moved:
+            blocks = work
+            segs = [_entries_segment(blk) for blk in blocks]
+
     for i in range(r - 1):
         (lo_start, lo_len), (hi_start, hi_len) = segs[i + 1], segs[i]
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero()
 
     ann = assemble_antitableau(blocks, stack.row_shapes)
-    out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
-                      stack.row_shapes)
+    out = stack if blocks is stack.blocks else ColumnStack(
+        stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks), stack.row_shapes)
     return NormalizeOutcome(out, ann, out.signed_tableau())
 
 

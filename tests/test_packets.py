@@ -15,7 +15,7 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
-from upq_packets.tableaux import MINUS, PLUS
+from upq_packets.tableaux import MINUS, PLUS, AntiTableau
 from upq_packets.weights import GroupSignature, KWeight, is_unitarizable
 
 
@@ -194,6 +194,44 @@ def test_packet_refuses_a_member_of_another_character(monkeypatch):
     _with_invariants(monkeypatch,
                      lambda d, m: foreign if d == target else m.invariants)
     with pytest.raises(InternalInconsistencyError, match="infinitesimal character"):
+        packet(psi)
+
+
+def _with_outcomes(monkeypatch, outcome_of):
+    """Make packets.tableau_pair, which each member's invariants come from,
+    return outcome_of(desc, real) for each descriptor, where real is the
+    outcome actually computed."""
+    real_pair = packets.tableau_pair
+    monkeypatch.setattr(packets, "tableau_pair", lambda desc: outcome_of(desc, real_pair(desc)))
+
+
+def test_packet_refuses_two_members_normalizing_to_one_outcome(monkeypatch):
+    psi = TEN_LIVE
+    ds = enumerate_D(psi)
+    copied = tableau_pair(member(psi, ds[1]).descriptor)
+    assert not copied.is_zero
+    _with_outcomes(monkeypatch, lambda desc, out: copied if desc.d == ds[6] else out)
+    expected = f"members {ds[1].blocks} and {ds[6].blocks} of"
+    with pytest.raises(InternalInconsistencyError, match=re.escape(expected)) as info:
+        packet(psi)
+    assert "share an invariant pair" in str(info.value)
+
+
+def test_packet_refuses_a_member_with_one_entry_shifted(monkeypatch):
+    psi = TEN_LIVE
+    target = enumerate_D(psi)[3]
+
+    def shifted(desc, out):
+        if desc.d != target:
+            return out
+        (top, *below), *rest = out.ann.columns
+        ann = AntiTableau(((top + 2, *below), *rest))  # still an antitableau
+        assert ann.entry_multiset() != out.ann.entry_multiset()
+        return dataclasses.replace(out, ann=ann)
+
+    _with_outcomes(monkeypatch, shifted)
+    with pytest.raises(InternalInconsistencyError,
+                       match="another signature or infinitesimal character"):
         packet(psi)
 
 

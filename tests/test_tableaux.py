@@ -3,6 +3,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
@@ -10,9 +11,10 @@ from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
 from upq_packets.oracle import good_parameters_in_window, two_block_data
 from upq_packets.packets import AParameter, enumerate_D, member
-from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, _rewrite_pair,
-                                  _WBox, as_pair_equal, assemble_antitableau,
-                                  build_initial, overlap_and_sing, trapa_normalize)
+from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, NormalizeOutcome,
+                                  _entries_segment, _rewrite_pair, _WBox, as_pair_equal,
+                                  assemble_antitableau, build_initial, overlap_and_sing,
+                                  trapa_normalize)
 from upq_packets.weights import GroupSignature
 
 
@@ -358,3 +360,122 @@ def test_rewrite_engine_outputs_are_pinned():
         digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (PINNED_COUNT, PINNED_SHA256)
+
+
+def _written_out_build_initial(sig, block_signs, segments):
+    # build_initial as first written: every stage sorts all rows afresh,
+    # longest first, then by row id, and scans every one of them.
+    rows = []  # [row id, length, first sign, last sign]
+    blocks = []
+    for (pk, qk), seg in zip(block_signs, segments):
+        placed = []
+        budget = {PLUS: pk, MINUS: qk}
+        for row in sorted(rows, key=lambda r: (-r[1], r[0])):
+            forced = -row[3]
+            if budget[forced] > 0:
+                budget[forced] -= 1
+                row[1] += 1
+                row[3] = forced
+                placed.append((row[0], row[1], forced))
+        for sign in (PLUS, MINUS):
+            for _ in range(budget[sign]):
+                placed.append((len(rows), 1, sign))
+                rows.append([len(rows), 1, sign, sign])
+        top = seg.start + 2 * len(placed)
+        blocks.append(tuple(Box(rid, col, sign, top - 2 * k)
+                            for k, (rid, col, sign) in enumerate(placed, 1)))
+    return ColumnStack(sig, tuple(blocks), tuple((row[1], row[2]) for row in rows))
+
+
+def _block_sequences(n):
+    # Every sequence of blocks (p_k, q_k) with p_k + q_k >= 1 summing to n.
+    if n == 0:
+        yield ()
+        return
+    for a in range(1, n + 1):
+        for rest in _block_sequences(n - a):
+            for pk in range(a + 1):
+                yield ((pk, a - pk), *rest)
+
+
+def _check_build_initial(block_signs):
+    sig = GroupSignature(sum(pk for pk, _ in block_signs), sum(qk for _, qk in block_signs))
+    segments = [Segment(3 - 4 * k, pk + qk) for k, (pk, qk) in enumerate(block_signs)]
+    assert (build_initial(sig, list(block_signs), segments)
+            == _written_out_build_initial(sig, block_signs, segments)), block_signs
+
+
+def test_build_initial_places_every_box_as_a_full_sort_at_every_stage_would():
+    sequences = 0
+    for n in range(1, 8):
+        for block_signs in _block_sequences(n):
+            _check_build_initial(block_signs)
+            sequences += 1
+    assert sequences == 4615  # 2 + 7 + 24 + 82 + 280 + 956 + 3264
+
+
+@st.composite
+def block_sequences(draw):
+    blocks, left = [], draw(st.integers(1, 10))
+    while left:
+        a = draw(st.integers(1, left))
+        pk = draw(st.integers(0, a))
+        blocks.append((pk, a - pk))
+        left -= a
+    return tuple(blocks)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block_sequences())
+def test_build_initial_matches_a_full_sort_on_drawn_blocks_up_to_n_10(block_signs):
+    _check_build_initial(block_signs)
+
+
+def _written_out_normalize(stack):
+    # trapa_normalize as first written: sweep a working copy of every stack
+    # and freeze it afresh.  Also returns whether any pair moved.
+    blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
+    moved = False
+    for _ in range(max(4, stack.sig.N ** 2)):
+        changed = False
+        for i in range(len(blocks) - 1):
+            result = _rewrite_pair(blocks, i)
+            if result is None:
+                return NormalizeOutcome.zero(), moved
+            changed = changed or result
+        if not changed:
+            break
+        moved = True
+    segs = [_entries_segment(blk) for blk in blocks]
+    for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
+        if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
+            return NormalizeOutcome.zero(), moved
+    ann = assemble_antitableau(blocks, stack.row_shapes)
+    out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
+                      stack.row_shapes)
+    return NormalizeOutcome(out, ann, out.signed_tableau()), moved
+
+
+def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
+    # On every pinned descriptor: the outcome equals the written-out
+    # copy-and-sweep, and the returned stack is the input object exactly
+    # when no pair moved (then the refrozen copy equals it too).
+    kinds = {"zero": 0, "below": 0, "unmoved": 0, "moved": 0}
+    for desc in _pinned_descriptors():
+        stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
+        out = trapa_normalize(stack)
+        expected, moved = _written_out_normalize(stack)
+        assert out == expected, desc
+        if out.is_zero:
+            kinds["zero"] += 1
+            continue
+        assert (out.stack is stack) == (not moved), desc
+        if moved:
+            kinds["moved"] += 1
+            continue
+        assert expected.stack == stack
+        segs = [_entries_segment(blk) for blk in stack.blocks]
+        below = all(lo_start + 2 * lo_len - 2 < hi_start
+                    for (hi_start, _), (lo_start, lo_len) in zip(segs, segs[1:]))
+        kinds["below" if below else "unmoved"] += 1
+    assert kinds == {"zero": 2183, "below": 657, "unmoved": 654, "moved": 247}

@@ -23,12 +23,12 @@ Each run records wall time, CPU time, the process's peak resident set
 size in MB (`ru_maxrss`, which also covers start-up and warm-up), for
 queries the median and 90th-percentile query latency, the calls to each
 `--count` function (default `tableaux.as_pair_equal`; the option may be
-repeated) and the time spent inside them, and the SHA-256 of the outputs.  A function is
-counted by a wrapper bound in place of that name in every module of the
-run's own package; its clock calls are part of the wall time of both
-sides.  The summary goes to `--out` (default `BENCH_packet_pairs.json` at
-the root of this checkout).  With more than one `--workload`, the file
-holds one section per workload.
+repeated) and the time spent inside its outermost calls, and the SHA-256
+of the outputs.  A function is counted by a wrapper bound in place of
+that name in every module of the run's own package; its clock calls are
+part of the wall time of both sides.  The summary goes to `--out`
+(default `BENCH_packet_pairs.json` at the root of this checkout).  With
+more than one `--workload`, the file holds one section per workload.
 """
 
 from __future__ import annotations
@@ -77,18 +77,24 @@ def source_sha256(tree: Path) -> str:
 def count_calls(package, name: str) -> list[float]:
     """Rebind MODULE.FUNC `name` in every module of the package to a wrapper
     that counts its calls and sums the time inside them; return the
-    [calls, seconds] counter."""
+    [calls, seconds] counter.  Every call is counted, nested ones included,
+    but time is added only for the outermost call, so a recursive function's
+    time is a share of the wall time, not counted once per level."""
     module_name, func_name = name.split(".")
     real = getattr(importlib.import_module(f"{package.__name__}.{module_name}"), func_name)
     counter = [0, 0.0]
+    depth = [0]  # calls of `real` open on the stack
 
     def counted(*args, **kwargs):
         start = time.perf_counter()
+        depth[0] += 1
         try:
             return real(*args, **kwargs)
         finally:
+            depth[0] -= 1
             counter[0] += 1
-            counter[1] += time.perf_counter() - start
+            if not depth[0]:
+                counter[1] += time.perf_counter() - start
 
     for info in pkgutil.iter_modules(package.__path__):
         module = importlib.import_module(f"{package.__name__}.{info.name}")

@@ -261,16 +261,6 @@ def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMult
     return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
 
 
-def _canonical_part_key(seg: Segment) -> tuple[int, int]:
-    # (t, a) with t = sum of endpoints; parts are listed with t decreasing,
-    # then lengths decreasing.
-    return (-(seg.start + seg.end), -seg.length)
-
-
-def _partition_sort_key(parts: list[Segment]) -> list[tuple[int, int]]:
-    return [(seg.start + seg.end, seg.length) for seg in parts]
-
-
 def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
     """All multiset partitions of m whose parts are segments.
 
@@ -278,31 +268,42 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
     in the canonical order used for A-parameter summands; the list of
     partitions is sorted lexicographically by the parts' (t, a) keys so the
     output order is reproducible.
+
+    The enumeration runs on doubled ints: a part is the pair (s, a) of its
+    doubled endpoints' sum s = 2t and its length a, so the canonical order
+    of parts is plain tuple order, largest first, and the order of
+    partitions is plain list order.  Each distinct part becomes one
+    Segment at the end.
     """
-    results: list[list[Segment]] = []
     counts = Counter(m.twice)
+    values = sorted(counts, reverse=True)
+    found: list[list[tuple[int, int]]] = []
+    acc: list[tuple[int, int]] = []
 
-    def rec(acc: list[Segment], last: tuple[int, int] | None) -> None:
-        live = [t for t, c in counts.items() if c > 0]
-        if not live:
-            results.append(sorted(acc, key=_canonical_part_key))
+    def rec(i: int, left: int, last_top: int | None, last_len: int) -> None:
+        # values[i:] holds every value still to be covered; `left` counts them.
+        if not left:
+            found.append(sorted(acc, reverse=True))
             return
-        top = max(live)
-        # Parts sharing a top value must be consumed longest first; this makes
+        while not counts[values[i]]:
+            i += 1
+        top = values[i]
+        # Parts sharing a top value are consumed longest first; this makes
         # each multiset of parts arise along exactly one recursion path.
-        max_len = last[1] if last is not None and last[0] == top else m.size
+        max_len = last_len if last_top == top else left
         length = 0
-        while length < max_len:
-            t = top - 2 * length
-            if counts.get(t, 0) <= 0:
-                break
+        # Lengthen the part one value at a time, consuming counts as it goes.
+        while length < max_len and counts[top - 2 * length]:
+            counts[top - 2 * length] -= 1
             length += 1
-            for k in range(length):
-                counts[top - 2 * k] -= 1
-            rec(acc + [Segment(top - 2 * (length - 1), length)], (top, length))
-            for k in range(length):
-                counts[top - 2 * k] += 1
+            acc.append((2 * top - 2 * length + 2, length))
+            rec(i, left - length, top, length)
+            acc.pop()
+        for k in range(length):
+            counts[top - 2 * k] += 1
 
-    rec([], None)
-    results.sort(key=_partition_sort_key)
-    return results
+    rec(0, m.size, None, 0)
+    found.sort()
+    segments = {part: Segment(part[0] // 2 - part[1] + 1, part[1])
+                for parts in found for part in parts}
+    return [[segments[part] for part in parts] for parts in found]

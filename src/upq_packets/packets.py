@@ -22,8 +22,7 @@ from typing import Optional
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import (HalfIntMultiset, Segment, _json_int, _segment_union,
-                      _split_at, partition_into_segments)
+from .halfint import HalfIntMultiset, Segment, _json_int, partition_into_segments
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -77,7 +76,7 @@ class AParameter:
     @cached_property
     def _chi(self) -> HalfIntMultiset:
         # inf_char(self).
-        return _segment_union(self.segment(i) for i in range(self.r))
+        return HalfIntMultiset(_summand_values(self.summands))
 
     @cached_property
     def _values(self) -> tuple[int, ...]:
@@ -130,16 +129,26 @@ class AParameter:
         two), the condition is vacuous.  For p = 0 (j = 1, nu_{<j} empty,
         p_j = 0) the conditions read "nu_{>1} multiplicity free and disjoint
         from nu_1", so the member is nonzero exactly when the infinitesimal
-        character is multiplicity free."""
+        character is multiplicity free.
+
+        The parts are built as doubled ints straight from the summands.
+        Once nu_{<j} and nu_{>j} are known to be multiplicity free, all
+        three parts are sets (nu_j is a segment), so their multiset
+        intersections are set intersections."""
         d0 = self._d0
         j = d0.pivot()
-        lt, mid, gt = parts = _split_at([self.segment(i) for i in range(self.r)], j)
         p_j, q_j = block = d0.blocks[j]
-        nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
-                   and mid.intersection(lt).intersection(gt).is_empty
-                   and mid.intersection(gt).size <= p_j
-                   and mid.intersection(lt).size <= q_j)
-        return block, parts, nonzero
+        t, a = self.summands[j]
+        lt = _summand_values(self.summands[:j])
+        mid = tuple(range(t + a - 1, t - a, -2))
+        gt = _summand_values(self.summands[j + 1:])
+        lt_set, gt_set = set(lt), set(gt)
+        nonzero = False
+        if len(lt_set) == len(lt) and len(gt_set) == len(gt):
+            cap_lt, cap_gt = lt_set.intersection(mid), gt_set.intersection(mid)
+            nonzero = (cap_lt.isdisjoint(cap_gt)
+                       and len(cap_gt) <= p_j and len(cap_lt) <= q_j)
+        return block, (HalfIntMultiset(lt), HalfIntMultiset(mid), HalfIntMultiset(gt)), nonzero
 
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q,
@@ -153,6 +162,13 @@ class AParameter:
 
     def __str__(self) -> str:
         return " + ".join(f"chi_{t}*S_{a}" for t, a in self.summands)
+
+
+def _summand_values(summands: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    # The doubled values of the segments nu_i = range(t - a + 1, t + a, 2)
+    # of the given summands, as a multiset: sorted largest first.
+    return tuple(sorted((v for t, a in summands for v in range(t - a + 1, t + a, 2)),
+                        reverse=True))
 
 
 def inf_char(psi: AParameter) -> HalfIntMultiset:
@@ -309,9 +325,7 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     n = sig.N
     gap = w.gap
     nu_le = lt.union(mid)
-    # [lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2], empty when reversed.
-    bracket = HalfIntMultiset(tuple(range(2 * w.lam[sig.p] + (n - 1),
-                                          2 * w.lam[sig.p - 1] - (n - 1) - 1, -2)))
+    bracket = w._bracket
 
     lo_p, lo_q = n - st.p_prime, n - st.q_prime
     if lo_p <= gap < lo_q:
@@ -422,11 +436,13 @@ def good_parameters_with_inf_char(sig: GroupSignature,
     """All good parameters whose infinitesimal character equals chi.
 
     Every partition of chi into segments gives one: a part [x, y] becomes
-    the summand (t, a) = (x + y, length).  The parity condition holds
-    automatically for characters of lowest weight modules.
+    the summand (t, a) = (x + y, length).  partition_into_segments lists
+    the parts in canonical summand order, so they are not sorted again;
+    AParameter still checks the order.  The parity condition holds
+    automatically for characters of lowest weight modules; a character
+    whose parts break t + a + N even raises ValueError from AParameter.
     """
-    return [AParameter.from_summands(sig, [((seg.start + seg.end) // 2, seg.length)
-                                           for seg in parts])
+    return [AParameter(sig, tuple(((seg.start + seg.end) // 2, seg.length) for seg in parts))
             for parts in partition_into_segments(chi)]
 
 

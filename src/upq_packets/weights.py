@@ -38,7 +38,8 @@ class GroupSignature:
 @dataclass(frozen=True)
 class KWeight:
     """A Delta_c^+-dominant integral weight of K = U(p) x U(q).  Its
-    character and WeightStats are kept on it from first use, outside the fields."""
+    character, WeightStats, unitarity class and gap bracket are kept on it
+    from first use, outside the fields."""
 
     sig: GroupSignature
     lam: tuple[int, ...]
@@ -76,6 +77,32 @@ class KWeight:
         P_seg = HalfIntMultiset(P.twice[P.size - p_prime:])
         Q_seg = HalfIntMultiset(Q.twice[:q_prime])
         return WeightStats(p_prime, q_prime, P, Q, P_seg, Q_seg, P_seg.intersection(Q_seg))
+
+    @cached_property
+    def _unitarity(self) -> UnitarityClass:
+        # unitarity_class(self).
+        if self.sig.p == 0 or self.sig.q == 0:
+            return UnitarityClass.UNITARY
+        p_prime, q_prime = _primes(self)
+        gap = self.gap
+        n = self.sig.N
+        if gap > n - 1:
+            return UnitarityClass.DISCRETE_SERIES
+        if gap == n - 1:
+            return UnitarityClass.LIMIT_OF_DISCRETE_SERIES
+        if gap >= n - p_prime - q_prime:
+            return UnitarityClass.UNITARY
+        return UnitarityClass.NON_UNITARY
+
+    @cached_property
+    def _bracket(self) -> HalfIntMultiset:
+        """[lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2], empty when reversed
+        and when p = 0 or q = 0 (no gap)."""
+        p, n = self.sig.p, self.sig.N
+        if p == 0 or self.sig.q == 0:
+            return HalfIntMultiset.empty()
+        return HalfIntMultiset(tuple(range(2 * self.lam[p] + (n - 1),
+                                           2 * self.lam[p - 1] - (n - 1) - 1, -2)))
 
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q, "lambda": list(self.lam)}
@@ -152,18 +179,7 @@ def unitarity_class(w: KWeight) -> UnitarityClass:
     N - p' - q', non-unitary below.  Degenerate signatures (p = 0 or q = 0)
     have no gap and are reported as UNITARY.
     """
-    if w.sig.p == 0 or w.sig.q == 0:
-        return UnitarityClass.UNITARY
-    p_prime, q_prime = _primes(w)
-    gap = w.gap
-    n = w.sig.N
-    if gap > n - 1:
-        return UnitarityClass.DISCRETE_SERIES
-    if gap == n - 1:
-        return UnitarityClass.LIMIT_OF_DISCRETE_SERIES
-    if gap >= n - p_prime - q_prime:
-        return UnitarityClass.UNITARY
-    return UnitarityClass.NON_UNITARY
+    return w._unitarity
 
 
 def is_unitarizable(w: KWeight) -> bool:

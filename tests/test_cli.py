@@ -6,14 +6,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
 import upq_packets
 from upq_packets.cli import main
 from upq_packets.packets import (AParameter, d_zero, inf_char, lowest_weight_of_packet,
-                                 member, packet)
-from upq_packets.weights import GroupSignature
+                                 member, oracle_contains, packet)
+from upq_packets.weights import GroupSignature, KWeight, inf_char_of_lowest_weight
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -298,6 +299,58 @@ def test_member_json_matches_json_dumps_on_mixed_queries():
     assert len(queries) == 240
     for argv in queries:
         assert_written_as_json_dumps(argv)
+
+
+def written_out_good_parameters(sig, chi):
+    # Every good parameter with infinitesimal character chi, found without
+    # partition_into_segments: summands (t, a) whose segments lie in chi are
+    # taken in canonical order (t, then a, decreasing), each as often as
+    # chi has room, until they cover chi exactly.  Parameters are listed
+    # in the order of their summand lists, as the package lists them.
+    need = Counter(chi.twice)
+    values = sorted(need)
+    fits = sorted({((lo + hi) // 2, (hi - lo) // 2 + 1) for lo in values for hi in values
+                   if lo <= hi and (hi - lo) % 2 == 0
+                   and all(need[v] for v in range(lo, hi + 1, 2))}, reverse=True)
+    found = []
+
+    def rec(k, left, acc):
+        if not left:
+            found.append(tuple(acc))
+            return
+        for i in range(k, len(fits)):
+            t, a = fits[i]
+            span = range(t - a + 1, t + a, 2)
+            if all(need[v] for v in span):
+                for v in span:
+                    need[v] -= 1
+                rec(i, left - a, acc + [(t, a)])
+                for v in span:
+                    need[v] += 1
+
+    rec(0, chi.size, [])
+    return [AParameter(sig, summands) for summands in sorted(found)]
+
+
+def test_classify_lambda_lists_what_the_oracle_finds_over_a_written_out_enumeration():
+    # perfbench replays classify-lambda against oracle_contains over the
+    # package's own enumerator, so a partition dropped or listed twice would
+    # pass it; this replay enumerates the parameters independently.
+    for seed in (1, 5):
+        queries = [argv for argv in perfbench_queries("queries-mixed", seed, 360)
+                   if argv[0] == "classify-lambda"]
+        assert len(queries) == 120
+        for argv in queries:
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            sig = GroupSignature(int(flags["--p"]), int(flags["--q"]))
+            w = KWeight(sig, tuple(json.loads(flags["--lambda"])))
+            expected = [psi.to_json() for psi in
+                        written_out_good_parameters(sig, inf_char_of_lowest_weight(w))
+                        if oracle_contains(psi, w)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0, argv
+            assert json.loads(out.getvalue())["packets"] == expected, argv
 
 
 @st.composite

@@ -3,6 +3,7 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
 
@@ -148,6 +149,58 @@ def test_partition_against_brute_force():
                 for s in parts)))
         assert len(set(reassembled)) == len(got), "duplicate partitions"
         assert set(reassembled) == _brute_force_segment_partitions(m)
+
+
+def _written_out_partitions(m):
+    # partition_into_segments as first written: every step finds the
+    # largest live value afresh, consumes and restores a whole part per
+    # length, builds each part as a Segment, and sorts parts and partitions
+    # by Segment keys.
+    results = []
+    counts = Counter(m.twice)
+
+    def rec(acc, last):
+        live = [t for t, c in counts.items() if c > 0]
+        if not live:
+            results.append(sorted(acc, key=lambda s: (-(s.start + s.end), -s.length)))
+            return
+        top = max(live)
+        max_len = last[1] if last is not None and last[0] == top else m.size
+        length = 0
+        while length < max_len:
+            if counts.get(top - 2 * length, 0) <= 0:
+                break
+            length += 1
+            for k in range(length):
+                counts[top - 2 * k] -= 1
+            rec(acc + [Segment(top - 2 * (length - 1), length)], (top, length))
+            for k in range(length):
+                counts[top - 2 * k] += 1
+
+    rec([], None)
+    results.sort(key=lambda parts: [(s.start + s.end, s.length) for s in parts])
+    return results
+
+
+def test_partition_equals_the_written_out_recursion_on_every_small_multiset():
+    # Every multiset of size <= 7 over the doubled values -4..4, both
+    # parities, each value at most three times: same list, same order.
+    cases = 0
+    for size in range(8):
+        for twice in itertools.combinations_with_replacement(range(-4, 5), size):
+            if size and max(Counter(twice).values()) > 3:
+                continue
+            m = HalfIntMultiset.from_values(twice)
+            assert partition_into_segments(m) == _written_out_partitions(m), twice
+            cases += 1
+    assert cases == 9460
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-6, 6), max_size=10))
+def test_partition_equals_the_written_out_recursion_on_drawn_multisets(twice):
+    m = HalfIntMultiset.from_values(twice)
+    assert partition_into_segments(m) == _written_out_partitions(m)
 
 
 def test_partition_determinism():

@@ -349,7 +349,7 @@ def test_memos_return_what_the_functions_compute():
 
 @pytest.mark.parametrize("cls, fields, names", [
     (AParameter, ("sig", "summands"), ("_chi", "_values", "_d0", "_candidate")),
-    (KWeight, ("sig", "lam"), ("_chi", "_stats"))])
+    (KWeight, ("sig", "lam"), ("_chi", "_stats", "_unitarity", "_bracket"))])
 def test_parameters_and_weights_keep_what_they_derive(cls, fields, names):
     # Every psi and every swept weight of the N <= 4, window-2 sweep.  Each
     # value is derived once: a second read returns the same object, equal

@@ -1,10 +1,13 @@
-"""Seeded property tests past the sweep's window: N = 7..9, and JSON
+"""Seeded property tests past the sweep's window: N = 7..10, and JSON
 round trips.
 
 The exhaustive sweep stops at N = 6.  Here hypothesis draws good
 parameters and unitarizable weights at larger N, with a fixed seed
 (derandomize=True), and checks the closed forms against the tableau
-oracle and the rewriting engine against itself.  It also checks that
+oracle and the rewriting engine against itself, and a parameter's kept
+character and d_0 split against a written-out multiset derivation (on
+every parameter of the character window 2 up to N = 6 as well).  It also
+checks that
 every type with a from_json reads back what its to_json wrote, and
 refuses any number that is not a JSON integer, and that the package's JSON
 writer matches `json.dumps(obj, sort_keys=True, indent=2)` byte for byte.
@@ -17,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
-from upq_packets.oracle import oracle_lowest_weights
-from upq_packets.packets import (AParameter, contains_lowest_weight,
+from upq_packets.oracle import good_parameters_in_window, oracle_lowest_weights
+from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char,
                                  lowest_weight_of_packet, oracle_contains, packet)
 from upq_packets.tableaux import as_pair_equal, trapa_normalize
@@ -44,8 +47,8 @@ def random_psis(draw):
 
 
 @st.composite
-def unitarizable_weights(draw):
-    n = draw(st.integers(7, 9))
+def unitarizable_weights(draw, max_n=9):
+    n = draw(st.integers(7, max_n))
     p = draw(st.integers(0, n))
 
     def side(length):  # weakly decreasing
@@ -67,10 +70,10 @@ def unitarizable_weights(draw):
 
 
 @st.composite
-def psis_sharing_a_weights_character(draw):
+def psis_sharing_a_weights_character(draw, max_n=9):
     # Random parameters rarely hold a lowest weight module; these share
     # the infinitesimal character of a unitarizable weight, so many do.
-    w = draw(unitarizable_weights())
+    w = draw(unitarizable_weights(max_n))
     return draw(st.sampled_from(
         good_parameters_with_inf_char(w.sig, inf_char_of_lowest_weight(w))))
 
@@ -104,6 +107,48 @@ def test_contains_lowest_weight_matches_oracle(w):
     chi = inf_char_of_lowest_weight(w)
     for psi in good_parameters_with_inf_char(w.sig, chi):
         assert contains_lowest_weight(psi, w) == oracle_contains(psi, w), psi
+
+
+def _written_out_chi_and_candidate(psi):
+    # AParameter._chi and _candidate as first written: a Segment per
+    # summand, the split as unions of segment multisets, and nonvanishing
+    # by multiset intersections.
+    segs = [Segment(t - a + 1, a) for t, a in psi.summands]
+
+    def union(parts):
+        return HalfIntMultiset.from_values(v for s in parts for v in s.as_multiset().twice)
+
+    d0 = d_zero(psi)
+    j = d0.pivot()
+    lt, mid, gt = union(segs[:j]), segs[j].as_multiset(), union(segs[j + 1:])
+    p_j, q_j = d0.blocks[j]
+    nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
+               and mid.intersection(lt).intersection(gt).is_empty
+               and mid.intersection(gt).size <= p_j
+               and mid.intersection(lt).size <= q_j)
+    return union(segs), (d0.blocks[j], (lt, mid, gt), nonzero)
+
+
+def _check_chi_and_candidate(psi):
+    assert (psi._chi, psi._candidate) == _written_out_chi_and_candidate(psi), psi
+
+
+def test_chi_and_candidate_match_the_written_out_derivation_up_to_n_6():
+    count = 0
+    nonzero = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                _check_chi_and_candidate(psi)
+                count += 1
+                nonzero += psi._candidate[2]
+    assert (count, nonzero) == (5358, 770)
+
+
+@SEEDED
+@given(psis_sharing_a_weights_character(max_n=10))
+def test_chi_and_candidate_match_the_written_out_derivation_on_drawn_psi(psi):
+    _check_chi_and_candidate(psi)
 
 
 def _wire(obj):

@@ -21,7 +21,9 @@ machine's speed falls on both.
 
 Each run records wall time, CPU time, the process's peak resident set
 size in MB (`ru_maxrss`, which also covers start-up and warm-up), for
-queries the median and 90th-percentile query latency, the calls to each
+queries the median and 90th-percentile query latency and the summed
+latency of each subcommand in the stream (`classify_psi_s`,
+`classify_lambda_s`, `packet_s`), the calls to each
 `--count` function (default `tableaux.as_pair_equal`; the option may be
 repeated) and the time spent inside its outermost calls, and the SHA-256
 of the outputs.  A function is counted by a wrapper bound in place of
@@ -140,15 +142,19 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
         for counter in counters.values():
             counter[:] = [0, 0.0]
         latencies = []
+        per_command = dict.fromkeys(sorted({argv[0] for argv in stream}), 0.0)
         c0, start = cpu_now(), time.perf_counter()
         for argv in stream:
             t0 = time.perf_counter()
             rc, text = call(argv)
             latencies.append(time.perf_counter() - t0)
+            per_command[argv[0]] += latencies[-1]
             digest.update(json.dumps([argv, rc, text]).encode())
         wall, cpu = time.perf_counter() - start, cpu_now() - c0
         out = {"latency_p50_ms": 1000 * percentile(latencies, 50),
                "latency_p90_ms": 1000 * percentile(latencies, 90), "queries": len(stream)}
+        out.update({f"{command.replace('-', '_')}_s": seconds
+                    for command, seconds in per_command.items()})
     for label, (calls, inside) in counters.items():
         out.update({f"{label}_calls": calls, f"{label}_s": inside})
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
@@ -234,6 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--count takes MODULE.FUNC, e.g. tableaux.trapa_normalize")
     if len({name.split(".")[1] for name in counts}) != len(counts):
         ap.error("each --count must name a different function")
+    if any(name.split(".")[1] == "packet" for name in counts):
+        ap.error("--count packets.packet would overwrite the packet subcommand's packet_s")
     if args.child is not None:
         print(json.dumps(run_child(args.child, workloads[0], args.seed, counts)))
         return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
@@ -102,22 +102,18 @@ class AParameter:
         # d_zero(self).
         sizes = self.sizes()
         p, q = self.sig.p, self.sig.q
-        before = 0
-        for idx, a in enumerate(sizes):
-            if before + a >= p:
-                after = sum(sizes[idx + 1:])
-                blocks = [(x, 0) for x in sizes[:idx]]
-                blocks.append((p - before, q - after))
-                blocks += [(0, x) for x in sizes[idx + 1:]]
-                return ThetaData(self.sig, tuple(blocks))
-            before += a
-        raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
+        j, before = _straddle(self.summands, p)
+        blocks = [(x, 0) for x in sizes[:j]]
+        blocks.append((p - before, q - sum(sizes[j + 1:])))
+        blocks += [(0, x) for x in sizes[j + 1:]]
+        return ThetaData(self.sig, tuple(blocks))
 
     @cached_property
     def _candidate(self) -> tuple[tuple[int, int], tuple[HalfIntMultiset, ...], bool]:
         """The straddling block (p_j, q_j) of d_0, the split
         (nu_{<j}, nu_j, nu_{>j}) and whether the holomorphic member is
-        nonzero.  j is d_0.pivot() + 1.
+        nonzero.  j is d_0.pivot() + 1: the straddling summand, read
+        with (p_j, q_j) = (p - a_{<j}, a_j - p_j) straight from the sizes.
 
         The member is nonzero exactly when nu_{<j} and nu_{>j} are multiplicity
         free, |nu_j /\\ nu_{>j}| <= p_j, |nu_j /\\ nu_{<j}| <= q_j, and no value
@@ -135,10 +131,10 @@ class AParameter:
         Once nu_{<j} and nu_{>j} are known to be multiplicity free, all
         three parts are sets (nu_j is a segment), so their multiset
         intersections are set intersections."""
-        d0 = self._d0
-        j = d0.pivot()
-        p_j, q_j = block = d0.blocks[j]
+        j, before = _straddle(self.summands, self.sig.p)
         t, a = self.summands[j]
+        p_j = self.sig.p - before
+        q_j = a - p_j
         lt = _summand_values(self.summands[:j])
         mid = tuple(range(t + a - 1, t - a, -2))
         gt = _summand_values(self.summands[j + 1:])
@@ -148,7 +144,8 @@ class AParameter:
             cap_lt, cap_gt = lt_set.intersection(mid), gt_set.intersection(mid)
             nonzero = (cap_lt.isdisjoint(cap_gt)
                        and len(cap_gt) <= p_j and len(cap_lt) <= q_j)
-        return block, (HalfIntMultiset(lt), HalfIntMultiset(mid), HalfIntMultiset(gt)), nonzero
+        return ((p_j, q_j), (HalfIntMultiset(lt), HalfIntMultiset(mid), HalfIntMultiset(gt)),
+                nonzero)
 
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q,
@@ -162,6 +159,17 @@ class AParameter:
 
     def __str__(self) -> str:
         return " + ".join(f"chi_{t}*S_{a}" for t, a in self.summands)
+
+
+def _straddle(summands: Sequence[tuple[int, int]], p: int) -> tuple[int, int]:
+    # (j, a_{<j}) for the straddling summand: the least 0-based j with
+    # a_{<j} + a_j >= p, so a_{<j} < p unless p = 0 (then j = 0).
+    before = 0
+    for j, (_, a) in enumerate(summands):
+        if before + a >= p:
+            return j, before
+        before += a
+    raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
 
 
 def _summand_values(summands: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -297,13 +305,13 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     member to be nonzero; then the answer depends on how the gap compares
     with N - p' and N - q':
 
-    * gap in [N-p', N-q'):  [lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2]
-      inside nu_j inside P';
-    * gap in [N-q', N-p'):  nu_{<=j} = P, or the same bracket inside nu_j
-      inside Q';
-    * gap >= both:          P inside nu_{<=j} inside P || I, or
-      I inside nu_j inside Q';
-    * gap < both:           nu_j equals the bracket exactly.
+    1. gap in [N-p', N-q'):  [lambda_p - (N-1)/2, lambda_{p+1} + (N-1)/2]
+       inside nu_j inside P';
+    2. gap in [N-q', N-p'):  nu_{<=j} = P, or the same bracket inside nu_j
+       inside Q';
+    3. gap >= both:          P inside nu_{<=j} inside P || I, or
+       I inside nu_j inside Q';
+    4. gap < both:           nu_j equals the bracket exactly.
 
     Degenerate signatures have no gap; they fall back to the tableau
     equality test.
@@ -317,26 +325,36 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     _, (lt, mid, gt), nonzero = psi._candidate
     if not nonzero:
         return False
-    sig = w.sig
-    if sig.p == 0 or sig.q == 0:
+    case = _gap_case(w)
+    if not case:
         return oracle_contains(psi, w)
 
     st = weight_stats(w)
-    n = sig.N
-    gap = w.gap
-    nu_le = lt.union(mid)
     bracket = w._bracket
-
-    lo_p, lo_q = n - st.p_prime, n - st.q_prime
-    if lo_p <= gap < lo_q:
+    if case == 1:
         return mid.contains(bracket) and st.P_seg.contains(mid)
-    if lo_q <= gap < lo_p:
-        return nu_le == st.P or (mid.contains(bracket) and st.Q_seg.contains(mid))
-    if gap >= lo_p and gap >= lo_q:
+    if case == 2:
+        return (lt.union(mid) == st.P
+                or (mid.contains(bracket) and st.Q_seg.contains(mid)))
+    if case == 3:
+        nu_le = lt.union(mid)
         first = nu_le.contains(st.P) and st.P.union(st.I).contains(nu_le)
         second = mid.contains(st.I) and st.Q_seg.contains(mid)
         return first or second
     return mid == bracket
+
+
+def _gap_case(w: KWeight) -> int:
+    # The numbered case of contains_lowest_weight's docstring that w falls
+    # in, or 0 when p = 0 or q = 0 (no gap).
+    sig = w.sig
+    if sig.p == 0 or sig.q == 0:
+        return 0
+    st = weight_stats(w)
+    past_p, past_q = w.gap >= sig.N - st.p_prime, w.gap >= sig.N - st.q_prime
+    if past_p:
+        return 3 if past_q else 1
+    return 2 if past_q else 4
 
 
 def oracle_contains(psi: AParameter, w: KWeight) -> bool:
@@ -448,10 +466,89 @@ def good_parameters_with_inf_char(sig: GroupSignature,
 
 def packets_containing(w: KWeight) -> list[AParameter]:
     """All good parameters whose packet contains the lowest weight module
-    of w, enumerated through the segment partitions of its infinitesimal
-    character."""
+    of w, sorted by summand list, comparing (t, a) pair by pair: the order
+    of good_parameters_with_inf_char.
+
+    Gap cases 1 and 4 (see contains_lowest_weight) pin the straddling
+    segment nu_j by itself: bracket <= nu_j <= P' in case 1, nu_j equal to
+    the bracket in case 4.  There each admissible segment s
+    (_admissible_straddles) is taken with each segment partition of
+    chi \\ s, chi = chi(w), and contains_lowest_weight decides the
+    parameter they make.  This lists what filtering
+    good_parameters_with_inf_char(chi) lists:
+
+    * complete: a psi that the filter keeps has inf_char(psi) = chi and,
+      by the case's condition, an admissible nu_j = s; its other
+      summands are a segment partition of chi \\ s.
+    * sound: contains_lowest_weight decides every candidate.
+    * without repeats, given that s is always the straddling summand (next
+      paragraph): a candidate then determines s and the partition of
+      chi \\ s, and the partitions of one multiset are distinct.
+
+    Write B = lambda_p - (N-1)/2 = min P and T = lambda_{p+1} + (N-1)/2 =
+    max Q, so the bracket is [B, T] with L = N - gap values, P' = [B,
+    B+p'-1] and Q' = [T-q'+1, T]; B+p' is not in P and T-q' not in Q.  An
+    admissible s is [B, y] with y >= T, and it lies in chi: in case 1
+    inside P', in case 4 inside P' u Q', as unitarity gives L <= p' + q'.
+    It is also the straddling summand of every candidate.  chi holds each
+    value at most twice, values above T only in P and below B only in Q,
+    so chi \\ s meets [B, y] only in the shared values P /\\ Q /\\ [B, T].
+    These miss B+p' <= T in case 4 (L > p') and T-q' >= B in case 1
+    (L > q'), so no part of chi \\ s runs across [B, y].  A part with a
+    value above y starts above B and comes before s; one with a value
+    below B ends below y and comes after s; a part inside [B, T] may fall
+    either side.  So a_{<j} = #(P above y) + d, with d the shared values
+    in parts before s, while p = #(P above y) + #(P /\\ [B, y]).  Hence
+    p <= a_{<j} + a_j, and a_{<j} < p holds as d < #(P /\\ [B, y]): in
+    case 1 that is a_j >= L against at most L - 1 shared values; in case
+    4 the part holding B's second copy, if any, ends below B+p' <= T and
+    comes after s, so d counts shared values of P /\\ [B, T] other than
+    B.  Both facts are checked as internal invariants.
+
+    The compact case and gap cases 2 and 3 constrain nu_{<=j}, not nu_j
+    alone; they keep the filter over every segment partition of chi."""
     if not is_unitarizable(w):
         raise ValueError(f"{w.lam} is not unitarizable")
     chi = inf_char_of_lowest_weight(w)
-    return [psi for psi in good_parameters_with_inf_char(w.sig, chi)
-            if contains_lowest_weight(psi, w)]
+    straddles = _admissible_straddles(w)
+    if straddles is None:
+        return [psi for psi in good_parameters_with_inf_char(w.sig, chi)
+                if contains_lowest_weight(psi, w)]
+    sig = w.sig
+    found = []
+    for s in straddles:
+        rest = chi.difference(HalfIntMultiset(_summand_values((s,))))
+        if rest.size != chi.size - s[1]:
+            raise InternalInconsistencyError(
+                f"admissible segment {s} of {w.lam} is not in its infinitesimal character")
+        for parts in partition_into_segments(rest):
+            summands = [((part.start + part.end) // 2, part.length) for part in parts]
+            summands.append(s)
+            summands.sort(reverse=True)
+            if summands[_straddle(summands, sig.p)[0]] != s:
+                raise InternalInconsistencyError(
+                    f"admissible segment {s} of {w.lam} is not the straddling "
+                    f"summand of {summands}")
+            psi = AParameter(sig, tuple(summands))
+            if contains_lowest_weight(psi, w):
+                found.append(psi)
+    found.sort(key=lambda psi: psi.summands)
+    return found
+
+
+def _admissible_straddles(w: KWeight) -> Optional[list[tuple[int, int]]]:
+    # The summands (t, a) whose segment nu_j = [(t-a+1)/2, (t+a-1)/2] meets
+    # w's gap case condition on nu_j alone, or None in the cases that do
+    # not pin nu_j.  Both cases have gap < N - 1, so the bracket [B, T]
+    # holds N - gap >= 2 values; B is also the least value of P', so in
+    # case 1 nu_j is [B, y] for each y of P' with y >= T.  Values are
+    # doubled.
+    case = _gap_case(w)
+    if case not in (1, 4):
+        return None
+    bracket = w._bracket.twice
+    top, bottom = bracket[0], bracket[-1]
+    if case == 4:
+        return [((top + bottom) // 2, len(bracket))]
+    return [((y + bottom) // 2, (y - bottom) // 2 + 1)
+            for y in weight_stats(w).P_seg.twice if y >= top]

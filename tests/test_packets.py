@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import re
@@ -16,7 +17,8 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
 from upq_packets.tableaux import MINUS, PLUS, AntiTableau
-from upq_packets.weights import GroupSignature, KWeight, is_unitarizable
+from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
+                                 is_unitarizable)
 
 
 def psi_of(p, q, *summands):
@@ -265,6 +267,61 @@ def test_packets_containing_fixtures():
         ((0, 2),)]
     assert [p.summands for p in packets_containing(w(1, 1, 1, 0))] == [
         ((1, 1), (1, 1))]
+
+
+def test_packets_containing_equals_the_filter_up_to_n_6():
+    # Every unitarizable weight of window 2 up to N = 6 against the filter
+    # over every segment partition of its character, counted by the case
+    # that selects the enumeration (0: p = 0 or q = 0; 1..4: the gap cases).
+    cases = collections.Counter()
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for kw in dominant_weights(GroupSignature(p, n - p), 2):
+                if is_unitarizable(kw):
+                    chi = inf_char_of_lowest_weight(kw)
+                    assert packets_containing(kw) == [
+                        psi for psi in good_parameters_with_inf_char(kw.sig, chi)
+                        if contains_lowest_weight(psi, kw)], kw
+                    cases[packets._gap_case(kw)] += 1
+    assert cases == {0: 922, 1: 66, 2: 66, 3: 63, 4: 302}
+
+
+def test_packets_containing_u41_lists_three_admissible_straddles():
+    # Gap case 1: P' = [-1, 2] and the bracket [-1, 0], so nu_j is one of
+    # [-1, 2], [-1, 1] and [-1, 0].
+    kw = w(4, 1, 1, 1, 1, 1, -2)
+    assert packets._gap_case(kw) == 1
+    assert packets._admissible_straddles(kw) == [(1, 4), (0, 3), (-1, 2)]
+    assert [psi.summands for psi in packets_containing(kw)] == [
+        ((1, 4), (0, 1)),
+        ((2, 3), (-1, 2)),
+        ((3, 2), (0, 1), (-1, 2)),
+        ((4, 1), (0, 3), (0, 1)),
+        ((4, 1), (1, 2), (-1, 2)),
+        ((4, 1), (2, 1), (0, 1), (-1, 2))]
+
+
+def test_packets_containing_u33_places_the_bracket_at_the_straddle():
+    # Gap case 4: nu_j is the bracket [-3/2, 3/2].  chi minus the bracket
+    # is {1/2, -1/2}, with two segment partitions; the bracket straddles
+    # p = 3 in both, first in one and second in the other.
+    kw = w(3, 3, 1, 1, 1, -1, -1, -1)
+    assert packets._gap_case(kw) == 4
+    assert packets._admissible_straddles(kw) == [(0, 4)]
+    assert [psi.summands for psi in packets_containing(kw)] == [
+        ((0, 4), (0, 2)), ((1, 1), (0, 4), (-1, 1))]
+
+
+def test_packets_containing_refuses_an_admissible_segment_off_the_straddle(monkeypatch):
+    # The straddling position and the containment in chi are proved in
+    # packets_containing's docstring and checked on every candidate.
+    kw = w(3, 3, 1, 1, 1, -1, -1, -1)
+    monkeypatch.setattr(packets, "_admissible_straddles", lambda kw: [(-1, 1)])
+    with pytest.raises(InternalInconsistencyError, match="not the straddling summand"):
+        packets_containing(kw)
+    monkeypatch.setattr(packets, "_admissible_straddles", lambda kw: [(0, 6)])
+    with pytest.raises(InternalInconsistencyError, match="not in its infinitesimal character"):
+        packets_containing(kw)
 
 
 def test_good_parameters_enumeration_matches_partitions():

@@ -4,11 +4,11 @@ round trips.
 The exhaustive sweep stops at N = 6.  Here hypothesis draws good
 parameters and unitarizable weights at larger N, with a fixed seed
 (derandomize=True), and checks the closed forms against the tableau
-oracle and the rewriting engine against itself, and a parameter's kept
-character and d_0 split against a written-out multiset derivation (on
-every parameter of the character window 2 up to N = 6 as well).  It also
-checks that
-every type with a from_json reads back what its to_json wrote, and
+oracle, packets_containing against the filter over every segment
+partition of the character, the rewriting engine against itself, and a
+parameter's kept character and d_0 split against a written-out multiset
+derivation (on every parameter of the character window 2 up to N = 6 as
+well).  It also checks that every type with a from_json reads back what its to_json wrote, and
 refuses any number that is not a JSON integer, and that the package's JSON
 writer matches `json.dumps(obj, sort_keys=True, indent=2)` byte for byte.
 """
@@ -23,7 +23,8 @@ from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
 from upq_packets.oracle import good_parameters_in_window, oracle_lowest_weights
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char,
-                                 lowest_weight_of_packet, oracle_contains, packet)
+                                 lowest_weight_of_packet, oracle_contains, packet,
+                                 packets_containing)
 from upq_packets.tableaux import as_pair_equal, trapa_normalize
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable)
@@ -107,6 +108,14 @@ def test_contains_lowest_weight_matches_oracle(w):
     chi = inf_char_of_lowest_weight(w)
     for psi in good_parameters_with_inf_char(w.sig, chi):
         assert contains_lowest_weight(psi, w) == oracle_contains(psi, w), psi
+
+
+@SEEDED
+@given(unitarizable_weights(max_n=10))
+def test_packets_containing_equals_the_filter_on_drawn_weights(w):
+    chi = inf_char_of_lowest_weight(w)
+    assert packets_containing(w) == [psi for psi in good_parameters_with_inf_char(w.sig, chi)
+                                     if contains_lowest_weight(psi, w)]
 
 
 def _written_out_chi_and_candidate(psi):

@@ -8,9 +8,11 @@ modules: the two-block nonvanishing criterion, the realize/K-type round
 trip, the shape facts for lowest weight signed tableaux, preservation of
 invariants under block rewrites, and the holomorphic-candidate properties.
 
-Every instance is an independent pure computation; the instance space is
-partitioned by signature, so signatures can be processed by parallel
-workers and merged in signature order without affecting the report.
+Every instance is an independent pure computation.  The instance space
+is partitioned into tasks: one per signature, and the two-block data of
+each rank N.  Parallel workers take the tasks largest rank first, so the
+costliest start first, and their reports are merged in the serial order
+(signatures, then two-block data) without affecting the report.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
 
+# The most signatures a sweep may cover: every U(p, q) with p + q <= 100.
+# A sweep at max_N = 6 covers 27.
+MAX_SWEEP_SIGNATURES = 5150
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     max_N: int
@@ -46,6 +53,11 @@ class SweepConfig:
         if self.max_N < 1 or self.weight_window < 0 or self.char_window.twice < 0:
             raise ValueError("bad sweep configuration: need max_N >= 1 and "
                              "nonnegative weight and character windows")
+        count = (self.max_N + 1) * (self.max_N + 2) // 2 - 1
+        if count > MAX_SWEEP_SIGNATURES:
+            raise ValueError(f"a sweep up to max_N = {self.max_N} covers {count} "
+                             f"signatures, more than the limit of "
+                             f"{MAX_SWEEP_SIGNATURES}")
 
     def to_json(self) -> dict:
         return {"max_N": self.max_N, "weight_window": self.weight_window,
@@ -324,22 +336,27 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
                 {"kind": "holomorphic-candidate", "psi": psi.to_json()})
 
 
+def _two_block_share(n: int) -> list[InductionDescriptor]:
+    # The two-block data of rank n, in the order two_block_data lists them.
+    out = []
+    for a1 in range(1, n):
+        a2 = n - a1
+        for p1 in range(a1 + 1):
+            for p2 in range(a2 + 1):
+                sig = GroupSignature(p1 + p2, (a1 - p1) + (a2 - p2))
+                d = ThetaData(sig, ((p1, a1 - p1), (p2, a2 - p2)))
+                for v1 in range(-4, 4):
+                    desc = InductionDescriptor(d, (v1, 0))
+                    if range_class(desc):
+                        out.append(desc)
+    return out
+
+
 def two_block_data(max_N: int) -> list[InductionDescriptor]:
     """Every two-block datum with N <= max_N and mediocre values: the second
-    value is 0 and the first ranges over [-4, 3], a window of width 8."""
-    out = []
-    for n in range(2, max_N + 1):
-        for a1 in range(1, n):
-            a2 = n - a1
-            for p1 in range(a1 + 1):
-                for p2 in range(a2 + 1):
-                    sig = GroupSignature(p1 + p2, (a1 - p1) + (a2 - p2))
-                    d = ThetaData(sig, ((p1, a1 - p1), (p2, a2 - p2)))
-                    for v1 in range(-4, 4):
-                        desc = InductionDescriptor(d, (v1, 0))
-                        if range_class(desc):
-                            out.append(desc)
-    return out
+    value is 0 and the first ranges over [-4, 3], a window of width 8.
+    They are listed by rank N, smallest first."""
+    return [desc for n in range(2, max_N + 1) for desc in _two_block_share(n)]
 
 
 def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
@@ -392,9 +409,21 @@ def sweep_signature(sig: GroupSignature, cfg: SweepConfig) -> SweepReport:
     return report
 
 
-def _sweep_signature_task(args: tuple[int, int, SweepConfig]) -> SweepReport:
-    p, q, cfg = args
-    return sweep_signature(GroupSignature(p, q), cfg)
+def _sweep_two_block(n: int, cfg: SweepConfig) -> SweepReport:
+    """The part of the sweep attached to the two-block data of rank n."""
+    report = SweepReport(config=cfg.to_json())
+    for desc in _two_block_share(n):
+        _check_two_block(desc, report)
+    return report
+
+
+def _sweep_signature_task(task: tuple[int, int | None, SweepConfig]) -> SweepReport:
+    # One task of a pooled sweep, run in a worker: (n, p, cfg) is the
+    # signature U(p, n - p), and (n, None, cfg) the two-block data of rank n.
+    n, p, cfg = task
+    if p is None:
+        return _sweep_two_block(n, cfg)
+    return sweep_signature(GroupSignature(p, n - p), cfg)
 
 
 def _default_sigterm() -> None:
@@ -410,23 +439,28 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     """Run the full verification sweep.
 
     Signatures are enumerated small to large, so the first recorded
-    disagreement is already a minimal counterexample for its kind.  With
-    jobs > 1 the per-signature work runs in a process pool of at most jobs
-    processes, and no more than there are signatures or CPUs; reports are
-    merged in signature order, so the output is identical either way.
+    disagreement is already a minimal counterexample for its kind; the
+    two-block data follow, also by rank.  With jobs > 1 every signature and
+    the two-block data of each rank are tasks of one process pool of at
+    most jobs processes, and no more than there are tasks or CPUs.  The
+    pool takes the tasks largest rank first, so the costliest start first
+    and no worker is left with them at the end; the reports are merged in
+    the serial order, so the output is identical either way.
     """
     sigs = [(p, n - p) for n in range(1, cfg.max_N + 1) for p in range(n + 1)]
+    tasks = ([(p + q, p, cfg) for p, q in sigs]
+             + [(n, None, cfg) for n in range(2, cfg.max_N + 1)])
     report = SweepReport(config=cfg.to_json())
-    processes = min(jobs, len(sigs), os.cpu_count() or 1)
+    processes = min(jobs, len(tasks), os.cpu_count() or 1)
     if processes > 1:
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
         with Pool(processes, _default_sigterm) as pool:
-            parts = pool.map(_sweep_signature_task,
-                             [(p, q, cfg) for p, q in sigs])
-        for part in parts:
+            parts = pool.map(_sweep_signature_task, [tasks[i] for i in order])
+        for _, part in sorted(zip(order, parts), key=lambda pair: pair[0]):
             report.merge(part)
     else:
         for p, q in sigs:
             report.merge(sweep_signature(GroupSignature(p, q), cfg))
-    for desc in two_block_data(cfg.max_N):
-        _check_two_block(desc, report)
+        for desc in two_block_data(cfg.max_N):
+            _check_two_block(desc, report)
     return report

@@ -167,6 +167,20 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["lowest_k_type"] == [0, 0]
 
 
+def test_verify_refuses_a_sweep_too_large_to_list():
+    # Listing the signatures up to N = 10^6 would take all memory; the
+    # count is refused before anything is listed.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "verify",
+                           "--max-n", "1000000", "--window", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "invalid-input"
+    assert "500001500000 signatures" in err["message"]
+
+
 # Every subcommand, ascii output then the default, verify with and without
 # --char-window, and argparse errors (a missing flag, a bad choice) between
 # well-formed calls.

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 from collections import Counter
 
+import pytest
+
 from upq_packets import oracle, packets
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weights,
@@ -104,6 +106,18 @@ def test_two_block_data_all_mediocre():
     assert len(data) > 200
 
 
+def test_two_block_data_is_the_per_rank_shares_in_rank_order():
+    # The pool checks each rank's share as one task; the serial sweep reads
+    # two_block_data.  Both must list the same data in the same order.
+    for max_N in range(1, 7):
+        shares = [oracle._two_block_share(n) for n in range(2, max_N + 1)]
+        assert [d for share in shares for d in share] == two_block_data(max_N)
+        for n, share in enumerate(shares, start=2):
+            assert share and all(d.d.sig.N == n for d in share)
+    # The pinned sweeps count 258 two-block data at N <= 4 and 1130 at N <= 6.
+    assert len(two_block_data(4)) == 258 and len(two_block_data(6)) == 1130
+
+
 def test_sweep_small_window_is_clean():
     cfg = SweepConfig(max_N=2, weight_window=2, char_window=HalfInt.whole(2))
     rep = sweep_verify(cfg)
@@ -155,10 +169,11 @@ def test_pool_size_is_bounded_by_signatures_and_cpus(monkeypatch):
     cfg = SweepConfig(max_N=2, weight_window=1, char_window=HalfInt.whole(2))
     serial = sweep_verify(cfg, jobs=1).dumps()
     assert requested == []
-    # Five signatures up to N=2, three CPUs: the CPUs bound the pool.
+    # Six tasks up to N=2 (five signatures and the two-block data of
+    # rank 2), three CPUs: the CPUs bound the pool.
     assert sweep_verify(cfg, jobs=10**6).dumps() == serial
     assert requested == [3]
-    # Two signatures at N=1: the signatures bound it.
+    # Two tasks at N=1, both signatures: the tasks bound it.
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     small = SweepConfig(max_N=1, weight_window=1, char_window=HalfInt.whole(1))
     assert sweep_verify(small, jobs=10**6).dumps() == sweep_verify(small).dumps()
@@ -167,6 +182,77 @@ def test_pool_size_is_bounded_by_signatures_and_cpus(monkeypatch):
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
     assert sweep_verify(cfg, jobs=4).dumps() == serial
     assert requested == [3, 2]
+
+
+def test_pooled_sweep_merges_in_serial_order(monkeypatch):
+    # A stand-in pool that starts no process runs the tasks in reverse; each
+    # signature and two-block datum leaves a failure naming it, so the
+    # merged report shows the order the parts were merged in.
+    received = []
+    checked_in_pool = []
+    checked_in_parent = []
+    in_pool = [False]
+
+    class ReversePool:
+        def __init__(self, processes, initializer):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable):
+            tasks = list(iterable)
+            received.extend(tasks)
+            in_pool[0] = True
+            try:
+                return [func(task) for task in reversed(tasks)][::-1]
+            finally:
+                in_pool[0] = False
+
+    def fake_signature(sig, cfg):
+        report = SweepReport(config=cfg.to_json())
+        report.bump("weights")
+        report.property_failures.append({"kind": "sig", "p": sig.p, "q": sig.q})
+        return report
+
+    def fake_two_block(desc, report):
+        (checked_in_pool if in_pool[0] else checked_in_parent).append(desc)
+        report.bump("two-block")
+        report.property_failures.append({"kind": "two-block",
+                                         "descriptor": desc.to_json()})
+
+    monkeypatch.setattr(oracle, "Pool", ReversePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "sweep_signature", fake_signature)
+    monkeypatch.setattr(oracle, "_check_two_block", fake_two_block)
+    cfg = SweepConfig(max_N=4, weight_window=1, char_window=HalfInt.whole(1))
+    serial = sweep_verify(cfg, jobs=1)
+    checked_in_parent.clear()
+    pooled = sweep_verify(cfg, jobs=2)
+    assert pooled.dumps() == serial.dumps()
+
+    data = two_block_data(4)
+    sigs = [(p, n - p) for n in range(1, 5) for p in range(n + 1)]
+    assert pooled.property_failures == (
+        [{"kind": "sig", "p": p, "q": q} for p, q in sigs]
+        + [{"kind": "two-block", "descriptor": d.to_json()} for d in data])
+    assert Counter(checked_in_pool) == Counter(data)
+    assert checked_in_parent == []
+    ranks = [task[0] for task in received]
+    assert len(received) == len(sigs) + 3
+    assert ranks == sorted(ranks, reverse=True)
+
+
+def test_sweep_config_refuses_too_many_signatures():
+    limit = oracle.MAX_SWEEP_SIGNATURES
+    # max_N = 100 covers exactly the limit; one more rank is refused.
+    assert SweepConfig(100, 1, HalfInt.whole(1)).max_N == 100
+    assert (100 + 1) * (100 + 2) // 2 - 1 == limit
+    with pytest.raises(ValueError, match="covers 5252 signatures"):
+        SweepConfig(101, 1, HalfInt.whole(1))
 
 
 def test_signature_sweep_counts_instances():

@@ -13,24 +13,29 @@ sides do the same work:
 - `queries-mixed`: the same for the mixed stream's prefix (360 small
   `classify-psi`, `classify-lambda` and `packet` queries at N = 5..8);
 - `sweep-n4`: one `sweep_verify` pass at the workload's windows.  A sweep
-  is exhaustive, so it has a single seed.
+  is exhaustive, so it has a single seed;
+- `sweep-n6-jobs2`: the same, on the workload's pool of worker processes.
 
 Every run is a fresh process; a pair is one run of each side, and the side
 that goes first alternates from pair to pair so that drift in the
 machine's speed falls on both.
 
-Each run records wall time, CPU time, the process's peak resident set
-size in MB (`ru_maxrss`, which also covers start-up and warm-up), for
-queries the median and 90th-percentile query latency and the summed
-latency of each subcommand in the stream (`classify_psi_s`,
-`classify_lambda_s`, `packet_s`), the calls to each
+Each run records wall time, CPU time (its own and its waited-for
+children's, so that a pooled sweep's workers count), peak resident set
+size in MB (`ru_maxrss` of the process, which also covers start-up and
+warm-up, plus that of its largest waited-for child), for sweeps the
+instances checked per second, for queries the median and 90th-percentile
+query latency and the summed latency of each subcommand in the stream
+(`classify_psi_s`, `classify_lambda_s`, `packet_s`), the calls to each
 `--count` function (default `tableaux.as_pair_equal`; the option may be
 repeated) and the time spent inside its outermost calls, and the SHA-256
 of the outputs.  A function is counted by a wrapper bound in place of
 that name in every module of the run's own package; its clock calls are
-part of the wall time of both sides.  The summary goes to `--out`
-(default `BENCH_packet_pairs.json` at the root of this checkout).  With
-more than one `--workload`, the file holds one section per workload.
+part of the wall time of both sides.  `--count` sees only the calls made
+in the run's own process, not those in a pooled sweep's workers.  The
+summary goes to `--out` (default `BENCH_packet_pairs.json` at the root of
+this checkout).  With more than one `--workload`, the file holds one
+section per workload.
 """
 
 from __future__ import annotations
@@ -64,8 +69,10 @@ def percentile(samples: list[float], pct: float) -> float:
 
 
 def cpu_now() -> float:
+    """CPU seconds of this process and its waited-for children."""
     own = resource.getrusage(resource.RUSAGE_SELF)
-    return own.ru_utime + own.ru_stime
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
 def source_sha256(tree: Path) -> str:
@@ -127,7 +134,8 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
                                           HalfInt.whole(wl.char_window)), jobs=wl.jobs)
         wall, cpu = time.perf_counter() - start, cpu_now() - c0
         digest.update(report.dumps().encode())
-        out = {"instances": report.instances_checked}
+        out = {"instances": report.instances_checked,
+               "instances_per_s": report.instances_checked / wall}
     else:
         stream, _ = generate_queries(wl, seed, wl.digest_queries)
 
@@ -157,7 +165,9 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
                     for command, seconds in per_command.items()})
     for label, (calls, inside) in counters.items():
         out.update({f"{label}_calls": calls, f"{label}_s": inside})
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    # KiB on Linux; the children's figure is the largest waited-for child's.
+    peak_rss_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                   + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak_rss_mb, **out,
             "output_sha256": digest.hexdigest()}
 
@@ -224,9 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--after", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append",
-                    choices=("packets-large", "queries-mixed", "sweep-n4"),
-                    help="packets-large (default), queries-mixed or sweep-n4; "
-                         "may be repeated")
+                    choices=("packets-large", "queries-mixed", "sweep-n4",
+                             "sweep-n6-jobs2"),
+                    help="packets-large (default), queries-mixed, sweep-n4 or "
+                         "sweep-n6-jobs2; may be repeated")
     ap.add_argument("--count", action="append", metavar="MODULE.FUNC",
                     help="function whose calls and inside time are recorded "
                          "(default tableaux.as_pair_equal); may be repeated")

@@ -339,19 +339,19 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     return ann, as_tab
 
 
-def _descriptor_from_segments(sig: GroupSignature,
-                              blocks: list[tuple[int, int]],
-                              segs: list[Segment]) -> InductionDescriptor:
+def _descriptor_from_tops(sig: GroupSignature, blocks: list[tuple[int, int]],
+                          tops: list[int]) -> InductionDescriptor:
+    # The datum whose block i carries the segment of size p_i + q_i topped
+    # by the doubled entry tops[i].
     n = sig.N
     values = []
     before = 0
-    for (pk, qk), seg in zip(blocks, segs):
+    for (pk, qk), top in zip(blocks, tops):
         size = pk + qk
-        if seg.length != size:
-            raise ValueError("segment size mismatch")
-        twice = seg.end - (n - 1) + 2 * before
+        twice = top - (n - 1) + 2 * before
         if twice % 2 != 0:
-            raise ValueError(f"segment {seg} not realizable at this position")
+            raise ValueError(f"segment {Segment(top - 2 * size + 2, size)} "
+                             f"not realizable at this position")
         values.append(twice // 2)
         before += size
     return InductionDescriptor(ThetaData(sig, tuple(blocks)), tuple(values))
@@ -377,7 +377,7 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
     p_j, q_j = desc.d.blocks[j]
 
     blocks: list[tuple[int, int]] = []
-    new_segs: list[Segment] = []
+    tops: list[int] = []
     for idx, piece in enumerate(pieces):
         if piece.is_empty:
             if idx == 2:
@@ -391,10 +391,10 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
             blocks.append((p_j, q_j))
         else:
             blocks.append((0, piece.size))
-        new_segs.append(piece.as_segment())
+        tops.append(piece.twice[0])
 
     try:
-        out = _descriptor_from_segments(desc.d.sig, blocks, new_segs)
+        out = _descriptor_from_tops(desc.d.sig, blocks, tops)
     except ValueError as exc:
         raise ValueError(f"rewrite unavailable: {exc}") from exc
     if not range_class(out):
@@ -413,32 +413,36 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
     j = desc.d.pivot()
     if j is None:
         raise ValueError("datum is not holomorphic")
-    segs = segments_of(desc)
     blocks = list(desc.d.blocks)
+    sizes = desc.d.sizes()
+    starts = _segment_starts(desc.d.sig.N, sizes, desc.values)
+    tops = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
+    # Every segment of one datum starts at N + 1 mod 2, so a neighbour lies
+    # inside nu_j exactly when its ends do.
     p_j, q_j = blocks[j]
     if side == "next":
         if j + 1 >= len(blocks):
             raise ValueError("no next block")
-        a_next = blocks[j + 1][0] + blocks[j + 1][1]
-        if segs[j].intersect(segs[j + 1]) != segs[j + 1]:
+        a_next = sizes[j + 1]
+        if starts[j + 1] < starts[j] or tops[j + 1] > tops[j]:
             raise ValueError("next segment not contained in pivot segment")
         if p_j < a_next:
             raise ValueError("pivot has too few plus parts for the swap")
         new_blocks = blocks[:j] + [(a_next, 0), (p_j - a_next, q_j + a_next)] + blocks[j + 2:]
-        new_segs = segs[:j] + [segs[j + 1], segs[j]] + segs[j + 2:]
+        new_tops = tops[:j] + [tops[j + 1], tops[j]] + tops[j + 2:]
     elif side == "prev":
         if j == 0:
             raise ValueError("no previous block")
-        a_prev = blocks[j - 1][0] + blocks[j - 1][1]
-        if segs[j].intersect(segs[j - 1]) != segs[j - 1]:
+        a_prev = sizes[j - 1]
+        if starts[j - 1] < starts[j] or tops[j - 1] > tops[j]:
             raise ValueError("previous segment not contained in pivot segment")
         if q_j < a_prev:
             raise ValueError("pivot has too few minus parts for the swap")
         new_blocks = blocks[:j - 1] + [(p_j + a_prev, q_j - a_prev), (0, a_prev)] + blocks[j + 1:]
-        new_segs = segs[:j - 1] + [segs[j], segs[j - 1]] + segs[j + 1:]
+        new_tops = tops[:j - 1] + [tops[j], tops[j - 1]] + tops[j + 1:]
     else:
         raise ValueError("side must be 'next' or 'prev'")
-    out = _descriptor_from_segments(desc.d.sig, new_blocks, new_segs)
+    out = _descriptor_from_tops(desc.d.sig, new_blocks, new_tops)
     if not range_class(out):
         raise ValueError("rewrite unavailable: outside mediocre range")
     return out

@@ -4,7 +4,9 @@ Every quantity that can be a strict half-integer (tableau entries,
 infinitesimal-character coordinates, segment starts) is stored as its
 doubled integer value, so all arithmetic and comparisons stay exact.
 Segments are integer-step intervals [a, a+n] regarded as multiplicity-free
-multisets.  HalfInt reads and prints one such value.
+multisets.  HalfInt reads and prints one such value, and Segment one
+segment: both are JSON and printing forms.  Inside the package a segment
+is its A-parameter summand (t, a), which is what the enumerators yield.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class HalfInt:
     doubled ints themselves."""
 
     twice: int
+
+    def __post_init__(self) -> None:
+        if type(self.twice) is not int:
+            raise ValueError(f"a half-integer holds a doubled int, not {self.twice!r}")
 
     @classmethod
     def whole(cls, k: int) -> "HalfInt":
@@ -93,8 +99,9 @@ class Segment:
     length: int
 
     def __post_init__(self) -> None:
-        if type(self.start) is not int:
-            raise ValueError(f"a segment starts at a doubled int, not {self.start!r}")
+        if type(self.start) is not int or type(self.length) is not int:
+            raise ValueError(f"a segment has a doubled int start and an int length, "
+                             f"not {self.start!r} and {self.length!r}")
         if self.length < 0:
             raise ValueError("segment length must be nonnegative")
         if self.length == 0 and self.start != 0:
@@ -124,11 +131,6 @@ class Segment:
         if self.is_empty:
             raise ValueError("empty segment has no endpoint")
         return self.start + 2 * (self.length - 1)
-
-    def intersect(self, other: "Segment") -> "Segment":
-        if self.is_empty or other.is_empty or (self.start - other.start) % 2 != 0:
-            return Segment.empty()
-        return Segment.from_bounds(max(self.start, other.start), min(self.end, other.end))
 
     def as_multiset(self) -> "HalfIntMultiset":
         return HalfIntMultiset(tuple(range(self.start + 2 * self.length - 2,
@@ -221,13 +223,6 @@ class HalfIntMultiset:
         """True iff this multiset is exactly a segment (consecutive, all mult 1)."""
         return all(a - b == 2 for a, b in zip(self.twice, self.twice[1:]))
 
-    def as_segment(self) -> Segment:
-        if self.is_empty:
-            return Segment.empty()
-        if not self.is_segment():
-            raise ValueError(f"{self} is not a segment")
-        return Segment(self.twice[-1], self.size)
-
     def __str__(self) -> str:
         parts = []
         for t, m in Counter(self.twice).items():
@@ -261,19 +256,15 @@ def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMult
     return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
 
 
-def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
-    """All multiset partitions of m whose parts are segments.
+def partition_into_segments(m: HalfIntMultiset) -> list[list[tuple[int, int]]]:
+    """All multiset partitions of m whose parts are segments, each part
+    given as its A-parameter summand (t, a): the segment
+    [(t - a + 1)/2, (t + a - 1)/2] of length a.
 
     Each partition appears once (as a multiset of parts).  Parts are listed
-    in the canonical order used for A-parameter summands; the list of
-    partitions is sorted lexicographically by the parts' (t, a) keys so the
-    output order is reproducible.
-
-    The enumeration runs on doubled ints: a part is the pair (s, a) of its
-    doubled endpoints' sum s = 2t and its length a, so the canonical order
-    of parts is plain tuple order, largest first, and the order of
-    partitions is plain list order.  Each distinct part becomes one
-    Segment at the end.
+    in the canonical summand order, largest (t, a) first, and the list of
+    partitions is sorted lexicographically by its parts, so the output
+    order is reproducible.  Both orders are plain tuple and list order.
     """
     counts = Counter(m.twice)
     values = sorted(counts, reverse=True)
@@ -296,7 +287,7 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
         while length < max_len and counts[top - 2 * length]:
             counts[top - 2 * length] -= 1
             length += 1
-            acc.append((2 * top - 2 * length + 2, length))
+            acc.append((top - length + 1, length))
             rec(i, left - length, top, length)
             acc.pop()
         for k in range(length):
@@ -304,6 +295,4 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[Segment]]:
 
     rec(0, m.size, None, 0)
     found.sort()
-    segments = {part: Segment(part[0] // 2 - part[1] + 1, part[1])
-                for parts in found for part in parts}
-    return [[segments[part] for part in parts] for parts in found]
+    return found

@@ -25,15 +25,15 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .cohind import (InductionDescriptor, ThetaData, _same_invariants,
-                     absorb_adjacent, lowest_weight_invariants,
+                     _segment_starts, absorb_adjacent, lowest_weight_invariants,
                      normalize_blocks, range_class, realize_lowest_weight,
-                     segments_of, holomorphic_lowest_ktype, tableau_pair)
+                     holomorphic_lowest_ktype, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
+from .halfint import HalfInt, HalfIntMultiset, _json_dumps
 from .packets import (AParameter, contains_lowest_weight, d_zero,
                       good_parameters_with_inf_char, inf_char,
                       lowest_weight_of_packet, oracle_contains, packet)
-from .tableaux import as_pair_equal, trapa_normalize
+from .tableaux import _sing, as_pair_equal, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
@@ -107,37 +107,29 @@ def dominant_weights(sig: GroupSignature, window: int) -> list[KWeight]:
     return [KWeight(sig, tuple(ps) + tuple(qs)) for ps in p_sides for qs in q_sides]
 
 
-def _segments_in_window(n: int, window: HalfInt) -> list[Segment]:
-    # Segments over the half-integer grid Z + (N-1)/2 within [-window, window].
-    lo, hi = -window.twice, window.twice
-    out = []
-    for start in range(lo, hi + 1):
-        if (start - (n - 1)) % 2 != 0:
-            continue
-        for length in range(1, n + 1):
-            if start + 2 * (length - 1) > hi:
-                break
-            out.append(Segment(start, length))
-    return out
-
-
 def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[AParameter]:
-    """All good parameters with every character coordinate in the window."""
+    """All good parameters with every character coordinate in the window.
+
+    The summands (t, a) of the segments over the grid Z + (N-1)/2 within
+    [-window, window] are listed largest first, and each parameter takes
+    them in that order, so it is built canonical (AParameter checks it)."""
     n = sig.N
-    segs = _segments_in_window(n, window)
-    keyed = sorted(segs, key=lambda s: (-(s.start + s.end), -s.length))
+    lo, hi = -window.twice, window.twice
+    summands = sorted(((start + length - 1, length)
+                       for start in range(lo, hi + 1) if (start - (n - 1)) % 2 == 0
+                       for length in range(1, min(n, (hi - start) // 2 + 1) + 1)),
+                      reverse=True)
     out: list[AParameter] = []
 
-    def rec(i: int, remaining: int, acc: list[Segment]) -> None:
+    def rec(i: int, remaining: int, acc: list[tuple[int, int]]) -> None:
         if remaining == 0:
-            out.append(AParameter.from_summands(
-                sig, [((s.start + s.end) // 2, s.length) for s in acc]))
+            out.append(AParameter(sig, tuple(acc)))
             return
-        for k in range(i, len(keyed)):
-            s = keyed[k]
-            if s.length <= remaining:
+        for k in range(i, len(summands)):
+            s = summands[k]
+            if s[1] <= remaining:
                 acc.append(s)
-                rec(k, remaining - s.length, acc)
+                rec(k, remaining - s[1], acc)
                 acc.pop()
 
     rec(0, n, [])
@@ -362,8 +354,9 @@ def two_block_data(max_N: int) -> list[InductionDescriptor]:
 def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
     report.bump("two-block")
     (p1, q1), (p2, q2) = desc.d.blocks
-    s1, s2 = segments_of(desc)
-    sing = s1.intersect(s2).length
+    a1, a2 = p1 + q1, p2 + q2
+    s1, s2 = _segment_starts(desc.d.sig.N, (a1, a2), desc.values)
+    sing = _sing((s1, a1), (s2, a2))
     expected = min(p1, q2) + min(q1, p2) >= sing
     try:
         out = tableau_pair(desc)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
@@ -68,11 +68,6 @@ class AParameter:
     def sizes(self) -> list[int]:
         return [a for _, a in self.summands]
 
-    def segment(self, i: int) -> Segment:
-        """nu_i = [(t_i - a_i + 1)/2, (t_i + a_i - 1)/2]."""
-        t, a = self.summands[i]
-        return Segment(t - a + 1, a)
-
     @cached_property
     def _chi(self) -> HalfIntMultiset:
         # inf_char(self).
@@ -94,7 +89,7 @@ class AParameter:
             if start != t - a + 1:
                 raise InternalInconsistencyError(
                     f"segment {Segment(start, a)} of the block values differs from "
-                    f"nu_{i + 1} = {self.segment(i)}")
+                    f"nu_{i + 1} = {Segment(t - a + 1, a)}")
         return tuple(values)
 
     @cached_property
@@ -186,27 +181,38 @@ def inf_char(psi: AParameter) -> HalfIntMultiset:
 
 def enumerate_D(psi: AParameter) -> list[ThetaData]:
     """All ((p_i, q_i))_i with p_i + q_i = a_i summing to the signature,
-    in decreasing lexicographic order of the p-parts."""
-    sizes = psi.sizes()
-    p_total = psi.sig.p
-    suffix = [0] * (psi.r + 1)
-    for i in range(psi.r - 1, -1, -1):
+    in decreasing lexicographic order of the p-parts.
+
+    The choices run on an explicit stack, so the call depth does not grow
+    with the number of blocks."""
+    sig, sizes, r = psi.sig, psi.sizes(), psi.r
+    suffix = [0] * (r + 1)
+    for i in range(r - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
-    out: list[ThetaData] = []
 
-    def rec(i: int, remaining: int, acc: list[tuple[int, int]]) -> None:
-        if i == psi.r:
-            if remaining == 0:
-                out.append(ThetaData(psi.sig, tuple(acc)))
-            return
-        hi = min(sizes[i], remaining)
+    def frame(i: int, remaining: int) -> tuple[Iterator[int], int]:
+        # Block i's p_i still to try, largest first, leaving no more than
+        # the later blocks hold (so the last block takes all that remains);
+        # and the plus parts left for blocks i on.
         lo = max(0, remaining - suffix[i + 1])
-        for pk in range(hi, lo - 1, -1):
-            acc.append((pk, sizes[i] - pk))
-            rec(i + 1, remaining - pk, acc)
-            acc.pop()
+        return iter(range(min(sizes[i], remaining), lo - 1, -1)), remaining
 
-    rec(0, p_total, [])
+    out: list[ThetaData] = []
+    acc: list[tuple[int, int]] = []
+    stack = [frame(0, sig.p)]
+    while stack:
+        i = len(stack) - 1
+        choices, remaining = stack[i]
+        pk = next(choices, None)
+        if pk is None:
+            stack.pop()
+            continue
+        del acc[i:]  # keep the choices of blocks before i
+        acc.append((pk, sizes[i] - pk))
+        if i + 1 < r:
+            stack.append(frame(i + 1, remaining - pk))
+        else:
+            out.append(ThetaData(sig, tuple(acc)))
     return out
 
 
@@ -453,15 +459,14 @@ def good_parameters_with_inf_char(sig: GroupSignature,
                                   chi: HalfIntMultiset) -> list[AParameter]:
     """All good parameters whose infinitesimal character equals chi.
 
-    Every partition of chi into segments gives one: a part [x, y] becomes
-    the summand (t, a) = (x + y, length).  partition_into_segments lists
-    the parts in canonical summand order, so they are not sorted again;
-    AParameter still checks the order.  The parity condition holds
-    automatically for characters of lowest weight modules; a character
-    whose parts break t + a + N even raises ValueError from AParameter.
+    Every partition of chi into segments gives one: partition_into_segments
+    lists its parts as summands (t, a) in canonical order, so they are not
+    sorted again; AParameter still checks the order.  The parity condition
+    holds automatically for characters of lowest weight modules; a
+    character whose parts break t + a + N even raises ValueError from
+    AParameter.
     """
-    return [AParameter(sig, tuple(((seg.start + seg.end) // 2, seg.length) for seg in parts))
-            for parts in partition_into_segments(chi)]
+    return [AParameter(sig, tuple(parts)) for parts in partition_into_segments(chi)]
 
 
 def packets_containing(w: KWeight) -> list[AParameter]:
@@ -522,9 +527,7 @@ def packets_containing(w: KWeight) -> list[AParameter]:
             raise InternalInconsistencyError(
                 f"admissible segment {s} of {w.lam} is not in its infinitesimal character")
         for parts in partition_into_segments(rest):
-            summands = [((part.start + part.end) // 2, part.length) for part in parts]
-            summands.append(s)
-            summands.sort(reverse=True)
+            summands = sorted(parts + [s], reverse=True)
             if summands[_straddle(summands, sig.p)[0]] != s:
                 raise InternalInconsistencyError(
                     f"admissible segment {s} of {w.lam} is not the straddling "

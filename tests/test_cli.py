@@ -181,6 +181,19 @@ def test_verify_refuses_a_sweep_too_large_to_list():
     assert "500001500000 signatures" in err["message"]
 
 
+def test_packet_of_many_summands_gets_no_traceback():
+    # 990 summands chi_t * S_1 of U(0, 990): D(psi) holds one datum of 990
+    # blocks, which enumerate_D reaches without a call per block.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    psi = json.dumps([{"t": t, "a": 1} for t in range(989, -990, -2)])
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "packet",
+                           "--p", "0", "--q", "990", "--psi", psi],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["members"]) == 1
+
+
 # Every subcommand, ascii output then the default, verify with and without
 # --char-window, and argparse errors (a missing flag, a bad choice) between
 # well-formed calls.

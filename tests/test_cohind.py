@@ -224,6 +224,60 @@ def test_absorb_adjacent_preserves_invariants():
     assert invariants(dd) == invariants(swapped)
 
 
+def _absorb_written_out(dd, side):
+    # absorb_adjacent as first written: nesting is multiset containment of
+    # segments_of, and each value is read back from its segment's end.
+    j = dd.d.pivot()
+    segs = segments_of(dd)
+    blocks = list(dd.d.blocks)
+    p_j, q_j = blocks[j]
+    k = j + 1 if side == "next" else j - 1
+    if not 0 <= k < len(blocks):
+        raise ValueError("no neighbour")
+    if not segs[j].as_multiset().contains(segs[k].as_multiset()):
+        raise ValueError("neighbour not inside the pivot segment")
+    a = segs[k].length
+    if (p_j if side == "next" else q_j) < a:
+        raise ValueError("pivot too small for the swap")
+    if side == "next":
+        new_blocks = blocks[:j] + [(a, 0), (p_j - a, q_j + a)] + blocks[j + 2:]
+    else:
+        new_blocks = blocks[:j - 1] + [(p_j + a, q_j - a), (0, a)] + blocks[j + 1:]
+    lo = min(j, k)
+    new_segs = segs[:lo] + [segs[lo + 1], segs[lo]] + segs[lo + 2:]
+    values, before = [], 0
+    for (pk, qk), s in zip(new_blocks, new_segs):
+        twice = s.end - (dd.d.sig.N - 1) + 2 * before
+        if twice % 2:
+            raise ValueError("segment not realizable at this position")
+        values.append(twice // 2)
+        before += pk + qk
+    out = desc(dd.d.sig.p, dd.d.sig.q, new_blocks, values)
+    if not range_class(out):
+        raise ValueError("outside mediocre range")
+    return out
+
+
+def test_absorb_adjacent_equals_the_written_out_rewrite_on_two_block_data():
+    from upq_packets.oracle import two_block_data
+    swaps = 0
+    for dd in two_block_data(6):
+        if not dd.d.is_holomorphic():
+            continue
+        for side in ("next", "prev"):
+            try:
+                expected = _absorb_written_out(dd, side)
+            except ValueError:
+                expected = None
+            try:
+                got = absorb_adjacent(dd, side)
+            except ValueError:
+                got = None
+            assert got == expected, (dd, side)
+            swaps += got is not None
+    assert swaps == 109  # of 1,232 (datum, side) cases
+
+
 def test_tableau_pair_requires_mediocre():
     with pytest.raises(ValueError):
         tableau_pair(desc(1, 1, [(0, 1), (1, 0)], [-1, 1]))

@@ -74,11 +74,14 @@ def test_mset_algebra_identities():
     *(partial(HalfIntMultiset, m)
       for m in [(0, 2), (2, True), (HalfInt(2),), ((HalfInt(2), 1),), [2, 0]]),
     *(partial(Segment, start, 2) for start in [HalfInt(1), True, 1.0]),
+    partial(Segment, 0, 2.0), partial(Segment, 0, True),
+    partial(HalfInt, True), partial(HalfInt, 1.0),
 ])
 def test_multiset_constructor_refuses_other_forms(bad):
     # A multiset that is unsorted, holds a bool, a HalfInt or the old
     # (HalfInt, multiplicity) pairs, or is a list; a segment starting at a
-    # HalfInt, a bool or a float.  Both hold doubled ints only.
+    # HalfInt, a bool or a float, or with a float or bool length; a
+    # half-integer holding a bool or a float.  All hold exact ints only.
     with pytest.raises(ValueError):
         bad()
 
@@ -94,11 +97,12 @@ def test_multiset_canonical_form_is_decreasing():
 
 def test_partition_examples():
     # {1/2, -1/2}: the joined segment first, then the two singletons.
+    # Parts are summands (t, a): the segment [(t - a + 1)/2, (t + a - 1)/2].
     parts = partition_into_segments(mset(1, -1))
-    assert parts == [[seg(-1, 1)], [seg(1, 1), seg(-1, -1)]]
-    assert partition_into_segments(mset(0)) == [[seg(0, 0)]]
+    assert parts == [[(0, 2)], [(1, 1), (-1, 1)]]
+    assert partition_into_segments(mset(0)) == [[(0, 1)]]
     # A doubled value can never sit inside one segment.
-    assert partition_into_segments(mset(1, 1)) == [[seg(1, 1), seg(1, 1)]]
+    assert partition_into_segments(mset(1, 1)) == [[(1, 1), (1, 1)]]
 
 
 def _set_partitions(items):
@@ -136,7 +140,8 @@ def test_partition_against_brute_force():
         mset(2, 0, 0, -2, -2, -4), mset(1, 1, 1), mset(5, 3, 1, -1, -3, -5),
     ]
     for m in cases:
-        got = partition_into_segments(m)
+        got = [[Segment(t - a + 1, a) for t, a in parts]
+               for parts in partition_into_segments(m)]
         # Every returned partition reassembles to m and parts are unique.
         reassembled = []
         for parts in got:
@@ -155,7 +160,8 @@ def _written_out_partitions(m):
     # partition_into_segments as first written: every step finds the
     # largest live value afresh, consumes and restores a whole part per
     # length, builds each part as a Segment, and sorts parts and partitions
-    # by Segment keys.
+    # by Segment keys.  The partitions are read as summands (t, a) at the
+    # end, the form partition_into_segments returns.
     results = []
     counts = Counter(m.twice)
 
@@ -179,7 +185,7 @@ def _written_out_partitions(m):
 
     rec([], None)
     results.sort(key=lambda parts: [(s.start + s.end, s.length) for s in parts])
-    return results
+    return [[((s.start + s.end) // 2, s.length) for s in parts] for parts in results]
 
 
 def test_partition_equals_the_written_out_recursion_on_every_small_multiset():

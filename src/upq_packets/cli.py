@@ -222,7 +222,10 @@ def cmd_classify_lambda(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_packet(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     psi = _parse_psi(args, sig)
-    members = packet(psi)
+    try:
+        members = packet(psi)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     def as_json() -> str:
         head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),

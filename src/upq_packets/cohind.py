@@ -36,12 +36,15 @@ class ThetaData:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("at least one block required")
+        p = q = 0
         for pk, qk in self.blocks:
             if pk < 0 or qk < 0 or pk + qk == 0:
                 raise ValueError(f"bad block ({pk},{qk})")
-        if sum(pk for pk, _ in self.blocks) != self.sig.p:
+            p += pk
+            q += qk
+        if p != self.sig.p:
             raise ValueError("block p-parts do not sum to p")
-        if sum(qk for _, qk in self.blocks) != self.sig.q:
+        if q != self.sig.q:
             raise ValueError("block q-parts do not sum to q")
         # Tuples, so that data built from lists hash and compare equal.
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
@@ -104,10 +107,11 @@ class InductionDescriptor:
 
 
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
-    """The per-block segments; block i has |nu_i| = p_i + q_i."""
-    sizes = desc.d.sizes()
-    return [Segment(start, size)
-            for start, size in zip(_segment_starts(desc.d.sig.N, sizes, desc.values), sizes)]
+    """The per-block segments; block i has |nu_i| = p_i + q_i.
+
+    They are read from range_class's memo entry, which keeps them beside
+    the mediocre verdict."""
+    return list(_range_entry(desc)[1])
 
 
 def _segment_starts(n: int, sizes: Sequence[int], values: Sequence[int]) -> list[int]:
@@ -130,14 +134,22 @@ def range_class(desc: InductionDescriptor) -> bool:
 
     The answer reads only N, the block sizes and the values, not how each
     block splits into plus and minus parts.  Every member of a packet
-    shares those three, so the last 256 answers are kept per process and a
-    packet computes its answer once, for its first member.
+    shares those three, so the last 256 answers are kept per process, with
+    the segments beside them, and a packet computes both once, for its
+    first member.
     """
-    return _range_class(desc.d.sig.N, tuple(desc.d.sizes()), desc.values)
+    return _range_entry(desc)[0]
+
+
+def _range_entry(desc: InductionDescriptor) -> tuple[bool, tuple[Segment, ...]]:
+    # The memo entry of desc: its mediocre verdict and its segments.
+    return _range_class(desc.d.sig.N, tuple(pk + qk for pk, qk in desc.d.blocks),
+                        desc.values)
 
 
 @lru_cache(maxsize=256)
-def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> bool:
+def _range_class(n: int, sizes: tuple[int, ...],
+                 values: tuple[int, ...]) -> tuple[bool, tuple[Segment, ...]]:
     r = len(sizes)
     starts = _segment_starts(n, sizes, values)
     ends = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
@@ -154,7 +166,7 @@ def _range_class(n: int, sizes: tuple[int, ...], values: tuple[int, ...]) -> boo
     if med_segs != med_values:
         raise InternalInconsistencyError(
             f"mediocre tests disagree on sizes {sizes}, values {values} at N = {n}")
-    return med_segs
+    return med_segs, tuple(map(Segment, starts, sizes))
 
 
 def two_rho_u_cap_p(d: ThetaData) -> list[int]:
@@ -250,14 +262,15 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     immutable object: equal descriptors get the same one.  A datum outside
     the mediocre range raises on every call.
 
-    The mediocre test is asked of range_class on every call, but it depends
-    only on what a whole packet shares (N, sizes, values), so within one
-    packet(psi) it is computed once, for the first member.  The stack and
-    its rewriting depend on the member's own signs and run for each."""
-    if not range_class(desc):
+    The mediocre verdict and the segments come from one lookup of
+    range_class's memo.  They depend only on what a whole packet shares
+    (N, sizes, values), so within one packet(psi) they are computed once,
+    for the first member.  The stack and its rewriting depend on the
+    member's own signs and run for each."""
+    mediocre, segments = _range_entry(desc)
+    if not mediocre:
         raise ValueError("datum is outside the mediocre range")
-    stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
-    return trapa_normalize(stack)
+    return trapa_normalize(build_initial(desc.d.sig, desc.d.blocks, segments))
 
 
 def _split_case_columns(w: KWeight) -> tuple[list[int], list[int]]:

@@ -269,10 +269,16 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[tuple[int, int]]]:
     counts = Counter(m.twice)
     values = sorted(counts, reverse=True)
     found: list[list[tuple[int, int]]] = []
-    acc: list[tuple[int, int]] = []
+    acc: list[tuple[int, int]] = []  # the parts chosen so far, one per frame
+    # A frame grows one part down from its top value: [i, left, top,
+    # max_len, length], where values[i] == top, `left` counts the values
+    # still to cover before the part is chosen, and `length` is how far the
+    # part has grown, consuming counts as it goes.  The frames run on an
+    # explicit stack, so the call depth does not grow with the multiset.
+    stack: list[list[int]] = []
 
-    def rec(i: int, left: int, last_top: int | None, last_len: int) -> None:
-        # values[i:] holds every value still to be covered; `left` counts them.
+    def open_frame(i: int, left: int, last_top: int | None, last_len: int) -> None:
+        # values[i:] holds every value still to be covered.
         if not left:
             found.append(sorted(acc, reverse=True))
             return
@@ -280,19 +286,26 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[tuple[int, int]]]:
             i += 1
         top = values[i]
         # Parts sharing a top value are consumed longest first; this makes
-        # each multiset of parts arise along exactly one recursion path.
-        max_len = last_len if last_top == top else left
-        length = 0
-        # Lengthen the part one value at a time, consuming counts as it goes.
-        while length < max_len and counts[top - 2 * length]:
+        # each multiset of parts arise along exactly one path.
+        stack.append([i, left, top, last_len if last_top == top else left, 0])
+
+    open_frame(0, m.size, None, 0)
+    while stack:
+        frame = stack[-1]
+        i, left, top, max_len, length = frame
+        if length:
+            acc.pop()  # the part this frame chose last, now fully explored
+        if length < max_len and counts[top - 2 * length]:
+            # Lengthen the part by one value and explore the rest.
             counts[top - 2 * length] -= 1
             length += 1
+            frame[4] = length
             acc.append((top - length + 1, length))
-            rec(i, left - length, top, length)
-            acc.pop()
-        for k in range(length):
-            counts[top - 2 * k] += 1
+            open_frame(i, left - length, top, length)
+        else:
+            for k in range(length):
+                counts[top - 2 * k] += 1
+            stack.pop()
 
-    rec(0, m.size, None, 0)
     found.sort()
     return found

@@ -179,6 +179,23 @@ def inf_char(psi: AParameter) -> HalfIntMultiset:
     return psi._chi
 
 
+# The most members packet() builds.  |D(psi)| is counted before anything
+# is enumerated, and a larger packet is refused.  The largest packet of the
+# benchmark's query streams has 91 members; U(8, 8) with 16 summands S_1
+# has 12,870 and is answered in about 2 s on a 2-vCPU VM.
+_MAX_PACKET_MEMBERS = 20000
+
+
+def _count_D(psi: AParameter) -> int:
+    # |D(psi)|: the ways to split p among the blocks, block i taking 0 to
+    # a_i plus parts.  ways[s] counts the splits of s among the blocks so far.
+    p = psi.sig.p
+    ways = [1] + [0] * p
+    for a in psi.sizes():
+        ways = [sum(ways[max(0, s - a):s + 1]) for s in range(p + 1)]
+    return ways[p]
+
+
 def enumerate_D(psi: AParameter) -> list[ThetaData]:
     """All ((p_i, q_i))_i with p_i + q_i = a_i summing to the signature,
     in decreasing lexicographic order of the p-parts.
@@ -286,7 +303,14 @@ def packet(psi: AParameter) -> list[PacketMember]:
 
     What every member shares is derived once: the block values and their
     check against psi's segments are kept on psi, and the mediocre test
-    runs once through range_class's memo."""
+    runs once through range_class's memo.
+
+    A packet of more than _MAX_PACKET_MEMBERS members raises ValueError,
+    naming its count, before any member is built."""
+    count = _count_D(psi)
+    if count > _MAX_PACKET_MEMBERS:
+        raise ValueError(f"the packet of {psi} has {count} members, more than "
+                         f"the limit of {_MAX_PACKET_MEMBERS}")
     members = [_member(psi, d) for d in enumerate_D(psi)]
     live = [m for m in members if m.nonzero]
     chi = psi._chi

@@ -59,10 +59,13 @@ class SignedTableau:
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(sorted(self.rows, key=lambda r: (-r[0], -r[1]))))
+        # Largest first is longest first, then plus-first (PLUS > MINUS).
+        object.__setattr__(self, "rows", tuple(sorted(self.rows, reverse=True)))
         # A row of length L has ceil(L/2) boxes of its first sign, floor(L/2) of the other.
-        plus = sum((length + (first == PLUS)) // 2 for length, first in self.rows)
-        minus = sum((length + (first == MINUS)) // 2 for length, first in self.rows)
+        plus = minus = 0
+        for length, first in self.rows:
+            plus += (length + (first == PLUS)) // 2
+            minus += (length + (first == MINUS)) // 2
         if (plus, minus) != (self.sig.p, self.sig.q):
             raise ValueError(f"row signs ({plus},{minus}) do not match signature "
                              f"({self.sig.p},{self.sig.q})")
@@ -146,8 +149,8 @@ class ColumnStack:
                 "blocks": [[b.to_json() for b in blk] for blk in self.blocks]}
 
 
-def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
-                  segments: list[Segment]) -> ColumnStack:
+def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
+                  segments: Sequence[Segment]) -> ColumnStack:
     """Construct the initial stack for blocks (p_i, q_i) and their segments.
 
     Stage 1 is a single column with p_1 plus boxes above q_1 minus boxes.
@@ -202,7 +205,8 @@ def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
             lengths[rid] += 1
             ranks[rid] -= n
             entry -= 2
-            boxes.append(Box(rid, lengths[rid], sign, entry))
+            # tuple.__new__ builds the Box without NamedTuple's Python-level __new__.
+            boxes.append(tuple.__new__(Box, (rid, lengths[rid], sign, entry)))
             grown.append(pos)
         # Rows not lengthened keep their order, and so do the lengthened
         # ones; move each lengthened row up past the rows it now outranks.
@@ -217,7 +221,7 @@ def build_initial(sig: GroupSignature, block_signs: list[tuple[int, int]],
             for _ in range(count):
                 rid = len(lengths)
                 entry -= 2
-                boxes.append(Box(rid, 1, sign, entry))
+                boxes.append(tuple.__new__(Box, (rid, 1, sign, entry)))
                 lengths.append(1)
                 firsts.append(sign)
                 lasts.append(sign)
@@ -321,6 +325,64 @@ def _unit_shift(twice: int) -> int:
     return twice // 2
 
 
+def _idle(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox],
+          seg_l: tuple[int, int], seg_r: tuple[int, int]) -> Optional[bool]:
+    """Is the pair (left, right), holding these segments, already normal?
+
+    Returns None when the pair rewrites to the formal zero tableau
+    (overlap < sing), True when _rewrite_pair's full path would leave it as
+    it is and return False, and False when that path would move it.  The
+    pair is already normal when its right segment lies wholly below its
+    left one (end_r < start_l), or when all of these hold:
+
+    (a) start_r <= start_l and end_r <= end_l;
+    (b) overlap >= sing;
+    (c) for each shared value, the right block's box lies in a column no
+        further left than the left block's box.
+
+    Proof.  If end_r < start_l the segments share no entry, so sing is 0
+    and neither the zero case nor a shift applies; every value in
+    [start_r, end_r] is held only by a right-block box, so the
+    repartition chain is the right block in its own order; the rest is
+    the left block in its own order; so the blocks after equal the blocks
+    before.  Otherwise, under (b) the pair is not zero, and under (a) no
+    shift applies (m = 0): the descent case (seg_r inside seg_l) needs
+    start_r >= start_l and shifts by start_r - start_l = 0, the ascent
+    case (seg_l inside seg_r) needs end_l <= end_r and shifts by
+    end_r - end_l = 0.  The chain then runs over [start_r, end_r], the
+    right segment.  A value below start_l is held only by a right box.
+    A shared value v in [start_l, end_r] is held by the left box
+    left[(end_l - v) / 2], one of the bottom sing boxes, and by the right
+    box right[(end_r - v) / 2], one of the top sing boxes; the chain takes
+    the right-most of the two, the later in the pair on a tie, which by
+    (c) is the right box.  So the chain is the right block in its own
+    order, the rest is the left block, sorted as it was, and nothing
+    moves.
+
+    On a stack as build_initial places it, (b) implies (c): each block's
+    columns weakly decrease downward, and overlap >= sing puts every one
+    of the bottom sing left boxes strictly left of the right box it is
+    compared with.  A rewritten block lists its boxes by entry, so (c) is
+    tested rather than assumed.
+
+    The test is exact: when overlap >= sing and end_r >= start_l but (a)
+    or (c) fails, the full path moves the pair.  If (a) fails, the new
+    right block holds [min(start_l, start_r), min(end_l, end_r)], which
+    differs from seg_r in its bottom or its top.  If (a) holds and (c)
+    fails at v, the chain takes the left box holding v, in another column
+    than the right box that held it.
+    """
+    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    end_r = start_r + 2 * aj - 2
+    if end_r < start_l:
+        return True
+    sg = _sing(seg_l, seg_r)
+    if _overlap(left, right) < sg:
+        return None
+    return (start_r <= start_l and end_r <= start_l + 2 * ai - 2
+            and all(a.col <= b.col for a, b in zip(left[ai - sg:], right)))
+
+
 def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     """Normalize the adjacent pair (i, i+1) in place.
 
@@ -331,24 +393,21 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     every case ends with the chain repartition that re-splits the pair along
     the right-most boxes of consecutive entries.
 
-    A pair whose right segment lies wholly below the left one (end_r <
-    start_l) returns False at once, which is what the full path returns:
-    the segments share no entry, so sing is 0 and neither the zero case
-    nor a shift applies; every value in [start_r, end_r] is held only by a
-    right-block box, so the repartition chain is the right block in its
-    own order; the rest is the left block in its own order; so the blocks
-    after equal the blocks before.
+    A pair that _idle finds already normal returns False at once, and one
+    it finds zero returns None; both are what the full path returns (see
+    _idle for the proof), so only a pair that moves runs the full path.
     """
     left, right = blocks[i], blocks[i + 1]
     seg_l, seg_r = _entries_segment(left), _entries_segment(right)
+    idle = _idle(left, right, seg_l, seg_r)
+    if idle is None:
+        return None
+    if idle:
+        return False
     (start_l, ai), (start_r, aj) = seg_l, seg_r
     end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
-    if end_r < start_l:
-        return False
     ov = _overlap(left, right)
     sg = _sing(seg_l, seg_r)
-    if ov < sg:
-        return None
     before = ([(b.col, b.entry) for b in left], [(b.col, b.entry) for b in right])
     pair = left + right
 
@@ -425,16 +484,31 @@ def assemble_antitableau(blocks: Sequence[Sequence[Box | _WBox]],
     c holds, sorted decreasingly, the entries of all boxes in column c.
     Raises if the columns are not contiguous, if the result violates either
     antitableau condition, or if its shape is not the multiset of row
-    lengths (this is asserted, never assumed)."""
-    by_col: dict[int, list[int]] = {}
+    lengths (this is asserted, never assumed).
+
+    The columns are collected in a list indexed by col - 1, as long as the
+    longest row.  This reads the same tableau as grouping the boxes by
+    column and sorting each group.  Every row id holds the boxes of
+    columns 1 to its length, so the columns in use are exactly 1 to the
+    longest row; a box outside the list or an empty column means they are
+    not, and raises.  Each column is read in block order, which on an
+    unmoved stack already lists it largest first; it is sorted only when
+    it is not strictly decreasing, and a sorted tuple equals the input
+    exactly when the input was strictly decreasing, so both ways give the
+    same tuple.
+    """
+    width = max(length for length, _ in row_shapes)
+    by_col: list[list[int]] = [[] for _ in range(width)]
     for blk in blocks:
         for b in blk:
-            by_col.setdefault(b.col, []).append(b.entry)
-    if sorted(by_col) != list(range(1, len(by_col) + 1)):
+            if not 0 < b.col <= width:
+                raise InternalInconsistencyError("columns are not contiguous")
+            by_col[b.col - 1].append(b.entry)
+    if not all(by_col):
         raise InternalInconsistencyError("columns are not contiguous")
     try:
-        ann = AntiTableau(tuple(tuple(sorted(by_col[c], reverse=True))
-                                for c in range(1, len(by_col) + 1)))
+        ann = AntiTableau(tuple(tuple(col) if all(map(gt, col, col[1:]))
+                                else tuple(sorted(col, reverse=True)) for col in by_col))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
     shape = sorted((length for length, _ in row_shapes), reverse=True)
@@ -456,17 +530,30 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     signed tableau.  The sweep count is capped; hitting the cap raises, it
     never hangs or silently stops.
 
-    The returned stack is the input object itself when no pair moved.  In
-    particular, a stack in which every block's segment lies wholly below
-    the one before is already the fixpoint (_rewrite_pair would leave every
-    pair alone at once), so it is read off the frozen boxes with no working
-    copy and no sweep.
+    The frozen stack's pairs are first tested in order with _idle, which
+    reads the boxes and moves nothing:
+    - if every pair is already normal, the first sweep would change no
+      pair, so the stack is its own fixpoint: it is read off the frozen
+      boxes with no working copy and no sweep;
+    - if the first pair that is not already normal rewrites to zero, the
+      first sweep would reach that pair untouched (the pairs before it
+      leave their blocks as they are) and return zero there;
+    - otherwise the sweeps run on a working copy as they would without
+      the test.
+    The returned stack is the input object itself when no pair moved.
     """
     blocks: Sequence[Sequence[Box | _WBox]] = stack.blocks
     segs = [_entries_segment(blk) for blk in blocks]
     r = len(blocks)
-    if not all(lo_start + 2 * lo_len - 2 < hi_start
-               for (hi_start, _), (lo_start, lo_len) in zip(segs, segs[1:])):
+    sweep = False
+    for i in range(r - 1):
+        idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
+        if idle is None:
+            return NormalizeOutcome.zero()
+        if not idle:
+            sweep = True
+            break
+    if sweep:
         work = [[_WBox(b) for b in blk] for blk in blocks]
         moved = False
         n = stack.sig.N
@@ -487,8 +574,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
             blocks = work
             segs = [_entries_segment(blk) for blk in blocks]
 
-    for i in range(r - 1):
-        (lo_start, lo_len), (hi_start, hi_len) = segs[i + 1], segs[i]
+    for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero()
 

@@ -194,6 +194,35 @@ def test_packet_of_many_summands_gets_no_traceback():
     assert len(json.loads(proc.stdout)["members"]) == 1
 
 
+def test_packet_with_too_many_members_is_refused_before_it_is_built():
+    # 22 summands chi_t * S_1 of U(11, 11): D(psi) holds C(22, 11) = 705,432
+    # data, more than a packet may hold, so the count is refused at once.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    psi = json.dumps([{"t": t, "a": 1} for t in range(21, -22, -2)])
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "packet",
+                           "--p", "11", "--q", "11", "--psi", psi],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "invalid-input"
+    assert "705432 members" in err["message"]
+
+
+def test_classify_lambda_at_n_1000_gets_no_traceback():
+    # lambda = (1000, ..., 1) on U(0, 1000): its character has one segment
+    # partition, which partition_into_segments reaches without a call per
+    # part.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    lam = json.dumps(list(range(1000, 0, -1)))
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "classify-lambda",
+                           "--p", "0", "--q", "1000", "--lambda", lam],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["packets"]) == 1
+
+
 # Every subcommand, ascii output then the default, verify with and without
 # --char-window, and argparse errors (a missing flag, a bad choice) between
 # well-formed calls.

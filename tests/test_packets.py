@@ -73,6 +73,18 @@ def test_enumerate_D_counts():
     assert len({d.blocks for d in ds}) == 6
 
 
+def test_the_counted_packet_size_is_the_enumerated_one():
+    # |D(psi)| from the DP over the block sizes, on every packet whose
+    # character lies in [-2, 2] up to N = 6.
+    checked = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                assert packets._count_D(psi) == len(enumerate_D(psi)), psi
+                checked += 1
+    assert checked > 1000
+
+
 def test_d_zero_examples():
     d0 = d_zero(psi_of(1, 1, (1, 1), (-1, 1)))
     assert d0.pivot() == 0 and d0.blocks == ((1, 0), (0, 1))

@@ -11,8 +11,10 @@ from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
 from upq_packets.oracle import good_parameters_in_window, two_block_data
 from upq_packets.packets import AParameter, enumerate_D, member
-from upq_packets.tableaux import (MINUS, PLUS, Box, ColumnStack, NormalizeOutcome,
-                                  _entries_segment, _rewrite_pair, _WBox, as_pair_equal,
+from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, Box, ColumnStack,
+                                  NormalizeOutcome,
+                                  _bump, _entries_segment, _idle, _overlap, _rewrite_pair,
+                                  _sing, _unit_shift, _WBox, as_pair_equal,
                                   assemble_antitableau, build_initial, overlap_and_sing,
                                   trapa_normalize)
 from upq_packets.weights import GroupSignature
@@ -225,11 +227,24 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
                             (Box(2, 1, PLUS, bottom),)),
                            ((1, PLUS), (1, PLUS)))
 
+    # Column 1 arrives smallest first, so it is sorted; the result equals
+    # the dict-and-sort assembly.
     good, bad = stack(0, 2), stack(0, 0)
     ann = assemble_antitableau(good.blocks, good.row_shapes)
     assert ann.columns == ((2, 0),)
-    with pytest.raises(InternalInconsistencyError):
-        assemble_antitableau(bad.blocks, bad.row_shapes)
+    assert ann == _dict_assembly(good.blocks, good.row_shapes)
+    for assemble in (assemble_antitableau, _dict_assembly):
+        with pytest.raises(InternalInconsistencyError):
+            assemble(bad.blocks, bad.row_shapes)
+
+
+@pytest.mark.parametrize("cols, longest", [((1, 3), 3), ((1, 2), 1), ((0, 1), 1)])
+def test_assemble_antitableau_refuses_columns_that_are_not_contiguous(cols, longest):
+    # An empty column, or a box outside columns 1 to the longest row.
+    blocks = [[Box(0, c, PLUS, -2 * k)] for k, c in enumerate(cols)]
+    for assemble in (assemble_antitableau, _dict_assembly):
+        with pytest.raises(InternalInconsistencyError, match="not contiguous|shape"):
+            assemble(blocks, ((longest, PLUS), (1, PLUS)))
 
 
 def _bad_block_stack(top, bottom):
@@ -261,12 +276,10 @@ def test_overlap_and_sing_refuses_a_pair_index_outside_the_stack(i):
         overlap_and_sing(stack, i)
 
 
-def _disjoint_pair_stacks(max_n=6, window=2):
+def _small_stacks(max_n=6, window=2):
     """Every two- and three-block stack up to N = max_n, over every sign
     split of every block and every doubled segment start in
-    [-2 * window - 1, 2 * window + 1] of the parity a datum at that N has,
-    in which some adjacent pair has its right segment wholly below its left
-    one.  Yields the stack and the indices of those pairs."""
+    [-2 * window - 1, 2 * window + 1] of the parity a datum at that N has."""
     for n in range(2, max_n + 1):
         starts = range(-2 * window - (n + 1) % 2, 2 * window + 2, 2)
         for r in (2, 3):
@@ -279,44 +292,113 @@ def _disjoint_pair_stacks(max_n=6, window=2):
                                          sum(qk for _, qk in signs))
                     for firsts in itertools.product(starts, repeat=r):
                         segs = [Segment(s, a) for s, a in zip(firsts, sizes)]
-                        below = [i for i in range(r - 1) if segs[i + 1].end < segs[i].start]
-                        if below:
-                            yield build_initial(sig, list(signs), segs), below
+                        yield build_initial(sig, list(signs), segs)
 
 
-def _written_out_repartition(left, right):
-    # Trapa's repartition of a pair, spelled out: the new right block is the
-    # chain of right-most boxes holding min(bottoms), ..., min(tops) (of two
-    # in one column, the later in the pair), largest first; the new left
-    # block is every other box, largest first.
+def _full_rewrite_pair(blocks, i):
+    # Trapa's pair rewrite spelled out with no shortcut: the zero test, the
+    # descent or ascent shift restored by bump steps, and the repartition
+    # over the segments the pair held before the shift.
+    left, right = blocks[i], blocks[i + 1]
+    seg_l, seg_r = _entries_segment(left), _entries_segment(right)
+    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
+    ov, sg = _overlap(left, right), _sing(seg_l, seg_r)
+    if ov < sg:
+        return None
+    before = [[(b.col, b.entry) for b in blk] for blk in (left, right)]
     pair = left + right
+    m = 0
+    if ov == sg == aj:
+        moved, step, anchor, m = right, 2, end_r, _unit_shift(start_r - start_l)
+    elif ov == sg == ai:
+        moved, step, anchor, m = left, -2, start_l, _unit_shift(end_r - end_l)
+    if m > 0:
+        for b in moved:
+            b.entry -= step * m
+        at = {}
+        for b in pair:
+            at.setdefault(b.entry, []).append(b)
+        for s in range(m - 1, -1, -1):
+            for k in range(len(moved)):
+                _bump(at, anchor - step * (k + s), step)
     rightmost = {}
     for b in pair:
         if b.entry not in rightmost or b.col >= rightmost[b.entry].col:
             rightmost[b.entry] = b
-    low = min(left[-1].entry, right[-1].entry)
-    high = min(left[0].entry, right[0].entry)
-    chain = [rightmost[v] for v in range(high, low - 1, -2)]
+    # The chain of right-most boxes holding min(tops), ..., min(bottoms),
+    # of two in one column the later in the pair; the rest largest first.
+    chain = [rightmost[v] for v in range(min(end_l, end_r), min(start_l, start_r) - 1, -2)]
     rest = sorted((b for b in pair if b not in chain), key=lambda b: -b.entry)
-    return rest, chain
+    blocks[i], blocks[i + 1] = rest, chain
+    _entries_segment(rest)
+    return before != [[(b.col, b.entry) for b in blk] for blk in (rest, chain)]
+
+
+def _outcome_of(rewrite, blocks, i):
+    # What a pair rewrite returns on a working copy of the blocks, and the
+    # blocks it leaves.
+    work = [[_WBox(b) for b in blk] for blk in blocks]
+    result = rewrite(work, i)
+    return result, [[b.freeze() for b in blk] for blk in work]
 
 
 def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
+    # On every pair of every small stack, _rewrite_pair returns what the
+    # full rewrite returns and leaves the same blocks, and _idle's verdict
+    # is exact: zero (None) when the full rewrite gives zero, already
+    # normal (True) when it returns False, and False when it moves the
+    # pair.  A pair found already normal keeps its blocks, and a stack
+    # whose segments each lie wholly below the one before is returned as
+    # it is.  `verdicts` counts the pairs by verdict, the wholly-below
+    # ones apart.
+    verdicts = {None: 0, True: 0, False: 0, "below": 0}
     stacks = wholly_disjoint = 0
-    for stack, below in _disjoint_pair_stacks():
-        for i in below:
-            blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
-            left, right = blocks[i], blocks[i + 1]
-            rest, chain = _written_out_repartition(left, right)
-            assert _rewrite_pair(blocks, i) is False, (stack.blocks, i)
-            assert blocks[i] == left == rest and blocks[i + 1] == right == chain
-            assert [[b.freeze() for b in blk] for blk in blocks] == list(map(list, stack.blocks))
-        if len(below) == len(stack.blocks) - 1:
+    for stack in _small_stacks():
+        blocks = stack.blocks
+        segs = [_entries_segment(blk) for blk in blocks]
+        below = 0
+        for i in range(len(blocks) - 1):
+            expected = _outcome_of(_full_rewrite_pair, blocks, i)
+            got = _outcome_of(_rewrite_pair, blocks, i)
+            assert got == expected, (blocks, i)
+            idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
+            assert idle is {None: None, False: True, True: False}[expected[0]], (blocks, i)
+            if idle:
+                assert got[1] == list(map(list, blocks)), (blocks, i)
+            (start_l, _), (start_r, aj) = segs[i], segs[i + 1]
+            if start_r + 2 * aj - 2 < start_l:
+                below += 1
+                verdicts["below"] += 1
+            else:
+                verdicts[idle] += 1
+        if below == len(blocks) - 1:
             out = trapa_normalize(stack)
-            assert not out.is_zero and out.stack.blocks == stack.blocks, stack.blocks
+            assert not out.is_zero and out.stack is stack, blocks
             wholly_disjoint += 1
         stacks += 1
-    assert (stacks, wholly_disjoint) == (42149, 3297)
+    assert (stacks, wholly_disjoint) == (76386, 3297)
+    assert verdicts == {None: 18612, True: 18105, False: 66760, "below": 44331}
+
+
+@pytest.mark.parametrize("col, idle", [(2, True), (3, False)])
+def test_a_shared_value_moves_only_when_its_left_box_lies_further_right(col, idle):
+    # Left block 2, 1 in columns 1, col; right block 1, 0 in columns 2, 3
+    # (entries doubled).  Overlap 2 >= sing 1 and seg_r lies below seg_l.
+    # The chain takes the right-most box holding the shared value 1, the
+    # later one on a tie: the right block's in column 2 when col = 2, so
+    # the pair is already normal; the left block's when col = 3, so the
+    # two boxes trade blocks.
+    def pair():
+        return [[_WBox(Box(0, 1, PLUS, 4)), _WBox(Box(1, col, MINUS, 2))],
+                [_WBox(Box(2, 2, PLUS, 2)), _WBox(Box(3, 4, MINUS, 0))]]
+
+    blocks = pair()
+    assert _idle(blocks[0], blocks[1], (2, 2), (0, 2)) is idle
+    outcomes = [_outcome_of(rewrite, [[b.freeze() for b in blk] for blk in pair()], 0)
+                for rewrite in (_rewrite_pair, _full_rewrite_pair)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is not idle
 
 
 # Packets whose members need many bump steps, at N = 8 and 9.
@@ -431,15 +513,36 @@ def test_build_initial_matches_a_full_sort_on_drawn_blocks_up_to_n_10(block_sign
     _check_build_initial(block_signs)
 
 
+def _dict_assembly(blocks, row_shapes):
+    # assemble_antitableau spelled out: group the entries by column in a
+    # dict, require the columns to be 1, ..., k, sort each column largest
+    # first, and check the shape.
+    by_col = {}
+    for blk in blocks:
+        for b in blk:
+            by_col.setdefault(b.col, []).append(b.entry)
+    if sorted(by_col) != list(range(1, len(by_col) + 1)):
+        raise InternalInconsistencyError("columns are not contiguous")
+    try:
+        ann = AntiTableau(tuple(tuple(sorted(by_col[c], reverse=True))
+                                for c in range(1, len(by_col) + 1)))
+    except ValueError as exc:
+        raise InternalInconsistencyError(str(exc)) from exc
+    if list(ann.shape) != sorted((length for length, _ in row_shapes), reverse=True):
+        raise InternalInconsistencyError("shape differs from the row shape")
+    return ann
+
+
 def _written_out_normalize(stack):
-    # trapa_normalize as first written: sweep a working copy of every stack
-    # and freeze it afresh.  Also returns whether any pair moved.
+    # trapa_normalize spelled out with no shortcut: sweep a working copy of
+    # every stack with the full pair rewrite, freeze it afresh and assemble
+    # its antitableau by columns.  Also returns whether any pair moved.
     blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
     moved = False
     for _ in range(max(4, stack.sig.N ** 2)):
         changed = False
         for i in range(len(blocks) - 1):
-            result = _rewrite_pair(blocks, i)
+            result = _full_rewrite_pair(blocks, i)
             if result is None:
                 return NormalizeOutcome.zero(), moved
             changed = changed or result
@@ -450,7 +553,7 @@ def _written_out_normalize(stack):
     for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero(), moved
-    ann = assemble_antitableau(blocks, stack.row_shapes)
+    ann = _dict_assembly(blocks, stack.row_shapes)
     out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
                       stack.row_shapes)
     return NormalizeOutcome(out, ann, out.signed_tableau()), moved
@@ -458,8 +561,10 @@ def _written_out_normalize(stack):
 
 def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
     # On every pinned descriptor: the outcome equals the written-out
-    # copy-and-sweep, and the returned stack is the input object exactly
-    # when no pair moved (then the refrozen copy equals it too).
+    # copy-and-sweep, its antitableau included (so the list assembly equals
+    # the dict-and-sort one there), and the returned stack is the input
+    # object exactly when no pair moved (then the refrozen copy equals it
+    # too).
     kinds = {"zero": 0, "below": 0, "unmoved": 0, "moved": 0}
     for desc in _pinned_descriptors():
         stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
@@ -479,3 +584,24 @@ def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
                     for (hi_start, _), (lo_start, lo_len) in zip(segs, segs[1:]))
         kinds["below" if below else "unmoved"] += 1
     assert kinds == {"zero": 2183, "below": 657, "unmoved": 654, "moved": 247}
+
+
+def test_normalize_equals_the_written_out_sweep_on_every_member_up_to_n_6():
+    # Every member stack of every packet whose character lies in [-2, 2],
+    # up to N = 6: the same zero or nonzero answer, the same stack and the
+    # same invariant pair as the written-out sweep.
+    kinds = {"zero": 0, "unmoved": 0, "moved": 0}
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            for psi in good_parameters_in_window(sig, HalfInt.whole(2)):
+                segments = [Segment(t - a + 1, a) for t, a in psi.summands]
+                for d in enumerate_D(psi):
+                    stack = build_initial(sig, d.blocks, segments)
+                    out = trapa_normalize(stack)
+                    expected, moved = _written_out_normalize(stack)
+                    assert out.is_zero == expected.is_zero, (psi, d)
+                    assert (out.stack, out.ann, out.as_tab) == (
+                        expected.stack, expected.ann, expected.as_tab), (psi, d)
+                    kinds["zero" if out.is_zero else "moved" if moved else "unmoved"] += 1
+    assert kinds == {"zero": 18084, "unmoved": 7082, "moved": 605}

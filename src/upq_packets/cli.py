@@ -205,7 +205,10 @@ def cmd_classify_psi(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_classify_lambda(args: argparse.Namespace) -> tuple[int, str]:
     sig = _parse_sig(args)
     w = _parse_lambda(args, sig)
-    psis = packets_containing(w)
+    try:
+        psis = packets_containing(w)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     def as_json() -> str:
         return _json_dumps({"lambda": list(w.lam), "p": sig.p, "q": sig.q,

@@ -256,6 +256,61 @@ def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMult
     return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
 
 
+def _count_segment_partitions(counts: Counter) -> int:
+    """The number of multiset partitions into segments of the multiset
+    holding each doubled value v counts[v] times.
+
+    A segment steps by 1, so it never mixes the two parities of doubled
+    values, and the count is the product of those of the two parities.
+    Within one parity the values are read largest first.  The state is the
+    parts still open, those that hold the value just read, grouped by
+    their top value: parts with one top are interchangeable until they
+    close, parts with different tops are not.  At value v with c = counts[v]
+    copies, each group lets some of its parts continue down to v, at most
+    c in all, and the other copies open one new group topped at v; the
+    parts that do not continue close.  A gap (v not 1 below the value
+    before) closes every part.  A partition fixes these choices value by
+    value (how many parts of each top reach v), so each is counted once.
+    The count of what follows depends only on the group sizes, so states
+    with the same sizes are merged.  Each choice made is the start of some
+    partition, so the work is at most one step per value for each partition
+    the listing would produce.
+
+    A multiset of s >= 1 values has at most 2^(s-1) segment partitions.
+    The parts open above v number c', the copies of the value before, and
+    groups of sizes k sum to c', so v has at most the product of the
+    (k + 1), at most 2^c', choices; the first value of a run has one.  So
+    the exponents add up to the copies of the values other than the last
+    of each run, at most s - 1.
+    """
+    total = 1
+    for parity in (0, 1):
+        ways: dict[tuple[int, ...], int] = {(): 1}  # sorted group sizes -> count
+        prev = None
+        for v in sorted((v for v in counts if v % 2 == parity), reverse=True):
+            if prev is not None and prev - v != 2:
+                ways = {(): sum(ways.values())}
+            c = counts[v]
+            after: dict[tuple[int, ...], int] = {}
+            for groups, count in ways.items():
+                # (sizes of the groups that continue, parts taken so far)
+                picks: list[tuple[tuple[int, ...], int]] = [((), 0)]
+                for size in groups:
+                    picks = [(kept + (j,) if j else kept, taken + j) for kept, taken in picks
+                             for j in range(min(size, c - taken) + 1)]
+                for kept, taken in picks:
+                    key = tuple(sorted(kept + (c - taken,) if c > taken else kept))
+                    after[key] = after.get(key, 0) + count
+            ways, prev = after, v
+        total *= sum(ways.values())
+    return total
+
+
+# The most segment partitions partition_into_segments lists.  They are
+# counted before any is listed, and a larger multiset is refused.
+_MAX_SEGMENT_PARTITIONS = 2 ** 14
+
+
 def partition_into_segments(m: HalfIntMultiset) -> list[list[tuple[int, int]]]:
     """All multiset partitions of m whose parts are segments, each part
     given as its A-parameter summand (t, a): the segment
@@ -265,8 +320,18 @@ def partition_into_segments(m: HalfIntMultiset) -> list[list[tuple[int, int]]]:
     in the canonical summand order, largest (t, a) first, and the list of
     partitions is sorted lexicographically by its parts, so the output
     order is reproducible.  Both orders are plain tuple and list order.
+
+    A multiset with more than _MAX_SEGMENT_PARTITIONS partitions raises
+    ValueError, naming their count, before any partition is listed.  One
+    of at most 15 values has at most 2^14 partitions and is not counted.
     """
     counts = Counter(m.twice)
+    # Only a multiset whose bound 2^(size-1) passes the limit is counted.
+    if 1 << m.size > 2 * _MAX_SEGMENT_PARTITIONS:
+        count = _count_segment_partitions(counts)
+        if count > _MAX_SEGMENT_PARTITIONS:
+            raise ValueError(f"a multiset of {m.size} values has {count} partitions into "
+                             f"segments, more than the limit of {_MAX_SEGMENT_PARTITIONS}")
     values = sorted(counts, reverse=True)
     found: list[list[tuple[int, int]]] = []
     acc: list[tuple[int, int]] = []  # the parts chosen so far, one per frame

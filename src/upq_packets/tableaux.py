@@ -164,6 +164,15 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     The scan order is carried from stage to stage, not sorted afresh: a
     stage lengthens some rows by one, and each of them moves up past the
     rows it now outranks, which keeps the order exact.
+
+    A block of one box (p_k + q_k = 1, most blocks of most packets) is
+    placed directly.  Its sign s is its whole budget, so the general stage
+    skips every row whose last sign is s, lengthens the first row whose
+    last sign is -s and stops there, the budget being spent; with no such
+    row nothing is lengthened and s opens a new row.  The direct stage does
+    the same without the budget, the list of lengthened rows or the
+    new-row loop: the one row lengthened moves up past the rows it now
+    outranks.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
@@ -184,7 +193,37 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     ranks: list[int] = []
     order: list[int] = []  # row ids by rank
     blocks: list[tuple[Box, ...]] = []
+
+    def open_row(sign: int) -> int:
+        # A new one-box row of this sign, last in the scan order; its id.
+        rid = len(lengths)
+        lengths.append(1)
+        firsts.append(sign)
+        lasts.append(sign)
+        ranks.append(rid - n)
+        order.append(rid)
+        return rid
+
     for (pk, qk), seg in zip(block_signs, segments):
+        if pk + qk == 1:
+            # One box: the first row it alternates with, else a new row.
+            sign = PLUS if pk else MINUS
+            for pos, rid in enumerate(order):
+                if lasts[rid] != sign:
+                    break
+            else:
+                blocks.append((tuple.__new__(Box, (open_row(sign), 1, sign, seg.start)),))
+                continue
+            lasts[rid] = sign
+            lengths[rid] += 1
+            rank = ranks[rid] - n
+            ranks[rid] = rank
+            blocks.append((tuple.__new__(Box, (rid, lengths[rid], sign, seg.start)),))
+            while pos and ranks[order[pos - 1]] > rank:
+                order[pos] = order[pos - 1]
+                pos -= 1
+            order[pos] = rid
+            continue
         entry = seg.start + 2 * (pk + qk)  # the entry above the block's top
         boxes: list[Box] = []
         grown: list[int] = []  # positions in `order` of the rows lengthened
@@ -219,14 +258,8 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
             order[pos] = rid
         for sign, count in ((PLUS, pk), (MINUS, qk)):
             for _ in range(count):
-                rid = len(lengths)
                 entry -= 2
-                boxes.append(tuple.__new__(Box, (rid, 1, sign, entry)))
-                lengths.append(1)
-                firsts.append(sign)
-                lasts.append(sign)
-                ranks.append(rid - n)
-                order.append(rid)
+                boxes.append(tuple.__new__(Box, (open_row(sign), 1, sign, entry)))
         blocks.append(tuple(boxes))
     return ColumnStack(sig, tuple(blocks), tuple(zip(lengths, firsts)))
 
@@ -491,13 +524,27 @@ def assemble_antitableau(blocks: Sequence[Sequence[Box | _WBox]],
     column and sorting each group.  Every row id holds the boxes of
     columns 1 to its length, so the columns in use are exactly 1 to the
     longest row; a box outside the list or an empty column means they are
-    not, and raises.  Each column is read in block order, which on an
-    unmoved stack already lists it largest first; it is sorted only when
-    it is not strictly decreasing, and a sorted tuple equals the input
-    exactly when the input was strictly decreasing, so both ways give the
-    same tuple.
+    not, and raises.  Each column is sorted largest first without a test,
+    and AntiTableau tests strict decrease once.  A sorted tuple equals the
+    input exactly when the input was strictly decreasing, as each column
+    of an unmoved stack is in block order, so this reads what sorting only
+    the columns that need it would.  The shape is checked on the
+    column heights: column c must hold as many boxes as there are rows of
+    length at least c, the conjugate of the row lengths.  Heights that
+    AntiTableau accepted weakly decrease, so they form a partition, and
+    conjugation is an involution on partitions: the heights are the
+    conjugate of the row lengths exactly when the antitableau's shape,
+    the conjugate of its heights, is the sorted row lengths.  That shape
+    is built only for the error message.
     """
+    # conjugate[c] counts the rows of length above c: the height column
+    # c + 1 must have.
     width = max(length for length, _ in row_shapes)
+    conjugate = [0] * width
+    for length, _ in row_shapes:
+        conjugate[length - 1] += 1
+    for c in range(width - 1, 0, -1):
+        conjugate[c - 1] += conjugate[c]
     by_col: list[list[int]] = [[] for _ in range(width)]
     for blk in blocks:
         for b in blk:
@@ -507,12 +554,11 @@ def assemble_antitableau(blocks: Sequence[Sequence[Box | _WBox]],
     if not all(by_col):
         raise InternalInconsistencyError("columns are not contiguous")
     try:
-        ann = AntiTableau(tuple(tuple(col) if all(map(gt, col, col[1:]))
-                                else tuple(sorted(col, reverse=True)) for col in by_col))
+        ann = AntiTableau(tuple(tuple(sorted(col, reverse=True)) for col in by_col))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
-    shape = sorted((length for length, _ in row_shapes), reverse=True)
-    if list(ann.shape) != shape:
+    if list(map(len, by_col)) != conjugate:
+        shape = sorted((length for length, _ in row_shapes), reverse=True)
         raise InternalInconsistencyError(
             f"antitableau shape {ann.shape} differs from row shape {shape}")
     return ann
@@ -522,13 +568,23 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     """Run left-to-right rewriting sweeps to a fixpoint and test vanishing.
 
     Returns the zero outcome as soon as a pair rewrites to the formal zero
-    tableau, or when the final conditions fail: every adjacent pair must
-    satisfy seg(i+1) <= seg(i) componentwise and overlap >= sing.  Only the
-    first is tested after the loop: the last sweep changed no pair, so its
-    _rewrite_pair calls already found overlap >= sing on the final blocks.
-    Otherwise returns the rewritten stack together with its antitableau and
-    signed tableau.  The sweep count is capped; hitting the cap raises, it
-    never hangs or silently stops.
+    tableau.  Otherwise returns the rewritten stack together with its
+    antitableau and signed tableau.  The sweep count is capped; hitting the
+    cap raises, it never hangs or silently stops.
+
+    The final conditions, that every adjacent pair has overlap >= sing and
+    seg(i+1) <= seg(i) componentwise, then hold without a test.  The sweeps
+    stop only after a sweep in which every _rewrite_pair returned False,
+    and since _idle is exact that means _idle found each final pair
+    already normal: its right segment lies wholly below its left one
+    (end_r < start_l, so start_r <= end_r < start_l <= end_l and sing is
+    0), or start_r <= start_l and end_r <= end_l with overlap >= sing.
+    Either gives seg(i+1) <= seg(i) componentwise.  On the swept path the
+    componentwise test is still made, and a failure raises
+    InternalInconsistencyError: it would be a fault in the rewriting, not
+    a module that vanishes.  On an unmoved stack the pre-check below has
+    just found every pair already normal, which is the same fact, so the
+    test is not repeated.
 
     The frozen stack's pairs are first tested in order with _idle, which
     reads the boxes and moves nothing:
@@ -573,10 +629,11 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         if moved:
             blocks = work
             segs = [_entries_segment(blk) for blk in blocks]
-
-    for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
-        if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
-            return NormalizeOutcome.zero()
+        for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
+            if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
+                raise InternalInconsistencyError(
+                    f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
+                    f"do not decrease componentwise")
 
     ann = assemble_antitableau(blocks, stack.row_shapes)
     out = stack if blocks is stack.blocks else ColumnStack(

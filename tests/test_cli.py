@@ -223,6 +223,36 @@ def test_classify_lambda_at_n_1000_gets_no_traceback():
     assert len(json.loads(proc.stdout)["packets"]) == 1
 
 
+def test_classify_lambda_with_too_many_segment_partitions_is_refused():
+    # lambda = 0 on U(0, 1000): its character is one segment of 1000
+    # values, with 2^999 segment partitions.  They are counted, not listed,
+    # and the count is refused at once.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "classify-lambda",
+                           "--p", "0", "--q", "1000", "--lambda", json.dumps([0] * 1000)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "invalid-input"
+    assert f"{2 ** 999} partitions" in err["message"]
+
+
+def test_classify_lambda_at_the_segment_partition_limit_is_answered(capsys):
+    # lambda = 0 on U(0, q) has 2^(q-1) segment partitions, each a packet
+    # that contains it: q = 15 reaches the limit and is answered, q = 16
+    # passes it and is refused.
+    limit = upq_packets.halfint._MAX_SEGMENT_PARTITIONS
+    code, out, _ = run_cli(capsys, "classify-lambda", "--p", "0", "--q", "15",
+                           "--lambda", json.dumps([0] * 15))
+    assert code == 0
+    assert len(json.loads(out)["packets"]) == 2 ** 14 == limit
+    code, out, err = run_cli(capsys, "classify-lambda", "--p", "0", "--q", "16",
+                             "--lambda", json.dumps([0] * 16))
+    assert code == 2 and out == ""
+    assert f"{2 ** 15} partitions into segments, more than the limit of {limit}" in err
+
+
 # Every subcommand, ascii output then the default, verify with and without
 # --char-window, and argparse errors (a missing flag, a bad choice) between
 # well-formed calls.

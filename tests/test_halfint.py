@@ -5,7 +5,8 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
+from upq_packets.halfint import (HalfInt, HalfIntMultiset, Segment, _count_segment_partitions,
+                                partition_into_segments)
 
 
 def mset(*twices):
@@ -200,6 +201,19 @@ def test_partition_equals_the_written_out_recursion_on_every_small_multiset():
             assert partition_into_segments(m) == _written_out_partitions(m), twice
             cases += 1
     assert cases == 9460
+
+
+def test_segment_partitions_are_counted_exactly_on_every_small_multiset():
+    # Every multiset of size <= 7 over the doubled values -4..4, both
+    # parities and any multiplicity; never more than 2^(size-1).
+    cases = 0
+    for size in range(8):
+        for twice in itertools.combinations_with_replacement(range(-4, 5), size):
+            m = HalfIntMultiset.from_values(twice)
+            count = _count_segment_partitions(Counter(twice))
+            assert count == len(partition_into_segments(m)) <= max(1, 2 ** (size - 1))
+            cases += 1
+    assert cases == 11440
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -14,13 +14,16 @@ writer matches `json.dumps(obj, sort_keys=True, indent=2)` byte for byte.
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
-from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment, _json_dumps
-from upq_packets.oracle import good_parameters_in_window, oracle_lowest_weights
+from upq_packets.halfint import (HalfInt, HalfIntMultiset, Segment, _count_segment_partitions,
+                                _json_dumps, partition_into_segments)
+from upq_packets.oracle import (dominant_weights, good_parameters_in_window,
+                                oracle_lowest_weights)
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char,
                                  lowest_weight_of_packet, oracle_contains, packet,
@@ -116,6 +119,26 @@ def test_packets_containing_equals_the_filter_on_drawn_weights(w):
     chi = inf_char_of_lowest_weight(w)
     assert packets_containing(w) == [psi for psi in good_parameters_with_inf_char(w.sig, chi)
                                      if contains_lowest_weight(psi, w)]
+
+
+def _check_segment_partition_count(w):
+    chi = inf_char_of_lowest_weight(w)
+    assert (_count_segment_partitions(Counter(chi.twice))
+            == len(partition_into_segments(chi))), w.lam
+
+
+def test_segment_partitions_of_every_window_2_weight_up_to_n_6_are_counted_exactly():
+    weights = [w for n in range(1, 7) for p in range(n + 1)
+               for w in dominant_weights(GroupSignature(p, n - p), 2) if is_unitarizable(w)]
+    for w in weights:
+        _check_segment_partition_count(w)
+    assert len(weights) == 1419
+
+
+@SEEDED
+@given(unitarizable_weights(max_n=10))
+def test_segment_partitions_of_drawn_weights_are_counted_exactly(w):
+    _check_segment_partition_count(w)
 
 
 def _written_out_chi_and_candidate(psi):

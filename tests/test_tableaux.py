@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from upq_packets import tableaux
 from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
@@ -245,6 +246,29 @@ def test_assemble_antitableau_refuses_columns_that_are_not_contiguous(cols, long
     for assemble in (assemble_antitableau, _dict_assembly):
         with pytest.raises(InternalInconsistencyError, match="not contiguous|shape"):
             assemble(blocks, ((longest, PLUS), (1, PLUS)))
+
+
+def test_assemble_antitableau_refuses_column_heights_that_are_not_the_row_shape():
+    # One box in each of columns 1 and 2: the columns are contiguous and
+    # form an antitableau of shape (2), but the rows are (2, +) and (1, +),
+    # so column 1 should hold two boxes.
+    blocks = [[Box(0, 1, PLUS, 2)], [Box(0, 2, MINUS, 0)]]
+    for assemble in (assemble_antitableau, _dict_assembly):
+        with pytest.raises(InternalInconsistencyError, match="shape"):
+            assemble(blocks, ((2, PLUS), (1, PLUS)))
+
+
+def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
+    # U(1,1) with {0} over {1}: the right segment lies above the left one,
+    # so the pair is not already normal and the sweeps run.  A rewrite that
+    # reports no change without moving it leaves start_r > start_l, which
+    # the sweeps can never end on; trapa_normalize raises rather than
+    # reporting a zero module.
+    stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
+    assert _idle(*stack.blocks, (0, 1), (2, 1)) is False
+    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, i: False)
+    with pytest.raises(InternalInconsistencyError, match="componentwise"):
+        trapa_normalize(stack)
 
 
 def _bad_block_stack(top, bottom):

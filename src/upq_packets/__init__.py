@@ -14,7 +14,7 @@ from .weights import (GroupSignature, KWeight, UnitarityClass,
                       kweight_from_pq, unitarity_class, weight_stats)
 from .tableaux import (AntiTableau, ColumnStack, NormalizeOutcome,
                        SignedTableau, as_pair_equal, build_initial,
-                       overlap_and_sing, trapa_normalize)
+                       trapa_normalize)
 from .cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                      holomorphic_lowest_ktype, lowest_weight_invariants,
                      normalize_blocks, range_class, realize_lowest_weight,
@@ -36,7 +36,7 @@ __all__ = [
     "holomorphic_lowest_ktype", "inf_char", "inf_char_of_lowest_weight",
     "is_unitarizable", "kweight_from_pq", "lowest_weight_invariants",
     "lowest_weight_of_packet", "member", "normalize_blocks",
-    "oracle_contains", "oracle_lowest_weights", "overlap_and_sing", "packet",
+    "oracle_contains", "oracle_lowest_weights", "packet",
     "packets_containing", "partition_into_segments", "range_class",
     "realize_lowest_weight", "segments_of", "sweep_verify",
     "tableau_pair", "trapa_normalize", "unitarity_class", "weight_stats",

@@ -355,7 +355,10 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
 def _descriptor_from_tops(sig: GroupSignature, blocks: list[tuple[int, int]],
                           tops: list[int]) -> InductionDescriptor:
     # The datum whose block i carries the segment of size p_i + q_i topped
-    # by the doubled entry tops[i].
+    # by the doubled entry tops[i].  The integrality check cannot fire for
+    # the two callers, normalize_blocks and absorb_adjacent: each takes
+    # every top from one datum's segments, which all start at N + 1 mod 2.
+    # It is kept as the one place a value is read back from a segment.
     n = sig.N
     values = []
     before = 0

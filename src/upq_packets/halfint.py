@@ -107,20 +107,6 @@ class Segment:
         if self.length == 0 and self.start != 0:
             object.__setattr__(self, "start", 0)
 
-    @classmethod
-    def empty(cls) -> "Segment":
-        return cls(0, 0)
-
-    @classmethod
-    def from_bounds(cls, lo: int, hi: int) -> "Segment":
-        """Segment [lo, hi] of doubled bounds; empty when hi < lo.  Requires
-        hi - lo integral."""
-        if hi < lo:
-            return cls.empty()
-        if (hi - lo) % 2 != 0:
-            raise ValueError(f"bounds {HalfInt(lo)}, {HalfInt(hi)} differ by a non-integer")
-        return cls(lo, (hi - lo) // 2 + 1)
-
     @property
     def is_empty(self) -> bool:
         return self.length == 0

@@ -276,7 +276,7 @@ class _WBox:
         return Box(self.row, self.col, self.sign, self.entry)
 
 
-def _entries_segment(block: Sequence[Box | _WBox]) -> tuple[int, int]:
+def _entries_segment(block: Sequence[Box]) -> tuple[int, int]:
     """The segment a block holds, as (start doubled, length).
 
     Blocks list their entries largest first (build_initial places them so
@@ -299,27 +299,12 @@ def _sing(a: tuple[int, int], b: tuple[int, int]) -> int:
     return (hi - lo) // 2 + 1 if hi >= lo else 0
 
 
-def _overlap(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox]) -> int:
+def _overlap(left: Sequence[Box], right: Sequence[Box]) -> int:
     ai, aj = len(left), len(right)
     for m in range(min(ai, aj), 0, -1):
         if all(a.col < b.col for a, b in zip(left[ai - m:], right)):
             return m
     return 0
-
-
-class OverlapSing(NamedTuple):
-    overlap: int
-    sing: int
-
-
-def overlap_and_sing(stack: ColumnStack, i: int) -> OverlapSing:
-    """Overlap and sing for the adjacent blocks i, i+1 of the stack."""
-    r = len(stack.blocks)
-    if not 0 <= i < r - 1:
-        raise ValueError(f"pair index {i} is outside 0 <= i < r - 1 for r = {r}")
-    left, right = stack.blocks[i], stack.blocks[i + 1]
-    return OverlapSing(_overlap(left, right),
-                       _sing(_entries_segment(left), _entries_segment(right)))
 
 
 def _bump(at: dict[int, list[_WBox]], value: int, step: int) -> None:
@@ -358,15 +343,15 @@ def _unit_shift(twice: int) -> int:
     return twice // 2
 
 
-def _idle(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox],
+def _idle(left: Sequence[Box], right: Sequence[Box],
           seg_l: tuple[int, int], seg_r: tuple[int, int]) -> Optional[bool]:
     """Is the pair (left, right), holding these segments, already normal?
 
     Returns None when the pair rewrites to the formal zero tableau
-    (overlap < sing), True when _rewrite_pair's full path would leave it as
-    it is and return False, and False when that path would move it.  The
-    pair is already normal when its right segment lies wholly below its
-    left one (end_r < start_l), or when all of these hold:
+    (overlap < sing), True when Trapa's pair rewrite would leave it as it
+    is, and False when the rewrite would move it.  The pair is already
+    normal when its right segment lies wholly below its left one
+    (end_r < start_l), or when all of these hold:
 
     (a) start_r <= start_l and end_r <= end_l;
     (b) overlap >= sing;
@@ -399,7 +384,7 @@ def _idle(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox],
     tested rather than assumed.
 
     The test is exact: when overlap >= sing and end_r >= start_l but (a)
-    or (c) fails, the full path moves the pair.  If (a) fails, the new
+    or (c) fails, the rewrite moves the pair.  If (a) fails, the new
     right block holds [min(start_l, start_r), min(end_l, end_r)], which
     differs from seg_r in its bottom or its top.  If (a) holds and (c)
     fails at v, the chain takes the left box holding v, in another column
@@ -416,32 +401,25 @@ def _idle(left: Sequence[Box | _WBox], right: Sequence[Box | _WBox],
             and all(a.col <= b.col for a, b in zip(left[ai - sg:], right)))
 
 
-def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
-    """Normalize the adjacent pair (i, i+1) in place.
+def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]], i: int) -> None:
+    """Normalize the adjacent pair (i, i+1), holding segments segs[i] and
+    segs[i+1], which _idle found neither zero nor already normal.
 
-    Returns None when the pair rewrites to the formal zero tableau, else
-    whether anything changed.  The four cases compare overlap and sing; the
-    descent (resp. ascent) case shifts the right (resp. left) block's
-    entries and restores them one unit at a time through bump steps, and
-    every case ends with the chain repartition that re-splits the pair along
-    the right-most boxes of consecutive entries.
-
-    A pair that _idle finds already normal returns False at once, and one
-    it finds zero returns None; both are what the full path returns (see
-    _idle for the proof), so only a pair that moves runs the full path.
+    The four cases compare overlap and sing; the descent (resp. ascent)
+    case shifts the right (resp. left) block's entries and restores them
+    one unit at a time through bump steps, and every case ends with the
+    chain repartition that re-splits the pair along the right-most boxes
+    of consecutive entries.  Only the pair is copied into working boxes;
+    the two rewritten blocks go back into `blocks` frozen, and their
+    segments into `segs`.
     """
-    left, right = blocks[i], blocks[i + 1]
-    seg_l, seg_r = _entries_segment(left), _entries_segment(right)
-    idle = _idle(left, right, seg_l, seg_r)
-    if idle is None:
-        return None
-    if idle:
-        return False
+    seg_l, seg_r = segs[i], segs[i + 1]
     (start_l, ai), (start_r, aj) = seg_l, seg_r
     end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
-    ov = _overlap(left, right)
+    ov = _overlap(blocks[i], blocks[i + 1])
     sg = _sing(seg_l, seg_r)
-    before = ([(b.col, b.entry) for b in left], [(b.col, b.entry) for b in right])
+    left = [_WBox(b) for b in blocks[i]]
+    right = [_WBox(b) for b in blocks[i + 1]]
     pair = left + right
 
     # Segments repeat no entry, so sg == aj puts seg_r inside seg_l, sg == ai the reverse.
@@ -486,12 +464,10 @@ def _rewrite_pair(blocks: list[list[_WBox]], i: int) -> Optional[bool]:
     chain.reverse()
     if not rest or not chain:
         raise InternalInconsistencyError("repartition emptied a block")
-    blocks[i] = rest
-    blocks[i + 1] = chain
-    _entries_segment(rest)
-
-    after = ([(b.col, b.entry) for b in rest], [(b.col, b.entry) for b in chain])
-    return before != after
+    blocks[i] = tuple(b.freeze() for b in rest)
+    blocks[i + 1] = tuple(b.freeze() for b in chain)
+    segs[i] = _entries_segment(blocks[i])
+    segs[i + 1] = _entries_segment(blocks[i + 1])
 
 
 @dataclass(frozen=True)
@@ -511,10 +487,10 @@ class NormalizeOutcome:
         return cls(None, None, None)
 
 
-def assemble_antitableau(blocks: Sequence[Sequence[Box | _WBox]],
+def assemble_antitableau(blocks: Sequence[Sequence[Box]],
                          row_shapes: tuple[tuple[int, int], ...]) -> AntiTableau:
-    """Read off the antitableau of a stack's boxes, frozen or working: column
-    c holds, sorted decreasingly, the entries of all boxes in column c.
+    """Read off the antitableau of a stack's boxes: column c holds, sorted
+    decreasingly, the entries of all boxes in column c.
     Raises if the columns are not contiguous, if the result violates either
     antitableau condition, or if its shape is not the multiset of row
     lengths (this is asserted, never assumed).
@@ -572,73 +548,54 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     antitableau and signed tableau.  The sweep count is capped; hitting the
     cap raises, it never hangs or silently stops.
 
-    The final conditions, that every adjacent pair has overlap >= sing and
-    seg(i+1) <= seg(i) componentwise, then hold without a test.  The sweeps
-    stop only after a sweep in which every _rewrite_pair returned False,
-    and since _idle is exact that means _idle found each final pair
-    already normal: its right segment lies wholly below its left one
-    (end_r < start_l, so start_r <= end_r < start_l <= end_l and sing is
-    0), or start_r <= start_l and end_r <= end_l with overlap >= sing.
-    Either gives seg(i+1) <= seg(i) componentwise.  On the swept path the
-    componentwise test is still made, and a failure raises
-    InternalInconsistencyError: it would be a fault in the rewriting, not
-    a module that vanishes.  On an unmoved stack the pre-check below has
-    just found every pair already normal, which is the same fact, so the
-    test is not repeated.
+    Each sweep tests the pairs in order with _idle, which reads the frozen
+    boxes and moves nothing: a pair found zero ends the run, a pair found
+    already normal is left as it is, and any other pair is rewritten by
+    _rewrite_pair, which writes back the pair and its two segments.  The
+    block list is copied at the first rewrite, so a stack whose pairs are
+    all already normal costs one segment read per block and one _idle call
+    per pair, and the returned stack is the input object itself.
 
-    The frozen stack's pairs are first tested in order with _idle, which
-    reads the boxes and moves nothing:
-    - if every pair is already normal, the first sweep would change no
-      pair, so the stack is its own fixpoint: it is read off the frozen
-      boxes with no working copy and no sweep;
-    - if the first pair that is not already normal rewrites to zero, the
-      first sweep would reach that pair untouched (the pairs before it
-      leave their blocks as they are) and return zero there;
-    - otherwise the sweeps run on a working copy as they would without
-      the test.
-    The returned stack is the input object itself when no pair moved.
+    The final conditions, that every adjacent pair has overlap >= sing and
+    seg(i+1) <= seg(i) componentwise, then hold by _idle's definition: the
+    sweeps stop only after a sweep in which _idle found every pair already
+    normal, that is with its right segment wholly below its left one
+    (end_r < start_l, so start_r <= end_r < start_l <= end_l and sing is
+    0), or with start_r <= start_l, end_r <= end_l and overlap >= sing.
+    Either gives seg(i+1) <= seg(i) componentwise.  On a stack that moved
+    the componentwise test is still made, and a failure raises
+    InternalInconsistencyError: it would be a fault in the rewriting, not
+    a module that vanishes.
     """
-    blocks: Sequence[Sequence[Box | _WBox]] = stack.blocks
+    blocks: Sequence[tuple[Box, ...]] = stack.blocks
     segs = [_entries_segment(blk) for blk in blocks]
-    r = len(blocks)
-    sweep = False
-    for i in range(r - 1):
-        idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
-        if idle is None:
-            return NormalizeOutcome.zero()
-        if not idle:
-            sweep = True
+    pairs = range(len(blocks) - 1)
+    cap = max(4, stack.sig.N ** 2)
+    for _ in range(cap):
+        changed = False
+        for i in pairs:
+            idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
+            if idle is None:
+                return NormalizeOutcome.zero()
+            if not idle:
+                if blocks is stack.blocks:
+                    blocks = list(blocks)
+                _rewrite_pair(blocks, segs, i)
+                changed = True
+        if not changed:
             break
-    if sweep:
-        work = [[_WBox(b) for b in blk] for blk in blocks]
-        moved = False
-        n = stack.sig.N
-        cap = max(4, n * n)
-        for _ in range(cap):
-            changed = False
-            for i in range(r - 1):
-                result = _rewrite_pair(work, i)
-                if result is None:
-                    return NormalizeOutcome.zero()
-                changed = changed or result
-            if not changed:
-                break
-            moved = True
-        else:
-            raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
-        if moved:
-            blocks = work
-            segs = [_entries_segment(blk) for blk in blocks]
+    else:
+        raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
+
+    if blocks is not stack.blocks:
         for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
             if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
                 raise InternalInconsistencyError(
                     f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
                     f"do not decrease componentwise")
-
-    ann = assemble_antitableau(blocks, stack.row_shapes)
-    out = stack if blocks is stack.blocks else ColumnStack(
-        stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks), stack.row_shapes)
-    return NormalizeOutcome(out, ann, out.signed_tableau())
+        stack = ColumnStack(stack.sig, tuple(blocks), stack.row_shapes)
+    return NormalizeOutcome(stack, assemble_antitableau(stack.blocks, stack.row_shapes),
+                            stack.signed_tableau())
 
 
 def as_pair_equal(a: tuple[AntiTableau, SignedTableau],

@@ -13,7 +13,7 @@ from upq_packets.weights import (GroupSignature, KWeight,
 
 
 def seg(lo_twice, hi_twice):
-    return Segment.from_bounds(lo_twice, hi_twice)
+    return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
 
 
 def desc(p, q, blocks, values):

@@ -189,7 +189,7 @@ def _wire(obj):
 
 
 half_ints = st.integers(-40, 40).map(HalfInt)
-segments = st.builds(Segment, st.integers(-40, 40), st.integers(0, 8)) | st.just(Segment.empty())
+segments = st.builds(Segment, st.integers(-40, 40), st.integers(0, 8)) | st.just(Segment(0, 0))
 
 
 @st.composite
@@ -231,8 +231,6 @@ def test_segments_agree_with_their_multisets(s, t):
     # reference for the doubled-int segment arithmetic.
     assert (_sing((s.start, s.length), (t.start, t.length))
             == s.as_multiset().intersection(t.as_multiset()).size)
-    if not s.is_empty:
-        assert Segment.from_bounds(s.start, s.end) == s
 
 
 @SEEDED

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from upq_packets import tableaux
 from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
-from upq_packets.errors import InternalInconsistencyError
+from upq_packets.errors import InternalInconsistencyError, IterationCapExceeded
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
 from upq_packets.oracle import good_parameters_in_window, two_block_data
 from upq_packets.packets import AParameter, enumerate_D, member
@@ -16,13 +16,12 @@ from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, Box, ColumnStack,
                                   NormalizeOutcome,
                                   _bump, _entries_segment, _idle, _overlap, _rewrite_pair,
                                   _sing, _unit_shift, _WBox, as_pair_equal,
-                                  assemble_antitableau, build_initial, overlap_and_sing,
-                                  trapa_normalize)
+                                  assemble_antitableau, build_initial, trapa_normalize)
 from upq_packets.weights import GroupSignature
 
 
 def seg(lo_twice, hi_twice):
-    return Segment.from_bounds(lo_twice, hi_twice)
+    return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
 
 
 def build(p, q, blocks, segments):
@@ -61,7 +60,7 @@ def test_build_mixed_then_minus():
 
 def test_build_rejects_empty_block():
     with pytest.raises(ValueError):
-        build(1, 0, [(1, 0), (0, 0)], [seg(1, 1), Segment.empty()])
+        build(1, 0, [(1, 0), (0, 0)], [seg(1, 1), Segment(0, 0)])
 
 
 def test_build_sign_counts_and_shape():
@@ -75,26 +74,30 @@ def test_build_sign_counts_and_shape():
 
 
 def test_overlap_and_sing_examples():
+    def overlap_and_sing(stack):
+        left, right = stack.blocks
+        return _overlap(left, right), _sing(_entries_segment(left), _entries_segment(right))
+
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
-    assert overlap_and_sing(stack, 0) == (1, 1)
+    assert overlap_and_sing(stack) == (1, 1)
 
     stack = build(2, 0, [(1, 0), (1, 0)], [seg(1, 1), seg(1, 1)])
-    assert overlap_and_sing(stack, 0) == (0, 1)
+    assert overlap_and_sing(stack) == (0, 1)
 
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(-1, -1)])
-    assert overlap_and_sing(stack, 0)[1] == 0
+    assert overlap_and_sing(stack)[1] == 0
 
     # Multi-box blocks: [-1/2,1/2] and [-3/2,-1/2] share one entry.
     stack = build(2, 2, [(1, 1), (1, 1)], [seg(-1, 1), seg(-3, -1)])
-    assert overlap_and_sing(stack, 0) == (2, 1)
+    assert overlap_and_sing(stack) == (2, 1)
 
     # [1,2] lies inside [0,3].
     stack = build(2, 4, [(2, 2), (0, 2)], [seg(0, 6), seg(2, 4)])
-    assert overlap_and_sing(stack, 0) == (2, 2)
+    assert overlap_and_sing(stack) == (2, 2)
 
     # [0,1] and [-1/2,1/2] are a half-integer apart: nothing is shared.
     stack = build(2, 2, [(1, 1), (1, 1)], [seg(0, 2), seg(-1, 1)])
-    assert overlap_and_sing(stack, 0) == (2, 0)
+    assert overlap_and_sing(stack) == (2, 0)
 
 
 def test_normalize_u11_one_row():
@@ -258,15 +261,27 @@ def test_assemble_antitableau_refuses_column_heights_that_are_not_the_row_shape(
             assemble(blocks, ((2, PLUS), (1, PLUS)))
 
 
-def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
+def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
     # U(1,1) with {0} over {1}: the right segment lies above the left one,
-    # so the pair is not already normal and the sweeps run.  A rewrite that
-    # reports no change without moving it leaves start_r > start_l, which
-    # the sweeps can never end on; trapa_normalize raises rather than
-    # reporting a zero module.
+    # so the pair is not already normal.  A rewrite that moves nothing
+    # leaves it so in every sweep, and the fifth sweep would pass the cap
+    # max(4, N^2) = 4.
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
     assert _idle(*stack.blocks, (0, 1), (2, 1)) is False
-    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, i: False)
+    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, segs, i: None)
+    with pytest.raises(IterationCapExceeded, match="within 4 sweeps"):
+        trapa_normalize(stack)
+
+
+def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
+    # U(1,3) with {-5/2}, {-3/2}, [-3/2,-1/2]: pair 1 moves, to [-3/2,-1/2]
+    # over {-3/2}, and an _idle that passes every pair whose right segment
+    # starts above its left one lets pair 0 end as {-5/2} over
+    # [-3/2,-1/2].  trapa_normalize raises rather than returning that stack.
+    stack = build(1, 3, [(0, 1), (0, 1), (1, 1)], [seg(-5, -5), seg(-3, -3), seg(-3, -1)])
+    real = _idle
+    monkeypatch.setattr(tableaux, "_idle", lambda left, right, seg_l, seg_r:
+                        seg_r[0] > seg_l[0] or real(left, right, seg_l, seg_r))
     with pytest.raises(InternalInconsistencyError, match="componentwise"):
         trapa_normalize(stack)
 
@@ -286,18 +301,11 @@ def _bad_block_stack(top, bottom):
 ])
 def test_a_block_that_is_not_a_segment_listed_largest_first_is_refused(top, bottom, shown):
     stack = _bad_block_stack(top, bottom)
-    for run in (trapa_normalize, lambda s: overlap_and_sing(s, 0)):
+    for run in (trapa_normalize, lambda s: _entries_segment(s.blocks[0])):
         with pytest.raises(InternalInconsistencyError) as info:
             run(stack)
         assert shown in str(info.value)
         assert "twice" not in str(info.value)
-
-
-@pytest.mark.parametrize("i", [-1, -2, 1])
-def test_overlap_and_sing_refuses_a_pair_index_outside_the_stack(i):
-    stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
-    with pytest.raises(ValueError, match=rf"pair index {i} .* r = 2"):
-        overlap_and_sing(stack, i)
 
 
 def _small_stacks(max_n=6, window=2):
@@ -367,15 +375,21 @@ def _outcome_of(rewrite, blocks, i):
     return result, [[b.freeze() for b in blk] for blk in work]
 
 
+def _rewritten(blocks, segs, i):
+    # The blocks and segments _rewrite_pair leaves on copies of both lists.
+    blocks, segs = list(blocks), list(segs)
+    _rewrite_pair(blocks, segs, i)
+    return list(map(list, blocks)), segs
+
+
 def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
-    # On every pair of every small stack, _rewrite_pair returns what the
-    # full rewrite returns and leaves the same blocks, and _idle's verdict
-    # is exact: zero (None) when the full rewrite gives zero, already
-    # normal (True) when it returns False, and False when it moves the
-    # pair.  A pair found already normal keeps its blocks, and a stack
-    # whose segments each lie wholly below the one before is returned as
-    # it is.  `verdicts` counts the pairs by verdict, the wholly-below
-    # ones apart.
+    # On every pair of every small stack, _idle's verdict is exact: zero
+    # (None) when the full rewrite gives zero, already normal (True) when
+    # it returns False and leaves the blocks as they were, and False when
+    # it moves the pair.  On a pair that moves, _rewrite_pair leaves the
+    # blocks the full rewrite leaves, and their segments.  A stack whose
+    # segments each lie wholly below the one before is returned as it is.
+    # `verdicts` counts the pairs by verdict, the wholly-below ones apart.
     verdicts = {None: 0, True: 0, False: 0, "below": 0}
     stacks = wholly_disjoint = 0
     for stack in _small_stacks():
@@ -384,12 +398,13 @@ def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
         below = 0
         for i in range(len(blocks) - 1):
             expected = _outcome_of(_full_rewrite_pair, blocks, i)
-            got = _outcome_of(_rewrite_pair, blocks, i)
-            assert got == expected, (blocks, i)
             idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
             assert idle is {None: None, False: True, True: False}[expected[0]], (blocks, i)
             if idle:
-                assert got[1] == list(map(list, blocks)), (blocks, i)
+                assert expected[1] == list(map(list, blocks)), (blocks, i)
+            elif idle is False:
+                assert _rewritten(blocks, segs, i) == (
+                    expected[1], [_entries_segment(blk) for blk in expected[1]]), (blocks, i)
             (start_l, _), (start_r, aj) = segs[i], segs[i + 1]
             if start_r + 2 * aj - 2 < start_l:
                 below += 1
@@ -413,16 +428,17 @@ def test_a_shared_value_moves_only_when_its_left_box_lies_further_right(col, idl
     # later one on a tie: the right block's in column 2 when col = 2, so
     # the pair is already normal; the left block's when col = 3, so the
     # two boxes trade blocks.
-    def pair():
-        return [[_WBox(Box(0, 1, PLUS, 4)), _WBox(Box(1, col, MINUS, 2))],
-                [_WBox(Box(2, 2, PLUS, 2)), _WBox(Box(3, 4, MINUS, 0))]]
-
-    blocks = pair()
-    assert _idle(blocks[0], blocks[1], (2, 2), (0, 2)) is idle
-    outcomes = [_outcome_of(rewrite, [[b.freeze() for b in blk] for blk in pair()], 0)
-                for rewrite in (_rewrite_pair, _full_rewrite_pair)]
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is not idle
+    blocks = ((Box(0, 1, PLUS, 4), Box(1, col, MINUS, 2)),
+              (Box(2, 2, PLUS, 2), Box(3, 4, MINUS, 0)))
+    segs = [(2, 2), (0, 2)]
+    assert list(map(_entries_segment, blocks)) == segs
+    assert _idle(*blocks, *segs) is idle
+    moved, expected = _outcome_of(_full_rewrite_pair, blocks, 0)
+    assert moved is not idle
+    if idle:
+        assert expected == list(map(list, blocks))
+    else:
+        assert _rewritten(blocks, segs, 0) == (expected, list(map(_entries_segment, expected)))
 
 
 # Packets whose members need many bump steps, at N = 8 and 9.

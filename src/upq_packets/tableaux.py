@@ -13,13 +13,21 @@ signs, considered up to interchange of equal-length rows).
 Entries are doubled ints throughout: a box, an antitableau column and a
 working entry hold twice the value, and a segment is (doubled start,
 length).  HalfInt is built only to print an entry.
+
+Where each box goes depends only on the block signs; its entry depends only
+on its block's segment.  build_initial therefore returns a placed stack:
+each box's row, column and sign, each block's segment, and the row shapes,
+with no Box objects.  trapa_normalize decides a placed stack from its
+segments and columns alone, and its boxes are built only when something
+reads them: a pair that must be rewritten, the CLI's stack echo, equality
+and hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, ge, gt
+from operator import attrgetter, ge, gt, le, lt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
@@ -92,16 +100,21 @@ class AntiTableau:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        columns = self.columns
-        heights = [len(c) for c in columns]
-        if 0 in heights:
-            raise ValueError("empty column")
-        if not all(map(ge, heights, heights[1:])):
-            raise ValueError(f"column heights {heights} not weakly decreasing")
-        if not all(all(map(gt, col, col[1:])) for col in columns):
-            raise ValueError("column entries must strictly decrease downward")
-        if not all(all(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
-            raise ValueError("row entries must weakly decrease rightward")
+        # One pass over the columns, each tested against the one before it;
+        # a tableau that breaks several conditions is refused for the first
+        # broken in that pass.
+        prev: tuple[int, ...] = ()
+        for col in self.columns:
+            if not col:
+                raise ValueError("empty column")
+            if prev and len(col) > len(prev):
+                heights = [len(c) for c in self.columns]
+                raise ValueError(f"column heights {heights} not weakly decreasing")
+            if not all(map(gt, col, col[1:])):
+                raise ValueError("column entries must strictly decrease downward")
+            if not all(map(ge, prev, col)):
+                raise ValueError("row entries must weakly decrease rightward")
+            prev = col
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,18 +141,84 @@ class AntiTableau:
         return {"columns": [[{"twice": v} for v in col] for col in self.columns]}
 
 
-@dataclass(frozen=True)
 class ColumnStack:
     """A block-partitioned signed filled tableau.
 
     blocks[i] lists block i's boxes top to bottom; within a block the entries
     strictly decrease downward.  row_shapes is the multiset of signed rows,
     fixed at build time (the rewriting moves entries, never boxes).
+
+    ColumnStack(sig, blocks, row_shapes) holds the boxes it is given.  The
+    stack build_initial returns is placed instead: it holds no Box objects,
+    only what placing them decided, each box's row, column and sign (a
+    function of the block signs alone), and the Segment of each block, the
+    very objects it was given (every member of a packet shares them).  Its
+    entries are its segments read downward: box k of a block whose segment
+    tops at `top` holds top - 2k.  The first read of `blocks` builds the
+    boxes from that and keeps them.  trapa_normalize reads a placed
+    stack's segments and columns and builds its boxes only to rewrite a
+    pair; equality, hashing, repr and to_json read the boxes, so a placed
+    stack equals, and hashes as, the stack built from its own boxes.  A
+    stack is immutable: its fields are read-only properties over private
+    slots.
     """
 
-    sig: GroupSignature
-    blocks: tuple[tuple[Box, ...], ...]
-    row_shapes: tuple[tuple[int, int], ...]
+    __slots__ = ("_sig", "_row_shapes", "_blocks", "_segments", "_cols", "_rows", "_signs")
+
+    def __init__(self, sig: GroupSignature, blocks: tuple[tuple[Box, ...], ...],
+                 row_shapes: tuple[tuple[int, int], ...]) -> None:
+        self._sig, self._blocks, self._row_shapes = sig, blocks, row_shapes
+        self._segments = self._cols = self._rows = self._signs = None
+
+    @classmethod
+    def _placed(cls, sig: GroupSignature, row_shapes: tuple[tuple[int, int], ...],
+                segments: tuple[Segment, ...], cols: list[tuple[int, ...]],
+                rows: list[int], signs: list[int]) -> "ColumnStack":
+        # A stack as build_initial places it, its boxes not yet built.
+        stack = object.__new__(cls)
+        stack._sig, stack._blocks, stack._row_shapes = sig, None, row_shapes
+        stack._segments, stack._cols, stack._rows, stack._signs = segments, cols, rows, signs
+        return stack
+
+    # The private slots are set only by the two constructors and, once, by
+    # the first read of `blocks`.
+    @property
+    def sig(self) -> GroupSignature:
+        return self._sig
+
+    @property
+    def row_shapes(self) -> tuple[tuple[int, int], ...]:
+        return self._row_shapes
+
+    @property
+    def blocks(self) -> tuple[tuple[Box, ...], ...]:
+        blocks = self._blocks
+        if blocks is None:
+            rows, signs = self._rows, self._signs
+            built = []
+            j = 0  # the block's first box in the flat row and sign lists
+            for seg, cols in zip(self._segments, self._cols):
+                top = seg.start + 2 * seg.length - 2
+                # tuple.__new__ builds a Box without NamedTuple's Python-level __new__.
+                built.append(tuple(
+                    tuple.__new__(Box, (rows[j + k], col, signs[j + k], top - 2 * k))
+                    for k, col in enumerate(cols)))
+                j += seg.length
+            blocks = self._blocks = tuple(built)
+        return blocks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ColumnStack:
+            return NotImplemented
+        return (self.sig == other.sig and self.row_shapes == other.row_shapes
+                and self.blocks == other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.sig, self.blocks, self.row_shapes))
+
+    def __repr__(self) -> str:
+        return (f"ColumnStack(sig={self.sig!r}, blocks={self.blocks!r}, "
+                f"row_shapes={self.row_shapes!r})")
 
     def signed_tableau(self) -> SignedTableau:
         return SignedTableau(self.sig, self.row_shapes)
@@ -173,15 +252,24 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     the same without the budget, the list of lengthened rows or the
     new-row loop: the one row lengthened moves up past the rows it now
     outranks.
+
+    The stack comes back placed (see ColumnStack): the same pass records
+    each box's row, column and sign and the row shapes, the stack keeps
+    the segments, and no Box is made.  A block's entries need no record:
+    box k of a block whose segment tops at `top` receives top - 2k.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
+    segments = tuple(segments)
+    p = q = 0
     for (pk, qk), seg in zip(block_signs, segments):
         if pk < 0 or qk < 0 or pk + qk == 0:
             raise ValueError(f"bad block ({pk},{qk})")
         if seg.length != pk + qk:
             raise ValueError(f"segment {seg} does not match block size {pk + qk}")
-    if sum(pk for pk, _ in block_signs) != sig.p or sum(qk for _, qk in block_signs) != sig.q:
+        p += pk
+        q += qk
+    if p != sig.p or q != sig.q:
         raise ValueError("block signs do not sum to the signature")
 
     # Per row id: its length, first and last signs, and its rank, id - n * length,
@@ -192,7 +280,9 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     lasts: list[int] = []
     ranks: list[int] = []
     order: list[int] = []  # row ids by rank
-    blocks: list[tuple[Box, ...]] = []
+    cols: list[tuple[int, ...]] = []  # per block, its boxes' columns top to bottom
+    rows: list[int] = []  # per box, in block order, its row id
+    signs: list[int] = []  # and its sign
 
     def open_row(sign: int) -> int:
         # A new one-box row of this sign, last in the scan order; its id.
@@ -204,28 +294,30 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
         order.append(rid)
         return rid
 
-    for (pk, qk), seg in zip(block_signs, segments):
+    for pk, qk in block_signs:
         if pk + qk == 1:
             # One box: the first row it alternates with, else a new row.
             sign = PLUS if pk else MINUS
+            signs.append(sign)
             for pos, rid in enumerate(order):
                 if lasts[rid] != sign:
                     break
             else:
-                blocks.append((tuple.__new__(Box, (open_row(sign), 1, sign, seg.start)),))
+                rows.append(open_row(sign))
+                cols.append((1,))
                 continue
             lasts[rid] = sign
             lengths[rid] += 1
             rank = ranks[rid] - n
             ranks[rid] = rank
-            blocks.append((tuple.__new__(Box, (rid, lengths[rid], sign, seg.start)),))
+            rows.append(rid)
+            cols.append((lengths[rid],))
             while pos and ranks[order[pos - 1]] > rank:
                 order[pos] = order[pos - 1]
                 pos -= 1
             order[pos] = rid
             continue
-        entry = seg.start + 2 * (pk + qk)  # the entry above the block's top
-        boxes: list[Box] = []
+        block_cols: list[int] = []
         grown: list[int] = []  # positions in `order` of the rows lengthened
         for pos, rid in enumerate(order):
             if not (pk or qk):
@@ -243,9 +335,9 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
             lasts[rid] = sign
             lengths[rid] += 1
             ranks[rid] -= n
-            entry -= 2
-            # tuple.__new__ builds the Box without NamedTuple's Python-level __new__.
-            boxes.append(tuple.__new__(Box, (rid, lengths[rid], sign, entry)))
+            rows.append(rid)
+            signs.append(sign)
+            block_cols.append(lengths[rid])
             grown.append(pos)
         # Rows not lengthened keep their order, and so do the lengthened
         # ones; move each lengthened row up past the rows it now outranks.
@@ -258,10 +350,11 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
             order[pos] = rid
         for sign, count in ((PLUS, pk), (MINUS, qk)):
             for _ in range(count):
-                entry -= 2
-                boxes.append(tuple.__new__(Box, (open_row(sign), 1, sign, entry)))
-        blocks.append(tuple(boxes))
-    return ColumnStack(sig, tuple(blocks), tuple(zip(lengths, firsts)))
+                rows.append(open_row(sign))
+                signs.append(sign)
+                block_cols.append(1)
+        cols.append(tuple(block_cols))
+    return ColumnStack._placed(sig, tuple(zip(lengths, firsts)), segments, cols, rows, signs)
 
 
 class _WBox:
@@ -299,10 +392,13 @@ def _sing(a: tuple[int, int], b: tuple[int, int]) -> int:
     return (hi - lo) // 2 + 1 if hi >= lo else 0
 
 
-def _overlap(left: Sequence[Box], right: Sequence[Box]) -> int:
+def _overlap(left: Sequence[int], right: Sequence[int]) -> int:
+    # The largest m such that each of the left block's bottom m boxes lies
+    # in a column strictly left of the matching one of the right block's
+    # top m; the blocks are given by their columns, top to bottom.
     ai, aj = len(left), len(right)
     for m in range(min(ai, aj), 0, -1):
-        if all(a.col < b.col for a, b in zip(left[ai - m:], right)):
+        if all(map(lt, left[ai - m:], right)):
             return m
     return 0
 
@@ -343,15 +439,20 @@ def _unit_shift(twice: int) -> int:
     return twice // 2
 
 
-def _idle(left: Sequence[Box], right: Sequence[Box],
-          seg_l: tuple[int, int], seg_r: tuple[int, int]) -> Optional[bool]:
-    """Is the pair (left, right), holding these segments, already normal?
+def _idle(left: Sequence[int], right: Sequence[int], seg_l: tuple[int, int],
+          seg_r: tuple[int, int]) -> tuple[Optional[bool], int, int]:
+    """Is the pair of blocks with these columns (top to bottom), holding
+    these segments, already normal?
 
-    Returns None when the pair rewrites to the formal zero tableau
-    (overlap < sing), True when Trapa's pair rewrite would leave it as it
-    is, and False when the rewrite would move it.  The pair is already
-    normal when its right segment lies wholly below its left one
-    (end_r < start_l), or when all of these hold:
+    Returns (verdict, overlap, sing).  The verdict is None when the pair
+    rewrites to the formal zero tableau (overlap < sing), True when
+    Trapa's pair rewrite would leave it as it is, and False when the
+    rewrite would move it; _rewrite_pair takes the counts of a pair that
+    moves.  A pair whose right segment lies wholly below its left one
+    shares no entry and its overlap is not measured: its counts are given
+    as 0, 0.  The pair is already normal when its right segment lies
+    wholly below its left one (end_r < start_l), or when all of these
+    hold:
 
     (a) start_r <= start_l and end_r <= end_l;
     (b) overlap >= sing;
@@ -381,7 +482,8 @@ def _idle(left: Sequence[Box], right: Sequence[Box],
     columns weakly decrease downward, and overlap >= sing puts every one
     of the bottom sing left boxes strictly left of the right box it is
     compared with.  A rewritten block lists its boxes by entry, so (c) is
-    tested rather than assumed.
+    tested rather than assumed; the one test serves both, and on a pair
+    of placed blocks it never fails.
 
     The test is exact: when overlap >= sing and end_r >= start_l but (a)
     or (c) fails, the rewrite moves the pair.  If (a) fails, the new
@@ -393,31 +495,31 @@ def _idle(left: Sequence[Box], right: Sequence[Box],
     (start_l, ai), (start_r, aj) = seg_l, seg_r
     end_r = start_r + 2 * aj - 2
     if end_r < start_l:
-        return True
+        return True, 0, 0
     sg = _sing(seg_l, seg_r)
-    if _overlap(left, right) < sg:
-        return None
+    ov = _overlap(left, right)
+    if ov < sg:
+        return None, ov, sg
     return (start_r <= start_l and end_r <= start_l + 2 * ai - 2
-            and all(a.col <= b.col for a, b in zip(left[ai - sg:], right)))
+            and all(map(le, left[ai - sg:], right))), ov, sg
 
 
-def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]], i: int) -> None:
+def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]],
+                  cols: list[tuple[int, ...]], i: int, ov: int, sg: int) -> None:
     """Normalize the adjacent pair (i, i+1), holding segments segs[i] and
-    segs[i+1], which _idle found neither zero nor already normal.
+    segs[i+1], which _idle found neither zero nor already normal, with
+    the overlap ov and sing sg that _idle measured.
 
     The four cases compare overlap and sing; the descent (resp. ascent)
     case shifts the right (resp. left) block's entries and restores them
     one unit at a time through bump steps, and every case ends with the
     chain repartition that re-splits the pair along the right-most boxes
     of consecutive entries.  Only the pair is copied into working boxes;
-    the two rewritten blocks go back into `blocks` frozen, and their
-    segments into `segs`.
+    the two rewritten blocks go back into `blocks` frozen, their segments
+    into `segs` and their columns into `cols`.
     """
-    seg_l, seg_r = segs[i], segs[i + 1]
-    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    (start_l, ai), (start_r, aj) = segs[i], segs[i + 1]
     end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
-    ov = _overlap(blocks[i], blocks[i + 1])
-    sg = _sing(seg_l, seg_r)
     left = [_WBox(b) for b in blocks[i]]
     right = [_WBox(b) for b in blocks[i + 1]]
     pair = left + right
@@ -468,6 +570,8 @@ def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]], i:
     blocks[i + 1] = tuple(b.freeze() for b in chain)
     segs[i] = _entries_segment(blocks[i])
     segs[i + 1] = _entries_segment(blocks[i + 1])
+    cols[i] = tuple(b.col for b in rest)
+    cols[i + 1] = tuple(b.col for b in chain)
 
 
 @dataclass(frozen=True)
@@ -487,13 +591,21 @@ class NormalizeOutcome:
         return cls(None, None, None)
 
 
-def assemble_antitableau(blocks: Sequence[Sequence[Box]],
+def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequence[int]],
                          row_shapes: tuple[tuple[int, int], ...]) -> AntiTableau:
-    """Read off the antitableau of a stack's boxes: column c holds, sorted
+    """Read off the antitableau of a stack whose block i holds the segment
+    segs[i] = (doubled start, length), largest entry first, in boxes with
+    the columns cols[i], top to bottom: column c holds, sorted
     decreasingly, the entries of all boxes in column c.
     Raises if the columns are not contiguous, if the result violates either
     antitableau condition, or if its shape is not the multiset of row
     lengths (this is asserted, never assumed).
+
+    Every stack trapa_normalize returns is read this way: a placed stack
+    holds its segments and columns, and the blocks of any other stack,
+    given or rewritten, have passed _entries_segment, so box k of block i
+    holds top_i - 2k there too.  The (column, entry) pairs are read in one
+    loop, and each check exists once.
 
     The columns are collected in a list indexed by col - 1, as long as the
     longest row.  This reads the same tableau as grouping the boxes by
@@ -515,22 +627,26 @@ def assemble_antitableau(blocks: Sequence[Sequence[Box]],
     """
     # conjugate[c] counts the rows of length above c: the height column
     # c + 1 must have.
-    width = max(length for length, _ in row_shapes)
+    width = max(row_shapes)[0]
     conjugate = [0] * width
     for length, _ in row_shapes:
         conjugate[length - 1] += 1
     for c in range(width - 1, 0, -1):
         conjugate[c - 1] += conjugate[c]
     by_col: list[list[int]] = [[] for _ in range(width)]
-    for blk in blocks:
-        for b in blk:
-            if not 0 < b.col <= width:
+    for (start, length), block_cols in zip(segs, cols):
+        entry = start + 2 * length
+        for col in block_cols:
+            entry -= 2
+            if not 0 < col <= width:
                 raise InternalInconsistencyError("columns are not contiguous")
-            by_col[b.col - 1].append(b.entry)
+            by_col[col - 1].append(entry)
     if not all(by_col):
         raise InternalInconsistencyError("columns are not contiguous")
+    for col in by_col:
+        col.sort(reverse=True)
     try:
-        ann = AntiTableau(tuple(tuple(sorted(col, reverse=True)) for col in by_col))
+        ann = AntiTableau(tuple(map(tuple, by_col)))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
     if list(map(len, by_col)) != conjugate:
@@ -548,13 +664,24 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     antitableau and signed tableau.  The sweep count is capped; hitting the
     cap raises, it never hangs or silently stops.
 
-    Each sweep tests the pairs in order with _idle, which reads the frozen
-    boxes and moves nothing: a pair found zero ends the run, a pair found
-    already normal is left as it is, and any other pair is rewritten by
-    _rewrite_pair, which writes back the pair and its two segments.  The
-    block list is copied at the first rewrite, so a stack whose pairs are
-    all already normal costs one segment read per block and one _idle call
-    per pair, and the returned stack is the input object itself.
+    Each sweep tests the pairs in order with _idle, which reads each
+    block's segment and columns and moves nothing: a pair found zero ends
+    the run, a pair found already normal is left as it is, and any other
+    pair is rewritten by _rewrite_pair, which writes back the pair's
+    boxes, segments and columns.  The block list is copied at the first
+    rewrite, so a stack whose pairs are all already normal costs one _idle
+    call per pair, and the returned stack is the input object itself.
+
+    A placed stack (one that build_initial returned) is read as placed:
+    its segments and columns decide every pair by arithmetic, and its
+    boxes are built only if a pair is rewritten.  Its entries hold
+    segments by construction, box k of a block whose segment tops at
+    `top` holding top - 2k, so _entries_segment is not needed there.  A
+    stack given by its boxes has each block's segment read by
+    _entries_segment, which raises unless the block holds a segment
+    largest first, as the blocks a rewrite writes back do too.  Either
+    way the segments and columns the sweeps end with describe every box,
+    and the antitableau is read off them, without boxes.
 
     The final conditions, that every adjacent pair has overlap >= sing and
     seg(i+1) <= seg(i) componentwise, then hold by _idle's definition: the
@@ -567,34 +694,39 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     InternalInconsistencyError: it would be a fault in the rewriting, not
     a module that vanishes.
     """
-    blocks: Sequence[tuple[Box, ...]] = stack.blocks
-    segs = [_entries_segment(blk) for blk in blocks]
-    pairs = range(len(blocks) - 1)
+    cols = stack._cols
+    if cols is None:
+        segs = [_entries_segment(blk) for blk in stack.blocks]
+        cols = [tuple(b.col for b in blk) for blk in stack.blocks]
+    else:
+        segs = [(seg.start, seg.length) for seg in stack._segments]
+    blocks: Optional[list[tuple[Box, ...]]] = None  # copied at the first rewrite
+    pairs = range(len(segs) - 1)
     cap = max(4, stack.sig.N ** 2)
     for _ in range(cap):
         changed = False
         for i in pairs:
-            idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
+            idle, ov, sg = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])
             if idle is None:
                 return NormalizeOutcome.zero()
             if not idle:
-                if blocks is stack.blocks:
-                    blocks = list(blocks)
-                _rewrite_pair(blocks, segs, i)
+                if blocks is None:
+                    blocks, cols = list(stack.blocks), list(cols)
+                _rewrite_pair(blocks, segs, cols, i, ov, sg)
                 changed = True
         if not changed:
             break
     else:
         raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
 
-    if blocks is not stack.blocks:
+    if blocks is not None:
         for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
             if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
                 raise InternalInconsistencyError(
                     f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
                     f"do not decrease componentwise")
         stack = ColumnStack(stack.sig, tuple(blocks), stack.row_shapes)
-    return NormalizeOutcome(stack, assemble_antitableau(stack.blocks, stack.row_shapes),
+    return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
                             stack.signed_tableau())
 
 

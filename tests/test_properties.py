@@ -36,8 +36,8 @@ SEEDED = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 @st.composite
-def random_psis(draw):
-    n = draw(st.integers(7, 9))
+def random_psis(draw, max_n=9):
+    n = draw(st.integers(7, max_n))
     p = draw(st.integers(0, n))
     sizes = [1]
     for cut in draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)):

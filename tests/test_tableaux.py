@@ -10,7 +10,8 @@ from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
                                 segments_of, tableau_pair)
 from upq_packets.errors import InternalInconsistencyError, IterationCapExceeded
 from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
-from upq_packets.oracle import good_parameters_in_window, two_block_data
+from upq_packets.oracle import (SweepReport, _check_two_block, good_parameters_in_window,
+                                two_block_data)
 from upq_packets.packets import AParameter, enumerate_D, member
 from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, Box, ColumnStack,
                                   NormalizeOutcome,
@@ -18,6 +19,8 @@ from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, Box, ColumnStack,
                                   _sing, _unit_shift, _WBox, as_pair_equal,
                                   assemble_antitableau, build_initial, trapa_normalize)
 from upq_packets.weights import GroupSignature
+
+from test_properties import psis_sharing_a_weights_character, random_psis
 
 
 def seg(lo_twice, hi_twice):
@@ -35,6 +38,17 @@ def desc(p, q, blocks, values):
 
 def ann_columns(out):
     return list(map(list, out.ann.columns))
+
+
+def _cols(block):
+    # A block's columns, top to bottom: what _idle and _overlap read.
+    return tuple(b.col for b in block)
+
+
+def _assembled(blocks, row_shapes):
+    # assemble_antitableau on a stack given by its boxes.
+    return assemble_antitableau([_entries_segment(blk) for blk in blocks],
+                                [_cols(blk) for blk in blocks], row_shapes)
 
 
 def test_build_single_block_u11():
@@ -76,7 +90,8 @@ def test_build_sign_counts_and_shape():
 def test_overlap_and_sing_examples():
     def overlap_and_sing(stack):
         left, right = stack.blocks
-        return _overlap(left, right), _sing(_entries_segment(left), _entries_segment(right))
+        return _overlap(_cols(left), _cols(right)), _sing(_entries_segment(left),
+                                                         _entries_segment(right))
 
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
     assert overlap_and_sing(stack) == (1, 1)
@@ -234,10 +249,10 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
     # Column 1 arrives smallest first, so it is sorted; the result equals
     # the dict-and-sort assembly.
     good, bad = stack(0, 2), stack(0, 0)
-    ann = assemble_antitableau(good.blocks, good.row_shapes)
+    ann = _assembled(good.blocks, good.row_shapes)
     assert ann.columns == ((2, 0),)
     assert ann == _dict_assembly(good.blocks, good.row_shapes)
-    for assemble in (assemble_antitableau, _dict_assembly):
+    for assemble in (_assembled, _dict_assembly):
         with pytest.raises(InternalInconsistencyError):
             assemble(bad.blocks, bad.row_shapes)
 
@@ -246,7 +261,7 @@ def test_assemble_antitableau_refuses_a_repeated_column_entry():
 def test_assemble_antitableau_refuses_columns_that_are_not_contiguous(cols, longest):
     # An empty column, or a box outside columns 1 to the longest row.
     blocks = [[Box(0, c, PLUS, -2 * k)] for k, c in enumerate(cols)]
-    for assemble in (assemble_antitableau, _dict_assembly):
+    for assemble in (_assembled, _dict_assembly):
         with pytest.raises(InternalInconsistencyError, match="not contiguous|shape"):
             assemble(blocks, ((longest, PLUS), (1, PLUS)))
 
@@ -256,7 +271,7 @@ def test_assemble_antitableau_refuses_column_heights_that_are_not_the_row_shape(
     # form an antitableau of shape (2), but the rows are (2, +) and (1, +),
     # so column 1 should hold two boxes.
     blocks = [[Box(0, 1, PLUS, 2)], [Box(0, 2, MINUS, 0)]]
-    for assemble in (assemble_antitableau, _dict_assembly):
+    for assemble in (_assembled, _dict_assembly):
         with pytest.raises(InternalInconsistencyError, match="shape"):
             assemble(blocks, ((2, PLUS), (1, PLUS)))
 
@@ -267,8 +282,8 @@ def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
     # leaves it so in every sweep, and the fifth sweep would pass the cap
     # max(4, N^2) = 4.
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
-    assert _idle(*stack.blocks, (0, 1), (2, 1)) is False
-    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, segs, i: None)
+    assert _idle(*map(_cols, stack.blocks), (0, 1), (2, 1))[0] is False
+    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, segs, cols, i, ov, sg: None)
     with pytest.raises(IterationCapExceeded, match="within 4 sweeps"):
         trapa_normalize(stack)
 
@@ -281,7 +296,7 @@ def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
     stack = build(1, 3, [(0, 1), (0, 1), (1, 1)], [seg(-5, -5), seg(-3, -3), seg(-3, -1)])
     real = _idle
     monkeypatch.setattr(tableaux, "_idle", lambda left, right, seg_l, seg_r:
-                        seg_r[0] > seg_l[0] or real(left, right, seg_l, seg_r))
+                        (True, 0, 0) if seg_r[0] > seg_l[0] else real(left, right, seg_l, seg_r))
     with pytest.raises(InternalInconsistencyError, match="componentwise"):
         trapa_normalize(stack)
 
@@ -335,7 +350,7 @@ def _full_rewrite_pair(blocks, i):
     seg_l, seg_r = _entries_segment(left), _entries_segment(right)
     (start_l, ai), (start_r, aj) = seg_l, seg_r
     end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
-    ov, sg = _overlap(left, right), _sing(seg_l, seg_r)
+    ov, sg = _overlap(_cols(left), _cols(right)), _sing(seg_l, seg_r)
     if ov < sg:
         return None
     before = [[(b.col, b.entry) for b in blk] for blk in (left, right)]
@@ -376,9 +391,14 @@ def _outcome_of(rewrite, blocks, i):
 
 
 def _rewritten(blocks, segs, i):
-    # The blocks and segments _rewrite_pair leaves on copies of both lists.
+    # The blocks and segments _rewrite_pair leaves on copies of both lists,
+    # given the counts _idle measured; the columns it leaves are the
+    # blocks' own.
     blocks, segs = list(blocks), list(segs)
-    _rewrite_pair(blocks, segs, i)
+    cols = [_cols(blk) for blk in blocks]
+    _, ov, sg = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])
+    _rewrite_pair(blocks, segs, cols, i, ov, sg)
+    assert cols == [_cols(blk) for blk in blocks]
     return list(map(list, blocks)), segs
 
 
@@ -398,7 +418,7 @@ def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
         below = 0
         for i in range(len(blocks) - 1):
             expected = _outcome_of(_full_rewrite_pair, blocks, i)
-            idle = _idle(blocks[i], blocks[i + 1], segs[i], segs[i + 1])
+            idle = _idle(_cols(blocks[i]), _cols(blocks[i + 1]), segs[i], segs[i + 1])[0]
             assert idle is {None: None, False: True, True: False}[expected[0]], (blocks, i)
             if idle:
                 assert expected[1] == list(map(list, blocks)), (blocks, i)
@@ -432,7 +452,7 @@ def test_a_shared_value_moves_only_when_its_left_box_lies_further_right(col, idl
               (Box(2, 2, PLUS, 2), Box(3, 4, MINUS, 0)))
     segs = [(2, 2), (0, 2)]
     assert list(map(_entries_segment, blocks)) == segs
-    assert _idle(*blocks, *segs) is idle
+    assert _idle(*map(_cols, blocks), *segs)[0] is idle
     moved, expected = _outcome_of(_full_rewrite_pair, blocks, 0)
     assert moved is not idle
     if idle:
@@ -599,6 +619,19 @@ def _written_out_normalize(stack):
     return NormalizeOutcome(out, ann, out.signed_tableau()), moved
 
 
+def _check_against_the_written_out_sweep(stack):
+    # trapa_normalize on a stack equals the written-out sweep; the stack
+    # comes back itself exactly when no pair moved.  Returns the kind.
+    out = trapa_normalize(stack)
+    expected, moved = _written_out_normalize(stack)
+    assert out.is_zero == expected.is_zero
+    assert (out.stack, out.ann, out.as_tab) == (expected.stack, expected.ann, expected.as_tab)
+    if out.is_zero:
+        return "zero"
+    assert (out.stack is stack) == (not moved)
+    return "moved" if moved else "unmoved"
+
+
 def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
     # On every pinned descriptor: the outcome equals the written-out
     # copy-and-sweep, its antitableau included (so the list assembly equals
@@ -629,7 +662,8 @@ def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
 def test_normalize_equals_the_written_out_sweep_on_every_member_up_to_n_6():
     # Every member stack of every packet whose character lies in [-2, 2],
     # up to N = 6: the same zero or nonzero answer, the same stack and the
-    # same invariant pair as the written-out sweep.
+    # same invariant pair as the written-out sweep, and the input stack
+    # itself back exactly when no pair moved.
     kinds = {"zero": 0, "unmoved": 0, "moved": 0}
     for n in range(1, 7):
         for p in range(n + 1):
@@ -638,10 +672,69 @@ def test_normalize_equals_the_written_out_sweep_on_every_member_up_to_n_6():
                 segments = [Segment(t - a + 1, a) for t, a in psi.summands]
                 for d in enumerate_D(psi):
                     stack = build_initial(sig, d.blocks, segments)
-                    out = trapa_normalize(stack)
-                    expected, moved = _written_out_normalize(stack)
-                    assert out.is_zero == expected.is_zero, (psi, d)
-                    assert (out.stack, out.ann, out.as_tab) == (
-                        expected.stack, expected.ann, expected.as_tab), (psi, d)
-                    kinds["zero" if out.is_zero else "moved" if moved else "unmoved"] += 1
+                    kinds[_check_against_the_written_out_sweep(stack)] += 1
     assert kinds == {"zero": 18084, "unmoved": 7082, "moved": 605}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(random_psis(max_n=10), psis_sharing_a_weights_character(max_n=10)))
+def test_normalize_equals_the_written_out_sweep_on_drawn_psi_up_to_n_10(psi):
+    # Every member stack of a drawn packet at N = 7..10, the sizes the
+    # large packet dumps run.
+    segments = [Segment(t - a + 1, a) for t, a in psi.summands]
+    for d in enumerate_D(psi):
+        _check_against_the_written_out_sweep(build_initial(psi.sig, d.blocks, segments))
+
+
+@pytest.mark.parametrize("p, q, blocks, starts, kind, verdicts", [
+    # U(1,2): {1/2}, {-3/2}, {-1/2}.  Pair 0 is already normal (its right
+    # segment lies wholly below), pair 1 is the first to move.
+    (1, 2, [(0, 1), (0, 1), (1, 0)], [1, -3, -1], "moved", (True, False)),
+    # U(0,3): {1/2}, {-3/2}, {3/2}.  Pair 1 moves, and in the next sweep
+    # pair 0 does.
+    (0, 3, [(0, 1), (0, 1), (0, 1)], [1, -3, 3], "moved", (True, False)),
+    # U(2,1): {1/2}, {-1/2}, {-1/2}.  Pair 0 is already normal; pair 1
+    # shares -1/2 with overlap 0, so the stack is zero there.
+    (2, 1, [(0, 1), (1, 0), (1, 0)], [1, -1, -1], "zero", (True, None)),
+])
+def test_a_pair_past_the_first_decides_the_stack(p, q, blocks, starts, kind, verdicts):
+    segments = [Segment(s, 1) for s in starts]
+    read = build(p, q, blocks, segments).blocks
+    segs, cols = [_entries_segment(blk) for blk in read], [_cols(blk) for blk in read]
+    assert tuple(_idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
+                 for i in range(2)) == verdicts
+    # A fresh stack, whose boxes nothing has read, is decided from its placement.
+    assert _check_against_the_written_out_sweep(build(p, q, blocks, segments)) == kind
+
+
+def test_a_placed_stack_is_the_stack_of_its_own_boxes():
+    # On every pinned descriptor: a nonzero placed stack is decided without
+    # building its boxes unless a pair moves; it equals, hashes as, prints
+    # as and renders as the stack built from its own boxes; the two
+    # normalize to equal outcomes, and each comes back itself when unmoved.
+    unmoved = 0
+    for desc in _pinned_descriptors():
+        placed = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
+        out = trapa_normalize(placed)
+        moved = not out.is_zero and out.stack is not placed
+        if not out.is_zero:
+            assert (placed._blocks is not None) == moved, desc
+        given = ColumnStack(placed.sig, placed.blocks, placed.row_shapes)
+        assert given == placed and hash(given) == hash(placed), desc
+        assert (repr(given), given.to_json()) == (repr(placed), placed.to_json())
+        again = trapa_normalize(given)
+        assert again == out, desc
+        if not out.is_zero and not moved:
+            assert out.stack is placed and again.stack is given
+            unmoved += 1
+    assert unmoved == 657 + 654
+
+
+def test_two_block_data_pass_the_sweep_checks():
+    # The nonvanishing criterion, the idempotence of normalizing a
+    # normalized stack and the absorb-adjacent check on every two-block
+    # datum up to N = 6.
+    report = SweepReport({})
+    for desc in two_block_data(6):
+        _check_two_block(desc, report)
+    assert report.property_failures == [] and report.instances_checked == 1130

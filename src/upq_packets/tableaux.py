@@ -15,12 +15,12 @@ working entry hold twice the value, and a segment is (doubled start,
 length).  HalfInt is built only to print an entry.
 
 Where each box goes depends only on the block signs; its entry depends only
-on its block's segment.  build_initial therefore returns a placed stack:
-each box's row, column and sign, each block's segment, and the row shapes,
-with no Box objects.  trapa_normalize decides a placed stack from its
-segments and columns alone, and its boxes are built only when something
-reads them: a pair that must be rewritten, the CLI's stack echo, equality
-and hashing.
+on its block's segment.  A stack therefore holds each box's row, column and
+sign, each block's segment, and the row shapes, with no Box objects
+(see ColumnStack).  build_initial returns a stack in that form,
+trapa_normalize decides it from its segments and columns and rewrites it
+in the same form, and Box objects are built only for a reader of
+`blocks`: the CLI's stack echo and repr.
 """
 
 from __future__ import annotations
@@ -144,44 +144,49 @@ class AntiTableau:
 class ColumnStack:
     """A block-partitioned signed filled tableau.
 
-    blocks[i] lists block i's boxes top to bottom; within a block the entries
-    strictly decrease downward.  row_shapes is the multiset of signed rows,
-    fixed at build time (the rewriting moves entries, never boxes).
+    A stack holds what placing its boxes decided: each box's row, column
+    and sign, and the Segment of each block.  Box k of a block whose
+    segment tops at `top` holds top - 2k, so the entries need no record.
+    The columns are kept per block, top to bottom; the rows and signs are
+    flat, in block order, block i's boxes starting at the sum of the
+    lengths of the blocks before it.  row_shapes is the multiset of
+    signed rows, fixed at build time (the rewriting moves entries, never
+    boxes).
 
-    ColumnStack(sig, blocks, row_shapes) holds the boxes it is given.  The
-    stack build_initial returns is placed instead: it holds no Box objects,
-    only what placing them decided, each box's row, column and sign (a
-    function of the block signs alone), and the Segment of each block, the
-    very objects it was given (every member of a packet shares them).  Its
-    entries are its segments read downward: box k of a block whose segment
-    tops at `top` holds top - 2k.  The first read of `blocks` builds the
-    boxes from that and keeps them.  trapa_normalize reads a placed
-    stack's segments and columns and builds its boxes only to rewrite a
-    pair; equality, hashing, repr and to_json read the boxes, so a placed
+    ColumnStack(sig, blocks, row_shapes) takes blocks[i], block i's boxes
+    top to bottom, and keeps only this form; each block must hold a
+    segment listed largest first.  `blocks` builds the Box view afresh on
+    every read.  Equality and hashing compare the stored fields, so a
     stack equals, and hashes as, the stack built from its own boxes.  A
     stack is immutable: its fields are read-only properties over private
     slots.
     """
 
-    __slots__ = ("_sig", "_row_shapes", "_blocks", "_segments", "_cols", "_rows", "_signs")
+    __slots__ = ("_sig", "_row_shapes", "_segments", "_cols", "_rows", "_signs")
 
-    def __init__(self, sig: GroupSignature, blocks: tuple[tuple[Box, ...], ...],
+    def __init__(self, sig: GroupSignature, blocks: Sequence[Sequence[Box]],
                  row_shapes: tuple[tuple[int, int], ...]) -> None:
-        self._sig, self._blocks, self._row_shapes = sig, blocks, row_shapes
-        self._segments = self._cols = self._rows = self._signs = None
+        for i, block in enumerate(blocks):
+            if not block:
+                raise ValueError(f"block {i} of the stack is empty")
+        self._sig, self._row_shapes = sig, row_shapes
+        self._segments = tuple(Segment(*_entries_segment(block)) for block in blocks)
+        self._cols = [tuple(b.col for b in block) for block in blocks]
+        self._rows = [b.row for block in blocks for b in block]
+        self._signs = [b.sign for block in blocks for b in block]
 
     @classmethod
     def _placed(cls, sig: GroupSignature, row_shapes: tuple[tuple[int, int], ...],
                 segments: tuple[Segment, ...], cols: list[tuple[int, ...]],
                 rows: list[int], signs: list[int]) -> "ColumnStack":
-        # A stack as build_initial places it, its boxes not yet built.
+        # A stack from its stored fields, as build_initial and
+        # trapa_normalize make them.
         stack = object.__new__(cls)
-        stack._sig, stack._blocks, stack._row_shapes = sig, None, row_shapes
+        stack._sig, stack._row_shapes = sig, row_shapes
         stack._segments, stack._cols, stack._rows, stack._signs = segments, cols, rows, signs
         return stack
 
-    # The private slots are set only by the two constructors and, once, by
-    # the first read of `blocks`.
+    # The private slots are set only by the two constructors.
     @property
     def sig(self) -> GroupSignature:
         return self._sig
@@ -192,29 +197,24 @@ class ColumnStack:
 
     @property
     def blocks(self) -> tuple[tuple[Box, ...], ...]:
-        blocks = self._blocks
-        if blocks is None:
-            rows, signs = self._rows, self._signs
-            built = []
-            j = 0  # the block's first box in the flat row and sign lists
-            for seg, cols in zip(self._segments, self._cols):
-                top = seg.start + 2 * seg.length - 2
-                # tuple.__new__ builds a Box without NamedTuple's Python-level __new__.
-                built.append(tuple(
-                    tuple.__new__(Box, (rows[j + k], col, signs[j + k], top - 2 * k))
-                    for k, col in enumerate(cols)))
-                j += seg.length
-            blocks = self._blocks = tuple(built)
-        return blocks
+        rows, signs = iter(self._rows), iter(self._signs)  # flat, in block order
+        # tuple.__new__ builds a Box without NamedTuple's Python-level __new__.
+        return tuple(tuple(tuple.__new__(Box, (next(rows), col, next(signs), seg.end - 2 * k))
+                           for k, col in enumerate(cols))
+                     for seg, cols in zip(self._segments, self._cols))
+
+    def _key(self) -> tuple:
+        # The stored fields, the lists as tuples.
+        return (self._sig, self._row_shapes, self._segments,
+                tuple(self._cols), tuple(self._rows), tuple(self._signs))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ColumnStack:
             return NotImplemented
-        return (self.sig == other.sig and self.row_shapes == other.row_shapes
-                and self.blocks == other.blocks)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.sig, self.blocks, self.row_shapes))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"ColumnStack(sig={self.sig!r}, blocks={self.blocks!r}, "
@@ -253,7 +253,7 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     new-row loop: the one row lengthened moves up past the rows it now
     outranks.
 
-    The stack comes back placed (see ColumnStack): the same pass records
+    The stack comes back in ColumnStack's one form: the same pass records
     each box's row, column and sign and the row shapes, the stack keeps
     the segments, and no Box is made.  A block's entries need no record:
     box k of a block whose segment tops at `top` receives top - 2k.
@@ -362,19 +362,16 @@ class _WBox:
 
     __slots__ = ("row", "col", "sign", "entry")
 
-    def __init__(self, box: Box) -> None:
-        self.row, self.col, self.sign, self.entry = box
-
-    def freeze(self) -> Box:
-        return Box(self.row, self.col, self.sign, self.entry)
+    def __init__(self, row: int, col: int, sign: int, entry: int) -> None:
+        self.row, self.col, self.sign, self.entry = row, col, sign, entry
 
 
-def _entries_segment(block: Sequence[Box]) -> tuple[int, int]:
-    """The segment a block holds, as (start doubled, length).
+def _entries_segment(block: Sequence[Box | _WBox]) -> tuple[int, int]:
+    """The segment a block of boxes holds, as (start doubled, length).
 
-    Blocks list their entries largest first (build_initial places them so
-    and the repartition sorts them), so this checks that order and never
-    sorts: each entry must be exactly 1 above the next.
+    Blocks list their entries largest first (a stack's boxes do, and the
+    repartition sorts them), so this checks that order and never sorts:
+    each entry must be exactly 1 above the next.
     """
     top = block[0].entry
     for k, b in enumerate(block):
@@ -504,8 +501,8 @@ def _idle(left: Sequence[int], right: Sequence[int], seg_l: tuple[int, int],
             and all(map(le, left[ai - sg:], right))), ov, sg
 
 
-def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]],
-                  cols: list[tuple[int, ...]], i: int, ov: int, sg: int) -> None:
+def _rewrite_pair(segs: list[tuple[int, int]], cols: list[tuple[int, ...]],
+                  rows: list[int], signs: list[int], i: int, ov: int, sg: int) -> None:
     """Normalize the adjacent pair (i, i+1), holding segments segs[i] and
     segs[i+1], which _idle found neither zero nor already normal, with
     the overlap ov and sing sg that _idle measured.
@@ -514,14 +511,19 @@ def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]],
     case shifts the right (resp. left) block's entries and restores them
     one unit at a time through bump steps, and every case ends with the
     chain repartition that re-splits the pair along the right-most boxes
-    of consecutive entries.  Only the pair is copied into working boxes;
-    the two rewritten blocks go back into `blocks` frozen, their segments
-    into `segs` and their columns into `cols`.
+    of consecutive entries.  The lists are a stack's stored fields (see
+    ColumnStack): only the pair is made into working boxes, and the two
+    rewritten blocks go back into the same lists, their segments into
+    `segs`, their columns into `cols`, and their rows and signs into the
+    pair's stretch of `rows` and `signs`, which keeps its length.
     """
     (start_l, ai), (start_r, aj) = segs[i], segs[i + 1]
     end_l, end_r = start_l + 2 * ai - 2, start_r + 2 * aj - 2
-    left = [_WBox(b) for b in blocks[i]]
-    right = [_WBox(b) for b in blocks[i + 1]]
+    j = sum(length for _, length in segs[:i])  # the pair's first box in rows and signs
+    left = [_WBox(rows[j + k], col, signs[j + k], end_l - 2 * k)
+            for k, col in enumerate(cols[i])]
+    right = [_WBox(rows[j + ai + k], col, signs[j + ai + k], end_r - 2 * k)
+             for k, col in enumerate(cols[i + 1])]
     pair = left + right
 
     # Segments repeat no entry, so sg == aj puts seg_r inside seg_l, sg == ai the reverse.
@@ -566,12 +568,12 @@ def _rewrite_pair(blocks: list[tuple[Box, ...]], segs: list[tuple[int, int]],
     chain.reverse()
     if not rest or not chain:
         raise InternalInconsistencyError("repartition emptied a block")
-    blocks[i] = tuple(b.freeze() for b in rest)
-    blocks[i + 1] = tuple(b.freeze() for b in chain)
-    segs[i] = _entries_segment(blocks[i])
-    segs[i + 1] = _entries_segment(blocks[i + 1])
+    segs[i] = _entries_segment(rest)
+    segs[i + 1] = _entries_segment(chain)
     cols[i] = tuple(b.col for b in rest)
     cols[i + 1] = tuple(b.col for b in chain)
+    rows[j:j + ai + aj] = [b.row for b in rest + chain]
+    signs[j:j + ai + aj] = [b.sign for b in rest + chain]
 
 
 @dataclass(frozen=True)
@@ -601,11 +603,10 @@ def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequenc
     antitableau condition, or if its shape is not the multiset of row
     lengths (this is asserted, never assumed).
 
-    Every stack trapa_normalize returns is read this way: a placed stack
-    holds its segments and columns, and the blocks of any other stack,
-    given or rewritten, have passed _entries_segment, so box k of block i
-    holds top_i - 2k there too.  The (column, entry) pairs are read in one
-    loop, and each check exists once.
+    Every stack trapa_normalize returns is read this way, from the
+    segments and columns it holds: box k of block i holds top_i - 2k.
+    The (column, entry) pairs are read in one loop, and each check exists
+    once.
 
     The columns are collected in a list indexed by col - 1, as long as the
     longest row.  This reads the same tableau as grouping the boxes by
@@ -668,20 +669,12 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     block's segment and columns and moves nothing: a pair found zero ends
     the run, a pair found already normal is left as it is, and any other
     pair is rewritten by _rewrite_pair, which writes back the pair's
-    boxes, segments and columns.  The block list is copied at the first
-    rewrite, so a stack whose pairs are all already normal costs one _idle
-    call per pair, and the returned stack is the input object itself.
-
-    A placed stack (one that build_initial returned) is read as placed:
-    its segments and columns decide every pair by arithmetic, and its
-    boxes are built only if a pair is rewritten.  Its entries hold
-    segments by construction, box k of a block whose segment tops at
-    `top` holding top - 2k, so _entries_segment is not needed there.  A
-    stack given by its boxes has each block's segment read by
-    _entries_segment, which raises unless the block holds a segment
-    largest first, as the blocks a rewrite writes back do too.  Either
-    way the segments and columns the sweeps end with describe every box,
-    and the antitableau is read off them, without boxes.
+    segments, columns, rows and signs.  The stack's lists are copied at
+    the first rewrite, so a stack whose pairs are all already normal
+    costs one _idle call per pair, and the returned stack is the input
+    object itself; a rewritten stack is returned in the same form, and
+    the antitableau is read off its segments and columns.  No Box is
+    made.
 
     The final conditions, that every adjacent pair has overlap >= sing and
     seg(i+1) <= seg(i) componentwise, then hold by _idle's definition: the
@@ -694,13 +687,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     InternalInconsistencyError: it would be a fault in the rewriting, not
     a module that vanishes.
     """
-    cols = stack._cols
-    if cols is None:
-        segs = [_entries_segment(blk) for blk in stack.blocks]
-        cols = [tuple(b.col for b in blk) for blk in stack.blocks]
-    else:
-        segs = [(seg.start, seg.length) for seg in stack._segments]
-    blocks: Optional[list[tuple[Box, ...]]] = None  # copied at the first rewrite
+    segs = [(seg.start, seg.length) for seg in stack._segments]
+    cols, rows, signs = stack._cols, stack._rows, stack._signs  # copied at the first rewrite
     pairs = range(len(segs) - 1)
     cap = max(4, stack.sig.N ** 2)
     for _ in range(cap):
@@ -710,22 +698,23 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
             if idle is None:
                 return NormalizeOutcome.zero()
             if not idle:
-                if blocks is None:
-                    blocks, cols = list(stack.blocks), list(cols)
-                _rewrite_pair(blocks, segs, cols, i, ov, sg)
+                if rows is stack._rows:
+                    cols, rows, signs = list(cols), list(rows), list(signs)
+                _rewrite_pair(segs, cols, rows, signs, i, ov, sg)
                 changed = True
         if not changed:
             break
     else:
         raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
 
-    if blocks is not None:
+    if rows is not stack._rows:
         for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
             if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
                 raise InternalInconsistencyError(
                     f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
                     f"do not decrease componentwise")
-        stack = ColumnStack(stack.sig, tuple(blocks), stack.row_shapes)
+        stack = ColumnStack._placed(stack.sig, stack.row_shapes,
+                                    tuple(Segment(*s) for s in segs), cols, rows, signs)
     return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
                             stack.signed_tableau())
 

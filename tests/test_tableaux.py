@@ -283,7 +283,8 @@ def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
     # max(4, N^2) = 4.
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
     assert _idle(*map(_cols, stack.blocks), (0, 1), (2, 1))[0] is False
-    monkeypatch.setattr(tableaux, "_rewrite_pair", lambda blocks, segs, cols, i, ov, sg: None)
+    monkeypatch.setattr(tableaux, "_rewrite_pair",
+                        lambda segs, cols, rows, signs, i, ov, sg: None)
     with pytest.raises(IterationCapExceeded, match="within 4 sweeps"):
         trapa_normalize(stack)
 
@@ -303,7 +304,10 @@ def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
 
 def _bad_block_stack(top, bottom):
     # U(1,2): block 0 holds `top` over `bottom` in column 1, block 1 one box
-    # in column 2.  Entries are doubled.
+    # in column 2.  Entries are doubled.  With no entries given, U(1,0):
+    # block 0 holds no box and block 1 one box.
+    if top is None:
+        return ColumnStack(GroupSignature(1, 0), ((), (Box(0, 1, PLUS, 0),)), ((1, PLUS),))
     return ColumnStack(GroupSignature(1, 2),
                        ((Box(0, 1, PLUS, top), Box(1, 1, MINUS, bottom)),
                         (Box(0, 2, MINUS, -1),)),
@@ -313,14 +317,18 @@ def _bad_block_stack(top, bottom):
 @pytest.mark.parametrize("top, bottom, shown", [
     (1, 3, "['1/2', '3/2']"),  # a segment, listed smallest first
     (5, 1, "['5/2', '1/2']"),  # largest first, but 2 apart
+    (None, None, "block 0 of the stack is empty"),  # an empty block
 ])
 def test_a_block_that_is_not_a_segment_listed_largest_first_is_refused(top, bottom, shown):
-    stack = _bad_block_stack(top, bottom)
-    for run in (trapa_normalize, lambda s: _entries_segment(s.blocks[0])):
-        with pytest.raises(InternalInconsistencyError) as info:
-            run(stack)
-        assert shown in str(info.value)
-        assert "twice" not in str(info.value)
+    # The stack is refused when it is built: a block that holds no segment
+    # largest first as an internal inconsistency, an empty one as a bad
+    # value.
+    error = ValueError if top is None else InternalInconsistencyError
+    with pytest.raises(error) as info:
+        _bad_block_stack(top, bottom)
+    assert type(info.value) is error
+    assert shown in str(info.value)
+    assert "twice" not in str(info.value)
 
 
 def _small_stacks(max_n=6, window=2):
@@ -382,24 +390,39 @@ def _full_rewrite_pair(blocks, i):
     return before != [[(b.col, b.entry) for b in blk] for blk in (rest, chain)]
 
 
+def _working(blocks):
+    # A working copy of the blocks, one mutable box per box.
+    return [[_WBox(*b) for b in blk] for blk in blocks]
+
+
+def _frozen(blocks):
+    # The boxes a working copy holds.
+    return [[Box(b.row, b.col, b.sign, b.entry) for b in blk] for blk in blocks]
+
+
 def _outcome_of(rewrite, blocks, i):
     # What a pair rewrite returns on a working copy of the blocks, and the
     # blocks it leaves.
-    work = [[_WBox(b) for b in blk] for blk in blocks]
+    work = _working(blocks)
     result = rewrite(work, i)
-    return result, [[b.freeze() for b in blk] for blk in work]
+    return result, _frozen(work)
 
 
 def _rewritten(blocks, segs, i):
-    # The blocks and segments _rewrite_pair leaves on copies of both lists,
-    # given the counts _idle measured; the columns it leaves are the
-    # blocks' own.
-    blocks, segs = list(blocks), list(segs)
+    # The blocks and segments _rewrite_pair leaves, given the counts _idle
+    # measured, on the blocks' segments, columns and flat rows and signs;
+    # box k of a block whose segment tops at `top` holds top - 2k.
+    segs = list(segs)
     cols = [_cols(blk) for blk in blocks]
+    rows = [b.row for blk in blocks for b in blk]
+    signs = [b.sign for blk in blocks for b in blk]
     _, ov, sg = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])
-    _rewrite_pair(blocks, segs, cols, i, ov, sg)
-    assert cols == [_cols(blk) for blk in blocks]
-    return list(map(list, blocks)), segs
+    _rewrite_pair(segs, cols, rows, signs, i, ov, sg)
+    assert len(rows) == len(signs) == sum(length for _, length in segs)
+    rows, signs = iter(rows), iter(signs)
+    return [[Box(next(rows), col, next(signs), start + 2 * (length - 1 - k))
+             for k, col in enumerate(block_cols)]
+            for (start, length), block_cols in zip(segs, cols)], segs
 
 
 def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
@@ -597,7 +620,7 @@ def _written_out_normalize(stack):
     # trapa_normalize spelled out with no shortcut: sweep a working copy of
     # every stack with the full pair rewrite, freeze it afresh and assemble
     # its antitableau by columns.  Also returns whether any pair moved.
-    blocks = [[_WBox(b) for b in blk] for blk in stack.blocks]
+    blocks = _working(stack.blocks)
     moved = False
     for _ in range(max(4, stack.sig.N ** 2)):
         changed = False
@@ -614,8 +637,7 @@ def _written_out_normalize(stack):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero(), moved
     ann = _dict_assembly(blocks, stack.row_shapes)
-    out = ColumnStack(stack.sig, tuple(tuple(b.freeze() for b in blk) for blk in blocks),
-                      stack.row_shapes)
+    out = ColumnStack(stack.sig, _frozen(blocks), stack.row_shapes)
     return NormalizeOutcome(out, ann, out.signed_tableau()), moved
 
 
@@ -703,31 +725,41 @@ def test_a_pair_past_the_first_decides_the_stack(p, q, blocks, starts, kind, ver
     segs, cols = [_entries_segment(blk) for blk in read], [_cols(blk) for blk in read]
     assert tuple(_idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
                  for i in range(2)) == verdicts
-    # A fresh stack, whose boxes nothing has read, is decided from its placement.
     assert _check_against_the_written_out_sweep(build(p, q, blocks, segments)) == kind
 
 
+def _the_stack_of_its_own_boxes(stack):
+    # The stack built from a stack's boxes: it equals, hashes as, prints as
+    # and renders as the stack.
+    given = ColumnStack(stack.sig, stack.blocks, stack.row_shapes)
+    assert given == stack and hash(given) == hash(stack)
+    assert (repr(given), given.to_json()) == (repr(stack), stack.to_json())
+    return given
+
+
 def test_a_placed_stack_is_the_stack_of_its_own_boxes():
-    # On every pinned descriptor: a nonzero placed stack is decided without
-    # building its boxes unless a pair moves; it equals, hashes as, prints
-    # as and renders as the stack built from its own boxes; the two
-    # normalize to equal outcomes, and each comes back itself when unmoved.
-    unmoved = 0
+    # On every pinned descriptor: a placed stack and every nonzero
+    # rewritten one, moved or not, is the stack of its own boxes; a placed
+    # stack and the stack of its boxes normalize to equal outcomes, each
+    # coming back itself when unmoved; and a rewritten stack normalizes to
+    # itself.
+    kinds = {"unmoved": 0, "moved": 0}
     for desc in _pinned_descriptors():
         placed = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
         out = trapa_normalize(placed)
-        moved = not out.is_zero and out.stack is not placed
-        if not out.is_zero:
-            assert (placed._blocks is not None) == moved, desc
-        given = ColumnStack(placed.sig, placed.blocks, placed.row_shapes)
-        assert given == placed and hash(given) == hash(placed), desc
-        assert (repr(given), given.to_json()) == (repr(placed), placed.to_json())
+        given = _the_stack_of_its_own_boxes(placed)
         again = trapa_normalize(given)
         assert again == out, desc
-        if not out.is_zero and not moved:
-            assert out.stack is placed and again.stack is given
-            unmoved += 1
-    assert unmoved == 657 + 654
+        if out.is_zero:
+            continue
+        _the_stack_of_its_own_boxes(out.stack)
+        assert trapa_normalize(out.stack).stack is out.stack, desc
+        if out.stack is placed:
+            assert again.stack is given
+            kinds["unmoved"] += 1
+        else:
+            kinds["moved"] += 1
+    assert kinds == {"unmoved": 657 + 654, "moved": 247}
 
 
 def test_two_block_data_pass_the_sweep_checks():

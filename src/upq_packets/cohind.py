@@ -23,7 +23,7 @@ from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_uni
                       _split_at)
 from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
                        as_pair_equal, build_initial, trapa_normalize)
-from .weights import GroupSignature, KWeight, _primes, is_unitarizable
+from .weights import GroupSignature, KWeight, _gap_case, _primes, is_unitarizable
 
 
 @dataclass(frozen=True)
@@ -210,9 +210,10 @@ def holomorphic_lowest_ktype(desc: InductionDescriptor) -> KWeight:
 def realize_lowest_weight(w: KWeight) -> InductionDescriptor:
     """An induction descriptor whose module is the lowest weight module of w.
 
-    Large gap (at least min(N-p', N-q')): fully split blocks
-    ((1,0) x (p-p'), (p',0), (0,q'), (0,1) x (q-q')) with values lambda_i - q
-    on the p-side and lambda_i + p on the q-side.  Small gap: blocks
+    Large gap (at least min(N-p', N-q'): every gap case but 4): fully split
+    blocks ((1,0) x (p-p'), (p',0), (0,q'), (0,1) x (q-q')) with values
+    lambda_i - q on the p-side and lambda_i + p on the q-side.  Small gap
+    (gap case 4, below both): blocks
     ((1,0) x (p-p'), (p', N-gap-p'), (0,1) x (gap-p+p')) with the mixed block
     carrying lambda_{p+1} + p - p'.  Degenerate signatures use the
     appropriate one-sided chain.
@@ -226,7 +227,7 @@ def realize_lowest_weight(w: KWeight) -> InductionDescriptor:
 
     blocks: list[tuple[int, int]] = []
     values: list[int] = []
-    if p == 0 or q == 0 or w.gap >= min(n - pp, n - qp):
+    if _gap_case(w) != 4:
         for i in range(p - pp):
             blocks.append((1, 0))
             values.append(lam[i] - q)

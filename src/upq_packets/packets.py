@@ -24,7 +24,7 @@ from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
 from .errors import InternalInconsistencyError
 from .halfint import HalfIntMultiset, Segment, _json_int, partition_into_segments
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
-from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
+from .weights import (GroupSignature, KWeight, _gap_case, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
 
@@ -374,19 +374,6 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     return mid == bracket
 
 
-def _gap_case(w: KWeight) -> int:
-    # The numbered case of contains_lowest_weight's docstring that w falls
-    # in, or 0 when p = 0 or q = 0 (no gap).
-    sig = w.sig
-    if sig.p == 0 or sig.q == 0:
-        return 0
-    st = weight_stats(w)
-    past_p, past_q = w.gap >= sig.N - st.p_prime, w.gap >= sig.N - st.q_prime
-    if past_p:
-        return 3 if past_q else 1
-    return 2 if past_q else 4
-
-
 def oracle_contains(psi: AParameter, w: KWeight) -> bool:
     """Ground truth: the holomorphic member's invariant pair equals the
     lowest weight module's pair.  Mismatched infinitesimal characters are
@@ -399,54 +386,36 @@ def oracle_contains(psi: AParameter, w: KWeight) -> bool:
     return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
 
 
-def _lambda_case4(psi: AParameter, lt: HalfIntMultiset,
-                  mid: HalfIntMultiset, gt: HalfIntMultiset) -> KWeight:
-    sig = psi.sig
-    p, n = sig.p, sig.N
-    sigma = lt.union(gt).twice
-    nu_vals = mid.twice
-    size = mid.size
-    i0 = None
-    for cand in range(1, size + 1):
-        above = sum(1 for x in sigma if x > nu_vals[cand - 1])
-        if size - cand + 1 + above == p:
-            i0 = cand
-            break
-    if i0 is None:
-        raise InternalInconsistencyError(
-            f"no valid index i0 for {psi}; the classification formula "
-            f"presupposes one exists")
-    top = nu_vals[0]
-    lam: list[int] = []
-    for i in range(1, n + 1):
-        if i < p - size + i0:
-            val = sigma[i - 1] - (p - sig.q + 1) + 2 * i
-        elif i <= p:
-            val = top + (n + 1) - 2 * size
-        elif i <= p + i0 - 1:
-            val = top - (n - 1)
-        else:
-            val = sigma[i - size - 1] - (n + 1) - 2 * p + 2 * i
-        if val % 2 != 0:
-            raise InternalInconsistencyError(
-                f"non-integral lowest K-type coordinate for {psi}")
-        lam.append(val // 2)
-    try:
-        return KWeight(sig, tuple(lam))
-    except ValueError as exc:
-        raise InternalInconsistencyError(
-            f"case-4 weight {lam} for {psi} is not dominant: {exc}") from exc
-
-
 def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     """The lowest K-type of the unique unitary lowest weight module in the
     packet, or None when the packet has none.
 
     The packet has one exactly when nu_{<j} and nu_{>j} are multiplicity
-    free, |nu_j /\\ nu_{>j}| <= p_j and |nu_j /\\ nu_{<j}| <= q_j; the
-    K-type is recovered from the P/Q multisets dictated by which of the
-    bounds are attained, or by the explicit coordinate formula in the
-    interior case.
+    free, |nu_j /\\ nu_{>j}| <= p_j and |nu_j /\\ nu_{<j}| <= q_j.  Each
+    branch names the multiset P of the K-type's p-side entries, by which
+    of the bounds are attained, and kweight_from_pq inverts P and
+    Q = chi \\ P:
+
+    * q_j = 0: P = nu_{<=j};
+    * p_j = |nu_j /\\ nu_{>j}|: P = nu_{<j} || (nu_j /\\ nu_{>j});
+    * q_j = |nu_j /\\ nu_{<j}|: P = nu_{<=j} \\ (nu_j /\\ nu_{<j});
+    * otherwise (interior): with sigma = nu_{<j} || nu_{>j}, v is the first
+      value of nu_j, largest first, at which sigma's values above v and
+      nu_j's values from v down number p, and P is those values.
+
+    The interior rule is the paper's explicit coordinate formula.  Write
+    sigma_1 >= sigma_2 >= ... and nu_j = {top, top - 1, ..., top - a_j + 1}
+    with v its i0-th value, and list P and Q largest first.
+    kweight_from_pq reads 2 lambda_i = 2 P_i + (N-1) - 2(p-i) on the
+    p-side and 2 lambda_{p+l} = 2 Q_l - (N+1) + 2l on the q-side.  P's
+    first p - a_j + i0 - 1 entries are sigma's top values and the rest are
+    nu_j's values from v down; Q holds nu_j's values above v, then sigma's
+    values <= v.  So, for i from 1 to N,
+
+        2 lambda_i = 2 sigma_i - (p - q + 1) + 2i        if i < p - a_j + i0,
+        2 lambda_i = 2 top + (N + 1) - 2 a_j             if p - a_j + i0 <= i <= p,
+        2 lambda_i = 2 top - (N - 1)                     if p < i < p + i0,
+        2 lambda_i = 2 sigma_{i-a_j} - (N + 1) - 2p + 2i  if i >= p + i0.
     """
     (p_j, q_j), (lt, mid, gt), nonzero = psi._candidate
     if not nonzero:
@@ -455,20 +424,24 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     cap_lt = mid.intersection(lt)
 
     if q_j == 0:
-        P, Q = lt.union(mid), gt
+        P = lt.union(mid)
     elif p_j == cap_gt.size:
         P = lt.union(cap_gt)
-        Q = mid.union(gt).difference(cap_gt)
     elif q_j == cap_lt.size:
         P = lt.union(mid).difference(cap_lt)
-        Q = cap_lt.union(gt)
     else:
-        w = _lambda_case4(psi, lt, mid, gt)
-        if not is_unitarizable(w):
+        sigma, nu = lt.union(gt).twice, mid.twice
+        for i, v in enumerate(nu):
+            above = tuple(x for x in sigma if x > v)
+            if len(above) + len(nu) - i == psi.sig.p:
+                P = HalfIntMultiset(above + nu[i:])
+                break
+        else:
             raise InternalInconsistencyError(
-                f"case-4 weight {w.lam} for {psi} is not unitarizable")
-        return w
+                f"no valid index i0 for {psi}; the classification formula "
+                f"presupposes one exists")
 
+    Q = psi._chi.difference(P)
     w = kweight_from_pq(psi.sig, P, Q)
     if w is None:
         raise InternalInconsistencyError(
@@ -502,14 +475,15 @@ def packets_containing(w: KWeight) -> list[AParameter]:
     segment nu_j by itself: bracket <= nu_j <= P' in case 1, nu_j equal to
     the bracket in case 4.  There each admissible segment s
     (_admissible_straddles) is taken with each segment partition of
-    chi \\ s, chi = chi(w), and contains_lowest_weight decides the
-    parameter they make.  This lists what filtering
+    chi \\ s, chi = chi(w), and the parameter they make is listed without
+    a membership test.  This lists what filtering
     good_parameters_with_inf_char(chi) lists:
 
     * complete: a psi that the filter keeps has inf_char(psi) = chi and,
       by the case's condition, an admissible nu_j = s; its other
       summands are a segment partition of chi \\ s.
-    * sound: contains_lowest_weight decides every candidate.
+    * sound: every candidate's packet contains the module (last
+      paragraph).
     * without repeats, given that s is always the straddling summand (next
       paragraph): a candidate then determines s and the partition of
       chi \\ s, and the partitions of one multiset are distinct.
@@ -534,6 +508,21 @@ def packets_containing(w: KWeight) -> list[AParameter]:
     comes after s, so d counts shared values of P /\\ [B, T] other than
     B.  Both facts are checked as internal invariants.
 
+    Every candidate's packet contains the module.  P and Q are each
+    multiplicity free, min P = B and max Q = T, so every value that chi
+    holds twice lies in [B, T], inside s, and chi \\ s is multiplicity
+    free.  So nu_{<j} and nu_{>j} are multiplicity free and disjoint, and
+    the values of s they hold are S = P /\\ Q /\\ [B, T], inside
+    P /\\ [B, y], d of them in nu_{<j}.  P holds at most a_j values of
+    [B, y], and p_j = p - a_{<j} = #(P /\\ [B, y]) - d, so
+
+        |nu_j /\\ nu_{>j}| = |S| - d <= #(P /\\ [B, y]) - d = p_j,
+        |nu_j /\\ nu_{<j}| = d <= a_j - #(P /\\ [B, y]) + d = q_j,
+
+    and the holomorphic member is nonzero (_candidate).  The characters
+    agree by construction, and nu_j = s meets the case condition by
+    admissibility, so contains_lowest_weight holds.
+
     The compact case and gap cases 2 and 3 constrain nu_{<=j}, not nu_j
     alone; they keep the filter over every segment partition of chi."""
     if not is_unitarizable(w):
@@ -556,9 +545,7 @@ def packets_containing(w: KWeight) -> list[AParameter]:
                 raise InternalInconsistencyError(
                     f"admissible segment {s} of {w.lam} is not the straddling "
                     f"summand of {summands}")
-            psi = AParameter(sig, tuple(summands))
-            if contains_lowest_weight(psi, w):
-                found.append(psi)
+            found.append(AParameter(sig, tuple(summands)))
     found.sort(key=lambda psi: psi.summands)
     return found
 

@@ -146,6 +146,27 @@ def _primes(w: KWeight) -> tuple[int, int]:
             lam[p:].count(lam[p]) if q else 0)
 
 
+def _gap_case(w: KWeight) -> int:
+    """Where the gap lambda_p - lambda_{p+1} falls against N - p' and
+    N - q', numbered as in packets.contains_lowest_weight:
+
+    1. gap in [N-p', N-q');
+    2. gap in [N-q', N-p');
+    3. gap >= both;
+    4. gap < both.
+
+    0 when p = 0 or q = 0 (no gap).  Case 4 is the small gap of
+    cohind.realize_lowest_weight, whose module takes a mixed block."""
+    sig = w.sig
+    if sig.p == 0 or sig.q == 0:
+        return 0
+    p_prime, q_prime = _primes(w)
+    past_p, past_q = w.gap >= sig.N - p_prime, w.gap >= sig.N - q_prime
+    if past_p:
+        return 3 if past_q else 1
+    return 2 if past_q else 4
+
+
 def weight_stats(w: KWeight) -> WeightStats:
     """p', q', the multisets P and Q, the segments P', Q' and I = P' /\\ Q'.
 

@@ -272,6 +272,57 @@ def test_lowest_weight_of_packet_fixtures():
     assert lowest_weight_of_packet(psi_of(1, 2, (1, 2), (-2, 1))).lam == (1, 0, -1)
 
 
+def _interior_lowest_weight(psi):
+    # The paper's explicit coordinates of the lowest K-type in the interior
+    # case, written out in doubled ints: sigma = nu_{<j} || nu_{>j}, i0 the
+    # first index of nu_j (largest first) at which sigma's values above
+    # nu_j's i0-th value and nu_j's values from it down number p.
+    _, (lt, mid, gt), _ = psi._candidate
+    p, q, n = psi.sig.p, psi.sig.q, psi.sig.N
+    sigma, nu_vals, size = lt.union(gt).twice, mid.twice, mid.size
+    i0 = next(cand for cand in range(1, size + 1)
+              if size - cand + 1 + sum(1 for x in sigma if x > nu_vals[cand - 1]) == p)
+    top = nu_vals[0]
+    lam = []
+    for i in range(1, n + 1):
+        if i < p - size + i0:
+            val = sigma[i - 1] - (p - q + 1) + 2 * i
+        elif i <= p:
+            val = top + (n + 1) - 2 * size
+        elif i <= p + i0 - 1:
+            val = top - (n - 1)
+        else:
+            val = sigma[i - size - 1] - (n + 1) - 2 * p + 2 * i
+        assert val % 2 == 0
+        lam.append(val // 2)
+    return KWeight(psi.sig, tuple(lam))
+
+
+def test_lowest_weight_of_packet_interior_case_is_the_written_out_formula():
+    # Every psi of character window 3 up to N = 6, counted by the branch of
+    # lowest_weight_of_packet that names P; in the interior branch the
+    # inversion of P must give the paper's coordinate formula.
+    branches = collections.Counter()
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(3)):
+                (p_j, q_j), (lt, mid, gt), nonzero = psi._candidate
+                if not nonzero:
+                    branch = "none"
+                elif q_j == 0:
+                    branch = "q_j = 0"
+                elif p_j == mid.intersection(gt).size:
+                    branch = "p_j = |cap_gt|"
+                elif q_j == mid.intersection(lt).size:
+                    branch = "q_j = |cap_lt|"
+                else:
+                    branch = "interior"
+                    assert lowest_weight_of_packet(psi) == _interior_lowest_weight(psi), psi
+                branches[branch] += 1
+    assert branches == {"none": 18673, "q_j = 0": 2338, "p_j = |cap_gt|": 933,
+                        "q_j = |cap_lt|": 371, "interior": 759}
+
+
 def test_packets_containing_fixtures():
     assert [p.summands for p in packets_containing(w(1, 1, 1, -1))] == [
         ((1, 1), (-1, 1))]

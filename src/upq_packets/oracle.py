@@ -21,6 +21,7 @@ import itertools
 import os
 import signal
 from dataclasses import dataclass, field
+from math import comb
 from multiprocessing import Pool
 from typing import Iterator
 
@@ -41,6 +42,10 @@ from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
 # The most signatures a sweep may cover: every U(p, q) with p + q <= 100.
 # A sweep at max_N = 6 covers 27.
 MAX_SWEEP_SIGNATURES = 5150
+# The most weights plus parameters a sweep may list for one signature.
+# At windows 3 and 4 the largest signature up to N = 10, U(5, 5), lists
+# 213,444 + 282,231.
+MAX_SWEEP_LISTING = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,16 @@ class SweepConfig:
             raise ValueError(f"a sweep up to max_N = {self.max_N} covers {count} "
                              f"signatures, more than the limit of "
                              f"{MAX_SWEEP_SIGNATURES}")
+        # Counted, not listed: a listing past the limit would exhaust memory.
+        for n in range(1, self.max_N + 1):
+            psis = good_parameter_count(n, self.char_window)
+            for p in range(n + 1):
+                weights = dominant_weight_count(GroupSignature(p, n - p), self.weight_window)
+                if weights + psis > MAX_SWEEP_LISTING:
+                    raise ValueError(
+                        f"the sweep would list {weights} weights and {psis} parameters "
+                        f"for U({p},{n - p}), {weights + psis} together, more than the limit "
+                        f"of {MAX_SWEEP_LISTING}")
 
     def to_json(self) -> dict:
         return {"max_N": self.max_N, "weight_window": self.weight_window,
@@ -105,6 +120,35 @@ def dominant_weights(sig: GroupSignature, window: int) -> list[KWeight]:
     p_sides = [c for c in itertools.combinations_with_replacement(rng, sig.p)]
     q_sides = [c for c in itertools.combinations_with_replacement(rng, sig.q)]
     return [KWeight(sig, tuple(ps) + tuple(qs)) for ps in p_sides for qs in q_sides]
+
+
+def dominant_weight_count(sig: GroupSignature, window: int) -> int:
+    """len(dominant_weights(sig, window)), without listing them: each side
+    is a weakly decreasing tuple from 2 * window + 1 values."""
+    return comb(2 * window + sig.p, sig.p) * comb(2 * window + sig.q, sig.q)
+
+
+def good_parameter_count(n: int, window: HalfInt) -> int:
+    """len(good_parameters_in_window(sig, window)) for any sig of rank n,
+    without listing them.
+
+    A parameter is a multiset of the summands good_parameters_in_window
+    lists, of sizes summing to n.  The summands of size a are those with
+    doubled start s = n + 1 (mod 2) in [-2c, 2c - 2(a - 1)], 2c the doubled
+    window; with c_a of them the count is the coefficient of x^n in the
+    product over a of (1 - x^a)^(-c_a), whose x^(ak) term is
+    C(c_a + k - 1, k)."""
+    lo, hi = -window.twice, window.twice
+    first = lo + (lo - n - 1) % 2  # the least start of the right parity
+    counts = [1] + [0] * n  # the coefficients of the product so far
+    for a in range(1, n + 1):
+        kinds = max(0, (hi - 2 * (a - 1) - first) // 2 + 1)
+        if not kinds:
+            continue
+        terms = [comb(kinds + k - 1, k) for k in range(n // a + 1)]
+        counts = [sum(counts[d - a * k] * terms[k] for k in range(d // a + 1))
+                  for d in range(n + 1)]
+    return counts[n]
 
 
 def good_parameters_in_window(sig: GroupSignature, window: HalfInt) -> list[AParameter]:
@@ -328,9 +372,10 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
                 {"kind": "holomorphic-candidate", "psi": psi.to_json()})
 
 
-def _two_block_share(n: int) -> list[InductionDescriptor]:
-    # The two-block data of rank n, in the order two_block_data lists them.
-    out = []
+def _two_block_share(n: int) -> Iterator[InductionDescriptor]:
+    # The two-block data of rank n, one at a time, in the order
+    # two_block_data lists them.  The sweep never lists a rank's share: it
+    # has up to 8 * (C(n + 3, 3) - 2n - 2) data, 1,413,192 at n = 100.
     for a1 in range(1, n):
         a2 = n - a1
         for p1 in range(a1 + 1):
@@ -340,8 +385,7 @@ def _two_block_share(n: int) -> list[InductionDescriptor]:
                 for v1 in range(-4, 4):
                     desc = InductionDescriptor(d, (v1, 0))
                     if range_class(desc):
-                        out.append(desc)
-    return out
+                        yield desc
 
 
 def two_block_data(max_N: int) -> list[InductionDescriptor]:
@@ -454,6 +498,7 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
     else:
         for p, q in sigs:
             report.merge(sweep_signature(GroupSignature(p, q), cfg))
-        for desc in two_block_data(cfg.max_N):
-            _check_two_block(desc, report)
+        for n in range(2, cfg.max_N + 1):
+            for desc in _two_block_share(n):
+                _check_two_block(desc, report)
     return report

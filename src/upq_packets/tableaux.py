@@ -15,12 +15,13 @@ working entry hold twice the value, and a segment is (doubled start,
 length).  HalfInt is built only to print an entry.
 
 Where each box goes depends only on the block signs; its entry depends only
-on its block's segment.  A stack therefore holds each box's row, column and
-sign, each block's segment, and the row shapes, with no Box objects
-(see ColumnStack).  build_initial returns a stack in that form,
-trapa_normalize decides it from its segments and columns and rewrites it
-in the same form, and Box objects are built only for a reader of
-`blocks`: the CLI's stack echo and repr.
+on its block's segment.  A stack is therefore a frozen dataclass of each
+box's row, column and sign, each block's segment, and the row shapes, all
+tuples, with no Box objects (see ColumnStack).  build_initial returns a
+stack in that form, trapa_normalize decides it from its segments and
+columns and rewrites it in the same form, and Box objects are built only
+for a reader of `blocks`, such as the CLI's stack echo; boxes enter a
+stack only through ColumnStack.from_blocks.
 """
 
 from __future__ import annotations
@@ -141,84 +142,53 @@ class AntiTableau:
         return {"columns": [[{"twice": v} for v in col] for col in self.columns]}
 
 
+@dataclass(frozen=True, slots=True)
 class ColumnStack:
     """A block-partitioned signed filled tableau.
 
     A stack holds what placing its boxes decided: each box's row, column
     and sign, and the Segment of each block.  Box k of a block whose
     segment tops at `top` holds top - 2k, so the entries need no record.
-    The columns are kept per block, top to bottom; the rows and signs are
-    flat, in block order, block i's boxes starting at the sum of the
-    lengths of the blocks before it.  row_shapes is the multiset of
-    signed rows, fixed at build time (the rewriting moves entries, never
-    boxes).
+    `cols` holds one tuple per block, its boxes' columns top to bottom;
+    `rows` and `signs` are flat, in block order, block i's boxes starting
+    at the sum of the lengths of the blocks before it.  row_shapes is the
+    multiset of signed rows, fixed at build time (the rewriting moves
+    entries, never boxes).
 
-    ColumnStack(sig, blocks, row_shapes) takes blocks[i], block i's boxes
-    top to bottom, and keeps only this form; each block must hold a
-    segment listed largest first.  `blocks` builds the Box view afresh on
-    every read.  Equality and hashing compare the stored fields, so a
-    stack equals, and hashes as, the stack built from its own boxes.  A
-    stack is immutable: its fields are read-only properties over private
-    slots.
+    A frozen dataclass of tuples: equality, hashing and repr compare and
+    show these fields, and no field can be reassigned.
+    ColumnStack.from_blocks(sig, blocks, row_shapes) takes blocks[i],
+    block i's boxes top to bottom, each block holding a segment listed
+    largest first; `blocks` builds the Box view afresh on every read, so
+    a stack equals the stack built from its own boxes.
     """
 
-    __slots__ = ("_sig", "_row_shapes", "_segments", "_cols", "_rows", "_signs")
+    sig: GroupSignature
+    row_shapes: tuple[tuple[int, int], ...]
+    segments: tuple[Segment, ...]
+    cols: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    signs: tuple[int, ...]
 
-    def __init__(self, sig: GroupSignature, blocks: Sequence[Sequence[Box]],
-                 row_shapes: tuple[tuple[int, int], ...]) -> None:
+    @classmethod
+    def from_blocks(cls, sig: GroupSignature, blocks: Sequence[Sequence[Box]],
+                    row_shapes: tuple[tuple[int, int], ...]) -> "ColumnStack":
         for i, block in enumerate(blocks):
             if not block:
                 raise ValueError(f"block {i} of the stack is empty")
-        self._sig, self._row_shapes = sig, row_shapes
-        self._segments = tuple(Segment(*_entries_segment(block)) for block in blocks)
-        self._cols = [tuple(b.col for b in block) for block in blocks]
-        self._rows = [b.row for block in blocks for b in block]
-        self._signs = [b.sign for block in blocks for b in block]
-
-    @classmethod
-    def _placed(cls, sig: GroupSignature, row_shapes: tuple[tuple[int, int], ...],
-                segments: tuple[Segment, ...], cols: list[tuple[int, ...]],
-                rows: list[int], signs: list[int]) -> "ColumnStack":
-        # A stack from its stored fields, as build_initial and
-        # trapa_normalize make them.
-        stack = object.__new__(cls)
-        stack._sig, stack._row_shapes = sig, row_shapes
-        stack._segments, stack._cols, stack._rows, stack._signs = segments, cols, rows, signs
-        return stack
-
-    # The private slots are set only by the two constructors.
-    @property
-    def sig(self) -> GroupSignature:
-        return self._sig
-
-    @property
-    def row_shapes(self) -> tuple[tuple[int, int], ...]:
-        return self._row_shapes
+        return cls(sig, row_shapes,
+                   tuple(Segment(*_entries_segment(block)) for block in blocks),
+                   tuple(tuple(b.col for b in block) for block in blocks),
+                   tuple(b.row for block in blocks for b in block),
+                   tuple(b.sign for block in blocks for b in block))
 
     @property
     def blocks(self) -> tuple[tuple[Box, ...], ...]:
-        rows, signs = iter(self._rows), iter(self._signs)  # flat, in block order
+        rows, signs = iter(self.rows), iter(self.signs)  # flat, in block order
         # tuple.__new__ builds a Box without NamedTuple's Python-level __new__.
         return tuple(tuple(tuple.__new__(Box, (next(rows), col, next(signs), seg.end - 2 * k))
                            for k, col in enumerate(cols))
-                     for seg, cols in zip(self._segments, self._cols))
-
-    def _key(self) -> tuple:
-        # The stored fields, the lists as tuples.
-        return (self._sig, self._row_shapes, self._segments,
-                tuple(self._cols), tuple(self._rows), tuple(self._signs))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ColumnStack:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ColumnStack(sig={self.sig!r}, blocks={self.blocks!r}, "
-                f"row_shapes={self.row_shapes!r})")
+                     for seg, cols in zip(self.segments, self.cols))
 
     def signed_tableau(self) -> SignedTableau:
         return SignedTableau(self.sig, self.row_shapes)
@@ -354,7 +324,8 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
                 signs.append(sign)
                 block_cols.append(1)
         cols.append(tuple(block_cols))
-    return ColumnStack._placed(sig, tuple(zip(lengths, firsts)), segments, cols, rows, signs)
+    return ColumnStack(sig, tuple(zip(lengths, firsts)), segments, tuple(cols), tuple(rows),
+                       tuple(signs))
 
 
 class _WBox:
@@ -511,7 +482,7 @@ def _rewrite_pair(segs: list[tuple[int, int]], cols: list[tuple[int, ...]],
     case shifts the right (resp. left) block's entries and restores them
     one unit at a time through bump steps, and every case ends with the
     chain repartition that re-splits the pair along the right-most boxes
-    of consecutive entries.  The lists are a stack's stored fields (see
+    of consecutive entries.  The lists are copies of a stack's fields (see
     ColumnStack): only the pair is made into working boxes, and the two
     rewritten blocks go back into the same lists, their segments into
     `segs`, their columns into `cols`, and their rows and signs into the
@@ -669,8 +640,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     block's segment and columns and moves nothing: a pair found zero ends
     the run, a pair found already normal is left as it is, and any other
     pair is rewritten by _rewrite_pair, which writes back the pair's
-    segments, columns, rows and signs.  The stack's lists are copied at
-    the first rewrite, so a stack whose pairs are all already normal
+    segments, columns, rows and signs.  The stack's tuples are copied into
+    lists at the first rewrite, so a stack whose pairs are all already normal
     costs one _idle call per pair, and the returned stack is the input
     object itself; a rewritten stack is returned in the same form, and
     the antitableau is read off its segments and columns.  No Box is
@@ -687,8 +658,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     InternalInconsistencyError: it would be a fault in the rewriting, not
     a module that vanishes.
     """
-    segs = [(seg.start, seg.length) for seg in stack._segments]
-    cols, rows, signs = stack._cols, stack._rows, stack._signs  # copied at the first rewrite
+    segs = [(seg.start, seg.length) for seg in stack.segments]
+    cols, rows, signs = stack.cols, stack.rows, stack.signs  # copied at the first rewrite
     pairs = range(len(segs) - 1)
     cap = max(4, stack.sig.N ** 2)
     for _ in range(cap):
@@ -698,7 +669,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
             if idle is None:
                 return NormalizeOutcome.zero()
             if not idle:
-                if rows is stack._rows:
+                if rows is stack.rows:
                     cols, rows, signs = list(cols), list(rows), list(signs)
                 _rewrite_pair(segs, cols, rows, signs, i, ov, sg)
                 changed = True
@@ -707,14 +678,14 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     else:
         raise IterationCapExceeded(f"no fixpoint within {cap} sweeps")
 
-    if rows is not stack._rows:
+    if rows is not stack.rows:
         for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
             if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
                 raise InternalInconsistencyError(
                     f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
                     f"do not decrease componentwise")
-        stack = ColumnStack._placed(stack.sig, stack.row_shapes,
-                                    tuple(Segment(*s) for s in segs), cols, rows, signs)
+        stack = ColumnStack(stack.sig, stack.row_shapes, tuple(Segment(*s) for s in segs),
+                            tuple(cols), tuple(rows), tuple(signs))
     return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
                             stack.signed_tableau())
 

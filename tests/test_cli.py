@@ -4,10 +4,13 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import upq_packets
@@ -179,6 +182,36 @@ def test_verify_refuses_a_sweep_too_large_to_list():
     err = json.loads(proc.stderr)
     assert err["error"] == "invalid-input"
     assert "500001500000 signatures" in err["message"]
+
+
+def _limit_memory():
+    # A child that starts listing is stopped at 1 GiB of address space.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, count", [
+    # U(15, 15) alone has C(21, 6)^2 = 2,944,581,696 weights, but the
+    # first signature past the limit is U(0, 11).
+    (["--max-n", "30", "--window", "3", "--jobs", "2"], "1496848 together"),
+    # U(0, 1) has 2,000,000,001 weights at this window.
+    (["--max-n", "1", "--window", "1000000000"], "4000000004 together"),
+], ids=["n30-jobs2", "window-1e9"])
+def test_verify_refuses_a_signature_too_large_to_list(argv, count):
+    # The weights and parameters of each signature are counted before any
+    # is listed, and a count past the limit is refused at once.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", "verify", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_memory)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "invalid-input"
+    assert count in err["message"]
+    # Interpreter start-up included; listing would take minutes, or all memory.
+    assert elapsed < 5, elapsed
 
 
 def test_packet_of_many_summands_gets_no_traceback():

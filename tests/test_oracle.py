@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import itertools
+import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from upq_packets import oracle, packets
 from upq_packets.halfint import HalfInt, HalfIntMultiset
-from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weights,
+from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
+                                dominant_weights, good_parameter_count,
                                 good_parameters_in_window,
                                 oracle_lowest_weights, sweep_signature,
                                 sweep_verify, two_block_data)
@@ -107,15 +110,30 @@ def test_two_block_data_all_mediocre():
 
 
 def test_two_block_data_is_the_per_rank_shares_in_rank_order():
-    # The pool checks each rank's share as one task; the serial sweep reads
+    # The sweep checks each rank's share as one task; the tests read
     # two_block_data.  Both must list the same data in the same order.
     for max_N in range(1, 7):
-        shares = [oracle._two_block_share(n) for n in range(2, max_N + 1)]
+        shares = [list(oracle._two_block_share(n)) for n in range(2, max_N + 1)]
         assert [d for share in shares for d in share] == two_block_data(max_N)
         for n, share in enumerate(shares, start=2):
             assert share and all(d.d.sig.N == n for d in share)
     # The pinned sweeps count 258 two-block data at N <= 4 and 1130 at N <= 6.
     assert len(two_block_data(4)) == 258 and len(two_block_data(6)) == 1130
+
+
+def test_two_block_share_is_taken_one_datum_at_a_time():
+    # Rank 100 has 1,413,192 two-block data, every one mediocre.  The sweep
+    # takes them one at a time, so the first 20,000 hold no more memory
+    # than one; as a list they would hold about 4 MB.
+    tracemalloc.start()
+    try:
+        share = oracle._two_block_share(100)
+        for desc in itertools.islice(share, 20_000):
+            assert desc.d.sig.N == 100
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_sweep_small_window_is_clean():
@@ -248,11 +266,53 @@ def test_pooled_sweep_merges_in_serial_order(monkeypatch):
 
 def test_sweep_config_refuses_too_many_signatures():
     limit = oracle.MAX_SWEEP_SIGNATURES
-    # max_N = 100 covers exactly the limit; one more rank is refused.
-    assert SweepConfig(100, 1, HalfInt.whole(1)).max_N == 100
+    # max_N = 100 covers exactly the limit; one more rank is refused.  At
+    # windows 0 no signature lists more than one weight and one parameter.
+    assert SweepConfig(100, 0, HalfInt.whole(0)).max_N == 100
     assert (100 + 1) * (100 + 2) // 2 - 1 == limit
     with pytest.raises(ValueError, match="covers 5252 signatures"):
         SweepConfig(101, 1, HalfInt.whole(1))
+
+
+@pytest.mark.parametrize("max_N, window, char_window, message", [
+    # U(5, 5) lists 213,444 weights and 282,231 parameters: admitted.
+    (10, 3, 4, None),
+    (11, 3, 4, "12376 weights and 1484472 parameters for U(0,11), 1496848 together"),
+    # max_N = 100 covers the signature limit exactly, but at windows 1
+    # U(14, 47) alone lists more than 10^6.
+    (100, 1, 1, "141120 weights and 866349 parameters for U(14,47), 1007469 together"),
+    (1, 10**9, 10**9 + 1,
+     "2000000001 weights and 2000000003 parameters for U(0,1), 4000000004 together"),
+], ids=["n10-admitted", "n11", "n100", "window-1e9"])
+def test_sweep_config_refuses_a_signature_too_large_to_list(max_N, window, char_window,
+                                                           message):
+    # The listings are counted, not built, so each verdict is immediate.
+    if message is None:
+        assert SweepConfig(max_N, window, HalfInt.whole(char_window)).max_N == max_N
+        return
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{message}, more than the limit of 1000000")):
+        SweepConfig(max_N, window, HalfInt.whole(char_window))
+
+
+def test_listing_counts_equal_the_lengths_of_the_listings():
+    # Every signature up to N = 6 at weight windows 0-2 and character
+    # windows 0-3; the parameter count depends on the rank alone.
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            for window in range(3):
+                assert (dominant_weight_count(sig, window)
+                        == len(dominant_weights(sig, window))), (sig, window)
+            for window in map(HalfInt.whole, range(4)):
+                assert (good_parameter_count(n, window)
+                        == len(good_parameters_in_window(sig, window))), (sig, window)
+    # At the acceptance windows (N <= 6, windows 3 and 4): the swept
+    # weights, and the report's pinned packet count.
+    sigs = [GroupSignature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+    assert sum(dominant_weight_count(sig, 3) for sig in sigs) == 38759
+    assert sum(good_parameter_count(sig.N, HalfInt.whole(4)) for sig in sigs) == 69719
+    assert good_parameter_count(6, HalfInt.whole(4)) == 6445
 
 
 def test_signature_sweep_counts_instances():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -241,10 +242,10 @@ def test_nonzero_outcome_is_valid_antitableau():
 def test_assemble_antitableau_refuses_a_repeated_column_entry():
     def stack(top, bottom):
         # Two one-box blocks stacked in column 1 of U(2,0).
-        return ColumnStack(GroupSignature(2, 0),
-                           ((Box(1, 1, PLUS, top),),
-                            (Box(2, 1, PLUS, bottom),)),
-                           ((1, PLUS), (1, PLUS)))
+        return ColumnStack.from_blocks(GroupSignature(2, 0),
+                                       ((Box(1, 1, PLUS, top),),
+                                        (Box(2, 1, PLUS, bottom),)),
+                                       ((1, PLUS), (1, PLUS)))
 
     # Column 1 arrives smallest first, so it is sorted; the result equals
     # the dict-and-sort assembly.
@@ -307,11 +308,12 @@ def _bad_block_stack(top, bottom):
     # in column 2.  Entries are doubled.  With no entries given, U(1,0):
     # block 0 holds no box and block 1 one box.
     if top is None:
-        return ColumnStack(GroupSignature(1, 0), ((), (Box(0, 1, PLUS, 0),)), ((1, PLUS),))
-    return ColumnStack(GroupSignature(1, 2),
-                       ((Box(0, 1, PLUS, top), Box(1, 1, MINUS, bottom)),
-                        (Box(0, 2, MINUS, -1),)),
-                       ((2, PLUS), (1, MINUS)))
+        return ColumnStack.from_blocks(GroupSignature(1, 0), ((), (Box(0, 1, PLUS, 0),)),
+                                       ((1, PLUS),))
+    return ColumnStack.from_blocks(GroupSignature(1, 2),
+                                   ((Box(0, 1, PLUS, top), Box(1, 1, MINUS, bottom)),
+                                    (Box(0, 2, MINUS, -1),)),
+                                   ((2, PLUS), (1, MINUS)))
 
 
 @pytest.mark.parametrize("top, bottom, shown", [
@@ -549,7 +551,7 @@ def _written_out_build_initial(sig, block_signs, segments):
         top = seg.start + 2 * len(placed)
         blocks.append(tuple(Box(rid, col, sign, top - 2 * k)
                             for k, (rid, col, sign) in enumerate(placed, 1)))
-    return ColumnStack(sig, tuple(blocks), tuple((row[1], row[2]) for row in rows))
+    return ColumnStack.from_blocks(sig, tuple(blocks), tuple((row[1], row[2]) for row in rows))
 
 
 def _block_sequences(n):
@@ -637,7 +639,7 @@ def _written_out_normalize(stack):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero(), moved
     ann = _dict_assembly(blocks, stack.row_shapes)
-    out = ColumnStack(stack.sig, _frozen(blocks), stack.row_shapes)
+    out = ColumnStack.from_blocks(stack.sig, _frozen(blocks), stack.row_shapes)
     return NormalizeOutcome(out, ann, out.signed_tableau()), moved
 
 
@@ -731,7 +733,7 @@ def test_a_pair_past_the_first_decides_the_stack(p, q, blocks, starts, kind, ver
 def _the_stack_of_its_own_boxes(stack):
     # The stack built from a stack's boxes: it equals, hashes as, prints as
     # and renders as the stack.
-    given = ColumnStack(stack.sig, stack.blocks, stack.row_shapes)
+    given = ColumnStack.from_blocks(stack.sig, stack.blocks, stack.row_shapes)
     assert given == stack and hash(given) == hash(stack)
     assert (repr(given), given.to_json()) == (repr(stack), stack.to_json())
     return given
@@ -760,6 +762,42 @@ def test_a_placed_stack_is_the_stack_of_its_own_boxes():
         else:
             kinds["moved"] += 1
     assert kinds == {"unmoved": 657 + 654, "moved": 247}
+
+
+def test_a_stack_is_frozen_and_holds_tuples():
+    # A placed stack, one that normalizes to itself, one rewritten from it
+    # and one built from boxes: no field can be assigned, and the columns,
+    # rows and signs are tuples.
+    placed = build(1, 2, [(0, 1), (0, 1), (1, 0)], [Segment(s, 1) for s in (1, -3, -1)])
+    moved = trapa_normalize(placed).stack
+    unmoved = build(1, 1, [(1, 0), (0, 1)], [Segment(1, 1), Segment(-1, 1)])
+    assert moved != placed and trapa_normalize(unmoved).stack is unmoved
+    given = ColumnStack.from_blocks(moved.sig, moved.blocks, moved.row_shapes)
+    names = ["sig", "row_shapes", "segments", "cols", "rows", "signs"]
+    assert [f.name for f in dataclasses.fields(ColumnStack)] == names
+    for stack in (placed, moved, unmoved, given):
+        assert all(type(getattr(stack, name)) is tuple for name in names[1:])
+        assert all(type(col) is tuple for col in stack.cols)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(stack, name, getattr(stack, name))
+
+
+def test_normalizing_a_stack_that_moves_leaves_it_as_built():
+    # On every pinned descriptor whose stack moves, the input stack still
+    # equals, and hashes as, a fresh build of the same data.
+    moved = 0
+    for desc in _pinned_descriptors():
+        args = (desc.d.sig, list(desc.d.blocks), segments_of(desc))
+        stack = build_initial(*args)
+        out = trapa_normalize(stack)
+        if out.is_zero or out.stack is stack:
+            continue
+        fresh = build_initial(*args)
+        assert stack == fresh and hash(stack) == hash(fresh), desc
+        assert out.stack != stack, desc
+        moved += 1
+    assert moved == 247
 
 
 def test_two_block_data_pass_the_sweep_checks():

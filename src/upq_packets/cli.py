@@ -126,11 +126,23 @@ def _members_json(members: list[PacketMember], indent: str,
     return out
 
 
+# The largest rank N = p + q a query may name.  A larger one is refused
+# before anything is built: at N = 10^8 a 40-byte query would exhaust
+# memory building its one block, summand or weight before any other
+# limit is checked.  At N = 1000 the costliest queries answer in well
+# under a second.
+MAX_RANK = 1000
+
+
 def _parse_sig(args: argparse.Namespace) -> GroupSignature:
     try:
-        return GroupSignature(args.p, args.q)
+        sig = GroupSignature(args.p, args.q)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if sig.N > MAX_RANK:
+        raise InputError(f"U({sig.p},{sig.q}) has rank N = {sig.N}, more than the limit "
+                         f"of {MAX_RANK}")
+    return sig
 
 
 def _load_json(text: str, flag: str) -> object:

@@ -109,9 +109,10 @@ class InductionDescriptor:
 def segments_of(desc: InductionDescriptor) -> list[Segment]:
     """The per-block segments; block i has |nu_i| = p_i + q_i.
 
-    They are read from range_class's memo entry, which keeps them beside
-    the mediocre verdict."""
-    return list(_range_entry(desc)[1])
+    They are built from the (doubled start, length) pairs that
+    range_class's memo entry keeps beside the mediocre verdict, for the
+    JSON and printing callers; the stack reads the pairs themselves."""
+    return [Segment(start, length) for start, length in _range_entry(desc)[1]]
 
 
 def _segment_starts(n: int, sizes: Sequence[int], values: Sequence[int]) -> list[int]:
@@ -135,13 +136,13 @@ def range_class(desc: InductionDescriptor) -> bool:
     The answer reads only N, the block sizes and the values, not how each
     block splits into plus and minus parts.  Every member of a packet
     shares those three, so the last 256 answers are kept per process, with
-    the segments beside them, and a packet computes both once, for its
-    first member.
+    the segments beside them as (doubled start, length) pairs, and a
+    packet computes both once, for its first member.
     """
     return _range_entry(desc)[0]
 
 
-def _range_entry(desc: InductionDescriptor) -> tuple[bool, tuple[Segment, ...]]:
+def _range_entry(desc: InductionDescriptor) -> tuple[bool, tuple[tuple[int, int], ...]]:
     # The memo entry of desc: its mediocre verdict and its segments.
     return _range_class(desc.d.sig.N, tuple(pk + qk for pk, qk in desc.d.blocks),
                         desc.values)
@@ -149,7 +150,7 @@ def _range_entry(desc: InductionDescriptor) -> tuple[bool, tuple[Segment, ...]]:
 
 @lru_cache(maxsize=256)
 def _range_class(n: int, sizes: tuple[int, ...],
-                 values: tuple[int, ...]) -> tuple[bool, tuple[Segment, ...]]:
+                 values: tuple[int, ...]) -> tuple[bool, tuple[tuple[int, int], ...]]:
     r = len(sizes)
     starts = _segment_starts(n, sizes, values)
     ends = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
@@ -166,7 +167,7 @@ def _range_class(n: int, sizes: tuple[int, ...],
     if med_segs != med_values:
         raise InternalInconsistencyError(
             f"mediocre tests disagree on sizes {sizes}, values {values} at N = {n}")
-    return med_segs, tuple(map(Segment, starts, sizes))
+    return med_segs, tuple(zip(starts, sizes))
 
 
 def two_rho_u_cap_p(d: ThetaData) -> list[int]:

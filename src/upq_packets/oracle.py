@@ -373,9 +373,10 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
 
 
 def _two_block_share(n: int) -> Iterator[InductionDescriptor]:
-    # The two-block data of rank n, one at a time, in the order
-    # two_block_data lists them.  The sweep never lists a rank's share: it
-    # has up to 8 * (C(n + 3, 3) - 2n - 2) data, 1,413,192 at n = 100.
+    # The two-block data of rank n with mediocre values, one at a time: the
+    # second value is 0 and the first ranges over [-4, 3], a window of
+    # width 8.  The sweep never lists a rank's share: it has up to
+    # 8 * (C(n + 3, 3) - 2n - 2) data, 1,413,192 at n = 100.
     for a1 in range(1, n):
         a2 = n - a1
         for p1 in range(a1 + 1):
@@ -386,13 +387,6 @@ def _two_block_share(n: int) -> Iterator[InductionDescriptor]:
                     desc = InductionDescriptor(d, (v1, 0))
                     if range_class(desc):
                         yield desc
-
-
-def two_block_data(max_N: int) -> list[InductionDescriptor]:
-    """Every two-block datum with N <= max_N and mediocre values: the second
-    value is 0 and the first ranges over [-4, 3], a window of width 8.
-    They are listed by rank N, smallest first."""
-    return [desc for n in range(2, max_N + 1) for desc in _two_block_share(n)]
 
 
 def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
@@ -499,6 +493,5 @@ def sweep_verify(cfg: SweepConfig, jobs: int = 1) -> SweepReport:
         for p, q in sigs:
             report.merge(sweep_signature(GroupSignature(p, q), cfg))
         for n in range(2, cfg.max_N + 1):
-            for desc in _two_block_share(n):
-                _check_two_block(desc, report)
+            report.merge(_sweep_two_block(n, cfg))
     return report

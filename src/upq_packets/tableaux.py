@@ -10,18 +10,16 @@ invariants: an antitableau (entries strictly decreasing down columns,
 weakly decreasing along rows) and a signed tableau (rows of alternating
 signs, considered up to interchange of equal-length rows).
 
-Entries are doubled ints throughout: a box, an antitableau column and a
-working entry hold twice the value, and a segment is (doubled start,
-length).  HalfInt is built only to print an entry.
+Entries are doubled ints throughout: an antitableau column and a working
+entry hold twice the value, and a segment is a (doubled start, length)
+pair.  HalfInt is built only to print an entry.
 
 Where each box goes depends only on the block signs; its entry depends only
 on its block's segment.  A stack is therefore a frozen dataclass of each
 box's row, column and sign, each block's segment, and the row shapes, all
-tuples, with no Box objects (see ColumnStack).  build_initial returns a
-stack in that form, trapa_normalize decides it from its segments and
-columns and rewrites it in the same form, and Box objects are built only
-for a reader of `blocks`, such as the CLI's stack echo; boxes enter a
-stack only through ColumnStack.from_blocks.
+tuples of ints (see ColumnStack).  build_initial returns a stack in that
+form, trapa_normalize decides it from its segments and columns and rewrites
+it in the same form, and to_json writes each box from those fields.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, ge, gt, le, lt
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
 from .halfint import HalfInt, HalfIntMultiset, Segment
@@ -41,17 +39,6 @@ MINUS = -1
 
 def _sign_str(sign: int) -> str:
     return "+" if sign == PLUS else "-"
-
-
-class Box(NamedTuple):
-    row: int
-    col: int
-    sign: int
-    entry: int  # doubled
-
-    def to_json(self) -> dict:
-        return {"row": self.row, "col": self.col,
-                "sign": _sign_str(self.sign), "entry": {"twice": self.entry}}
 
 
 @dataclass(frozen=True)
@@ -147,60 +134,41 @@ class ColumnStack:
     """A block-partitioned signed filled tableau.
 
     A stack holds what placing its boxes decided: each box's row, column
-    and sign, and the Segment of each block.  Box k of a block whose
-    segment tops at `top` holds top - 2k, so the entries need no record.
-    `cols` holds one tuple per block, its boxes' columns top to bottom;
-    `rows` and `signs` are flat, in block order, block i's boxes starting
-    at the sum of the lengths of the blocks before it.  row_shapes is the
-    multiset of signed rows, fixed at build time (the rewriting moves
-    entries, never boxes).
+    and sign, and each block's segment as a (doubled start, length) pair.
+    Box k of a block whose segment tops at `top` holds top - 2k, so the
+    entries need no record.  `cols` holds one tuple per block, its boxes'
+    columns top to bottom; `rows` and `signs` are flat, in block order,
+    block i's boxes starting at the sum of the lengths of the blocks
+    before it.  row_shapes is the multiset of signed rows, fixed at build
+    time (the rewriting moves entries, never boxes).
 
-    A frozen dataclass of tuples: equality, hashing and repr compare and
-    show these fields, and no field can be reassigned.
-    ColumnStack.from_blocks(sig, blocks, row_shapes) takes blocks[i],
-    block i's boxes top to bottom, each block holding a segment listed
-    largest first; `blocks` builds the Box view afresh on every read, so
-    a stack equals the stack built from its own boxes.
+    A frozen dataclass of tuples of ints: equality, hashing and repr
+    compare and show these fields, and no field can be reassigned.
     """
 
     sig: GroupSignature
     row_shapes: tuple[tuple[int, int], ...]
-    segments: tuple[Segment, ...]
+    segments: tuple[tuple[int, int], ...]
     cols: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
     signs: tuple[int, ...]
-
-    @classmethod
-    def from_blocks(cls, sig: GroupSignature, blocks: Sequence[Sequence[Box]],
-                    row_shapes: tuple[tuple[int, int], ...]) -> "ColumnStack":
-        for i, block in enumerate(blocks):
-            if not block:
-                raise ValueError(f"block {i} of the stack is empty")
-        return cls(sig, row_shapes,
-                   tuple(Segment(*_entries_segment(block)) for block in blocks),
-                   tuple(tuple(b.col for b in block) for block in blocks),
-                   tuple(b.row for block in blocks for b in block),
-                   tuple(b.sign for block in blocks for b in block))
-
-    @property
-    def blocks(self) -> tuple[tuple[Box, ...], ...]:
-        rows, signs = iter(self.rows), iter(self.signs)  # flat, in block order
-        # tuple.__new__ builds a Box without NamedTuple's Python-level __new__.
-        return tuple(tuple(tuple.__new__(Box, (next(rows), col, next(signs), seg.end - 2 * k))
-                           for k, col in enumerate(cols))
-                     for seg, cols in zip(self.segments, self.cols))
 
     def signed_tableau(self) -> SignedTableau:
         return SignedTableau(self.sig, self.row_shapes)
 
     def to_json(self) -> dict:
+        rows, signs = iter(self.rows), iter(self.signs)  # flat, in block order
         return {"p": self.sig.p, "q": self.sig.q,
-                "blocks": [[b.to_json() for b in blk] for blk in self.blocks]}
+                "blocks": [[{"row": next(rows), "col": col, "sign": _sign_str(next(signs)),
+                             "entry": {"twice": start + 2 * (length - 1 - k)}}
+                            for k, col in enumerate(cols)]
+                           for (start, length), cols in zip(self.segments, self.cols)]}
 
 
 def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
-                  segments: Sequence[Segment]) -> ColumnStack:
-    """Construct the initial stack for blocks (p_i, q_i) and their segments.
+                  segments: Sequence[tuple[int, int]]) -> ColumnStack:
+    """Construct the initial stack for blocks (p_i, q_i) and their segments,
+    each a (doubled start, length) pair.
 
     Stage 1 is a single column with p_1 plus boxes above q_1 minus boxes.
     Stage k appends at most one box per existing row end, scanning rows top
@@ -224,19 +192,19 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     outranks.
 
     The stack comes back in ColumnStack's one form: the same pass records
-    each box's row, column and sign and the row shapes, the stack keeps
-    the segments, and no Box is made.  A block's entries need no record:
-    box k of a block whose segment tops at `top` receives top - 2k.
+    each box's row, column and sign and the row shapes, and the stack
+    keeps the segments.  A block's entries need no record: box k of a
+    block whose segment tops at `top` receives top - 2k.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
     segments = tuple(segments)
     p = q = 0
-    for (pk, qk), seg in zip(block_signs, segments):
+    for (pk, qk), (_, length) in zip(block_signs, segments):
         if pk < 0 or qk < 0 or pk + qk == 0:
             raise ValueError(f"bad block ({pk},{qk})")
-        if seg.length != pk + qk:
-            raise ValueError(f"segment {seg} does not match block size {pk + qk}")
+        if length != pk + qk:
+            raise ValueError(f"a segment of length {length} does not match block size {pk + qk}")
         p += pk
         q += qk
     if p != sig.p or q != sig.q:
@@ -337,12 +305,12 @@ class _WBox:
         self.row, self.col, self.sign, self.entry = row, col, sign, entry
 
 
-def _entries_segment(block: Sequence[Box | _WBox]) -> tuple[int, int]:
+def _entries_segment(block: Sequence[_WBox]) -> tuple[int, int]:
     """The segment a block of boxes holds, as (start doubled, length).
 
-    Blocks list their entries largest first (a stack's boxes do, and the
-    repartition sorts them), so this checks that order and never sorts:
-    each entry must be exactly 1 above the next.
+    The repartition lists a block's entries largest first, so this checks
+    that order and never sorts: each entry must be exactly 1 above the
+    next.
     """
     top = block[0].entry
     for k, b in enumerate(block):
@@ -644,8 +612,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     lists at the first rewrite, so a stack whose pairs are all already normal
     costs one _idle call per pair, and the returned stack is the input
     object itself; a rewritten stack is returned in the same form, and
-    the antitableau is read off its segments and columns.  No Box is
-    made.
+    the antitableau is read off its segments and columns.
 
     The final conditions, that every adjacent pair has overlap >= sing and
     seg(i+1) <= seg(i) componentwise, then hold by _idle's definition: the
@@ -658,7 +625,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     InternalInconsistencyError: it would be a fault in the rewriting, not
     a module that vanishes.
     """
-    segs = [(seg.start, seg.length) for seg in stack.segments]
+    segs = list(stack.segments)
     cols, rows, signs = stack.cols, stack.rows, stack.signs  # copied at the first rewrite
     pairs = range(len(segs) - 1)
     cap = max(4, stack.sig.N ** 2)
@@ -684,8 +651,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
                 raise InternalInconsistencyError(
                     f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
                     f"do not decrease componentwise")
-        stack = ColumnStack(stack.sig, stack.row_shapes, tuple(Segment(*s) for s in segs),
-                            tuple(cols), tuple(rows), tuple(signs))
+        stack = ColumnStack(stack.sig, stack.row_shapes, tuple(segs), tuple(cols), tuple(rows),
+                            tuple(signs))
     return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
                             stack.signed_tableau())
 

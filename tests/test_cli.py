@@ -50,6 +50,21 @@ def test_classify_lambda_golden(capsys):
     assert out == (GOLDEN / "u11_lds_classify_lambda.json").read_text()
 
 
+@pytest.mark.parametrize("args, name", [
+    # A stack that trapa_normalize leaves as placed.
+    (("--p", "1", "--q", "2", "--blocks", "[[1,1],[0,1]]", "--values", "[0,0]"),
+     "u12_tableau.json"),
+    # [0,3] over {2}: the right block sinks and the pair is rewritten.
+    (("--p", "2", "--q", "3", "--blocks", "[[2,2],[0,1]]", "--values", "[1,4]"),
+     "u23_moved_tableau.json"),
+], ids=["unmoved", "moved"])
+def test_tableau_golden(capsys, args, name):
+    # The whole output, its rewritten stack's boxes included.
+    code, out, _ = run_cli(capsys, "tableau", *args)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_output_is_byte_stable(capsys):
     args = ("classify-psi", "--p", "1", "--q", "2", "--psi",
             '[{"t":1,"a":2},{"t":-2,"a":1}]')
@@ -212,6 +227,42 @@ def test_verify_refuses_a_signature_too_large_to_list(argv, count):
     assert count in err["message"]
     # Interpreter start-up included; listing would take minutes, or all memory.
     assert elapsed < 5, elapsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["tableau", "--p", "50000000", "--q", "50000000", "--blocks", "[[50000000,50000000]]",
+     "--values", "[0]"],
+    ["classify-psi", "--p", "50000000", "--q", "50000000", "--psi", '[{"t":0,"a":100000000}]'],
+    ["packet", "--p", "50000000", "--q", "50000000", "--psi", '[{"t":0,"a":100000000}]'],
+    ["classify-lambda", "--p", "50000000", "--q", "50000000", "--lambda", "[0]"],
+], ids=["tableau", "classify-psi", "packet", "classify-lambda"])
+def test_a_query_of_too_large_a_rank_is_refused_before_anything_is_built(argv):
+    # N = 10^8: building its one block, its one summand's segment or its
+    # weight would take gigabytes, so the rank is refused first.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(upq_packets.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "upq_packets.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_memory)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err == {"error": "invalid-input",
+                   "message": "U(50000000,50000000) has rank N = 100000000, more than "
+                              "the limit of 1000"}
+    assert elapsed < 5, elapsed
+
+
+def test_the_rank_limit_admits_n_1000_and_refuses_n_1001(capsys):
+    # One summand of U(500, 500) is answered; one more coordinate is not.
+    code, out, _ = run_cli(capsys, "classify-psi", "--p", "500", "--q", "500",
+                           "--psi", '[{"t":0,"a":1000}]')
+    assert code == 0 and json.loads(out)["contains"] is True
+    code, out, err = run_cli(capsys, "classify-psi", "--p", "501", "--q", "500",
+                             "--psi", '[{"t":0,"a":1001}]')
+    assert (code, out) == (2, "")
+    assert "rank N = 1001, more than the limit of 1000" in json.loads(err)["message"]
 
 
 def test_packet_of_many_summands_gets_no_traceback():

@@ -11,6 +11,8 @@ from upq_packets.tableaux import MINUS, PLUS
 from upq_packets.weights import (GroupSignature, KWeight,
                                  inf_char_of_lowest_weight)
 
+from test_oracle import two_block_data
+
 
 def seg(lo_twice, hi_twice):
     return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
@@ -259,7 +261,6 @@ def _absorb_written_out(dd, side):
 
 
 def test_absorb_adjacent_equals_the_written_out_rewrite_on_two_block_data():
-    from upq_packets.oracle import two_block_data
     swaps = 0
     for dd in two_block_data(6):
         if not dd.d.is_holomorphic():

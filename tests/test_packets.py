@@ -9,8 +9,7 @@ from upq_packets import packets
 from upq_packets.cohind import lowest_weight_invariants, tableau_pair
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
-from upq_packets.oracle import (dominant_weights, good_parameters_in_window,
-                                two_block_data)
+from upq_packets.oracle import dominant_weights, good_parameters_in_window
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
@@ -19,6 +18,8 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
 from upq_packets.tableaux import MINUS, PLUS, AntiTableau
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable)
+
+from test_oracle import two_block_data
 
 
 def psi_of(p, q, *summands):

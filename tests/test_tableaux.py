@@ -2,30 +2,40 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upq_packets import tableaux
-from upq_packets.cohind import (InductionDescriptor, ThetaData, range_class,
-                                segments_of, tableau_pair)
+from upq_packets import cohind, tableaux
+from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
 from upq_packets.errors import InternalInconsistencyError, IterationCapExceeded
-from upq_packets.halfint import HalfInt, HalfIntMultiset, Segment
-from upq_packets.oracle import (SweepReport, _check_two_block, good_parameters_in_window,
-                                two_block_data)
+from upq_packets.halfint import HalfInt, HalfIntMultiset
+from upq_packets.oracle import SweepReport, _check_two_block, good_parameters_in_window
 from upq_packets.packets import AParameter, enumerate_D, member
-from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, Box, ColumnStack,
+from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, ColumnStack,
                                   NormalizeOutcome,
                                   _bump, _entries_segment, _idle, _overlap, _rewrite_pair,
                                   _sing, _unit_shift, _WBox, as_pair_equal,
                                   assemble_antitableau, build_initial, trapa_normalize)
 from upq_packets.weights import GroupSignature
 
+from test_oracle import two_block_data
 from test_properties import psis_sharing_a_weights_character, random_psis
 
 
+class Box(NamedTuple):
+    # One box of a stack, its entry doubled: the reference form the
+    # written-out sweeps below read and write.
+    row: int
+    col: int
+    sign: int
+    entry: int
+
+
 def seg(lo_twice, hi_twice):
-    return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
+    # The segment [lo, hi] as a stack holds it: (doubled start, length).
+    return lo_twice, (hi_twice - lo_twice) // 2 + 1
 
 
 def build(p, q, blocks, segments):
@@ -46,6 +56,29 @@ def _cols(block):
     return tuple(b.col for b in block)
 
 
+def _boxes(stack):
+    # A stack's boxes, block by block, each top to bottom: box k of a block
+    # whose segment tops at `top` holds top - 2k.
+    rows, signs = iter(stack.rows), iter(stack.signs)  # flat, in block order
+    return tuple(tuple(Box(next(rows), col, next(signs), start + 2 * (length - 1 - k))
+                       for k, col in enumerate(cols))
+                 for (start, length), cols in zip(stack.segments, stack.cols))
+
+
+def _stack_of_boxes(sig, blocks, row_shapes):
+    # The stack whose block i holds the boxes blocks[i], top to bottom, each
+    # block holding a segment listed largest first.
+    return ColumnStack(sig, row_shapes, tuple(_entries_segment(blk) for blk in blocks),
+                       tuple(_cols(blk) for blk in blocks),
+                       tuple(b.row for blk in blocks for b in blk),
+                       tuple(b.sign for blk in blocks for b in blk))
+
+
+def _pairs(desc):
+    # A datum's segments as the stack takes them.
+    return [(s.start, s.length) for s in segments_of(desc)]
+
+
 def _assembled(blocks, row_shapes):
     # assemble_antitableau on a stack given by its boxes.
     return assemble_antitableau([_entries_segment(blk) for blk in blocks],
@@ -55,7 +88,7 @@ def _assembled(blocks, row_shapes):
 def test_build_single_block_u11():
     stack = build(1, 1, [(1, 1)], [seg(-1, 1)])
     assert sorted(stack.row_shapes) == [(1, MINUS), (1, PLUS)]
-    boxes = stack.blocks[0]
+    boxes = _boxes(stack)[0]
     assert [(b.col, b.sign, b.entry) for b in boxes] == [
         (1, PLUS, 1), (1, MINUS, -1)]
 
@@ -63,25 +96,25 @@ def test_build_single_block_u11():
 def test_build_two_singleton_blocks_merge_into_one_row():
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(1, 1), seg(1, 1)])
     assert stack.row_shapes == ((2, PLUS),)
-    assert [(b.col, b.entry) for b in stack.blocks[1]] == [(2, 1)]
+    assert [(b.col, b.entry) for b in _boxes(stack)[1]] == [(2, 1)]
 
 
 def test_build_mixed_then_minus():
     stack = build(1, 2, [(1, 1), (0, 1)], [seg(0, 2), seg(-2, -2)])
     assert sorted(stack.row_shapes) == [(1, MINUS), (2, PLUS)]
-    assert [(b.col, b.entry) for b in stack.blocks[0]] == [(1, 2), (1, 0)]
-    assert [(b.col, b.entry) for b in stack.blocks[1]] == [(2, -2)]
+    assert [(b.col, b.entry) for b in _boxes(stack)[0]] == [(1, 2), (1, 0)]
+    assert [(b.col, b.entry) for b in _boxes(stack)[1]] == [(2, -2)]
 
 
 def test_build_rejects_empty_block():
     with pytest.raises(ValueError):
-        build(1, 0, [(1, 0), (0, 0)], [seg(1, 1), Segment(0, 0)])
+        build(1, 0, [(1, 0), (0, 0)], [seg(1, 1), (0, 0)])
 
 
 def test_build_sign_counts_and_shape():
     stack = build(2, 3, [(1, 2), (1, 1)], [seg(0, 4), seg(-3, -1)])
-    plus = sum(1 for blk in stack.blocks for b in blk if b.sign == PLUS)
-    minus = sum(1 for blk in stack.blocks for b in blk if b.sign == MINUS)
+    plus = sum(1 for blk in _boxes(stack) for b in blk if b.sign == PLUS)
+    minus = sum(1 for blk in _boxes(stack) for b in blk if b.sign == MINUS)
     assert (plus, minus) == (2, 3)
     lengths = sorted((length for length, _ in stack.row_shapes), reverse=True)
     assert lengths == sorted(lengths, reverse=True)
@@ -90,7 +123,7 @@ def test_build_sign_counts_and_shape():
 
 def test_overlap_and_sing_examples():
     def overlap_and_sing(stack):
-        left, right = stack.blocks
+        left, right = _boxes(stack)
         return _overlap(_cols(left), _cols(right)), _sing(_entries_segment(left),
                                                          _entries_segment(right))
 
@@ -158,7 +191,7 @@ def test_normalize_preserves_entries_and_shape():
     out = trapa_normalize(stack)
     assert not out.is_zero
     def entries(s):
-        return HalfIntMultiset.from_values(b.entry for blk in s.blocks for b in blk)
+        return HalfIntMultiset.from_values(b.entry for blk in _boxes(s) for b in blk)
 
     assert entries(out.stack) == entries(stack)
     assert entries(stack) == HalfIntMultiset.from_values([1, -1, -1, -3])
@@ -196,23 +229,9 @@ def test_as_pair_equal_row_interchange_and_errors():
         as_pair_equal((holo.ann, holo.as_tab), (shifted.ann, shifted.as_tab))
 
 
-def _two_block_descriptors(max_n, span=8):
-    for n in range(2, max_n + 1):
-        for a1 in range(1, n):
-            a2 = n - a1
-            for p1 in range(a1 + 1):
-                for p2 in range(a2 + 1):
-                    sig = GroupSignature(p1 + p2, (a1 - p1) + (a2 - p2))
-                    d = ThetaData(sig, ((p1, a1 - p1), (p2, a2 - p2)))
-                    for v1 in range(-span // 2, span - span // 2):
-                        yield InductionDescriptor(d, (v1, 0))
-
-
 def test_two_block_nonvanishing_criterion():
     checked = 0
-    for dd in _two_block_descriptors(5):
-        if not range_class(dd):
-            continue
+    for dd in two_block_data(5):
         (p1, q1), (p2, q2) = dd.d.blocks
         s1, s2 = segments_of(dd)
         sing = s1.as_multiset().intersection(s2.as_multiset()).size
@@ -226,9 +245,7 @@ def test_two_block_nonvanishing_criterion():
 
 
 def test_nonzero_outcome_is_valid_antitableau():
-    for dd in _two_block_descriptors(4, span=4):
-        if not range_class(dd):
-            continue
+    for dd in two_block_data(4):
         out = tableau_pair(dd)
         if out.is_zero:
             continue
@@ -242,20 +259,19 @@ def test_nonzero_outcome_is_valid_antitableau():
 def test_assemble_antitableau_refuses_a_repeated_column_entry():
     def stack(top, bottom):
         # Two one-box blocks stacked in column 1 of U(2,0).
-        return ColumnStack.from_blocks(GroupSignature(2, 0),
-                                       ((Box(1, 1, PLUS, top),),
-                                        (Box(2, 1, PLUS, bottom),)),
-                                       ((1, PLUS), (1, PLUS)))
+        return _stack_of_boxes(GroupSignature(2, 0),
+                               ((Box(1, 1, PLUS, top),), (Box(2, 1, PLUS, bottom),)),
+                               ((1, PLUS), (1, PLUS)))
 
     # Column 1 arrives smallest first, so it is sorted; the result equals
     # the dict-and-sort assembly.
     good, bad = stack(0, 2), stack(0, 0)
-    ann = _assembled(good.blocks, good.row_shapes)
+    ann = _assembled(_boxes(good), good.row_shapes)
     assert ann.columns == ((2, 0),)
-    assert ann == _dict_assembly(good.blocks, good.row_shapes)
+    assert ann == _dict_assembly(_boxes(good), good.row_shapes)
     for assemble in (_assembled, _dict_assembly):
         with pytest.raises(InternalInconsistencyError):
-            assemble(bad.blocks, bad.row_shapes)
+            assemble(_boxes(bad), bad.row_shapes)
 
 
 @pytest.mark.parametrize("cols, longest", [((1, 3), 3), ((1, 2), 1), ((0, 1), 1)])
@@ -283,7 +299,7 @@ def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
     # leaves it so in every sweep, and the fifth sweep would pass the cap
     # max(4, N^2) = 4.
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
-    assert _idle(*map(_cols, stack.blocks), (0, 1), (2, 1))[0] is False
+    assert _idle(*map(_cols, _boxes(stack)), (0, 1), (2, 1))[0] is False
     monkeypatch.setattr(tableaux, "_rewrite_pair",
                         lambda segs, cols, rows, signs, i, ov, sg: None)
     with pytest.raises(IterationCapExceeded, match="within 4 sweeps"):
@@ -303,32 +319,17 @@ def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
         trapa_normalize(stack)
 
 
-def _bad_block_stack(top, bottom):
-    # U(1,2): block 0 holds `top` over `bottom` in column 1, block 1 one box
-    # in column 2.  Entries are doubled.  With no entries given, U(1,0):
-    # block 0 holds no box and block 1 one box.
-    if top is None:
-        return ColumnStack.from_blocks(GroupSignature(1, 0), ((), (Box(0, 1, PLUS, 0),)),
-                                       ((1, PLUS),))
-    return ColumnStack.from_blocks(GroupSignature(1, 2),
-                                   ((Box(0, 1, PLUS, top), Box(1, 1, MINUS, bottom)),
-                                    (Box(0, 2, MINUS, -1),)),
-                                   ((2, PLUS), (1, MINUS)))
-
-
 @pytest.mark.parametrize("top, bottom, shown", [
     (1, 3, "['1/2', '3/2']"),  # a segment, listed smallest first
     (5, 1, "['5/2', '1/2']"),  # largest first, but 2 apart
-    (None, None, "block 0 of the stack is empty"),  # an empty block
 ])
 def test_a_block_that_is_not_a_segment_listed_largest_first_is_refused(top, bottom, shown):
-    # The stack is refused when it is built: a block that holds no segment
-    # largest first as an internal inconsistency, an empty one as a bad
-    # value.
-    error = ValueError if top is None else InternalInconsistencyError
-    with pytest.raises(error) as info:
-        _bad_block_stack(top, bottom)
-    assert type(info.value) is error
+    # A rewritten block of working boxes, `top` over `bottom` (entries
+    # doubled), that holds no segment largest first is an internal
+    # inconsistency, shown in half-integers.
+    block = [_WBox(0, 1, PLUS, top), _WBox(1, 1, MINUS, bottom)]
+    with pytest.raises(InternalInconsistencyError) as info:
+        _entries_segment(block)
     assert shown in str(info.value)
     assert "twice" not in str(info.value)
 
@@ -348,8 +349,7 @@ def _small_stacks(max_n=6, window=2):
                     sig = GroupSignature(sum(pk for pk, _ in signs),
                                          sum(qk for _, qk in signs))
                     for firsts in itertools.product(starts, repeat=r):
-                        segs = [Segment(s, a) for s, a in zip(firsts, sizes)]
-                        yield build_initial(sig, list(signs), segs)
+                        yield build_initial(sig, list(signs), list(zip(firsts, sizes)))
 
 
 def _full_rewrite_pair(blocks, i):
@@ -438,7 +438,7 @@ def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
     verdicts = {None: 0, True: 0, False: 0, "below": 0}
     stacks = wholly_disjoint = 0
     for stack in _small_stacks():
-        blocks = stack.blocks
+        blocks = _boxes(stack)
         segs = [_entries_segment(blk) for blk in blocks]
         below = 0
         for i in range(len(blocks) - 1):
@@ -534,7 +534,7 @@ def _written_out_build_initial(sig, block_signs, segments):
     # longest first, then by row id, and scans every one of them.
     rows = []  # [row id, length, first sign, last sign]
     blocks = []
-    for (pk, qk), seg in zip(block_signs, segments):
+    for (pk, qk), (start, _) in zip(block_signs, segments):
         placed = []
         budget = {PLUS: pk, MINUS: qk}
         for row in sorted(rows, key=lambda r: (-r[1], r[0])):
@@ -548,10 +548,10 @@ def _written_out_build_initial(sig, block_signs, segments):
             for _ in range(budget[sign]):
                 placed.append((len(rows), 1, sign))
                 rows.append([len(rows), 1, sign, sign])
-        top = seg.start + 2 * len(placed)
+        top = start + 2 * len(placed)
         blocks.append(tuple(Box(rid, col, sign, top - 2 * k)
                             for k, (rid, col, sign) in enumerate(placed, 1)))
-    return ColumnStack.from_blocks(sig, tuple(blocks), tuple((row[1], row[2]) for row in rows))
+    return _stack_of_boxes(sig, tuple(blocks), tuple((row[1], row[2]) for row in rows))
 
 
 def _block_sequences(n):
@@ -567,7 +567,7 @@ def _block_sequences(n):
 
 def _check_build_initial(block_signs):
     sig = GroupSignature(sum(pk for pk, _ in block_signs), sum(qk for _, qk in block_signs))
-    segments = [Segment(3 - 4 * k, pk + qk) for k, (pk, qk) in enumerate(block_signs)]
+    segments = [(3 - 4 * k, pk + qk) for k, (pk, qk) in enumerate(block_signs)]
     assert (build_initial(sig, list(block_signs), segments)
             == _written_out_build_initial(sig, block_signs, segments)), block_signs
 
@@ -622,7 +622,7 @@ def _written_out_normalize(stack):
     # trapa_normalize spelled out with no shortcut: sweep a working copy of
     # every stack with the full pair rewrite, freeze it afresh and assemble
     # its antitableau by columns.  Also returns whether any pair moved.
-    blocks = _working(stack.blocks)
+    blocks = _working(_boxes(stack))
     moved = False
     for _ in range(max(4, stack.sig.N ** 2)):
         changed = False
@@ -639,7 +639,7 @@ def _written_out_normalize(stack):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
             return NormalizeOutcome.zero(), moved
     ann = _dict_assembly(blocks, stack.row_shapes)
-    out = ColumnStack.from_blocks(stack.sig, _frozen(blocks), stack.row_shapes)
+    out = _stack_of_boxes(stack.sig, _frozen(blocks), stack.row_shapes)
     return NormalizeOutcome(out, ann, out.signed_tableau()), moved
 
 
@@ -661,10 +661,10 @@ def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
     # copy-and-sweep, its antitableau included (so the list assembly equals
     # the dict-and-sort one there), and the returned stack is the input
     # object exactly when no pair moved (then the refrozen copy equals it
-    # too).
+    # too).  A returned stack normalizes to itself.
     kinds = {"zero": 0, "below": 0, "unmoved": 0, "moved": 0}
     for desc in _pinned_descriptors():
-        stack = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
+        stack = build_initial(desc.d.sig, list(desc.d.blocks), _pairs(desc))
         out = trapa_normalize(stack)
         expected, moved = _written_out_normalize(stack)
         assert out == expected, desc
@@ -672,11 +672,12 @@ def test_normalize_equals_copy_and_sweep_and_returns_an_unmoved_stack_itself():
             kinds["zero"] += 1
             continue
         assert (out.stack is stack) == (not moved), desc
+        assert trapa_normalize(out.stack).stack is out.stack, desc
         if moved:
             kinds["moved"] += 1
             continue
         assert expected.stack == stack
-        segs = [_entries_segment(blk) for blk in stack.blocks]
+        segs = stack.segments
         below = all(lo_start + 2 * lo_len - 2 < hi_start
                     for (hi_start, _), (lo_start, lo_len) in zip(segs, segs[1:]))
         kinds["below" if below else "unmoved"] += 1
@@ -693,7 +694,7 @@ def test_normalize_equals_the_written_out_sweep_on_every_member_up_to_n_6():
         for p in range(n + 1):
             sig = GroupSignature(p, n - p)
             for psi in good_parameters_in_window(sig, HalfInt.whole(2)):
-                segments = [Segment(t - a + 1, a) for t, a in psi.summands]
+                segments = [(t - a + 1, a) for t, a in psi.summands]
                 for d in enumerate_D(psi):
                     stack = build_initial(sig, d.blocks, segments)
                     kinds[_check_against_the_written_out_sweep(stack)] += 1
@@ -705,7 +706,7 @@ def test_normalize_equals_the_written_out_sweep_on_every_member_up_to_n_6():
 def test_normalize_equals_the_written_out_sweep_on_drawn_psi_up_to_n_10(psi):
     # Every member stack of a drawn packet at N = 7..10, the sizes the
     # large packet dumps run.
-    segments = [Segment(t - a + 1, a) for t, a in psi.summands]
+    segments = [(t - a + 1, a) for t, a in psi.summands]
     for d in enumerate_D(psi):
         _check_against_the_written_out_sweep(build_initial(psi.sig, d.blocks, segments))
 
@@ -722,65 +723,56 @@ def test_normalize_equals_the_written_out_sweep_on_drawn_psi_up_to_n_10(psi):
     (2, 1, [(0, 1), (1, 0), (1, 0)], [1, -1, -1], "zero", (True, None)),
 ])
 def test_a_pair_past_the_first_decides_the_stack(p, q, blocks, starts, kind, verdicts):
-    segments = [Segment(s, 1) for s in starts]
-    read = build(p, q, blocks, segments).blocks
+    segments = [(s, 1) for s in starts]
+    read = _boxes(build(p, q, blocks, segments))
     segs, cols = [_entries_segment(blk) for blk in read], [_cols(blk) for blk in read]
     assert tuple(_idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
                  for i in range(2)) == verdicts
     assert _check_against_the_written_out_sweep(build(p, q, blocks, segments)) == kind
 
 
-def _the_stack_of_its_own_boxes(stack):
-    # The stack built from a stack's boxes: it equals, hashes as, prints as
-    # and renders as the stack.
-    given = ColumnStack.from_blocks(stack.sig, stack.blocks, stack.row_shapes)
-    assert given == stack and hash(given) == hash(stack)
-    assert (repr(given), given.to_json()) == (repr(stack), stack.to_json())
-    return given
-
-
-def test_a_placed_stack_is_the_stack_of_its_own_boxes():
-    # On every pinned descriptor: a placed stack and every nonzero
-    # rewritten one, moved or not, is the stack of its own boxes; a placed
-    # stack and the stack of its boxes normalize to equal outcomes, each
-    # coming back itself when unmoved; and a rewritten stack normalizes to
-    # itself.
-    kinds = {"unmoved": 0, "moved": 0}
-    for desc in _pinned_descriptors():
-        placed = build_initial(desc.d.sig, list(desc.d.blocks), segments_of(desc))
-        out = trapa_normalize(placed)
-        given = _the_stack_of_its_own_boxes(placed)
-        again = trapa_normalize(given)
-        assert again == out, desc
-        if out.is_zero:
-            continue
-        _the_stack_of_its_own_boxes(out.stack)
-        assert trapa_normalize(out.stack).stack is out.stack, desc
-        if out.stack is placed:
-            assert again.stack is given
-            kinds["unmoved"] += 1
-        else:
-            kinds["moved"] += 1
-    assert kinds == {"unmoved": 657 + 654, "moved": 247}
-
-
 def test_a_stack_is_frozen_and_holds_tuples():
     # A placed stack, one that normalizes to itself, one rewritten from it
-    # and one built from boxes: no field can be assigned, and the columns,
-    # rows and signs are tuples.
-    placed = build(1, 2, [(0, 1), (0, 1), (1, 0)], [Segment(s, 1) for s in (1, -3, -1)])
+    # and one built from boxes: no field can be assigned, the columns,
+    # rows and signs are tuples, and each segment is a (doubled start,
+    # length) pair of ints.
+    placed = build(1, 2, [(0, 1), (0, 1), (1, 0)], [(s, 1) for s in (1, -3, -1)])
     moved = trapa_normalize(placed).stack
-    unmoved = build(1, 1, [(1, 0), (0, 1)], [Segment(1, 1), Segment(-1, 1)])
+    unmoved = build(1, 1, [(1, 0), (0, 1)], [(1, 1), (-1, 1)])
     assert moved != placed and trapa_normalize(unmoved).stack is unmoved
-    given = ColumnStack.from_blocks(moved.sig, moved.blocks, moved.row_shapes)
+    given = _stack_of_boxes(moved.sig, _boxes(moved), moved.row_shapes)
+    assert given == moved
     names = ["sig", "row_shapes", "segments", "cols", "rows", "signs"]
     assert [f.name for f in dataclasses.fields(ColumnStack)] == names
     for stack in (placed, moved, unmoved, given):
         assert all(type(getattr(stack, name)) is tuple for name in names[1:])
         assert all(type(col) is tuple for col in stack.cols)
+        assert all(type(pair) is tuple and list(map(type, pair)) == [int, int]
+                   for pair in stack.segments)
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(stack, name, getattr(stack, name))
+
+
+def test_a_member_stack_holds_the_segments_its_packet_keeps():
+    # range_class's memo keeps a packet's segments once, as (doubled start,
+    # length) pairs of ints, and each member's stack holds that tuple
+    # itself unless the rewriting moved it: no member converts them.
+    kinds = {"unmoved": 0, "moved": 0}
+    for sig, summands in [*LONG_REWRITES, ((2, 2), [(3, 1), (1, 1), (-1, 1), (-3, 1)])]:
+        psi = AParameter.from_summands(GroupSignature(*sig), summands)
+        for d in enumerate_D(psi):
+            desc = member(psi, d).descriptor
+            segs = cohind._range_entry(desc)[1]
+            assert all(type(pair) is tuple and list(map(type, pair)) == [int, int]
+                       for pair in segs)
+            out = tableau_pair(desc)
+            if out.is_zero:
+                continue
+            unmoved = out.stack == build_initial(psi.sig, d.blocks, segs)
+            assert (out.stack.segments is segs) == unmoved, desc
+            kinds["unmoved" if unmoved else "moved"] += 1
+    assert kinds == {"unmoved": 6, "moved": 33}
 
 
 def test_normalizing_a_stack_that_moves_leaves_it_as_built():
@@ -788,7 +780,7 @@ def test_normalizing_a_stack_that_moves_leaves_it_as_built():
     # equals, and hashes as, a fresh build of the same data.
     moved = 0
     for desc in _pinned_descriptors():
-        args = (desc.d.sig, list(desc.d.blocks), segments_of(desc))
+        args = (desc.d.sig, list(desc.d.blocks), _pairs(desc))
         stack = build_initial(*args)
         out = trapa_normalize(stack)
         if out.is_zero or out.stack is stack:

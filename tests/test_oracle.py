@@ -109,15 +109,22 @@ def two_block_data(max_N):
 
 
 def test_two_block_data_all_mediocre():
-    # Each rank's share is mediocre, nonempty and of that rank; the pinned
-    # sweeps count 258 two-block data at N <= 4 and 1130 at N <= 6.
     from upq_packets.cohind import range_class
-    data = two_block_data(6)
+    data = two_block_data(4)
     assert all(range_class(d) for d in data)
-    for n in range(2, 7):
-        share = list(oracle._two_block_share(n))
-        assert share and all(d.d.sig.N == n for d in share)
-    assert len(two_block_data(4)) == 258 and len(data) == 1130
+    assert len(data) > 200
+
+
+def test_two_block_data_is_the_per_rank_shares_in_rank_order():
+    # The sweep checks each rank's share as one task; the tests read
+    # two_block_data.  Both must list the same data in the same order.
+    for max_N in range(1, 7):
+        shares = [list(oracle._two_block_share(n)) for n in range(2, max_N + 1)]
+        assert [d for share in shares for d in share] == two_block_data(max_N)
+        for n, share in enumerate(shares, start=2):
+            assert share and all(d.d.sig.N == n for d in share)
+    # The pinned sweeps count 258 two-block data at N <= 4 and 1130 at N <= 6.
+    assert len(two_block_data(4)) == 258 and len(two_block_data(6)) == 1130
 
 
 def test_two_block_share_is_taken_one_datum_at_a_time():

@@ -256,13 +256,14 @@ def realize_lowest_weight(w: KWeight) -> InductionDescriptor:
     return InductionDescriptor(ThetaData(sig, tuple(blocks)), tuple(values))
 
 
-@lru_cache(maxsize=256)  # holds 3,473 of the 3,637 repeats of verify at N <= 4, windows 2/2
 def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     """Build the initial stack for a mediocre-range datum and normalize it.
 
-    The last 256 results are kept per process.  A result is a shared
-    immutable object: equal descriptors get the same one.  A datum outside
-    the mediocre range raises on every call.
+    Nothing is kept: each call builds and rewrites the stack afresh.  The
+    members of one packet are distinct data, so a process-wide memo would
+    not hit inside packet(); the one member asked for again and again, a
+    psi's holomorphic member, is kept on psi (AParameter._d0_member).  A
+    datum outside the mediocre range raises.
 
     The mediocre verdict and the segments come from one lookup of
     range_class's memo.  They depend only on what a whole packet shares

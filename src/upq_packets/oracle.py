@@ -243,7 +243,9 @@ def _basic_d0_properties(psi: AParameter, i_seg: HalfIntMultiset) -> list[str]:
     return bad
 
 
-def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport) -> None:
+def _check_lambda_side(sig: GroupSignature, w: KWeight, psis: list[AParameter],
+                       report: SweepReport) -> None:
+    # psis are the good parameters of w's character.
     chi = inf_char_of_lowest_weight(w)
     st = weight_stats(w)
     if chi != st.P.union(st.Q):
@@ -284,8 +286,9 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, report: SweepReport) -> 
                  "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
 
     # Ground truth for each packet with this character: its holomorphic
-    # member's pair equals w's, which oracle_contains reads from the memo.
-    for psi in good_parameters_with_inf_char(sig, chi):
+    # member's pair equals w's.  oracle_contains reads the member off psi,
+    # where the first weight of the character to ask left it.
+    for psi in psis:
         report.bump("membership-pairs")
         try:
             theorem = contains_lowest_weight(psi, w)
@@ -428,14 +431,31 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
 
 
 def sweep_signature(sig: GroupSignature, cfg: SweepConfig) -> SweepReport:
-    """The part of the sweep attached to one signature."""
+    """The part of the sweep attached to one signature.
+
+    The two sides share one psi object per parameter, so what a psi keeps
+    (its character, candidate and holomorphic member) is derived once per
+    signature: the lambda side lists the parameters of each character
+    once, and the psi side takes the lambda side's object for an equal
+    psi.  After a character's last weight only the objects the psi side
+    will check are held.  Each side checks its instances in its own
+    order."""
     report = SweepReport(config=cfg.to_json())
-    for w in dominant_weights(sig, cfg.weight_window):
-        if not is_unitarizable(w):
-            continue
+    weights = [w for w in dominant_weights(sig, cfg.weight_window) if is_unitarizable(w)]
+    last = {inf_char_of_lowest_weight(w): i for i, w in enumerate(weights)}
+    window = {psi: psi for psi in good_parameters_in_window(sig, cfg.char_window)}
+    by_chi: dict[HalfIntMultiset, list[AParameter]] = {}
+    for i, w in enumerate(weights):
         report.bump("weights")
-        _check_lambda_side(sig, w, report)
-    for psi in good_parameters_in_window(sig, cfg.char_window):
+        chi = inf_char_of_lowest_weight(w)
+        if chi not in by_chi:
+            by_chi[chi] = good_parameters_with_inf_char(sig, chi)
+        _check_lambda_side(sig, w, by_chi[chi], report)
+        if last[chi] == i:
+            for psi in by_chi.pop(chi):
+                if psi in window:
+                    window[psi] = psi
+    for psi in window.values():
         _check_psi_side(psi, report)
     return report
 

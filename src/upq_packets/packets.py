@@ -142,6 +142,13 @@ class AParameter:
         return ((p_j, q_j), (HalfIntMultiset(lt), HalfIntMultiset(mid), HalfIntMultiset(gt)),
                 nonzero)
 
+    @cached_property
+    def _d0_member(self) -> PacketMember:
+        # member(self, d_zero(self)): the holomorphic member, whose pair
+        # oracle_contains compares with that of each weight it is asked
+        # about, so its stack is normalized once per psi object.
+        return member(self, self._d0)
+
     def to_json(self) -> dict:
         return {"p": self.sig.p, "q": self.sig.q,
                 "summands": [{"t": t, "a": a} for t, a in self.summands]}
@@ -303,7 +310,8 @@ def packet(psi: AParameter) -> list[PacketMember]:
 
     What every member shares is derived once: the block values and their
     check against psi's segments are kept on psi, and the mediocre test
-    runs once through range_class's memo.
+    runs once through range_class's memo.  What is each member's own is
+    not kept: every call builds and normalizes every member's stack.
 
     A packet of more than _MAX_PACKET_MEMBERS members raises ValueError,
     naming its count, before any member is built."""
@@ -377,12 +385,16 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
 def oracle_contains(psi: AParameter, w: KWeight) -> bool:
     """Ground truth: the holomorphic member's invariant pair equals the
     lowest weight module's pair.  Mismatched infinitesimal characters are
-    an immediate False."""
+    an immediate False.
+
+    The holomorphic member is built on the first call for a psi object and
+    kept on it (AParameter._d0_member), so asking one psi about every
+    weight of its character normalizes d_0's stack once."""
     if not is_unitarizable(w):
         raise ValueError(f"{w.lam} is not unitarizable")
     if psi._chi != inf_char_of_lowest_weight(w):
         return False
-    pair = member(psi, psi._d0).invariants
+    pair = psi._d0_member.invariants
     return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from upq_packets import cohind
 from upq_packets.cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                                 holomorphic_lowest_ktype,
                                 lowest_weight_invariants, normalize_blocks,
@@ -298,17 +297,3 @@ def test_data_built_from_lists_equal_data_built_from_tuples():
     assert weight_from_list.lam == (1, -1, -1)
     assert weight_from_list == weight and hash(weight_from_list) == hash(weight)
     assert lowest_weight_invariants(weight_from_list) == lowest_weight_invariants(weight)
-
-
-def test_tableau_pair_normalizes_equal_data_once(monkeypatch):
-    calls = []
-    real = cohind.trapa_normalize
-    monkeypatch.setattr(cohind, "trapa_normalize", lambda stack: calls.append(stack) or real(stack))
-    tableau_pair.cache_clear()
-    first = tableau_pair(desc(1, 2, [(1, 1), (0, 1)], [0, 0]))
-    again = tableau_pair(desc(1, 2, [(1, 1), (0, 1)], [0, 0]))
-    assert len(calls) == 1 and again is first
-    # Exceptions are not kept: a datum outside the mediocre range raises every time.
-    for _ in range(2):
-        with pytest.raises(ValueError, match="mediocre"):
-            tableau_pair(desc(1, 1, [(0, 1), (1, 0)], [-1, 1]))

@@ -14,8 +14,11 @@ from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
                                 good_parameters_in_window,
                                 oracle_lowest_weights, sweep_signature,
                                 sweep_verify)
-from upq_packets.packets import AParameter, d_zero, inf_char, packet
-from upq_packets.weights import GroupSignature, is_unitarizable, kweight_from_pq
+from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, inf_char,
+                                 good_parameters_with_inf_char, lowest_weight_of_packet,
+                                 packet)
+from upq_packets.weights import (GroupSignature, inf_char_of_lowest_weight,
+                                 is_unitarizable, kweight_from_pq)
 
 
 def test_dominant_weights_enumeration():
@@ -325,3 +328,81 @@ def test_signature_sweep_counts_instances():
     cfg = SweepConfig(max_N=2, weight_window=1, char_window=HalfInt.whole(1))
     rep = sweep_signature(GroupSignature(1, 1), cfg)
     assert rep.instances_checked > 0
+
+
+def test_sweep_signature_shares_one_psi_object_per_parameter(monkeypatch):
+    # The lambda side lists the parameters of each character once, and the
+    # psi side is handed the lambda side's object for every psi the two
+    # sides share.  U(2, 2) at weight window 2 and character window 2.
+    listed, checked = [], []
+    real_list, real_check = oracle.good_parameters_with_inf_char, oracle._check_psi_side
+    monkeypatch.setattr(oracle, "good_parameters_with_inf_char",
+                        lambda sig, chi: listed.append(real_list(sig, chi)) or listed[-1])
+    monkeypatch.setattr(oracle, "_check_psi_side",
+                        lambda psi, report: checked.append(psi) or real_check(psi, report))
+    report = sweep_signature(GroupSignature(2, 2), SweepConfig(4, 2, HalfInt.whole(2)))
+    assert report.ok
+    chis = [inf_char(psis[0]) for psis in listed]
+    assert len(set(chis)) == len(chis)
+    lambda_side = {psi: psi for psis in listed for psi in psis}
+    shared = [psi for psi in checked if psi in lambda_side]
+    assert all(psi is lambda_side[psi] for psi in shared)
+    assert checked == good_parameters_in_window(GroupSignature(2, 2), HalfInt.whole(2))
+    assert (len(chis), len(lambda_side), len(shared), len(checked)) == (24, 109, 51, 80)
+
+
+# Planted faults at N <= 3, weight window 2 and character window 2.  The
+# two sides share psi objects, so each fault is planted on one side's
+# route and must still show there, first at the smallest signature in
+# sweep order where it changes an answer.  A fault applies to every psi,
+# or to the noncompact signatures only.
+FAULT_CFG = SweepConfig(3, 2, HalfInt.whole(2))
+FAULT_SIGS = [GroupSignature(p, n - p) for n in range(1, 4) for p in range(n + 1)]
+FAULT_SCOPES = {"every": lambda psi: True,
+                "noncompact": lambda psi: psi.sig.p > 0 and psi.sig.q > 0}
+
+
+def _membership_pairs():
+    # The (psi, w) membership pairs of the lambda side at FAULT_CFG, in its
+    # order: signatures, weights, then the psi of the weight's character.
+    return [(psi, w) for sig in FAULT_SIGS
+            for w in dominant_weights(sig, FAULT_CFG.weight_window) if is_unitarizable(w)
+            for psi in good_parameters_with_inf_char(sig, inf_char_of_lowest_weight(w))]
+
+
+@pytest.mark.parametrize("scope, first_sig", [("every", (0, 1)), ("noncompact", (1, 1))])
+def test_a_flipped_membership_theorem_shows_as_theorem_main(monkeypatch, scope, first_sig):
+    # Every pair the fault reaches is recorded, the first one first.
+    applies = FAULT_SCOPES[scope]
+    reached = [(psi, w) for psi, w in _membership_pairs() if applies(psi)]
+    psi, w = reached[0]
+    truth = contains_lowest_weight(psi, w)
+    monkeypatch.setattr(oracle, "contains_lowest_weight",
+                        lambda psi, w: contains_lowest_weight(psi, w) != applies(psi))
+    report = sweep_verify(FAULT_CFG)
+    assert (psi.sig.p, psi.sig.q) == first_sig
+    assert report.mismatches[0] == {"kind": "theorem-main", "psi": psi.to_json(),
+                                    "lambda": list(w.lam), "theorem": not truth,
+                                    "oracle": truth}
+    assert [m["kind"] for m in report.mismatches] == ["theorem-main"] * len(reached)
+
+
+@pytest.mark.parametrize("scope, first_sig", [("every", (0, 1)), ("noncompact", (1, 1))])
+def test_a_lost_lowest_weight_shows_as_lowest_weight_extraction(monkeypatch, scope,
+                                                                first_sig):
+    # The first record is the first psi of the psi side's order
+    # (signatures, then the window's parameters) whose packet has a lowest
+    # weight that the fault hides.
+    applies = FAULT_SCOPES[scope]
+    psi, lam = next((psi, lam) for sig in FAULT_SIGS
+                    for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                    if applies(psi) for lam in [lowest_weight_of_packet(psi)]
+                    if lam is not None)
+    monkeypatch.setattr(oracle, "lowest_weight_of_packet",
+                        lambda psi: None if applies(psi) else lowest_weight_of_packet(psi))
+    report = sweep_verify(FAULT_CFG)
+    assert (psi.sig.p, psi.sig.q) == first_sig
+    assert report.mismatches[0] == {"kind": "lowest-weight-extraction",
+                                    "psi": psi.to_json(), "theorem": None,
+                                    "oracle": list(lam.lam)}
+    assert {m["kind"] for m in report.mismatches} == {"lowest-weight-extraction"}

@@ -9,7 +9,8 @@ from upq_packets import packets
 from upq_packets.cohind import lowest_weight_invariants, tableau_pair
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
-from upq_packets.oracle import dominant_weights, good_parameters_in_window
+from upq_packets.oracle import (_unitarizable_splits, dominant_weights,
+                                good_parameters_in_window)
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
@@ -18,8 +19,6 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
 from upq_packets.tableaux import MINUS, PLUS, AntiTableau
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable)
-
-from test_oracle import two_block_data
 
 
 def psi_of(p, q, *summands):
@@ -446,15 +445,7 @@ def test_parameters_built_from_lists_equal_parameters_built_from_tuples():
 
 
 def test_memos_return_what_the_functions_compute():
-    # Each datum is asked twice, so the second answer is a memo hit.
-    descs = list(two_block_data(4))
-    for n in range(1, 5):
-        for p in range(n + 1):
-            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
-                descs += [member(psi, d).descriptor for d in enumerate_D(psi)]
-    for desc in descs:
-        for _ in range(2):
-            assert tableau_pair(desc) == tableau_pair.__wrapped__(desc), desc
+    # Each weight is asked twice, so the second answer is a memo hit.
     for n in range(1, 5):
         for p in range(n + 1):
             for kw in dominant_weights(GroupSignature(p, n - p), 2):
@@ -468,8 +459,40 @@ def test_memos_return_what_the_functions_compute():
                             lowest_weight_invariants(kw)
 
 
+def test_oracle_contains_normalizes_d0_once_per_psi(monkeypatch):
+    # Every psi of the N <= 4, window-2 sweep, asked about every
+    # unitarizable weight with its character: the member stacks that
+    # packets builds are d0's, once per psi object, and a fresh copy builds
+    # it again.  The answers are those of a fresh copy per question.
+    built = collections.Counter()
+    real_pair = packets.tableau_pair
+
+    def counted(desc):
+        built[desc.d] += 1
+        return real_pair(desc)
+
+    asked = psis = 0
+    for n in range(1, 5):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            for psi in good_parameters_in_window(sig, HalfInt.whole(2)):
+                weights = list(_unitarizable_splits(sig, inf_char(psi)))
+                expected = [oracle_contains(dataclasses.replace(psi), kw) for kw in weights]
+                monkeypatch.setattr(packets, "tableau_pair", counted)
+                for copy in (psi, dataclasses.replace(psi)):
+                    built.clear()
+                    for _ in range(2):
+                        assert [oracle_contains(copy, kw) for kw in weights] == expected
+                    assert built == ({d_zero(psi): 1} if weights else {}), psi
+                monkeypatch.undo()
+                asked += len(weights)
+                psis += bool(weights)
+    assert (psis, asked) == (332, 504)  # of 681 psi
+
+
 @pytest.mark.parametrize("cls, fields, names", [
-    (AParameter, ("sig", "summands"), ("_chi", "_values", "_d0", "_candidate")),
+    (AParameter, ("sig", "summands"),
+     ("_chi", "_values", "_d0", "_candidate", "_d0_member")),
     (KWeight, ("sig", "lam"), ("_chi", "_stats", "_unitarity", "_bracket"))])
 def test_parameters_and_weights_keep_what_they_derive(cls, fields, names):
     # Every psi and every swept weight of the N <= 4, window-2 sweep.  Each

@@ -9,7 +9,7 @@ sides do the same work:
 
 - `packets-large` (the default): for each seed (1 and 5), the fixed prefix
   of the query stream (44 `packet` queries at N = 8, 9) through the
-  in-process `cli.main`;
+  in-process `cli.main`, answered QUERY_REPEATS times in each run;
 - `queries-mixed`: the same for the mixed stream's prefix (360 small
   `classify-psi`, `classify-lambda` and `packet` queries at N = 5..8);
 - `sweep-n4`: one `sweep_verify` pass at the workload's windows.  A sweep
@@ -18,7 +18,11 @@ sides do the same work:
 
 Every run is a fresh process; a pair is one run of each side, and the side
 that goes first alternates from pair to pair so that drift in the
-machine's speed falls on both.
+machine's speed falls on both.  A query prefix takes well under a second,
+so one slow spell would move a run's time by several percent: each query
+run answers its prefix QUERY_REPEATS times, each repetition starting with
+the package's memos empty, and reports the repetition of median wall
+time (its times, latencies and calls).
 
 Each run records wall time, CPU time (its own and its waited-for
 children's, so that a pooled sweep's workers count), peak resident set
@@ -60,6 +64,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 QUERY_SEEDS = (1, 5)
 SWEEP_SEEDS = (1,)
+QUERY_REPEATS = 5
 
 
 def percentile(samples: list[float], pct: float) -> float:
@@ -112,6 +117,26 @@ def count_calls(package, name: str) -> list[float]:
     return counter
 
 
+def call_counts(counters: dict[str, list[float]]) -> dict:
+    """The calls to each counted function and the time inside them."""
+    out = {}
+    for label, (calls, inside) in counters.items():
+        out.update({f"{label}_calls": calls, f"{label}_s": inside})
+    return out
+
+
+def memo_clearers(package) -> list:
+    """The cache_clear of every functools memo bound in the package's
+    modules, found before any name is rebound by count_calls."""
+    clearers = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                clearers[id(value)] = value.cache_clear
+    return list(clearers.values())
+
+
 def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
     """One timed run of the workload in this process."""
     sys.path.insert(0, str(tree / "src"))
@@ -123,6 +148,7 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
     if Path(upq_packets.__file__).resolve().parent != (tree / "src" / "upq_packets").resolve():
         raise SystemExit(f"imported the package from {upq_packets.__file__}")
     wl = WORKLOADS[workload]
+    clear_memos = memo_clearers(upq_packets)
     counters = {name.split(".")[1]: count_calls(upq_packets, name) for name in counts}
     digest = hashlib.sha256()
     if isinstance(wl, SweepWorkload):
@@ -135,7 +161,7 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
         wall, cpu = time.perf_counter() - start, cpu_now() - c0
         digest.update(report.dumps().encode())
         out = {"instances": report.instances_checked,
-               "instances_per_s": report.instances_checked / wall}
+               "instances_per_s": report.instances_checked / wall, **call_counts(counters)}
     else:
         stream, _ = generate_queries(wl, seed, wl.digest_queries)
 
@@ -147,24 +173,31 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
 
         for argv in WARMUP:
             call(argv)
-        for counter in counters.values():
-            counter[:] = [0, 0.0]
-        latencies = []
-        per_command = dict.fromkeys(sorted({argv[0] for argv in stream}), 0.0)
-        c0, start = cpu_now(), time.perf_counter()
-        for argv in stream:
-            t0 = time.perf_counter()
-            rc, text = call(argv)
-            latencies.append(time.perf_counter() - t0)
-            per_command[argv[0]] += latencies[-1]
-            digest.update(json.dumps([argv, rc, text]).encode())
-        wall, cpu = time.perf_counter() - start, cpu_now() - c0
-        out = {"latency_p50_ms": 1000 * percentile(latencies, 50),
-               "latency_p90_ms": 1000 * percentile(latencies, 90), "queries": len(stream)}
-        out.update({f"{command.replace('-', '_')}_s": seconds
-                    for command, seconds in per_command.items()})
-    for label, (calls, inside) in counters.items():
-        out.update({f"{label}_calls": calls, f"{label}_s": inside})
+        repetitions = []
+        for _ in range(QUERY_REPEATS):
+            for clear in clear_memos:
+                clear()
+            for counter in counters.values():
+                counter[:] = [0, 0.0]
+            latencies = []
+            per_command = dict.fromkeys(sorted({argv[0] for argv in stream}), 0.0)
+            c0, start = cpu_now(), time.perf_counter()
+            for argv in stream:
+                t0 = time.perf_counter()
+                rc, text = call(argv)
+                latencies.append(time.perf_counter() - t0)
+                per_command[argv[0]] += latencies[-1]
+                digest.update(json.dumps([argv, rc, text]).encode())
+            wall, cpu = time.perf_counter() - start, cpu_now() - c0
+            rep = {"wall_s": wall, "cpu_s": cpu,
+                   "latency_p50_ms": 1000 * percentile(latencies, 50),
+                   "latency_p90_ms": 1000 * percentile(latencies, 90)}
+            rep.update({f"{command.replace('-', '_')}_s": seconds
+                        for command, seconds in per_command.items()})
+            repetitions.append(rep | call_counts(counters))
+        out = sorted(repetitions, key=lambda rep: rep["wall_s"])[QUERY_REPEATS // 2]
+        wall, cpu = out.pop("wall_s"), out.pop("cpu_s")
+        out["queries"] = len(stream)
     # KiB on Linux; the children's figure is the largest waited-for child's.
     peak_rss_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                    + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024

@@ -8,7 +8,7 @@ support), which is a complete isomorphism invariant.
 """
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
-from .halfint import HalfInt, HalfIntMultiset, Segment, partition_into_segments
+from .halfint import HalfInt, HalfIntMultiset, partition_into_segments
 from .weights import (GroupSignature, KWeight, UnitarityClass,
                       inf_char_of_lowest_weight, is_unitarizable,
                       kweight_from_pq, unitarity_class, weight_stats)
@@ -30,7 +30,7 @@ __all__ = [
     "AParameter", "AntiTableau", "ColumnStack", "GroupSignature", "HalfInt",
     "HalfIntMultiset", "InductionDescriptor", "InternalInconsistencyError",
     "IterationCapExceeded", "KWeight", "NormalizeOutcome", "PacketMember",
-    "Segment", "SignedTableau", "SweepConfig", "SweepReport", "ThetaData",
+    "SignedTableau", "SweepConfig", "SweepReport", "ThetaData",
     "UnitarityClass", "absorb_adjacent", "as_pair_equal", "build_initial",
     "contains_lowest_weight", "d_zero", "enumerate_D", "epsilon",
     "holomorphic_lowest_ktype", "inf_char", "inf_char_of_lowest_weight",

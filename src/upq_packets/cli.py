@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Callable
 
-from .cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
+from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, _json_dumps
 from .oracle import SweepConfig, sweep_verify
@@ -95,9 +95,7 @@ def _members_json(members: list[PacketMember], indent: str,
     i1 = indent + "  "
     desc = members[0].descriptor
     sig = desc.d.sig
-    desc_open, desc_close = _cut({"blocks": [_HOLE], "p": sig.p, "q": sig.q,
-                                  "segments": [s.to_json() for s in segments_of(desc)],
-                                  "values": list(desc.values)}, i1)
+    desc_open, desc_close = _cut({**desc.to_json(), "blocks": [_HOLE]}, i1)
     tail = {"descriptor": _HOLE, "epsilon": [_HOLE]}
     if d0 is not None:
         tail["d0"] = [list(b) for b in d0.blocks]

@@ -19,8 +19,7 @@ from operator import ge, gt
 from typing import Sequence
 
 from .errors import InternalInconsistencyError
-from .halfint import (HalfInt, HalfIntMultiset, Segment, _json_int, _segment_union,
-                      _split_at)
+from .halfint import HalfInt, HalfIntMultiset, _segment_str, _segment_values
 from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
                        as_pair_equal, build_initial, trapa_normalize)
 from .weights import GroupSignature, KWeight, _gap_case, _primes, is_unitarizable
@@ -91,28 +90,21 @@ class InductionDescriptor:
         object.__setattr__(self, "values", tuple(self.values))
 
     def inf_char(self) -> HalfIntMultiset:
-        return _segment_union(segments_of(self))
+        return HalfIntMultiset(_segment_values(segments_of(self)))
 
     def to_json(self) -> dict:
         return {"p": self.d.sig.p, "q": self.d.sig.q,
                 "blocks": [list(b) for b in self.d.blocks],
                 "values": list(self.values),
-                "segments": [s.to_json() for s in segments_of(self)]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "InductionDescriptor":
-        sig = GroupSignature(_json_int(obj["p"]), _json_int(obj["q"]))
-        blocks = tuple(tuple(_json_int(x) for x in b) for b in obj["blocks"])
-        return cls(ThetaData(sig, blocks), tuple(_json_int(v) for v in obj["values"]))
+                "segments": [{"len": length, "start_twice": start}
+                             for start, length in segments_of(self)]}
 
 
-def segments_of(desc: InductionDescriptor) -> list[Segment]:
-    """The per-block segments; block i has |nu_i| = p_i + q_i.
-
-    They are built from the (doubled start, length) pairs that
-    range_class's memo entry keeps beside the mediocre verdict, for the
-    JSON and printing callers; the stack reads the pairs themselves."""
-    return [Segment(start, length) for start, length in _range_entry(desc)[1]]
+def segments_of(desc: InductionDescriptor) -> tuple[tuple[int, int], ...]:
+    """The per-block segments nu_i as (doubled start, length) pairs; block
+    i has |nu_i| = p_i + q_i.  They are the pairs that range_class's memo
+    entry keeps beside the mediocre verdict."""
+    return _range_entry(desc)[1]
 
 
 def _segment_starts(n: int, sizes: Sequence[int], values: Sequence[int]) -> list[int]:
@@ -361,7 +353,8 @@ def _descriptor_from_tops(sig: GroupSignature, blocks: list[tuple[int, int]],
     # by the doubled entry tops[i].  The integrality check cannot fire for
     # the two callers, normalize_blocks and absorb_adjacent: each takes
     # every top from one datum's segments, which all start at N + 1 mod 2.
-    # It is kept as the one place a value is read back from a segment.
+    # So a top of the other parity is an internal fault, never a rewrite
+    # that is merely unavailable.
     n = sig.N
     values = []
     before = 0
@@ -369,8 +362,9 @@ def _descriptor_from_tops(sig: GroupSignature, blocks: list[tuple[int, int]],
         size = pk + qk
         twice = top - (n - 1) + 2 * before
         if twice % 2 != 0:
-            raise ValueError(f"segment {Segment(top - 2 * size + 2, size)} "
-                             f"not realizable at this position")
+            raise InternalInconsistencyError(
+                f"segment {_segment_str(top - 2 * size + 2, size)} "
+                f"not realizable at this position")
         values.append(twice // 2)
         before += size
     return InductionDescriptor(ThetaData(sig, tuple(blocks)), tuple(values))
@@ -389,7 +383,9 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
     j = desc.d.pivot()
     if j is None:
         raise ValueError("datum is not holomorphic")
-    nu_lt, nu_j, nu_gt = _split_at(segments_of(desc), j)
+    segs = segments_of(desc)
+    nu_lt, nu_j, nu_gt = (HalfIntMultiset(_segment_values(part))
+                          for part in (segs[:j], segs[j:j + 1], segs[j + 1:]))
     cap_lt = nu_j.intersection(nu_lt)
     cap_gt = nu_j.intersection(nu_gt)
     pieces = [nu_lt.difference(cap_lt), cap_lt, nu_j, cap_gt, nu_gt.difference(cap_gt)]
@@ -412,10 +408,7 @@ def normalize_blocks(desc: InductionDescriptor) -> InductionDescriptor:
             blocks.append((0, piece.size))
         tops.append(piece.twice[0])
 
-    try:
-        out = _descriptor_from_tops(desc.d.sig, blocks, tops)
-    except ValueError as exc:
-        raise ValueError(f"rewrite unavailable: {exc}") from exc
+    out = _descriptor_from_tops(desc.d.sig, blocks, tops)
     if not range_class(out):
         raise ValueError("rewrite unavailable: outside mediocre range")
     return out

@@ -1,12 +1,12 @@
-"""Exact arithmetic in (1/2)Z, segments, and finite multisets of half-integers.
+"""Exact arithmetic in (1/2)Z and finite multisets of half-integers.
 
 Every quantity that can be a strict half-integer (tableau entries,
 infinitesimal-character coordinates, segment starts) is stored as its
 doubled integer value, so all arithmetic and comparisons stay exact.
-Segments are integer-step intervals [a, a+n] regarded as multiplicity-free
-multisets.  HalfInt reads and prints one such value, and Segment one
-segment: both are JSON and printing forms.  Inside the package a segment
-is its A-parameter summand (t, a), which is what the enumerators yield.
+A segment is an integer-step interval [a, a+n-1], regarded as a
+multiplicity-free multiset and held as the pair (doubled start a, length
+n).  HalfInt prints one doubled value and builds the sweep's character
+window; the JSON output writes the doubled ints themselves.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterable
 @dataclass(frozen=True)
 class HalfInt:
     """One element of (1/2)Z, stored as twice its value: the form in which
-    a doubled int is read from JSON and printed.  Arithmetic is done on the
-    doubled ints themselves."""
+    a doubled int is printed.  Arithmetic is done on the doubled ints
+    themselves."""
 
     twice: int
 
@@ -38,21 +38,6 @@ class HalfInt:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-    def to_json(self) -> dict:
-        return {"twice": self.twice}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HalfInt":
-        return cls(_json_int(obj["twice"]))
-
-
-def _json_int(x: object) -> int:
-    """x itself when it is a JSON integer.  A float (even 1.0), a boolean
-    or a string is refused, never truncated or coerced."""
-    if type(x) is not int:
-        raise ValueError(f"expected a JSON integer, got {x!r}")
-    return x
 
 
 def _json_dumps(obj: object, indent: str = "\n") -> str:
@@ -84,55 +69,6 @@ def _json_dumps(obj: object, indent: str = "\n") -> str:
         items = [int.__repr__(v) if type(v) is int else _json_dumps(v, inner) for v in obj]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """The interval [start, start + length - 1] stepping by 1; `start` is
-    doubled.
-
-    A segment is always multiplicity free.  length == 0 denotes the empty
-    segment, normalized to start at 0 so empties compare equal.
-    """
-
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if type(self.start) is not int or type(self.length) is not int:
-            raise ValueError(f"a segment has a doubled int start and an int length, "
-                             f"not {self.start!r} and {self.length!r}")
-        if self.length < 0:
-            raise ValueError("segment length must be nonnegative")
-        if self.length == 0 and self.start != 0:
-            object.__setattr__(self, "start", 0)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.length == 0
-
-    @property
-    def end(self) -> int:
-        """The doubled last entry."""
-        if self.is_empty:
-            raise ValueError("empty segment has no endpoint")
-        return self.start + 2 * (self.length - 1)
-
-    def as_multiset(self) -> "HalfIntMultiset":
-        return HalfIntMultiset(tuple(range(self.start + 2 * self.length - 2,
-                                           self.start - 2, -2)))
-
-    def __str__(self) -> str:
-        if self.is_empty:
-            return "[]"
-        return f"[{HalfInt(self.start)},{HalfInt(self.end)}]"
-
-    def to_json(self) -> dict:
-        return {"start_twice": self.start, "len": self.length}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Segment":
-        return cls(_json_int(obj["start_twice"]), _json_int(obj["len"]))
 
 
 @dataclass(frozen=True)
@@ -218,28 +154,18 @@ class HalfIntMultiset:
     def to_json(self) -> list:
         return [{"twice": t, "mult": m} for t, m in Counter(self.twice).items()]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "HalfIntMultiset":
-        runs = [(_json_int(e["twice"]), _json_int(e["mult"])) for e in obj]
-        if any(m < 1 for _, m in runs):
-            raise ValueError("multiplicities must be positive")
-        values = [t for t, _ in runs]
-        if not all(map(gt, values, values[1:])):
-            raise ValueError("entries must be strictly decreasing by value")
-        return cls(tuple(t for t, m in runs for _ in range(m)))
+
+def _segment_values(segments: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The doubled values of the segments given as (doubled start, length)
+    pairs, largest first: their multiset union."""
+    return tuple(sorted([v for start, length in segments
+                         for v in range(start, start + 2 * length, 2)], reverse=True))
 
 
-def _segment_union(segs: Iterable[Segment]) -> HalfIntMultiset:
-    """The multiset union of the given segments."""
-    return HalfIntMultiset.from_values(
-        t for s in segs for t in range(s.start, s.start + 2 * s.length, 2))
-
-
-def _split_at(segs: list[Segment], j: int) -> tuple[HalfIntMultiset, HalfIntMultiset,
-                                                    HalfIntMultiset]:
-    """(union of segs[:j], segs[j], union of segs[j+1:]) for a 0-based j:
-    the nu_{<j} / nu_j / nu_{>j} split around a pivot block."""
-    return _segment_union(segs[:j]), segs[j].as_multiset(), _segment_union(segs[j + 1:])
+def _segment_str(start: int, length: int) -> str:
+    """The nonempty segment of this doubled start and length, printed as
+    [first,last]."""
+    return f"[{HalfInt(start)},{HalfInt(start + 2 * length - 2)}]"
 
 
 def _count_segment_partitions(counts: Counter) -> int:

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
-from .halfint import HalfIntMultiset, Segment, _json_int, partition_into_segments
+from .halfint import HalfIntMultiset, _segment_str, _segment_values, partition_into_segments
 from .tableaux import AntiTableau, SignedTableau, as_pair_equal
 from .weights import (GroupSignature, KWeight, _gap_case, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
@@ -69,9 +69,15 @@ class AParameter:
         return [a for _, a in self.summands]
 
     @cached_property
+    def _segments(self) -> tuple[tuple[int, int], ...]:
+        # The segments nu_i = [(t_i - a_i + 1)/2, (t_i + a_i - 1)/2] as
+        # (doubled start, length) pairs.
+        return tuple((t - a + 1, a) for t, a in self.summands)
+
+    @cached_property
     def _chi(self) -> HalfIntMultiset:
         # inf_char(self).
-        return HalfIntMultiset(_summand_values(self.summands))
+        return HalfIntMultiset(_segment_values(self._segments))
 
     @cached_property
     def _values(self) -> tuple[int, ...]:
@@ -84,12 +90,12 @@ class AParameter:
             values.append((t + a - n) // 2 + before)
             before += a
         # A member's sizes are psi's, so its segments agree when their starts do.
-        for i, (start, (t, a)) in enumerate(zip(_segment_starts(n, self.sizes(), values),
-                                                self.summands)):
-            if start != t - a + 1:
+        for i, (start, (nu_start, a)) in enumerate(zip(_segment_starts(n, self.sizes(), values),
+                                                       self._segments)):
+            if start != nu_start:
                 raise InternalInconsistencyError(
-                    f"segment {Segment(start, a)} of the block values differs from "
-                    f"nu_{i + 1} = {Segment(t - a + 1, a)}")
+                    f"segment {_segment_str(start, a)} of the block values differs from "
+                    f"nu_{i + 1} = {_segment_str(nu_start, a)}")
         return tuple(values)
 
     @cached_property
@@ -122,17 +128,18 @@ class AParameter:
         from nu_1", so the member is nonzero exactly when the infinitesimal
         character is multiplicity free.
 
-        The parts are built as doubled ints straight from the summands.
+        The parts are built as doubled ints straight from psi's segments.
         Once nu_{<j} and nu_{>j} are known to be multiplicity free, all
         three parts are sets (nu_j is a segment), so their multiset
         intersections are set intersections."""
         j, before = _straddle(self.summands, self.sig.p)
-        t, a = self.summands[j]
+        segs = self._segments
+        start, a = segs[j]
         p_j = self.sig.p - before
         q_j = a - p_j
-        lt = _summand_values(self.summands[:j])
-        mid = tuple(range(t + a - 1, t - a, -2))
-        gt = _summand_values(self.summands[j + 1:])
+        lt = _segment_values(segs[:j])
+        mid = tuple(range(start + 2 * a - 2, start - 2, -2))
+        gt = _segment_values(segs[j + 1:])
         lt_set, gt_set = set(lt), set(gt)
         nonzero = False
         if len(lt_set) == len(lt) and len(gt_set) == len(gt):
@@ -153,12 +160,6 @@ class AParameter:
         return {"p": self.sig.p, "q": self.sig.q,
                 "summands": [{"t": t, "a": a} for t, a in self.summands]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "AParameter":
-        sig = GroupSignature(_json_int(obj["p"]), _json_int(obj["q"]))
-        return cls.from_summands(sig, [(_json_int(s["t"]), _json_int(s["a"]))
-                                       for s in obj["summands"]])
-
     def __str__(self) -> str:
         return " + ".join(f"chi_{t}*S_{a}" for t, a in self.summands)
 
@@ -172,13 +173,6 @@ def _straddle(summands: Sequence[tuple[int, int]], p: int) -> tuple[int, int]:
             return j, before
         before += a
     raise InternalInconsistencyError("no straddling block: sizes sum to N >= p")
-
-
-def _summand_values(summands: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    # The doubled values of the segments nu_i = range(t - a + 1, t + a, 2)
-    # of the given summands, as a multiset: sorted largest first.
-    return tuple(sorted((v for t, a in summands for v in range(t - a + 1, t + a, 2)),
-                        reverse=True))
 
 
 def inf_char(psi: AParameter) -> HalfIntMultiset:
@@ -547,7 +541,7 @@ def packets_containing(w: KWeight) -> list[AParameter]:
     sig = w.sig
     found = []
     for s in straddles:
-        rest = chi.difference(HalfIntMultiset(_summand_values((s,))))
+        rest = chi.difference(HalfIntMultiset(_segment_values([(s[0] - s[1] + 1, s[1])])))
         if rest.size != chi.size - s[1]:
             raise InternalInconsistencyError(
                 f"admissible segment {s} of {w.lam} is not in its infinitesimal character")

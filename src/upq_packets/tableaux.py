@@ -30,7 +30,7 @@ from operator import attrgetter, ge, gt, le, lt
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
-from .halfint import HalfInt, HalfIntMultiset, Segment
+from .halfint import HalfInt, HalfIntMultiset, _segment_str
 from .weights import GroupSignature
 
 PLUS = 1
@@ -649,7 +649,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
             if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
                 raise InternalInconsistencyError(
-                    f"the rewritten segments {', '.join(str(Segment(*s)) for s in segs)} "
+                    f"the rewritten segments {', '.join(_segment_str(*s) for s in segs)} "
                     f"do not decrease componentwise")
         stack = ColumnStack(stack.sig, stack.row_shapes, tuple(segs), tuple(cols), tuple(rows),
                             tuple(signs))

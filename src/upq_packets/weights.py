@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .halfint import HalfIntMultiset, _json_int
+from .halfint import HalfIntMultiset
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class GroupSignature:
     @property
     def N(self) -> int:
         return self.p + self.q
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,6 @@ class KWeight:
             return HalfIntMultiset.empty()
         return HalfIntMultiset(tuple(range(2 * self.lam[p] + (n - 1),
                                            2 * self.lam[p - 1] - (n - 1) - 1, -2)))
-
-    def to_json(self) -> dict:
-        return {"p": self.sig.p, "q": self.sig.q, "lambda": list(self.lam)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KWeight":
-        return cls(GroupSignature(_json_int(obj["p"]), _json_int(obj["q"])),
-                   tuple(_json_int(x) for x in obj["lambda"]))
 
 
 @dataclass(frozen=True)

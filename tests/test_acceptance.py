@@ -18,11 +18,13 @@ from upq_packets.cli import main as cli_main
 from upq_packets.cohind import (holomorphic_lowest_ktype, lowest_weight_invariants,
                                 normalize_blocks, realize_lowest_weight, segments_of,
                                 tableau_pair)
-from upq_packets.halfint import HalfInt, HalfIntMultiset
+from upq_packets.halfint import HalfInt
 from upq_packets.oracle import SweepConfig, dominant_weights, sweep_verify
 from upq_packets.tableaux import PLUS
 from upq_packets.weights import (GroupSignature, inf_char_of_lowest_weight,
                                  is_unitarizable)
+
+from test_properties import segment_multiset
 
 MAX_N = 6
 WEIGHT_WINDOW = 3
@@ -110,10 +112,7 @@ def test_criterion_5_round_trip(report):
     for w in _swept_weights():
         desc = realize_lowest_weight(w)
         assert holomorphic_lowest_ktype(desc) == w
-        chi = HalfIntMultiset.empty()
-        for s in segments_of(desc):
-            chi = chi.union(s.as_multiset())
-        assert chi == inf_char_of_lowest_weight(w)
+        assert segment_multiset(segments_of(desc)) == inf_char_of_lowest_weight(w)
         count += 1
     _verdict("criterion 5 (realize/K-type round trip)", bad,
              f"{count} unitarizable weights, exact")

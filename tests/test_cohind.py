@@ -1,20 +1,22 @@
 import pytest
 
+from upq_packets import cohind
 from upq_packets.cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                                 holomorphic_lowest_ktype,
                                 lowest_weight_invariants, normalize_blocks,
                                 range_class, realize_lowest_weight, segments_of,
                                 tableau_pair, two_rho_u_cap_p)
-from upq_packets.halfint import HalfIntMultiset, Segment
+from upq_packets.errors import InternalInconsistencyError
 from upq_packets.tableaux import MINUS, PLUS
 from upq_packets.weights import (GroupSignature, KWeight,
                                  inf_char_of_lowest_weight)
 
 from test_oracle import two_block_data
+from test_properties import segment_multiset
 
 
 def seg(lo_twice, hi_twice):
-    return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
+    return (lo_twice, (hi_twice - lo_twice) // 2 + 1)
 
 
 def desc(p, q, blocks, values):
@@ -50,15 +52,15 @@ def test_holomorphic_detection():
 
 
 def test_segments_of_examples():
-    assert segments_of(desc(1, 1, [(1, 1)], [0])) == [seg(-1, 1)]
-    assert segments_of(desc(1, 1, [(1, 0), (0, 1)], [0, 0])) == [seg(1, 1), seg(-1, -1)]
-    assert segments_of(desc(1, 2, [(1, 1), (0, 1)], [0, 0])) == [seg(0, 2), seg(-2, -2)]
+    assert segments_of(desc(1, 1, [(1, 1)], [0])) == (seg(-1, 1),)
+    assert segments_of(desc(1, 1, [(1, 0), (0, 1)], [0, 0])) == (seg(1, 1), seg(-1, -1))
+    assert segments_of(desc(1, 2, [(1, 1), (0, 1)], [0, 0])) == (seg(0, 2), seg(-2, -2))
 
 
 def test_segments_sizes_and_union():
     dd = desc(2, 2, [(1, 1), (1, 0), (0, 1)], [1, 0, -2])
     segs = segments_of(dd)
-    assert [s.length for s in segs] == [2, 1, 1]
+    assert [length for _, length in segs] == [2, 1, 1]
     assert dd.inf_char().size == 4
 
 
@@ -113,15 +115,15 @@ def test_holomorphic_lowest_ktype_rejects_nondominant():
 def test_realize_lowest_weight_examples():
     dd = realize_lowest_weight(w(1, 1, 0, 0))
     assert dd.d.blocks == ((1, 1),) and dd.values == (0,)
-    assert segments_of(dd) == [seg(-1, 1)]
+    assert segments_of(dd) == (seg(-1, 1),)
 
     dd = realize_lowest_weight(w(1, 1, 1, -1))
     assert dd.d.blocks == ((1, 0), (0, 1)) and dd.values == (0, 0)
-    assert segments_of(dd) == [seg(1, 1), seg(-1, -1)]
+    assert segments_of(dd) == (seg(1, 1), seg(-1, -1))
 
     dd = realize_lowest_weight(w(1, 2, 1, 0, -1))
     assert dd.d.blocks == ((1, 1), (0, 1)) and dd.values == (0, 0)
-    assert segments_of(dd) == [seg(0, 2), seg(-2, -2)]
+    assert segments_of(dd) == (seg(0, 2), seg(-2, -2))
 
 
 def test_realize_rejects_nonunitarizable():
@@ -142,10 +144,7 @@ def test_round_trip_identity_window():
                     continue
                 dd = realize_lowest_weight(kw)
                 assert holomorphic_lowest_ktype(dd) == kw
-                chi = HalfIntMultiset.empty()
-                for s in segments_of(dd):
-                    chi = chi.union(s.as_multiset())
-                assert chi == inf_char_of_lowest_weight(kw)
+                assert segment_multiset(segments_of(dd)) == inf_char_of_lowest_weight(kw)
 
 
 def test_lowest_weight_invariants_examples():
@@ -200,10 +199,10 @@ def test_normalize_blocks_five_block_form():
     # nu = ([2,3], [0,2]): the pivot segment meets the earlier one in {2},
     # so the rewrite splits the first block into {3} and {2}.
     dd = desc(3, 2, [(2, 0), (1, 2)], [1, 2])
-    assert segments_of(dd) == [seg(4, 6), seg(0, 4)]
+    assert segments_of(dd) == (seg(4, 6), seg(0, 4))
     out = normalize_blocks(dd)
     assert out.d.blocks == ((1, 0), (1, 0), (1, 2))
-    assert segments_of(out) == [seg(6, 6), seg(4, 4), seg(0, 4)]
+    assert segments_of(out) == (seg(6, 6), seg(4, 4), seg(0, 4))
     assert invariants(dd) == invariants(out)
 
 
@@ -219,25 +218,45 @@ def test_normalize_blocks_refuses_non_segment_piece():
 def test_absorb_adjacent_preserves_invariants():
     # nu_1 = [0,1] contains nu_2 = {0}: swapping is the descent rewrite.
     dd = desc(1, 2, [(1, 1), (0, 1)], [0, 1])
-    assert segments_of(dd) == [seg(0, 2), seg(0, 0)]
+    assert segments_of(dd) == (seg(0, 2), seg(0, 0))
     swapped = absorb_adjacent(dd, "next")
-    assert segments_of(swapped) == [seg(0, 0), seg(0, 2)]
+    assert segments_of(swapped) == (seg(0, 0), seg(0, 2))
     assert invariants(dd) == invariants(swapped)
+
+
+def test_a_segment_of_the_wrong_parity_is_an_internal_fault(monkeypatch):
+    # Segments one doubled unit off start at the wrong parity, so no block
+    # value gives them back.  Both rewrites raise the internal fault, which
+    # the sweep records, never "rewrite unavailable", which it skips.
+    dd = desc(1, 2, [(1, 1), (0, 1)], [0, 1])
+    real = cohind._segment_starts
+    monkeypatch.setattr(cohind, "_segment_starts",
+                        lambda n, sizes, values: [s + 1 for s in real(n, sizes, values)])
+    cohind._range_class.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError, match="not realizable"):
+            normalize_blocks(dd)
+        with pytest.raises(InternalInconsistencyError, match="not realizable"):
+            absorb_adjacent(dd, "next")
+    finally:
+        monkeypatch.undo()
+        cohind._range_class.cache_clear()
+    assert normalize_blocks(dd) and absorb_adjacent(dd, "next")
 
 
 def _absorb_written_out(dd, side):
     # absorb_adjacent as first written: nesting is multiset containment of
     # segments_of, and each value is read back from its segment's end.
     j = dd.d.pivot()
-    segs = segments_of(dd)
+    segs = list(segments_of(dd))
     blocks = list(dd.d.blocks)
     p_j, q_j = blocks[j]
     k = j + 1 if side == "next" else j - 1
     if not 0 <= k < len(blocks):
         raise ValueError("no neighbour")
-    if not segs[j].as_multiset().contains(segs[k].as_multiset()):
+    if not segment_multiset([segs[j]]).contains(segment_multiset([segs[k]])):
         raise ValueError("neighbour not inside the pivot segment")
-    a = segs[k].length
+    a = segs[k][1]
     if (p_j if side == "next" else q_j) < a:
         raise ValueError("pivot too small for the swap")
     if side == "next":
@@ -247,8 +266,8 @@ def _absorb_written_out(dd, side):
     lo = min(j, k)
     new_segs = segs[:lo] + [segs[lo + 1], segs[lo]] + segs[lo + 2:]
     values, before = [], 0
-    for (pk, qk), s in zip(new_blocks, new_segs):
-        twice = s.end - (dd.d.sig.N - 1) + 2 * before
+    for (pk, qk), (start, length) in zip(new_blocks, new_segs):
+        twice = start + 2 * length - 2 - (dd.d.sig.N - 1) + 2 * before
         if twice % 2:
             raise ValueError("segment not realizable at this position")
         values.append(twice // 2)

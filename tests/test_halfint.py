@@ -5,32 +5,19 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upq_packets.halfint import (HalfInt, HalfIntMultiset, Segment, _count_segment_partitions,
+from upq_packets.halfint import (HalfInt, HalfIntMultiset, _count_segment_partitions,
                                 partition_into_segments)
+
+from test_properties import segment_multiset
 
 
 def mset(*twices):
     return HalfIntMultiset.from_values(twices)
 
 
-def seg(lo_twice, hi_twice):
-    return Segment(lo_twice, (hi_twice - lo_twice) // 2 + 1)
-
-
 def test_halfint_prints_exact_values():
     assert str(HalfInt(3)) == "3/2" and str(HalfInt(4)) == "2" and str(HalfInt(-1)) == "-1/2"
     assert HalfInt.whole(-2) == HalfInt(-4)
-
-
-def test_segment_membership_and_bounds():
-    s = seg(-1, 3)  # [-1/2, 3/2]
-    assert (s.start, s.end, s.length) == (-1, 3, 3)
-    assert str(s) == "[-1/2,3/2]"
-    assert s.as_multiset().twice == (3, 1, -1)
-    assert all(v in s.as_multiset().twice for v in (3, 1, -1))
-    assert not any(v in s.as_multiset().twice for v in (5, 0, -3))
-    assert Segment(0, 0).is_empty
-    assert Segment(0, 0) == Segment(7, 0)
 
 
 def test_mset_algebra_examples():
@@ -72,15 +59,16 @@ def test_mset_algebra_identities():
 @pytest.mark.parametrize("bad", [
     *(partial(HalfIntMultiset, m)
       for m in [(0, 2), (2, True), (HalfInt(2),), ((HalfInt(2), 1),), [2, 0]]),
-    *(partial(Segment, start, 2) for start in [HalfInt(1), True, 1.0]),
-    partial(Segment, 0, 2.0), partial(Segment, 0, True),
+    *(partial(HalfIntMultiset.from_values, m) for m in [[2, 1.5], [HalfInt(1)], [0, True]]),
+    partial(HalfIntMultiset, (1.0,)), partial(HalfInt.whole, 0.5),
     partial(HalfInt, True), partial(HalfInt, 1.0),
 ])
 def test_multiset_constructor_refuses_other_forms(bad):
     # A multiset that is unsorted, holds a bool, a HalfInt or the old
-    # (HalfInt, multiplicity) pairs, or is a list; a segment starting at a
-    # HalfInt, a bool or a float, or with a float or bool length; a
-    # half-integer holding a bool or a float.  All hold exact ints only.
+    # (HalfInt, multiplicity) pairs, or is a list; a multiset built from
+    # values holding a float, a HalfInt or a bool, or holding a float
+    # itself; a half-integer of half a float, or holding a bool or a
+    # float.  All hold exact ints only.
     with pytest.raises(ValueError):
         bad()
 
@@ -139,17 +127,14 @@ def test_partition_against_brute_force():
         mset(2, 0, 0, -2, -2, -4), mset(1, 1, 1), mset(5, 3, 1, -1, -3, -5),
     ]
     for m in cases:
-        got = [[Segment(t - a + 1, a) for t, a in parts]
+        got = [[(t - a + 1, a) for t, a in parts]
                for parts in partition_into_segments(m)]
         # Every returned partition reassembles to m and parts are unique.
         reassembled = []
         for parts in got:
-            u = HalfIntMultiset.empty()
-            for s in parts:
-                u = u.union(s.as_multiset())
-            assert u == m
+            assert segment_multiset(parts) == m
             reassembled.append(tuple(sorted(
-                tuple(sorted(s.as_multiset().twice))
+                tuple(sorted(segment_multiset([s]).twice))
                 for s in parts)))
         assert len(set(reassembled)) == len(got), "duplicate partitions"
         assert set(reassembled) == _brute_force_segment_partitions(m)
@@ -158,16 +143,16 @@ def test_partition_against_brute_force():
 def _written_out_partitions(m):
     # partition_into_segments as first written: every step finds the
     # largest live value afresh, consumes and restores a whole part per
-    # length, builds each part as a Segment, and sorts parts and partitions
-    # by Segment keys.  The partitions are read as summands (t, a) at the
-    # end, the form partition_into_segments returns.
+    # length, builds each part as a (doubled start, length) pair, and sorts
+    # parts and partitions by keys of the pairs.  The partitions are read as
+    # summands (t, a) at the end, the form partition_into_segments returns.
     results = []
     counts = Counter(m.twice)
 
     def rec(acc, last):
         live = [t for t, c in counts.items() if c > 0]
         if not live:
-            results.append(sorted(acc, key=lambda s: (-(s.start + s.end), -s.length)))
+            results.append(sorted(acc, key=lambda s: (-(2 * s[0] + 2 * s[1] - 2), -s[1])))
             return
         top = max(live)
         max_len = last[1] if last is not None and last[0] == top else m.size
@@ -178,13 +163,14 @@ def _written_out_partitions(m):
             length += 1
             for k in range(length):
                 counts[top - 2 * k] -= 1
-            rec(acc + [Segment(top - 2 * (length - 1), length)], (top, length))
+            rec(acc + [(top - 2 * (length - 1), length)], (top, length))
             for k in range(length):
                 counts[top - 2 * k] += 1
 
     rec([], None)
-    results.sort(key=lambda parts: [(s.start + s.end, s.length) for s in parts])
-    return [[((s.start + s.end) // 2, s.length) for s in parts] for parts in results]
+    results.sort(key=lambda parts: [(2 * start + 2 * length - 2, length)
+                                    for start, length in parts])
+    return [[(start + length - 1, length) for start, length in parts] for parts in results]
 
 
 def test_partition_equals_the_written_out_recursion_on_every_small_multiset():
@@ -224,24 +210,3 @@ def test_partition_equals_the_written_out_recursion_on_drawn_multisets(twice):
 def test_partition_determinism():
     m = mset(2, 0, 0, -2)
     assert partition_into_segments(m) == partition_into_segments(m)
-
-
-def test_json_round_trips():
-    v = HalfInt(-3)
-    assert HalfInt.from_json(v.to_json()) == v
-    s = seg(-1, 3)
-    assert Segment.from_json(s.to_json()) == s
-    m = mset(1, 1, -3)
-    assert HalfIntMultiset.from_json(m.to_json()) == m
-
-
-@pytest.mark.parametrize("runs", [
-    [{"twice": 1, "mult": 0}],
-    [{"twice": 1, "mult": -2}],
-    [{"twice": 1, "mult": 1}, {"twice": 1, "mult": 1}],
-    [{"twice": -1, "mult": 1}, {"twice": 1, "mult": 2}],
-])
-def test_multiset_from_json_refuses_bad_runs(runs):
-    # Multiplicity 0, a negative one, a repeated value, increasing values.
-    with pytest.raises(ValueError):
-        HalfIntMultiset.from_json(runs)

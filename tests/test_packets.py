@@ -428,11 +428,6 @@ def test_degenerate_signatures():
     assert lam is not None and oracle_contains(psi, lam)
 
 
-def test_json_round_trip():
-    psi = psi_of(1, 2, (1, 2), (-2, 1))
-    assert AParameter.from_json(psi.to_json()) == psi
-
-
 def test_parameters_built_from_lists_equal_parameters_built_from_tuples():
     sig = GroupSignature(1, 1)
     from_tuples = AParameter(sig, ((0, 2),))
@@ -492,14 +487,14 @@ def test_oracle_contains_normalizes_d0_once_per_psi(monkeypatch):
 
 @pytest.mark.parametrize("cls, fields, names", [
     (AParameter, ("sig", "summands"),
-     ("_chi", "_values", "_d0", "_candidate", "_d0_member")),
+     ("_segments", "_chi", "_values", "_d0", "_candidate", "_d0_member")),
     (KWeight, ("sig", "lam"), ("_chi", "_stats", "_unitarity", "_bracket"))])
 def test_parameters_and_weights_keep_what_they_derive(cls, fields, names):
     # Every psi and every swept weight of the N <= 4, window-2 sweep.  Each
     # value is derived once: a second read returns the same object, equal
     # to a derivation on a fresh copy.  The values are not fields, so an
-    # object whose values were read compares, hashes and serializes like
-    # the fresh copy.
+    # object whose values were read compares and hashes like the fresh
+    # copy, and a psi serializes like it.
     objs = []
     for n in range(1, 5):
         for p in range(n + 1):
@@ -516,7 +511,8 @@ def test_parameters_and_weights_keep_what_they_derive(cls, fields, names):
             assert getattr(cls, name).func(fresh) == value, (obj, name)
         assert tuple(f.name for f in dataclasses.fields(obj)) == fields
         assert obj == fresh and hash(obj) == hash(fresh) and repr(obj) == repr(fresh)
-        assert obj.to_json() == fresh.to_json()
+        if cls is AParameter:
+            assert obj.to_json() == fresh.to_json()
 
 
 def test_a_failing_derivation_raises_on_every_read(monkeypatch):

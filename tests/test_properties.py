@@ -1,5 +1,5 @@
-"""Seeded property tests past the sweep's window: N = 7..10, and JSON
-round trips.
+"""Seeded property tests past the sweep's window: N = 7..10, and the JSON
+writer.
 
 The exhaustive sweep stops at N = 6.  Here hypothesis draws good
 parameters and unitarizable weights at larger N, with a fixed seed
@@ -8,9 +8,9 @@ oracle, packets_containing against the filter over every segment
 partition of the character, the rewriting engine against itself, and a
 parameter's kept character and d_0 split against a written-out multiset
 derivation (on every parameter of the character window 2 up to N = 6 as
-well).  It also checks that every type with a from_json reads back what its to_json wrote, and
-refuses any number that is not a JSON integer, and that the package's JSON
-writer matches `json.dumps(obj, sort_keys=True, indent=2)` byte for byte.
+well).  It also checks that a descriptor's JSON echoes its segments, and
+that the package's JSON writer matches `json.dumps(obj, sort_keys=True,
+indent=2)` byte for byte.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
-from upq_packets.halfint import (HalfInt, HalfIntMultiset, Segment, _count_segment_partitions,
+from upq_packets.halfint import (HalfInt, HalfIntMultiset, _count_segment_partitions,
                                 _json_dumps, partition_into_segments)
 from upq_packets.oracle import (dominant_weights, good_parameters_in_window,
                                 oracle_lowest_weights)
@@ -33,6 +33,13 @@ from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_wei
                                  is_unitarizable)
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def segment_multiset(segments):
+    # The multiset union of segments given as (doubled start, length)
+    # pairs, each written out value by value: the tests' reference.
+    return HalfIntMultiset.from_values(
+        start + 2 * k for start, length in segments for k in range(length))
 
 
 @st.composite
@@ -142,17 +149,14 @@ def test_segment_partitions_of_drawn_weights_are_counted_exactly(w):
 
 
 def _written_out_chi_and_candidate(psi):
-    # AParameter._chi and _candidate as first written: a Segment per
+    # AParameter._chi and _candidate as first written: a segment per
     # summand, the split as unions of segment multisets, and nonvanishing
     # by multiset intersections.
-    segs = [Segment(t - a + 1, a) for t, a in psi.summands]
-
-    def union(parts):
-        return HalfIntMultiset.from_values(v for s in parts for v in s.as_multiset().twice)
-
+    segs = [(t - a + 1, a) for t, a in psi.summands]
+    union = segment_multiset
     d0 = d_zero(psi)
     j = d0.pivot()
-    lt, mid, gt = union(segs[:j]), segs[j].as_multiset(), union(segs[j + 1:])
+    lt, mid, gt = union(segs[:j]), union(segs[j:j + 1]), union(segs[j + 1:])
     p_j, q_j = d0.blocks[j]
     nonzero = (lt.is_multiplicity_free and gt.is_multiplicity_free
                and mid.intersection(lt).intersection(gt).is_empty
@@ -188,20 +192,7 @@ def _wire(obj):
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
-half_ints = st.integers(-40, 40).map(HalfInt)
-segments = st.builds(Segment, st.integers(-40, 40), st.integers(0, 8)) | st.just(Segment(0, 0))
-
-
-@st.composite
-def kweights(draw):
-    n = draw(st.integers(1, 9))
-    p = draw(st.integers(0, n))
-
-    def side(length):
-        return sorted(draw(st.lists(st.integers(-5, 5), min_size=length,
-                                    max_size=length)), reverse=True)
-
-    return KWeight(GroupSignature(p, n - p), tuple(side(p) + side(n - p)))
+segments = st.tuples(st.integers(-40, 40), st.integers(0, 8)) | st.just((0, 0))
 
 
 @st.composite
@@ -214,83 +205,25 @@ def descriptors(draw):
 
 
 @SEEDED
-@given(half_ints, segments, st.lists(st.integers(-40, 40), max_size=8).map(HalfIntMultiset.from_values),
-       kweights(), random_psis())
-def test_json_round_trips(x, seg, mset, w, psi):
-    assert HalfInt.from_json(_wire(x.to_json())) == x
-    assert Segment.from_json(_wire(seg.to_json())) == seg
-    assert HalfIntMultiset.from_json(_wire(mset.to_json())) == mset
-    assert KWeight.from_json(_wire(w.to_json())) == w
-    assert AParameter.from_json(_wire(psi.to_json())) == psi
-
-
-@SEEDED
 @given(segments, segments)
 def test_segments_agree_with_their_multisets(s, t):
     # HalfIntMultiset is checked against collections.Counter, so it is the
     # reference for the doubled-int segment arithmetic.
-    assert (_sing((s.start, s.length), (t.start, t.length))
-            == s.as_multiset().intersection(t.as_multiset()).size)
+    assert _sing(s, t) == segment_multiset([s]).intersection(segment_multiset([t])).size
 
 
 @SEEDED
 @given(descriptors())
 def test_descriptor_json_round_trip_echoes_its_segments(desc):
-    obj = _wire(desc.to_json())
-    assert InductionDescriptor.from_json(obj) == desc
-    assert [Segment.from_json(s) for s in obj["segments"]] == segments_of(desc)
-
-
-def _int_paths(obj, path=()):
-    # The path to every integer leaf of a JSON value.
-    if type(obj) is int:
-        yield path
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _int_paths(value, path + (key,))
-    elif isinstance(obj, list):
-        for index, value in enumerate(obj):
-            yield from _int_paths(value, path + (index,))
-
-
-def _replaced(obj, path, value):
-    obj = _wire(obj)
-    target = obj
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    return obj
-
-
-READER_SAMPLES = [
-    HalfInt(-3), Segment(-1, 3),
-    HalfIntMultiset.from_values([3, 3, -1]),
-    KWeight(GroupSignature(1, 2), (1, 0, -1)),
-    AParameter.from_summands(GroupSignature(1, 2), [(1, 2), (-2, 1)]),
-    InductionDescriptor(ThetaData(GroupSignature(2, 1), ((1, 0), (1, 1))), (1, 0)),
-]
-
-
-@pytest.mark.parametrize("bad", [1.9, 1.0, True, "3"])
-def test_from_json_refuses_non_integers(bad):
-    for value in READER_SAMPLES:
-        obj = value.to_json()
-        if isinstance(value, InductionDescriptor):
-            del obj["segments"]  # an echo the reader does not read
-        paths = list(_int_paths(obj))
-        assert paths and type(value).from_json(obj) == value
-        for path in paths:
-            with pytest.raises(ValueError, match="JSON integer"):
-                type(value).from_json(_replaced(obj, path, bad))
-
-
-def test_descriptor_from_json_refuses_a_block_that_is_not_a_pair():
-    obj = {"p": 1, "q": 1, "blocks": [[1, 1, 5]], "values": [0]}
-    with pytest.raises(ValueError):
-        InductionDescriptor.from_json(obj)
-    obj["blocks"] = [[1], [0, 1]]
-    with pytest.raises(ValueError):
-        InductionDescriptor.from_json(obj)
+    # Block i carries nu_i, of doubled start 2 value_i + N + 1 - 2 a_{<=i}.
+    n, upto, segs = desc.d.sig.N, 0, []
+    for size, value in zip(desc.d.sizes(), desc.values):
+        upto += size
+        segs.append({"len": size, "start_twice": 2 * value + n + 1 - 2 * upto})
+    assert _wire(desc.to_json()) == {"p": desc.d.sig.p, "q": desc.d.sig.q,
+                                     "blocks": [list(b) for b in desc.d.blocks],
+                                     "values": list(desc.values), "segments": segs}
+    assert segment_multiset(segments_of(desc)) == desc.inf_char()
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text,

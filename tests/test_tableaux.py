@@ -21,7 +21,7 @@ from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, ColumnStack,
 from upq_packets.weights import GroupSignature
 
 from test_oracle import two_block_data
-from test_properties import psis_sharing_a_weights_character, random_psis
+from test_properties import psis_sharing_a_weights_character, random_psis, segment_multiset
 
 
 class Box(NamedTuple):
@@ -76,7 +76,7 @@ def _stack_of_boxes(sig, blocks, row_shapes):
 
 def _pairs(desc):
     # A datum's segments as the stack takes them.
-    return [(s.start, s.length) for s in segments_of(desc)]
+    return list(segments_of(desc))
 
 
 def _assembled(blocks, row_shapes):
@@ -234,7 +234,7 @@ def test_two_block_nonvanishing_criterion():
     for dd in two_block_data(5):
         (p1, q1), (p2, q2) = dd.d.blocks
         s1, s2 = segments_of(dd)
-        sing = s1.as_multiset().intersection(s2.as_multiset()).size
+        sing = segment_multiset([s1]).intersection(segment_multiset([s2])).size
         expected = min(p1, q2) + min(q1, p2) >= sing
         out = tableau_pair(dd)
         assert (not out.is_zero) == expected, (
@@ -250,10 +250,7 @@ def test_nonzero_outcome_is_valid_antitableau():
         if out.is_zero:
             continue
         ann = out.ann
-        total = HalfIntMultiset.empty()
-        for s in segments_of(dd):
-            total = total.union(s.as_multiset())
-        assert ann.entry_multiset() == total
+        assert ann.entry_multiset() == segment_multiset(segments_of(dd))
 
 
 def test_assemble_antitableau_refuses_a_repeated_column_entry():

@@ -81,8 +81,10 @@ def _shapes(indent: str) -> tuple[list[str], list[str], dict[int, list[str]]]:
 def _members_json(members: list[PacketMember], indent: str,
                   d0: ThetaData | None = None) -> list[str]:
     """Each member as `_json_dumps(obj, indent)` writes it, byte for byte,
-    where obj is `m.to_json()` plus, when d0 is given, a `d0` key holding
-    d0's blocks.  The members are those of one packet, in any number.
+    where obj holds the member's `descriptor`, `epsilon` and `nonzero`,
+    and its `ann` and `as` when nonzero, each as its own `to_json` writes
+    it, plus, when d0 is given, a `d0` key holding d0's blocks.  The
+    members are those of one packet, in any number.
 
     The members of a packet share their signature, values and segments, so
     the text around a member's own values is rendered once, from one

@@ -48,6 +48,16 @@ class ThetaData:
         # Tuples, so that data built from lists hash and compare equal.
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
 
+    @classmethod
+    def _unchecked(cls, sig: GroupSignature, blocks: tuple[tuple[int, int], ...]) -> "ThetaData":
+        # A datum whose blocks, a tuple of tuples, are known to be valid:
+        # built without __post_init__'s checks, for enumerate_D, whose
+        # choices are valid by construction.
+        d = object.__new__(cls)
+        object.__setattr__(d, "sig", sig)
+        object.__setattr__(d, "blocks", blocks)
+        return d
+
     @property
     def r(self) -> int:
         return len(self.blocks)
@@ -252,16 +262,18 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     """Build the initial stack for a mediocre-range datum and normalize it.
 
     Nothing is kept: each call builds and rewrites the stack afresh.  The
-    members of one packet are distinct data, so a process-wide memo would
-    not hit inside packet(); the one member asked for again and again, a
-    psi's holomorphic member, is kept on psi (AParameter._d0_member).  A
-    datum outside the mediocre range raises.
+    one member asked for again and again, a psi's holomorphic member, is
+    kept on psi (AParameter._d0_member).  A datum outside the mediocre
+    range raises.
+
+    packet() calls this for d_0's member, whose verdict on the mediocre
+    range holds for the whole packet, and for each member whose placed
+    pairs would move.  Every other member is decided from where its boxes
+    are placed, with no stack built (packets._placed_invariants).
 
     The mediocre verdict and the segments come from one lookup of
-    range_class's memo.  They depend only on what a whole packet shares
-    (N, sizes, values), so within one packet(psi) they are computed once,
-    for the first member.  The stack and its rewriting depend on the
-    member's own signs and run for each."""
+    range_class's memo; they depend only on what a whole packet shares
+    (N, sizes, values)."""
     mediocre, segments = _range_entry(desc)
     if not mediocre:
         raise ValueError("datum is outside the mediocre range")

@@ -277,6 +277,11 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, psis: list[AParameter],
         five = normalize_blocks(desc)
     except ValueError:
         five = None
+    except InternalInconsistencyError as exc:
+        five = None
+        report.property_failures.append(
+            {"kind": "normalize-blocks-error", "lambda": list(w.lam),
+             "p": sig.p, "q": sig.q, "error": str(exc)})
     if five is not None:
         # The rewrite must keep the realization's invariant pair.
         out = tableau_pair(five)
@@ -423,6 +428,11 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
             try:
                 swapped = absorb_adjacent(desc, side)
             except ValueError:
+                continue
+            except InternalInconsistencyError as exc:
+                report.property_failures.append(
+                    {"kind": "absorb-adjacent-error", "descriptor": desc.to_json(),
+                     "side": side, "error": str(exc)})
                 continue
             if not _same_invariants(out, tableau_pair(swapped)):
                 report.property_failures.append(

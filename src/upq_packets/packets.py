@@ -23,7 +23,8 @@ from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfIntMultiset, _segment_str, _segment_values, partition_into_segments
-from .tableaux import AntiTableau, SignedTableau, as_pair_equal
+from .tableaux import (AntiTableau, SignedTableau, _idle, _place, as_pair_equal,
+                       assemble_antitableau)
 from .weights import (GroupSignature, KWeight, _gap_case, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
@@ -153,7 +154,8 @@ class AParameter:
     def _d0_member(self) -> PacketMember:
         # member(self, d_zero(self)): the holomorphic member, whose pair
         # oracle_contains compares with that of each weight it is asked
-        # about, so its stack is normalized once per psi object.
+        # about and which packet() lists first, so its stack is normalized
+        # once per psi object.
         return member(self, self._d0)
 
     def to_json(self) -> dict:
@@ -199,10 +201,12 @@ def _count_D(psi: AParameter) -> int:
 
 def enumerate_D(psi: AParameter) -> list[ThetaData]:
     """All ((p_i, q_i))_i with p_i + q_i = a_i summing to the signature,
-    in decreasing lexicographic order of the p-parts.
+    in decreasing lexicographic order of the p-parts.  The first is d_0:
+    the plus parts fill the first blocks.
 
     The choices run on an explicit stack, so the call depth does not grow
-    with the number of blocks."""
+    with the number of blocks.  Every choice is a valid datum of psi's
+    sizes, so each is built without ThetaData's checks."""
     sig, sizes, r = psi.sig, psi.sizes(), psi.r
     suffix = [0] * (r + 1)
     for i in range(r - 1, -1, -1):
@@ -230,7 +234,7 @@ def enumerate_D(psi: AParameter) -> list[ThetaData]:
         if i + 1 < r:
             stack.append(frame(i + 1, remaining - pk))
         else:
-            out.append(ThetaData(sig, tuple(acc)))
+            out.append(ThetaData._unchecked(sig, tuple(acc)))
     return out
 
 
@@ -263,16 +267,6 @@ class PacketMember:
     nonzero: bool
     invariants: Optional[tuple[AntiTableau, SignedTableau]]
 
-    def to_json(self) -> dict:
-        obj = {"descriptor": self.descriptor.to_json(),
-               "epsilon": list(self.epsilon),
-               "nonzero": self.nonzero}
-        if self.invariants is not None:
-            ann, as_tab = self.invariants
-            obj["ann"] = ann.to_json()
-            obj["as"] = as_tab.to_json()
-        return obj
-
 
 def _member(psi: AParameter, d: ThetaData) -> PacketMember:
     # The member for d in D(psi).
@@ -289,11 +283,62 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
     return _member(psi, d)
 
 
+def _open_pairs(segs: Sequence[tuple[int, int]]) -> list[int]:
+    # The adjacent pairs i whose right segment is not wholly below the left
+    # one (end_r >= start_l): the pairs _idle must test.
+    return [i for i, ((start_l, _), (start_r, a_r)) in enumerate(zip(segs, segs[1:]))
+            if start_r + 2 * a_r - 2 >= start_l]
+
+
+def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
+                       segs: Sequence[tuple[int, int]], pairs: Sequence[int]
+                       ) -> tuple[bool, Optional[tuple[AntiTableau, SignedTableau]]]:
+    """Trapa's verdict on the stack of these blocks and segments, read from
+    where _place puts its boxes: (moves, invariants).
+
+    pairs lists the adjacent pairs i whose right segment is not wholly
+    below the left one (_open_pairs); every other pair is idle as placed
+    (see _idle).  trapa_normalize's first sweep tests the pairs of
+    build_initial's stack in order, and the first that is not idle
+    decides:
+
+    * a zero pair (overlap < sing): the stack vanishes, (False, None);
+    * a pair that moves: (True, None), and the stack must be built and
+      rewritten;
+    * no such pair: the stack is normal as placed, and its invariants are
+      read off its segments and columns as trapa_normalize reads them,
+      (False, (antitableau, signed tableau)).
+
+    So this is trapa_normalize up to its first rewrite, with _idle given
+    the same columns and segments, and _idle's proof covers it."""
+    row_shapes, cols, _, _ = _place(sig, blocks)
+    for i in pairs:
+        idle = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
+        if idle is None:
+            return False, None
+        if not idle:
+            return True, None
+    return False, (assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes))
+
+
 def packet(psi: AParameter) -> list[PacketMember]:
     """All members, in enumerate_D order.  Nonzero members must have pairwise
     distinct invariant pairs (multiplicity one); a repeat raises.
 
-    Every nonzero member is first checked against psi: its signed tableau
+    What every member shares is derived once.  The first member in
+    enumerate_D order is d_0's, kept on psi (AParameter._d0_member): its
+    stack is built and normalized by tableau_pair, which also checks that
+    the data are mediocre, a verdict that reads only what the members
+    share (N, sizes, values).
+    The block values and their check against psi's segments are kept on
+    psi.  The segments fix which adjacent pairs have their right segment
+    wholly below the left one, and are idle on every member.  Every other
+    member is placed (_placed_invariants) and tested at the remaining
+    pairs only: it vanishes at a zero pair or is normal as placed, with no
+    stack built, unless a pair moves; only then is its stack built and
+    normalized, by tableau_pair (_member).
+
+    Every nonzero member is then checked against psi: its signed tableau
     has psi's signature and its antitableau holds exactly inf_char(psi).
     With the signature fixed, the sort key (the antitableau's columns as
     doubled ints, then the signed tableau's rows) determines the pair, so
@@ -302,18 +347,22 @@ def packet(psi: AParameter) -> list[PacketMember]:
     live - 1 comparisons.  The sort is stable, so a clash names its two
     members in enumerate_D order.
 
-    What every member shares is derived once: the block values and their
-    check against psi's segments are kept on psi, and the mediocre test
-    runs once through range_class's memo.  What is each member's own is
-    not kept: every call builds and normalizes every member's stack.
-
     A packet of more than _MAX_PACKET_MEMBERS members raises ValueError,
     naming its count, before any member is built."""
     count = _count_D(psi)
     if count > _MAX_PACKET_MEMBERS:
         raise ValueError(f"the packet of {psi} has {count} members, more than "
                          f"the limit of {_MAX_PACKET_MEMBERS}")
-    members = [_member(psi, d) for d in enumerate_D(psi)]
+    sig, segs, values = psi.sig, psi._segments, psi._values
+    pairs = _open_pairs(segs)
+    members = [psi._d0_member]
+    for d in enumerate_D(psi)[1:]:
+        moves, invariants = _placed_invariants(sig, d.blocks, segs, pairs)
+        if moves:
+            members.append(_member(psi, d))
+        else:
+            members.append(PacketMember(d, InductionDescriptor(d, values), epsilon(psi, d),
+                                        invariants is not None, invariants))
     live = [m for m in members if m.nonzero]
     chi = psi._chi
     for m in live:

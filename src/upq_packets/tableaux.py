@@ -17,9 +17,16 @@ pair.  HalfInt is built only to print an entry.
 Where each box goes depends only on the block signs; its entry depends only
 on its block's segment.  A stack is therefore a frozen dataclass of each
 box's row, column and sign, each block's segment, and the row shapes, all
-tuples of ints (see ColumnStack).  build_initial returns a stack in that
-form, trapa_normalize decides it from its segments and columns and rewrites
-it in the same form, and to_json writes each box from those fields.
+tuples of ints (see ColumnStack).  _place computes the boxes, build_initial
+returns them as a stack in that form, trapa_normalize decides it from its
+segments and columns and rewrites it in the same form, and to_json writes
+each box from those fields.
+
+Most stacks need no rewrite: they vanish at their first pair that is not
+idle, or are normal as placed.  So a packet builds a stack only for its
+holomorphic member and for a member whose placed pairs would move; every
+other member is decided from _place's columns and row shapes by _idle and
+assemble_antitableau alone (packets._placed_invariants).
 """
 
 from __future__ import annotations
@@ -168,7 +175,38 @@ class ColumnStack:
 def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
                   segments: Sequence[tuple[int, int]]) -> ColumnStack:
     """Construct the initial stack for blocks (p_i, q_i) and their segments,
-    each a (doubled start, length) pair.
+    each a (doubled start, length) pair: the blocks and segments are
+    checked against each other and the signature, and _place's boxes are
+    kept with the segments in ColumnStack's one form.  A block's entries
+    need no record: box k of a block whose segment tops at `top` receives
+    top - 2k.
+
+    packet() builds a stack only for a member whose placed pairs
+    trapa_normalize would move, and for the holomorphic member; every other
+    member is decided from _place's columns and row shapes alone.
+    """
+    if len(block_signs) != len(segments):
+        raise ValueError("one segment per block required")
+    p = q = 0
+    for (pk, qk), (_, length) in zip(block_signs, segments):
+        if pk < 0 or qk < 0 or pk + qk == 0:
+            raise ValueError(f"bad block ({pk},{qk})")
+        if length != pk + qk:
+            raise ValueError(f"a segment of length {length} does not match block size {pk + qk}")
+        p += pk
+        q += qk
+    if p != sig.p or q != sig.q:
+        raise ValueError("block signs do not sum to the signature")
+    row_shapes, cols, rows, signs = _place(sig, block_signs)
+    return ColumnStack(sig, row_shapes, tuple(segments), tuple(cols), tuple(rows), tuple(signs))
+
+
+def _place(sig: GroupSignature, block_signs: Sequence[tuple[int, int]]
+           ) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, ...]], list[int], list[int]]:
+    """Place the boxes of blocks (p_i, q_i), which the caller has checked
+    to be nonempty and to sum to the signature.  Returns the row shapes
+    (length, first sign) by row id, each block's boxes' columns top to
+    bottom, and each box's row id and sign, flat in block order.
 
     Stage 1 is a single column with p_1 plus boxes above q_1 minus boxes.
     Stage k appends at most one box per existing row end, scanning rows top
@@ -190,26 +228,7 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     the same without the budget, the list of lengthened rows or the
     new-row loop: the one row lengthened moves up past the rows it now
     outranks.
-
-    The stack comes back in ColumnStack's one form: the same pass records
-    each box's row, column and sign and the row shapes, and the stack
-    keeps the segments.  A block's entries need no record: box k of a
-    block whose segment tops at `top` receives top - 2k.
     """
-    if len(block_signs) != len(segments):
-        raise ValueError("one segment per block required")
-    segments = tuple(segments)
-    p = q = 0
-    for (pk, qk), (_, length) in zip(block_signs, segments):
-        if pk < 0 or qk < 0 or pk + qk == 0:
-            raise ValueError(f"bad block ({pk},{qk})")
-        if length != pk + qk:
-            raise ValueError(f"a segment of length {length} does not match block size {pk + qk}")
-        p += pk
-        q += qk
-    if p != sig.p or q != sig.q:
-        raise ValueError("block signs do not sum to the signature")
-
     # Per row id: its length, first and last signs, and its rank, id - n * length,
     # which orders rows longest first, then by id (there are at most n rows).
     n = sig.N
@@ -292,8 +311,7 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
                 signs.append(sign)
                 block_cols.append(1)
         cols.append(tuple(block_cols))
-    return ColumnStack(sig, tuple(zip(lengths, firsts)), segments, tuple(cols), tuple(rows),
-                       tuple(signs))
+    return tuple(zip(lengths, firsts)), cols, rows, signs
 
 
 class _WBox:

@@ -424,18 +424,30 @@ def test_cli_contract_holds_for_any_payload(argv):
             "invalid-input", "internal-inconsistency"), argv
 
 
+def member_json(m):
+    """A packet member as a tree of dicts and lists, each part from its own
+    `to_json`: the reference that `cli._members_json` writes as text."""
+    obj = {"descriptor": m.descriptor.to_json(), "epsilon": list(m.epsilon),
+           "nonzero": m.nonzero}
+    if m.invariants is not None:
+        ann, as_tab = m.invariants
+        obj["ann"] = ann.to_json()
+        obj["as"] = as_tab.to_json()
+    return obj
+
+
 def reference_json(argv):
     """The `packet` or `classify-psi` payload of argv as the tree that
-    `PacketMember.to_json` and friends build, through `json.dumps`."""
+    member_json and the `to_json` methods build, through `json.dumps`."""
     command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
     sig = GroupSignature(int(flags["--p"]), int(flags["--q"]))
     psi = AParameter.from_summands(sig, [(s["t"], s["a"]) for s in json.loads(flags["--psi"])])
     tree = {"psi": psi.to_json(), "inf_char": inf_char(psi).to_json()}
     if command == "packet":
-        tree["members"] = [m.to_json() for m in packet(psi)]
+        tree["members"] = [member_json(m) for m in packet(psi)]
     else:
         w, d0 = lowest_weight_of_packet(psi), d_zero(psi)
-        tree["member"] = {**member(psi, d0).to_json(), "d0": [list(b) for b in d0.blocks]}
+        tree["member"] = {**member_json(member(psi, d0)), "d0": [list(b) for b in d0.blocks]}
         tree.update(contains=w is not None, lowest_k_type=list(w.lam) if w is not None else None)
     return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 

@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
-from upq_packets import oracle, packets
+from upq_packets import cohind, oracle, packets
+from upq_packets.cohind import absorb_adjacent, normalize_blocks, realize_lowest_weight
+from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
                                 dominant_weights, good_parameter_count,
@@ -64,6 +66,8 @@ def test_a_lowest_weight_member_off_d0_is_found_and_reported(monkeypatch):
     # Swap the pairs of the two members of the U(1,1) discrete series
     # packet, so that the lowest weight module sits at the member that is
     # not d0: the oracle must still find it, and the sweep must say where.
+    # packet(psi) keeps d0's real member on psi, so the sweep checks a
+    # fresh copy.
     psi = AParameter.from_summands(GroupSignature(1, 1), [(1, 1), (-1, 1)])
     hits = oracle_lowest_weights(psi)
     first, second = packet(psi)
@@ -75,7 +79,7 @@ def test_a_lowest_weight_member_off_d0_is_found_and_reported(monkeypatch):
                         lambda p, d: next(m for m in swapped if m.d == d))
     assert oracle_lowest_weights(psi) == hits
     report = SweepReport(config={})
-    oracle._check_psi_side(psi, report)
+    oracle._check_psi_side(dataclasses.replace(psi), report)
     assert report.mismatches == []
     assert report.property_failures == [
         {"kind": "lowest-weight-member-not-holomorphic", "psi": psi.to_json(),
@@ -406,3 +410,40 @@ def test_a_lost_lowest_weight_shows_as_lowest_weight_extraction(monkeypatch, sco
                                     "psi": psi.to_json(), "theorem": None,
                                     "oracle": list(lam.lam)}
     assert {m["kind"] for m in report.mismatches} == {"lowest-weight-extraction"}
+
+
+def test_an_internal_fault_in_a_rewrite_is_recorded_and_the_sweep_completes(monkeypatch):
+    # A slip of one doubled unit in the tops that normalize_blocks and
+    # absorb_adjacent both hand to _descriptor_from_tops makes every
+    # rewrite that gets that far raise InternalInconsistencyError.  Each is
+    # recorded with its instance, in sweep order (the weights of each
+    # signature, then the two-block data by rank), so the first record of
+    # each kind is its minimal instance, and the sweep still reports.
+    real = cohind._descriptor_from_tops
+    monkeypatch.setattr(cohind, "_descriptor_from_tops",
+                        lambda sig, blocks, tops: real(sig, blocks, [t + 1 for t in tops]))
+    expected = []
+    for sig in FAULT_SIGS:
+        for w in dominant_weights(sig, FAULT_CFG.weight_window):
+            if not is_unitarizable(w):
+                continue
+            with pytest.raises((ValueError, InternalInconsistencyError)) as info:
+                normalize_blocks(realize_lowest_weight(w))
+            if info.type is InternalInconsistencyError:
+                expected.append({"kind": "normalize-blocks-error", "lambda": list(w.lam),
+                                 "p": sig.p, "q": sig.q, "error": str(info.value)})
+    for desc in two_block_data(FAULT_CFG.max_N):
+        for side in ("next", "prev") if desc.d.is_holomorphic() else ():
+            with pytest.raises((ValueError, InternalInconsistencyError)) as info:
+                absorb_adjacent(desc, side)
+            if info.type is InternalInconsistencyError:
+                expected.append({"kind": "absorb-adjacent-error", "descriptor": desc.to_json(),
+                                 "side": side, "error": str(info.value)})
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert Counter(f["kind"] for f in expected) == {"normalize-blocks-error": 154,
+                                                    "absorb-adjacent-error": 7}
+    # U(0,1) is the first signature and lambda = (2) its first weight.
+    assert expected[0] == {"kind": "normalize-blocks-error", "lambda": [2], "p": 0, "q": 1,
+                           "error": "segment [5/2,5/2] not realizable at this position"}

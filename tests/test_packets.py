@@ -4,9 +4,11 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upq_packets import packets
-from upq_packets.cohind import lowest_weight_invariants, tableau_pair
+from upq_packets.cohind import (InductionDescriptor, ThetaData, lowest_weight_invariants,
+                                tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (_unitarizable_splits, dominant_weights,
@@ -16,9 +18,11 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
-from upq_packets.tableaux import MINUS, PLUS, AntiTableau
+from upq_packets.tableaux import MINUS, PLUS, AntiTableau, build_initial, trapa_normalize
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable)
+
+from test_properties import psis_sharing_a_weights_character, random_psis
 
 
 def psi_of(p, q, *summands):
@@ -75,12 +79,16 @@ def test_enumerate_D_counts():
 
 def test_the_counted_packet_size_is_the_enumerated_one():
     # |D(psi)| from the DP over the block sizes, on every packet whose
-    # character lies in [-2, 2] up to N = 6.
+    # character lies in [-2, 2] up to N = 6.  Each datum enumerate_D
+    # builds unchecked passes ThetaData's checks, and the first is d_0.
     checked = 0
     for n in range(1, 7):
         for p in range(n + 1):
             for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
-                assert packets._count_D(psi) == len(enumerate_D(psi)), psi
+                ds = enumerate_D(psi)
+                assert packets._count_D(psi) == len(ds), psi
+                assert ds == [ThetaData(d.sig, d.blocks) for d in ds], psi
+                assert ds[0] == d_zero(psi), psi
                 checked += 1
     assert checked > 1000
 
@@ -159,16 +167,18 @@ TEN_LIVE = psi_of(3, 2, (8, 1), (4, 1), (0, 1), (-4, 1), (-8, 1))
 
 
 def _with_invariants(monkeypatch, invariants_of):
-    """Make packets._member, which packet() builds each member with, hand
-    out the invariants invariants_of(d, real) returns for each datum d,
-    where real is the member actually built."""
-    real_member = packets._member
+    """Make packets._placed_invariants, which decides every member of
+    TEN_LIVE but d_0's (no pair of it moves), hand out the invariants
+    invariants_of(blocks, real) returns for the member with these blocks,
+    where real is the pair actually read off its placement."""
+    real_placed = packets._placed_invariants
 
-    def fake(psi, d):
-        m = real_member(psi, d)
-        return dataclasses.replace(m, invariants=invariants_of(d, m))
+    def fake(sig, blocks, segs, pairs):
+        moves, invariants = real_placed(sig, blocks, segs, pairs)
+        assert not moves
+        return moves, invariants_of(blocks, invariants)
 
-    monkeypatch.setattr(packets, "_member", fake)
+    monkeypatch.setattr(packets, "_placed_invariants", fake)
 
 
 @pytest.mark.parametrize("source, target", [(1, 4), (4, 1), (0, 9)])
@@ -177,7 +187,7 @@ def test_packet_repeated_pair_raises_naming_members_in_order(monkeypatch, source
     ds = enumerate_D(psi)
     copied = member(psi, ds[source]).invariants
     _with_invariants(monkeypatch,
-                     lambda d, m: copied if d == ds[target] else m.invariants)
+                     lambda blocks, real: copied if blocks == ds[target].blocks else real)
     first, second = sorted((source, target))
     expected = f"members {ds[first].blocks} and {ds[second].blocks} of"
     with pytest.raises(InternalInconsistencyError, match=re.escape(expected)):
@@ -206,25 +216,19 @@ def test_packet_refuses_a_member_of_another_character(monkeypatch):
     foreign = member(shifted, enumerate_D(shifted)[3]).invariants
     target = enumerate_D(psi)[3]
     _with_invariants(monkeypatch,
-                     lambda d, m: foreign if d == target else m.invariants)
+                     lambda blocks, real: foreign if blocks == target.blocks else real)
     with pytest.raises(InternalInconsistencyError, match="infinitesimal character"):
         packet(psi)
 
 
-def _with_outcomes(monkeypatch, outcome_of):
-    """Make packets.tableau_pair, which each member's invariants come from,
-    return outcome_of(desc, real) for each descriptor, where real is the
-    outcome actually computed."""
-    real_pair = packets.tableau_pair
-    monkeypatch.setattr(packets, "tableau_pair", lambda desc: outcome_of(desc, real_pair(desc)))
-
-
 def test_packet_refuses_two_members_normalizing_to_one_outcome(monkeypatch):
+    # packets._place puts member 6's boxes where member 1's go, so the two
+    # read one pair off their placements.
     psi = TEN_LIVE
     ds = enumerate_D(psi)
-    copied = tableau_pair(member(psi, ds[1]).descriptor)
-    assert not copied.is_zero
-    _with_outcomes(monkeypatch, lambda desc, out: copied if desc.d == ds[6] else out)
+    real_place = packets._place
+    monkeypatch.setattr(packets, "_place", lambda sig, blocks: real_place(
+        sig, ds[1].blocks if blocks == ds[6].blocks else blocks))
     expected = f"members {ds[1].blocks} and {ds[6].blocks} of"
     with pytest.raises(InternalInconsistencyError, match=re.escape(expected)) as info:
         packet(psi)
@@ -235,18 +239,96 @@ def test_packet_refuses_a_member_with_one_entry_shifted(monkeypatch):
     psi = TEN_LIVE
     target = enumerate_D(psi)[3]
 
-    def shifted(desc, out):
-        if desc.d != target:
-            return out
-        (top, *below), *rest = out.ann.columns
+    def shifted(blocks, real):
+        if blocks != target.blocks:
+            return real
+        (top, *below), *rest = real[0].columns
         ann = AntiTableau(((top + 2, *below), *rest))  # still an antitableau
-        assert ann.entry_multiset() != out.ann.entry_multiset()
-        return dataclasses.replace(out, ann=ann)
+        assert ann.entry_multiset() != real[0].entry_multiset()
+        return ann, real[1]
 
-    _with_outcomes(monkeypatch, shifted)
+    _with_invariants(monkeypatch, shifted)
     with pytest.raises(InternalInconsistencyError,
                        match="another signature or infinitesimal character"):
         packet(psi)
+
+
+def _check_placed_verdicts(psi):
+    """packets._placed_invariants on every member of psi, d_0's included,
+    against trapa_normalize on build_initial's stack, and packet(psi)
+    against tableau_pair on every member's descriptor.  Returns the
+    census of the verdicts."""
+    census = collections.Counter()
+    segs = psi._segments
+    pairs = packets._open_pairs(segs)
+    for d in enumerate_D(psi):
+        stack = build_initial(psi.sig, d.blocks, segs)
+        out = trapa_normalize(stack)
+        moves, invariants = packets._placed_invariants(psi.sig, d.blocks, segs, pairs)
+        if moves:
+            # Rewritten, or zero at a pair after the first rewrite.
+            assert out.is_zero or out.stack is not stack, (psi, d)
+            census["moved"] += 1
+        elif invariants is None:
+            assert out.is_zero, (psi, d)
+            census["zero"] += 1
+        else:
+            assert out.stack is stack and invariants == (out.ann, out.as_tab), (psi, d)
+            census["normal"] += 1
+    for m in packet(psi):
+        out = tableau_pair(InductionDescriptor(m.d, psi._values))
+        assert m.invariants == (None if out.is_zero else (out.ann, out.as_tab)), (psi, m.d)
+    return census
+
+
+def test_placed_verdicts_equal_the_normalized_stack_on_every_member_up_to_n_6():
+    # Every member of every packet whose character lies in [-2, 2] up to
+    # N = 6, counted by how its placement decides it: normal as placed,
+    # zero at its first pair that is not idle, or moved.
+    census = collections.Counter()
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                census += _check_placed_verdicts(psi)
+    assert census == {"normal": 7082, "zero": 17854, "moved": 835}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(random_psis(max_n=10), psis_sharing_a_weights_character(max_n=10)))
+def test_placed_verdicts_equal_the_normalized_stack_on_drawn_psi_up_to_n_10(psi):
+    _check_placed_verdicts(psi)
+
+
+def test_packet_builds_the_stacks_of_d0_and_of_the_members_that_move(monkeypatch):
+    # Every psi of the N <= 4, window-2 sweep: packet(psi), then
+    # oracle_contains(psi, w) for every weight of its character, run
+    # tableau_pair once for d_0, whose member psi keeps, and once for each
+    # member whose placement moves, and for no other.
+    built = collections.Counter()
+    real_pair = packets.tableau_pair
+
+    def counted(desc):
+        built[desc.d] += 1
+        return real_pair(desc)
+
+    monkeypatch.setattr(packets, "tableau_pair", counted)
+    moved = 0
+    for n in range(1, 5):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            for psi in good_parameters_in_window(sig, HalfInt.whole(2)):
+                built.clear()
+                members = packet(psi)
+                for kw in _unitarizable_splits(sig, inf_char(psi)):
+                    oracle_contains(psi, kw)
+                segs = psi._segments
+                pairs = packets._open_pairs(segs)
+                moves = [d for d in enumerate_D(psi)[1:]
+                         if packets._placed_invariants(sig, d.blocks, segs, pairs)[0]]
+                assert members[0] is psi._d0_member, psi
+                assert built == dict.fromkeys([d_zero(psi), *moves], 1), psi
+                moved += len(moves)
+    assert moved == 6
 
 
 def test_contains_lowest_weight_u11():

@@ -329,13 +329,13 @@ def packet(psi: AParameter) -> list[PacketMember]:
     enumerate_D order is d_0's, kept on psi (AParameter._d0_member): its
     stack is built and normalized by tableau_pair, which also checks that
     the data are mediocre, a verdict that reads only what the members
-    share (N, sizes, values).
-    The block values and their check against psi's segments are kept on
-    psi.  The segments fix which adjacent pairs have their right segment
-    wholly below the left one, and are idle on every member.  Every other
-    member is placed (_placed_invariants) and tested at the remaining
-    pairs only: it vanishes at a zero pair or is normal as placed, with no
-    stack built, unless a pair moves; only then is its stack built and
+    share (N, sizes, values).  The block values and their check against
+    psi's segments are kept on psi.  An adjacent pair whose right segment
+    lies wholly below the left one is idle on every member, so the
+    segments fix the pairs that need a test (_open_pairs).  Every member
+    but d_0's is placed (_placed_invariants) and tested at those pairs
+    only: it vanishes at a zero pair or is normal as placed, with no stack
+    built, unless a pair moves; only then is its stack built and
     normalized, by tableau_pair (_member).
 
     Every nonzero member is then checked against psi: its signed tableau

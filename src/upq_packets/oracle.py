@@ -205,7 +205,7 @@ def oracle_lowest_weights(psi: AParameter) -> list[KWeight]:
     hits = []
     for w in _unitarizable_splits(psi.sig, chi):
         pair = lowest_weight_invariants(w)
-        if pair[1].sig != psi.sig or pair[0].entry_multiset() != chi:
+        if pair[1].sig != psi.sig or pair[0].entries != chi.twice:
             raise InternalInconsistencyError(
                 f"invariants of {w.lam} do not have the signature and "
                 f"infinitesimal character of {psi}")
@@ -273,22 +273,23 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, psis: list[AParameter],
             {"kind": "realization-inf-char", "lambda": list(w.lam),
              "p": sig.p, "q": sig.q})
 
+    # The rewrite must keep the realization's invariant pair.  A fault in
+    # the rewrite or in normalizing the rewritten datum is recorded.
     try:
-        five = normalize_blocks(desc)
-    except ValueError:
-        five = None
+        try:
+            five = normalize_blocks(desc)
+        except ValueError:
+            five = None  # no rewrite applies
+        if five is not None:
+            out = tableau_pair(five)
+            if out.is_zero or not as_pair_equal((out.ann, out.as_tab), pair):
+                report.property_failures.append(
+                    {"kind": "normalize-blocks", "lambda": list(w.lam),
+                     "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
     except InternalInconsistencyError as exc:
-        five = None
         report.property_failures.append(
             {"kind": "normalize-blocks-error", "lambda": list(w.lam),
              "p": sig.p, "q": sig.q, "error": str(exc)})
-    if five is not None:
-        # The rewrite must keep the realization's invariant pair.
-        out = tableau_pair(five)
-        if out.is_zero or not as_pair_equal((out.ann, out.as_tab), pair):
-            report.property_failures.append(
-                {"kind": "normalize-blocks", "lambda": list(w.lam),
-                 "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
 
     # Ground truth for each packet with this character: its holomorphic
     # member's pair equals w's.  oracle_contains reads the member off psi,
@@ -425,16 +426,20 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
 
     if desc.d.is_holomorphic():
         for side in ("next", "prev"):
+            # A fault in the rewrite or in normalizing the swapped datum is
+            # recorded.
             try:
-                swapped = absorb_adjacent(desc, side)
-            except ValueError:
-                continue
+                try:
+                    swapped = absorb_adjacent(desc, side)
+                except ValueError:
+                    continue  # no rewrite applies
+                same = _same_invariants(out, tableau_pair(swapped))
             except InternalInconsistencyError as exc:
                 report.property_failures.append(
                     {"kind": "absorb-adjacent-error", "descriptor": desc.to_json(),
                      "side": side, "error": str(exc)})
                 continue
-            if not _same_invariants(out, tableau_pair(swapped)):
+            if not same:
                 report.property_failures.append(
                     {"kind": "absorb-adjacent", "descriptor": desc.to_json(),
                      "side": side})

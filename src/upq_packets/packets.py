@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
@@ -98,6 +98,22 @@ class AParameter:
                     f"segment {_segment_str(start, a)} of the block values differs from "
                     f"nu_{i + 1} = {_segment_str(nu_start, a)}")
         return tuple(values)
+
+    @cached_property
+    def _epsilon_signs(self) -> tuple[tuple[int, ...], ...]:
+        """For block i, the sign (-1)^(p_i a_{<i} + q_i (a_{<i}+1) + a_i(a_i-1)/2)
+        at each p_i from 0 to a_i: epsilon reads a member's signs here.
+
+        With q_i = a_i - p_i the exponent is
+        a_i (a_{<i}+1) + a_i(a_i-1)/2 - p_i, so the signs alternate in p_i
+        from their value at p_i = 0."""
+        table = []
+        before = 0
+        for _, a in self.summands:
+            first = (-1) ** (a * (before + 1) + a * (a - 1) // 2)
+            table.append(((first, -first) * (a // 2 + 1))[:a + 1])
+            before += a
+        return tuple(table)
 
     @cached_property
     def _d0(self) -> ThetaData:
@@ -204,38 +220,21 @@ def enumerate_D(psi: AParameter) -> list[ThetaData]:
     in decreasing lexicographic order of the p-parts.  The first is d_0:
     the plus parts fill the first blocks.
 
-    The choices run on an explicit stack, so the call depth does not grow
-    with the number of blocks.  Every choice is a valid datum of psi's
-    sizes, so each is built without ThetaData's checks."""
-    sig, sizes, r = psi.sig, psi.sizes(), psi.r
-    suffix = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
-
-    def frame(i: int, remaining: int) -> tuple[Iterator[int], int]:
-        # Block i's p_i still to try, largest first, leaving no more than
-        # the later blocks hold (so the last block takes all that remains);
-        # and the plus parts left for blocks i on.
-        lo = max(0, remaining - suffix[i + 1])
-        return iter(range(min(sizes[i], remaining), lo - 1, -1)), remaining
-
-    out: list[ThetaData] = []
-    acc: list[tuple[int, int]] = []
-    stack = [frame(0, sig.p)]
-    while stack:
-        i = len(stack) - 1
-        choices, remaining = stack[i]
-        pk = next(choices, None)
-        if pk is None:
-            stack.pop()
-            continue
-        del acc[i:]  # keep the choices of blocks before i
-        acc.append((pk, sizes[i] - pk))
-        if i + 1 < r:
-            stack.append(frame(i + 1, remaining - pk))
-        else:
-            out.append(ThetaData._unchecked(sig, tuple(acc)))
-    return out
+    The data are listed level by level: each prefix of the blocks before
+    i, in order, is extended by block i's p_i from largest to smallest, so
+    the order is lexicographic at every level.  Every choice is a valid
+    datum of psi's sizes, so each is built without ThetaData's checks."""
+    sig = psi.sig
+    later = sig.N  # the plus parts blocks i + 1 on can hold
+    level: list[tuple[tuple[tuple[int, int], ...], int]] = [((), sig.p)]
+    for a in psi.sizes():
+        later -= a
+        # Block i takes no more than remains, and leaves no more than the
+        # later blocks hold (so the last block takes all that remains).
+        level = [(blocks + ((pk, a - pk),), remaining - pk)
+                 for blocks, remaining in level
+                 for pk in range(min(a, remaining), max(0, remaining - later) - 1, -1)]
+    return [ThetaData._unchecked(sig, blocks) for blocks, _ in level]
 
 
 def d_zero(psi: AParameter) -> ThetaData:
@@ -249,14 +248,9 @@ def d_zero(psi: AParameter) -> ThetaData:
 
 
 def epsilon(psi: AParameter, d: ThetaData) -> tuple[int, ...]:
-    """The component-group character attached to the member A_d(psi)."""
-    out = []
-    before = 0
-    for (pk, qk), (_, a) in zip(d.blocks, psi.summands):
-        exponent = pk * before + qk * (before + 1) + a * (a - 1) // 2
-        out.append(1 if exponent % 2 == 0 else -1)
-        before += a
-    return tuple(out)
+    """The component-group character attached to the member A_d(psi),
+    read block by block from psi's table of signs by p_i."""
+    return tuple([signs[pk] for signs, (pk, _) in zip(psi._epsilon_signs, d.blocks)])
 
 
 @dataclass(frozen=True)
@@ -336,16 +330,20 @@ def packet(psi: AParameter) -> list[PacketMember]:
     but d_0's is placed (_placed_invariants) and tested at those pairs
     only: it vanishes at a zero pair or is normal as placed, with no stack
     built, unless a pair moves; only then is its stack built and
-    normalized, by tableau_pair (_member).
+    normalized, by tableau_pair (_member).  Each member's epsilon is read
+    from psi's table of signs (AParameter._epsilon_signs).
 
     Every nonzero member is then checked against psi: its signed tableau
-    has psi's signature and its antitableau holds exactly inf_char(psi).
-    With the signature fixed, the sort key (the antitableau's columns as
-    doubled ints, then the signed tableau's rows) determines the pair, so
-    equal pairs get equal keys and the sort puts them next to each other.
-    Comparing each member with its neighbour therefore finds any repeat in
-    live - 1 comparisons.  The sort is stable, so a clash names its two
-    members in enumerate_D order.
+    has psi's signature and its antitableau holds exactly inf_char(psi),
+    compared as plain doubled ints largest first (AntiTableau.entries,
+    computed when the antitableau was built, against the character's
+    `twice`).  With the signature fixed, the sort key (the antitableau's
+    columns as doubled ints, then the signed tableau's rows) determines
+    the pair, so equal pairs get equal keys and the sort puts them next to
+    each other.  Comparing each member with its neighbour (as_pair_equal,
+    which compares the two entry tuples before the pairs) therefore finds
+    any repeat in live - 1 comparisons.  The sort is stable, so a clash
+    names its two members in enumerate_D order.
 
     A packet of more than _MAX_PACKET_MEMBERS members raises ValueError,
     naming its count, before any member is built."""
@@ -364,10 +362,10 @@ def packet(psi: AParameter) -> list[PacketMember]:
             members.append(PacketMember(d, InductionDescriptor(d, values), epsilon(psi, d),
                                         invariants is not None, invariants))
     live = [m for m in members if m.nonzero]
-    chi = psi._chi
+    chi = psi._chi.twice
     for m in live:
         ann, as_tab = m.invariants
-        if as_tab.sig != psi.sig or ann.entry_multiset() != chi:
+        if as_tab.sig != sig or ann.entries != chi:
             raise InternalInconsistencyError(
                 f"member {m.d.blocks} of {psi} has invariants of another "
                 f"signature or infinitesimal character")

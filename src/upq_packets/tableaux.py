@@ -31,13 +31,12 @@ assemble_antitableau alone (packets._placed_invariants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import attrgetter, ge, gt, le, lt
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError, IterationCapExceeded
-from .halfint import HalfInt, HalfIntMultiset, _segment_str
+from .halfint import HalfInt, _segment_str
 from .weights import GroupSignature
 
 PLUS = 1
@@ -90,15 +89,21 @@ class SignedTableau:
 @dataclass(frozen=True)
 class AntiTableau:
     """An antitableau: one tuple of doubled entries per column, read top to
-    bottom."""
+    bottom.
+
+    `entries` is its multiset of entries as doubled ints, largest first,
+    computed once when the tableau is built; it is not a field that
+    equality, hashing or repr read, as the columns determine it."""
 
     columns: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # One pass over the columns, each tested against the one before it;
         # a tableau that breaks several conditions is refused for the first
         # broken in that pass.
         prev: tuple[int, ...] = ()
+        entries: list[int] = []
         for col in self.columns:
             if not col:
                 raise ValueError("empty column")
@@ -109,7 +114,10 @@ class AntiTableau:
                 raise ValueError("column entries must strictly decrease downward")
             if not all(map(ge, prev, col)):
                 raise ValueError("row entries must weakly decrease rightward")
+            entries += col
             prev = col
+        entries.sort(reverse=True)
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,14 +128,6 @@ class AntiTableau:
         for c in range(len(self.columns), 0, -1):
             out += [c] * (heights[c - 1] - heights[c])
         return tuple(out)
-
-    @cached_property
-    def _entries(self) -> HalfIntMultiset:
-        # entry_multiset(), built on first read and kept outside the fields.
-        return HalfIntMultiset.from_values(v for col in self.columns for v in col)
-
-    def entry_multiset(self) -> HalfIntMultiset:
-        return self._entries
 
     def row(self, r: int) -> list[int]:
         return [col[r] for col in self.columns if len(col) > r]
@@ -681,12 +681,14 @@ def as_pair_equal(a: tuple[AntiTableau, SignedTableau],
 
     Representations with the same signature and infinitesimal character are
     isomorphic exactly when these pairs coincide; comparing across different
-    signatures or entry multisets is a usage error, not False.
+    signatures or entry multisets is a usage error, not False.  The entry
+    multisets are compared as the antitableaux's `entries`, doubled ints
+    largest first, which each tableau computed when it was built.
     """
     ann_a, as_a = a
     ann_b, as_b = b
     if as_a.sig != as_b.sig:
         raise ValueError("signature mismatch in invariant comparison")
-    if ann_a.entry_multiset() != ann_b.entry_multiset():
+    if ann_a.entries != ann_b.entries:
         raise ValueError("entry multiset mismatch in invariant comparison")
     return ann_a == ann_b and as_a == as_b

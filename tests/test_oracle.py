@@ -447,3 +447,58 @@ def test_an_internal_fault_in_a_rewrite_is_recorded_and_the_sweep_completes(monk
     # U(0,1) is the first signature and lambda = (2) its first weight.
     assert expected[0] == {"kind": "normalize-blocks-error", "lambda": [2], "p": 0, "q": 1,
                            "error": "segment [5/2,5/2] not realizable at this position"}
+
+
+def test_a_fault_in_normalizing_a_rewritten_datum_is_recorded_and_the_sweep_completes(
+        monkeypatch):
+    # A fault that only the rewritten data reach: tableau_pair raises on
+    # each descriptor that normalize_blocks or absorb_adjacent returns, and
+    # on no other.  Each is recorded under its rewrite's error kind with
+    # its instance, in sweep order (the weights of each signature, then the
+    # two-block data by rank), so the first record of each kind is its
+    # minimal instance, and the sweep still reports.
+    rewritten = {}  # id -> descriptor, kept alive so that no id is reused
+    message = "planted fault in a rewritten datum"
+
+    def remembered(rewrite):
+        def run(*args):
+            out = rewrite(*args)
+            rewritten[id(out)] = out
+            return out
+        return run
+
+    def faulty(desc):
+        if id(desc) in rewritten:
+            raise InternalInconsistencyError(message)
+        return cohind.tableau_pair(desc)
+
+    expected = []
+    for sig in FAULT_SIGS:
+        for w in dominant_weights(sig, FAULT_CFG.weight_window):
+            if not is_unitarizable(w):
+                continue
+            try:
+                normalize_blocks(realize_lowest_weight(w))
+            except ValueError:
+                continue
+            expected.append({"kind": "normalize-blocks-error", "lambda": list(w.lam),
+                             "p": sig.p, "q": sig.q, "error": message})
+    for desc in two_block_data(FAULT_CFG.max_N):
+        for side in ("next", "prev") if desc.d.is_holomorphic() else ():
+            try:
+                absorb_adjacent(desc, side)
+            except ValueError:
+                continue
+            expected.append({"kind": "absorb-adjacent-error", "descriptor": desc.to_json(),
+                             "side": side, "error": message})
+    monkeypatch.setattr(oracle, "normalize_blocks", remembered(normalize_blocks))
+    monkeypatch.setattr(oracle, "absorb_adjacent", remembered(absorb_adjacent))
+    monkeypatch.setattr(oracle, "tableau_pair", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert Counter(f["kind"] for f in expected) == {"normalize-blocks-error": 150,
+                                                    "absorb-adjacent-error": 7}
+    # U(0,1) is the first signature and lambda = (2) its first weight.
+    assert expected[0] == {"kind": "normalize-blocks-error", "lambda": [2], "p": 0, "q": 1,
+                           "error": message}

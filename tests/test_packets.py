@@ -18,7 +18,8 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
-from upq_packets.tableaux import MINUS, PLUS, AntiTableau, build_initial, trapa_normalize
+from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, SignedTableau, build_initial,
+                                  trapa_normalize)
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable)
 
@@ -80,7 +81,8 @@ def test_enumerate_D_counts():
 def test_the_counted_packet_size_is_the_enumerated_one():
     # |D(psi)| from the DP over the block sizes, on every packet whose
     # character lies in [-2, 2] up to N = 6.  Each datum enumerate_D
-    # builds unchecked passes ThetaData's checks, and the first is d_0.
+    # builds unchecked passes ThetaData's checks, the first is d_0, and the
+    # p-parts strictly decrease lexicographically.
     checked = 0
     for n in range(1, 7):
         for p in range(n + 1):
@@ -89,6 +91,8 @@ def test_the_counted_packet_size_is_the_enumerated_one():
                 assert packets._count_D(psi) == len(ds), psi
                 assert ds == [ThetaData(d.sig, d.blocks) for d in ds], psi
                 assert ds[0] == d_zero(psi), psi
+                parts = [[pk for pk, _ in d.blocks] for d in ds]
+                assert all(a > b for a, b in zip(parts, parts[1:])), psi
                 checked += 1
     assert checked > 1000
 
@@ -127,6 +131,24 @@ def test_epsilon_values():
     ds = enumerate_D(psi)
     assert epsilon(psi, ds[0]) == (1, 1)
     assert epsilon(psi, ds[1]) == (-1, -1)
+
+
+def test_epsilon_is_the_written_out_sign_on_every_member_up_to_n_6():
+    # epsilon reads psi's table of signs; the reference computes block i's
+    # exponent p_i a_{<i} + q_i (a_{<i}+1) + a_i(a_i-1)/2 for each datum.
+    checked = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                for d in enumerate_D(psi):
+                    expected, before = [], 0
+                    for (pk, qk), (_, a) in zip(d.blocks, psi.summands):
+                        exponent = pk * before + qk * (before + 1) + a * (a - 1) // 2
+                        expected.append(1 if exponent % 2 == 0 else -1)
+                        before += a
+                    assert epsilon(psi, d) == tuple(expected), (psi, d)
+                    checked += 1
+    assert checked == 25771
 
 
 def test_epsilon_ignores_t():
@@ -244,10 +266,30 @@ def test_packet_refuses_a_member_with_one_entry_shifted(monkeypatch):
             return real
         (top, *below), *rest = real[0].columns
         ann = AntiTableau(((top + 2, *below), *rest))  # still an antitableau
-        assert ann.entry_multiset() != real[0].entry_multiset()
+        assert ann.entries != real[0].entries
         return ann, real[1]
 
     _with_invariants(monkeypatch, shifted)
+    with pytest.raises(InternalInconsistencyError,
+                       match="another signature or infinitesimal character"):
+        packet(psi)
+
+
+def test_packet_refuses_a_member_whose_signed_tableau_has_another_signature(monkeypatch):
+    # Member 3's signed tableau with every sign flipped: a signed tableau of
+    # U(2,3), beside an antitableau that holds psi's character.
+    psi = TEN_LIVE
+    target = enumerate_D(psi)[3]
+
+    def flipped(blocks, real):
+        if blocks != target.blocks:
+            return real
+        as_tab = SignedTableau(GroupSignature(2, 3),
+                               tuple((length, -first) for length, first in real[1].rows))
+        assert as_tab.sig != psi.sig and real[0].entries == inf_char(psi).twice
+        return real[0], as_tab
+
+    _with_invariants(monkeypatch, flipped)
     with pytest.raises(InternalInconsistencyError,
                        match="another signature or infinitesimal character"):
         packet(psi)
@@ -569,7 +611,8 @@ def test_oracle_contains_normalizes_d0_once_per_psi(monkeypatch):
 
 @pytest.mark.parametrize("cls, fields, names", [
     (AParameter, ("sig", "summands"),
-     ("_segments", "_chi", "_values", "_d0", "_candidate", "_d0_member")),
+     ("_segments", "_chi", "_values", "_epsilon_signs", "_d0", "_candidate",
+      "_d0_member")),
     (KWeight, ("sig", "lam"), ("_chi", "_stats", "_unitarity", "_bracket"))])
 def test_parameters_and_weights_keep_what_they_derive(cls, fields, names):
     # Every psi and every swept weight of the N <= 4, window-2 sweep.  Each

@@ -250,7 +250,7 @@ def test_nonzero_outcome_is_valid_antitableau():
         if out.is_zero:
             continue
         ann = out.ann
-        assert ann.entry_multiset() == segment_multiset(segments_of(dd))
+        assert ann.entries == segment_multiset(segments_of(dd)).twice
 
 
 def test_assemble_antitableau_refuses_a_repeated_column_entry():

@@ -21,7 +21,7 @@ from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, _json_dumps
 from .oracle import SweepConfig, sweep_verify
-from .packets import (AParameter, PacketMember, d_zero, inf_char,
+from .packets import (AParameter, PacketMember, d_zero, epsilon, inf_char,
                       lowest_weight_of_packet, member, packet, packets_containing)
 from .tableaux import MINUS, PLUS, AntiTableau, SignedTableau
 from .weights import GroupSignature, KWeight, is_unitarizable
@@ -78,26 +78,29 @@ def _shapes(indent: str) -> tuple[list[str], list[str], dict[int, list[str]]]:
              MINUS: _cut({"first_sign": "-", "len": _HOLE}, indent)})
 
 
-def _members_json(members: list[PacketMember], indent: str,
+def _members_json(psi: AParameter, members: list[PacketMember], indent: str,
                   d0: ThetaData | None = None) -> list[str]:
     """Each member as `_json_dumps(obj, indent)` writes it, byte for byte,
-    where obj holds the member's `descriptor`, `epsilon` and `nonzero`,
-    and its `ann` and `as` when nonzero, each as its own `to_json` writes
-    it, plus, when d0 is given, a `d0` key holding d0's blocks.  The
-    members are those of one packet, in any number.
+    where obj holds the member's `descriptor`
+    (`InductionDescriptor(m.d, psi._values).to_json()`), its `epsilon`
+    (`epsilon(psi, m.d)`) and `nonzero`, and its `ann` and `as` when
+    nonzero, each as its own `to_json` writes it, plus, when d0 is given, a
+    `d0` key holding d0's blocks.  The members are any number of members of
+    psi's packet.
 
     The members of a packet share their signature, values and segments, so
     the text around a member's own values is rendered once, from one
-    skeleton for the zero and one for the nonzero members.  Per member only
-    the blocks, epsilon, `ann` columns and `as` rows are written, the last
-    two from their fixed shapes ({"twice": v} per entry, {"first_sign",
-    "len"} per row), with no dict per entry.  None of these lists is empty:
-    a packet has at least one block, a column at least one entry and, as
-    N >= 1, a tableau at least one row."""
+    descriptor skeleton with psi's values and one skeleton for the zero and
+    one for the nonzero members.  Per member only the blocks, epsilon,
+    `ann` columns and `as` rows are written, the last two from their fixed
+    shapes ({"twice": v} per entry, {"first_sign", "len"} per row), with no
+    dict per entry.  None of these lists is empty: a packet has at least
+    one block, a column at least one entry and, as N >= 1, a tableau at
+    least one row."""
     i1 = indent + "  "
-    desc = members[0].descriptor
-    sig = desc.d.sig
-    desc_open, desc_close = _cut({**desc.to_json(), "blocks": [_HOLE]}, i1)
+    sig = psi.sig
+    desc_open, desc_close = _cut(
+        {**InductionDescriptor(members[0].d, psi._values).to_json(), "blocks": [_HOLE]}, i1)
     tail = {"descriptor": _HOLE, "epsilon": [_HOLE]}
     if d0 is not None:
         tail["d0"] = [list(b) for b in d0.blocks]
@@ -112,9 +115,9 @@ def _members_json(members: list[PacketMember], indent: str,
     out = []
     for m in members:
         blocks = sep3.join([f"{pair[0]}{a}{pair[1]}{b}{pair[2]}" for a, b in m.d.blocks])
-        epsilon = sep2.join(map(str, m.epsilon))
+        signs = sep2.join(map(str, epsilon(psi, m.d)))
         if m.invariants is None:
-            out.append(f"{zero[0]}{desc_open}{blocks}{desc_close}{zero[1]}{epsilon}{zero[2]}")
+            out.append(f"{zero[0]}{desc_open}{blocks}{desc_close}{zero[1]}{signs}{zero[2]}")
             continue
         ann, as_tab = m.invariants
         columns = sep3.join([column[0] + column[1].join(map(str, entries)) + column[2]
@@ -122,7 +125,7 @@ def _members_json(members: list[PacketMember], indent: str,
         rows = sep3.join([f"{row[first][0]}{length}{row[first][1]}"
                           for length, first in as_tab.rows])
         out.append(f"{live[0]}{columns}{live[1]}{rows}{live[2]}{desc_open}{blocks}{desc_close}"
-                   f"{live[3]}{epsilon}{live[4]}")
+                   f"{live[3]}{signs}{live[4]}")
     return out
 
 
@@ -197,7 +200,7 @@ def cmd_classify_psi(args: argparse.Namespace) -> tuple[int, str]:
                            "contains": w is not None,
                            "lowest_k_type": list(w.lam) if w is not None else None,
                            "member": _HOLE}, "\n")
-        return head + _members_json([m], "\n  ", d0)[0] + tail
+        return head + _members_json(psi, [m], "\n  ", d0)[0] + tail
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}",
@@ -245,14 +248,14 @@ def cmd_packet(args: argparse.Namespace) -> tuple[int, str]:
     def as_json() -> str:
         head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),
                            "members": [_HOLE]}, "\n")
-        return head + ",\n    ".join(_members_json(members, "\n    ")) + tail
+        return head + ",\n    ".join(_members_json(psi, members, "\n    ")) + tail
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}: {len(members)} members"]
         for m in members:
             tag = "nonzero" if m.nonzero else "zero"
             lines.append(f"d = {[list(b) for b in m.d.blocks]}  epsilon = "
-                         f"{list(m.epsilon)}  ({tag})")
+                         f"{list(epsilon(psi, m.d))}  ({tag})")
             if m.nonzero:
                 lines.append(render_pair_ascii(*m.invariants))
         return "\n".join(lines)

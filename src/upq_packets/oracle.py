@@ -370,15 +370,14 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
     if not oracle_hits:
         return
     # The lowest weight member must be the holomorphic candidate.
-    d0 = d_zero(psi)
     for w in oracle_hits:
         if not oracle_contains(psi, w):
             report.property_failures.append(
                 {"kind": "lowest-weight-member-not-holomorphic",
                  "psi": psi.to_json(), "lambda": list(w.lam)})
-        if not d0.is_holomorphic():
-            report.property_failures.append(
-                {"kind": "holomorphic-candidate", "psi": psi.to_json()})
+    if not d_zero(psi).is_holomorphic():
+        report.property_failures.append(
+            {"kind": "holomorphic-candidate", "psi": psi.to_json()})
 
 
 def _two_block_share(n: int) -> Iterator[InductionDescriptor]:

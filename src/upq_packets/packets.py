@@ -62,10 +62,6 @@ class AParameter:
         ordered = sorted(summands, key=lambda ta: (-ta[0], -ta[1]))
         return cls(sig, tuple(ordered))
 
-    @property
-    def r(self) -> int:
-        return len(self.summands)
-
     def sizes(self) -> list[int]:
         return [a for _, a in self.summands]
 
@@ -255,19 +251,23 @@ def epsilon(psi: AParameter, d: ThetaData) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PacketMember:
+    """The member A_d(psi): its datum d and its invariant pair, or None
+    when the member is zero.  What else a member has follows from psi and
+    d: its induction descriptor is InductionDescriptor(d, psi._values) and
+    its character epsilon(psi, d)."""
+
     d: ThetaData
-    descriptor: InductionDescriptor
-    epsilon: tuple[int, ...]
-    nonzero: bool
     invariants: Optional[tuple[AntiTableau, SignedTableau]]
+
+    @property
+    def nonzero(self) -> bool:
+        return self.invariants is not None
 
 
 def _member(psi: AParameter, d: ThetaData) -> PacketMember:
-    # The member for d in D(psi).
-    desc = InductionDescriptor(d, psi._values)
-    out = tableau_pair(desc)
-    invariants = None if out.is_zero else (out.ann, out.as_tab)
-    return PacketMember(d, desc, epsilon(psi, d), not out.is_zero, invariants)
+    # The member for d in D(psi), from its normalized stack.
+    out = tableau_pair(InductionDescriptor(d, psi._values))
+    return PacketMember(d, None if out.is_zero else (out.ann, out.as_tab))
 
 
 def member(psi: AParameter, d: ThetaData) -> PacketMember:
@@ -330,8 +330,9 @@ def packet(psi: AParameter) -> list[PacketMember]:
     but d_0's is placed (_placed_invariants) and tested at those pairs
     only: it vanishes at a zero pair or is normal as placed, with no stack
     built, unless a pair moves; only then is its stack built and
-    normalized, by tableau_pair (_member).  Each member's epsilon is read
-    from psi's table of signs (AParameter._epsilon_signs).
+    normalized, by tableau_pair (_member), and only then is an
+    InductionDescriptor built for it.  A member holds its datum and its
+    invariant pair (PacketMember); its epsilon is not computed here.
 
     Every nonzero member is then checked against psi: its signed tableau
     has psi's signature and its antitableau holds exactly inf_char(psi),
@@ -351,16 +352,12 @@ def packet(psi: AParameter) -> list[PacketMember]:
     if count > _MAX_PACKET_MEMBERS:
         raise ValueError(f"the packet of {psi} has {count} members, more than "
                          f"the limit of {_MAX_PACKET_MEMBERS}")
-    sig, segs, values = psi.sig, psi._segments, psi._values
+    sig, segs = psi.sig, psi._segments
     pairs = _open_pairs(segs)
     members = [psi._d0_member]
     for d in enumerate_D(psi)[1:]:
         moves, invariants = _placed_invariants(sig, d.blocks, segs, pairs)
-        if moves:
-            members.append(_member(psi, d))
-        else:
-            members.append(PacketMember(d, InductionDescriptor(d, values), epsilon(psi, d),
-                                        invariants is not None, invariants))
+        members.append(_member(psi, d) if moves else PacketMember(d, invariants))
     live = [m for m in members if m.nonzero]
     chi = psi._chi.twice
     for m in live:
@@ -444,23 +441,50 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
     packet, or None when the packet has none.
 
     The packet has one exactly when nu_{<j} and nu_{>j} are multiplicity
-    free, |nu_j /\\ nu_{>j}| <= p_j and |nu_j /\\ nu_{<j}| <= q_j.  Each
-    branch names the multiset P of the K-type's p-side entries, by which
-    of the bounds are attained, and kweight_from_pq inverts P and
-    Q = chi \\ P:
+    free, |nu_j /\\ nu_{>j}| <= p_j and |nu_j /\\ nu_{<j}| <= q_j.  One of
+    two rules names the multiset P of the K-type's p-side entries, and
+    kweight_from_pq inverts P and Q = chi \\ P:
 
     * q_j = 0: P = nu_{<=j};
-    * p_j = |nu_j /\\ nu_{>j}|: P = nu_{<j} || (nu_j /\\ nu_{>j});
-    * q_j = |nu_j /\\ nu_{<j}|: P = nu_{<=j} \\ (nu_j /\\ nu_{<j});
-    * otherwise (interior): with sigma = nu_{<j} || nu_{>j}, v is the first
-      value of nu_j, largest first, at which sigma's values above v and
-      nu_j's values from v down number p, and P is those values.
+    * otherwise (the search): with sigma = nu_{<j} || nu_{>j} and
+      nu_j = {top, top - 1, ..., top - a_j + 1}, v runs over top, top - 1,
+      ..., top - a_j (the last one step below nu_j) and stops at the first
+      value at which sigma's values above v and nu_j's values from v down
+      number p; P is those values.
 
-    The interior rule is the paper's explicit coordinate formula.  Write
-    sigma_1 >= sigma_2 >= ... and nu_j = {top, top - 1, ..., top - a_j + 1}
-    with v its i0-th value, and list P and Q largest first.
-    kweight_from_pq reads 2 lambda_i = 2 P_i + (N-1) - 2(p-i) on the
-    p-side and 2 lambda_{p+l} = 2 Q_l - (N+1) + 2l on the q-side.  P's
+    The search also covers the bounds that are attained.  Write
+    cap_lt = nu_j /\\ nu_{<j} and cap_gt = nu_j /\\ nu_{>j}, and let q_j > 0.
+    Summands are listed with t, twice a segment's centre, decreasing, so a
+    segment of nu_{<j} with a value below nu_j, or one of nu_{>j} with a
+    value above it, contains nu_j.  The first would force q_j = a_j, so
+    p_j = 0, which the straddle allows only for p = 0, where nu_{<j} is
+    empty; the second would force p_j = a_j, so q_j = 0.  So nu_{<j} has no
+    value below nu_j and nu_{>j} none above it.  cap_lt and cap_gt are
+    disjoint, so sigma holds each value of nu_j at most once.  With
+    f(i) = #{sigma > nu_j[i]} + a_j - i for i = 0, ..., a_j (nu_j[a_j] one
+    step below nu_j), f drops by one at each value of nu_j outside sigma
+    and stays flat at each value inside it.  f runs from
+    f(0) = |nu_{<j}| - |cap_lt| + a_j down to f(a_j) = |nu_{<j}| + |cap_gt|,
+    and p = |nu_{<j}| + p_j lies between them by the two bounds, so the
+    search stops.
+
+    * p_j = |cap_gt| gives p = f(a_j).  The search may stop at an earlier
+      i, but f is flat from there on, so nu_j[i:] lies in sigma, and P is
+      sigma's values from nu_j's least value up: nu_{<j} || cap_gt.
+    * q_j = |cap_lt| gives p = f(0), and i = 0 returns sigma's values
+      above nu_j and all of nu_j: nu_{<=j} \\ cap_lt.
+    * Otherwise f(a_j) < p < f(0), and the search stops inside nu_j.
+
+    The q_j = 0 rule does not fold into the search: on U(1,4), psi =
+    chi_4 S_1 + chi_3 S_4 has nu_j = {2} and nu_{>j} = [0, 3], P = {2} and
+    lowest K-type (4, 1, 1, 1, 1), yet sigma's values above 2 already
+    number p = 1 with nu_j's value 2 left over.
+
+    The search is the paper's explicit coordinate formula.  Write
+    sigma_1 >= sigma_2 >= ... and let v be the i0-th of the values the
+    search runs over, i0 from 1 to a_j + 1, and list P and Q largest
+    first.  kweight_from_pq reads 2 lambda_i = 2 P_i + (N-1) - 2(p-i) on
+    the p-side and 2 lambda_{p+l} = 2 Q_l - (N+1) + 2l on the q-side.  P's
     first p - a_j + i0 - 1 entries are sigma's top values and the rest are
     nu_j's values from v down; Q holds nu_j's values above v, then sigma's
     values <= v.  So, for i from 1 to N,
@@ -470,21 +494,14 @@ def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:
         2 lambda_i = 2 top - (N - 1)                     if p < i < p + i0,
         2 lambda_i = 2 sigma_{i-a_j} - (N + 1) - 2p + 2i  if i >= p + i0.
     """
-    (p_j, q_j), (lt, mid, gt), nonzero = psi._candidate
+    (_, q_j), (lt, mid, gt), nonzero = psi._candidate
     if not nonzero:
         return None
-    cap_gt = mid.intersection(gt)
-    cap_lt = mid.intersection(lt)
-
     if q_j == 0:
         P = lt.union(mid)
-    elif p_j == cap_gt.size:
-        P = lt.union(cap_gt)
-    elif q_j == cap_lt.size:
-        P = lt.union(mid).difference(cap_lt)
     else:
         sigma, nu = lt.union(gt).twice, mid.twice
-        for i, v in enumerate(nu):
+        for i, v in enumerate(nu + (nu[-1] - 2,)):
             above = tuple(x for x in sigma if x > v)
             if len(above) + len(nu) - i == psi.sig.p:
                 P = HalfIntMultiset(above + nu[i:])

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import upq_packets
 from upq_packets.cli import main
-from upq_packets.packets import (AParameter, d_zero, inf_char, lowest_weight_of_packet,
-                                 member, oracle_contains, packet)
+from upq_packets.cohind import InductionDescriptor
+from upq_packets.packets import (AParameter, d_zero, epsilon, inf_char,
+                                 lowest_weight_of_packet, member, oracle_contains, packet)
 from upq_packets.weights import GroupSignature, KWeight, inf_char_of_lowest_weight
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -424,11 +425,12 @@ def test_cli_contract_holds_for_any_payload(argv):
             "invalid-input", "internal-inconsistency"), argv
 
 
-def member_json(m):
-    """A packet member as a tree of dicts and lists, each part from its own
-    `to_json`: the reference that `cli._members_json` writes as text."""
-    obj = {"descriptor": m.descriptor.to_json(), "epsilon": list(m.epsilon),
-           "nonzero": m.nonzero}
+def member_json(psi, m):
+    """A member of psi's packet as a tree of dicts and lists, each part
+    from its own `to_json` or from epsilon: the reference that
+    `cli._members_json` writes as text."""
+    obj = {"descriptor": InductionDescriptor(m.d, psi._values).to_json(),
+           "epsilon": list(epsilon(psi, m.d)), "nonzero": m.nonzero}
     if m.invariants is not None:
         ann, as_tab = m.invariants
         obj["ann"] = ann.to_json()
@@ -444,10 +446,11 @@ def reference_json(argv):
     psi = AParameter.from_summands(sig, [(s["t"], s["a"]) for s in json.loads(flags["--psi"])])
     tree = {"psi": psi.to_json(), "inf_char": inf_char(psi).to_json()}
     if command == "packet":
-        tree["members"] = [member_json(m) for m in packet(psi)]
+        tree["members"] = [member_json(psi, m) for m in packet(psi)]
     else:
         w, d0 = lowest_weight_of_packet(psi), d_zero(psi)
-        tree["member"] = {**member_json(member(psi, d0)), "d0": [list(b) for b in d0.blocks]}
+        tree["member"] = {**member_json(psi, member(psi, d0)),
+                          "d0": [list(b) for b in d0.blocks]}
         tree.update(contains=w is not None, lowest_k_type=list(w.lam) if w is not None else None)
     return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 

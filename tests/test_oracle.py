@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from upq_packets import cohind, oracle, packets
-from upq_packets.cohind import absorb_adjacent, normalize_blocks, realize_lowest_weight
+from upq_packets.cohind import (ThetaData, absorb_adjacent, normalize_blocks,
+                                realize_lowest_weight)
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
@@ -410,6 +411,107 @@ def test_a_lost_lowest_weight_shows_as_lowest_weight_extraction(monkeypatch, sco
                                     "psi": psi.to_json(), "theorem": None,
                                     "oracle": list(lam.lam)}
     assert {m["kind"] for m in report.mismatches} == {"lowest-weight-extraction"}
+
+
+@pytest.mark.parametrize("scope, first_sig", [("every", (0, 1)), ("noncompact", (1, 1))])
+def test_a_failed_multiplicity_one_check_shows_as_multiplicity_one(monkeypatch, scope,
+                                                                   first_sig):
+    # packet() raises on every psi the fault reaches.  Only the psi side's
+    # oracle builds whole packets, so each such psi is recorded once, in
+    # the psi side's order (signatures, then the window's parameters), and
+    # its checks stop there.
+    applies = FAULT_SCOPES[scope]
+    message = "planted fault: two members share an invariant pair"
+
+    def faulty(psi):
+        if applies(psi):
+            raise InternalInconsistencyError(message)
+        return packet(psi)
+
+    expected = [{"kind": "multiplicity-one", "psi": psi.to_json(), "error": message}
+                for sig in FAULT_SIGS
+                for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                if applies(psi)]
+    monkeypatch.setattr(oracle, "packet", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert (expected[0]["psi"]["p"], expected[0]["psi"]["q"]) == first_sig
+    assert report.mismatches == []
+    assert report.property_failures == expected
+
+
+@pytest.mark.parametrize("scope, first_sig", [("every", (0, 1)), ("noncompact", (1, 1))])
+def test_a_failed_extraction_shows_as_extraction_error(monkeypatch, scope, first_sig):
+    # lowest_weight_of_packet raises on every psi the fault reaches.  Per
+    # signature, the lambda side records each membership pair whose
+    # packet contains the weight (the extraction error, then the failed
+    # round trip), and the psi side then records each psi once; so the
+    # first record is the first member pair the fault reaches.
+    applies = FAULT_SCOPES[scope]
+    message = "planted fault: no valid index i0"
+
+    def faulty(psi):
+        if applies(psi):
+            raise InternalInconsistencyError(message)
+        return lowest_weight_of_packet(psi)
+
+    pairs = _membership_pairs()
+    expected = []
+    for sig in FAULT_SIGS:
+        for psi, w in pairs:
+            if psi.sig == sig and applies(psi) and contains_lowest_weight(psi, w):
+                expected += [{"kind": "extraction-error", "psi": psi.to_json(), "error": message},
+                             {"kind": "round-trip-extraction", "psi": psi.to_json(),
+                              "lambda": list(w.lam), "extracted": None}]
+        expected += [{"kind": "extraction-error", "psi": psi.to_json(), "error": message}
+                     for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                     if applies(psi)]
+    monkeypatch.setattr(oracle, "lowest_weight_of_packet", faulty)
+    report = sweep_verify(FAULT_CFG)
+    psi, w = next((psi, w) for psi, w in pairs
+                  if applies(psi) and contains_lowest_weight(psi, w))
+    assert (psi.sig.p, psi.sig.q) == first_sig
+    assert expected[:2] == [{"kind": "extraction-error", "psi": psi.to_json(), "error": message},
+                            {"kind": "round-trip-extraction", "psi": psi.to_json(),
+                             "lambda": list(w.lam), "extracted": None}]
+    assert report.mismatches == []
+    assert report.property_failures == expected
+
+
+@pytest.mark.parametrize("repeat", [1, 2])
+def test_a_d0_that_is_not_holomorphic_is_recorded_once_per_psi(monkeypatch, repeat):
+    # ThetaData.is_holomorphic answers False for the d_0 that the psi side
+    # asks about and nowhere else.  With repeat = 2 the oracle also finds
+    # each lowest weight twice.  Either way each psi whose packet holds a
+    # lowest weight module gets one holomorphic-candidate record, in the
+    # psi side's order, so the first is at the least signature.
+    d0s = {}  # id -> d_0, kept alive so that no id is reused
+    real_holomorphic = ThetaData.is_holomorphic
+
+    def d0_of(psi):
+        d0 = d_zero(psi)
+        d0s[id(d0)] = d0
+        return d0
+
+    hits = {psi: oracle_lowest_weights(psi) for sig in FAULT_SIGS
+            for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)}
+    expected = []
+    for psi, found in hits.items():
+        if found and repeat > 1:
+            expected.append({"kind": "packet-uniqueness", "psi": psi.to_json(),
+                             "lambdas": [list(w.lam) for w in found * repeat]})
+        if found:
+            expected.append({"kind": "holomorphic-candidate", "psi": psi.to_json()})
+    monkeypatch.setattr(oracle, "d_zero", d0_of)
+    monkeypatch.setattr(ThetaData, "is_holomorphic",
+                        lambda d: id(d) not in d0s and real_holomorphic(d))
+    monkeypatch.setattr(oracle, "oracle_lowest_weights",
+                        lambda psi: oracle_lowest_weights(psi) * repeat)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    candidates = [f["psi"] for f in expected if f["kind"] == "holomorphic-candidate"]
+    assert len(candidates) == sum(map(bool, hits.values())) > 0
+    assert (candidates[0]["p"], candidates[0]["q"]) == (0, 1)
 
 
 def test_an_internal_fault_in_a_rewrite_is_recorded_and_the_sweep_completes(monkeypatch):

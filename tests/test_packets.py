@@ -13,7 +13,7 @@ from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (_unitarizable_splits, dominant_weights,
                                 good_parameters_in_window)
-from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
+from upq_packets.packets import (AParameter, PacketMember, contains_lowest_weight, d_zero,
                                  enumerate_D, epsilon,
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
@@ -21,7 +21,7 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
 from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, SignedTableau, build_initial,
                                   trapa_normalize)
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
-                                 is_unitarizable)
+                                 is_unitarizable, kweight_from_pq)
 
 from test_properties import psis_sharing_a_weights_character, random_psis
 
@@ -162,7 +162,7 @@ def test_epsilon_ignores_t():
 def test_member_examples():
     psi = psi_of(1, 1, (0, 2))
     m = member(psi, d_zero(psi))
-    assert m.descriptor.values == (0,)
+    assert psi._values == (0,)
     assert m.nonzero
     psi = psi_of(2, 0, (1, 1), (1, 1))
     m = member(psi, enumerate_D(psi)[0])
@@ -214,6 +214,41 @@ def test_packet_repeated_pair_raises_naming_members_in_order(monkeypatch, source
     expected = f"members {ds[first].blocks} and {ds[second].blocks} of"
     with pytest.raises(InternalInconsistencyError, match=re.escape(expected)):
         packet(psi)
+
+
+def test_packet_builds_a_descriptor_only_for_d0_and_the_members_that_move(monkeypatch):
+    # A member is its datum and its invariant pair.  packet() computes no
+    # epsilon, and builds an InductionDescriptor only to normalize a stack:
+    # d_0's and that of each member whose placement moves.  Every psi of
+    # character window 2 up to N = 4, each a fresh object.
+    assert [f.name for f in dataclasses.fields(PacketMember)] == ["d", "invariants"]
+    calls = collections.Counter()
+    real_descriptor, real_placed, real_epsilon = (packets.InductionDescriptor,
+                                                  packets._placed_invariants, packets.epsilon)
+
+    def counting(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    def placed(*args):
+        moves, invariants = real_placed(*args)
+        calls["moves"] += moves
+        return moves, invariants
+
+    monkeypatch.setattr(packets, "InductionDescriptor",
+                        counting("descriptor", real_descriptor))
+    monkeypatch.setattr(packets, "epsilon", counting("epsilon", real_epsilon))
+    monkeypatch.setattr(packets, "_placed_invariants", placed)
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
+                calls["members"] += len(packet(psi))
+                calls["psi"] += 1
+    assert calls["epsilon"] == 0
+    assert calls["descriptor"] == calls["psi"] + calls["moves"]
+    assert calls["members"] > calls["descriptor"] and calls["moves"] > 0
 
 
 def test_packet_compares_each_live_member_with_one_neighbour(monkeypatch):
@@ -396,15 +431,16 @@ def test_lowest_weight_of_packet_fixtures():
     assert lowest_weight_of_packet(psi_of(1, 2, (1, 2), (-2, 1))).lam == (1, 0, -1)
 
 
-def _interior_lowest_weight(psi):
-    # The paper's explicit coordinates of the lowest K-type in the interior
-    # case, written out in doubled ints: sigma = nu_{<j} || nu_{>j}, i0 the
-    # first index of nu_j (largest first) at which sigma's values above
-    # nu_j's i0-th value and nu_j's values from it down number p.
+def _searched_lowest_weight(psi):
+    # The paper's explicit coordinates of the lowest K-type where q_j > 0,
+    # written out in doubled ints: sigma = nu_{<j} || nu_{>j}, i0 the first
+    # index of nu_j (largest first, then one step below it) at which
+    # sigma's values above nu_j's i0-th value and nu_j's values from it
+    # down number p.
     _, (lt, mid, gt), _ = psi._candidate
     p, q, n = psi.sig.p, psi.sig.q, psi.sig.N
-    sigma, nu_vals, size = lt.union(gt).twice, mid.twice, mid.size
-    i0 = next(cand for cand in range(1, size + 1)
+    sigma, nu_vals, size = lt.union(gt).twice, mid.twice + (mid.twice[-1] - 2,), mid.size
+    i0 = next(cand for cand in range(1, size + 2)
               if size - cand + 1 + sum(1 for x in sigma if x > nu_vals[cand - 1]) == p)
     top = nu_vals[0]
     lam = []
@@ -422,10 +458,10 @@ def _interior_lowest_weight(psi):
     return KWeight(psi.sig, tuple(lam))
 
 
-def test_lowest_weight_of_packet_interior_case_is_the_written_out_formula():
-    # Every psi of character window 3 up to N = 6, counted by the branch of
-    # lowest_weight_of_packet that names P; in the interior branch the
-    # inversion of P must give the paper's coordinate formula.
+def test_lowest_weight_of_packet_search_is_the_written_out_formula():
+    # Every psi of character window 3 up to N = 6, counted by which bound
+    # on nu_j is attained; outside q_j = 0 the inversion of the searched P
+    # must give the paper's coordinate formula.
     branches = collections.Counter()
     for n in range(1, 7):
         for p in range(n + 1):
@@ -435,16 +471,52 @@ def test_lowest_weight_of_packet_interior_case_is_the_written_out_formula():
                     branch = "none"
                 elif q_j == 0:
                     branch = "q_j = 0"
-                elif p_j == mid.intersection(gt).size:
-                    branch = "p_j = |cap_gt|"
-                elif q_j == mid.intersection(lt).size:
-                    branch = "q_j = |cap_lt|"
                 else:
-                    branch = "interior"
-                    assert lowest_weight_of_packet(psi) == _interior_lowest_weight(psi), psi
+                    if p_j == mid.intersection(gt).size:
+                        branch = "p_j = |cap_gt|"
+                    elif q_j == mid.intersection(lt).size:
+                        branch = "q_j = |cap_lt|"
+                    else:
+                        branch = "interior"
+                    assert lowest_weight_of_packet(psi) == _searched_lowest_weight(psi), psi
                 branches[branch] += 1
     assert branches == {"none": 18673, "q_j = 0": 2338, "p_j = |cap_gt|": 933,
                         "q_j = |cap_lt|": 371, "interior": 759}
+
+
+def _four_branch_lowest_weight(psi):
+    # The four-branch rule for the lowest K-type: P named by which bound
+    # is attained, q_j = 0, p_j = |nu_j /\ nu_{>j}| or q_j = |nu_j /\ nu_{<j}|,
+    # and otherwise the search over nu_j's own values.
+    (p_j, q_j), (lt, mid, gt), nonzero = psi._candidate
+    if not nonzero:
+        return None
+    cap_gt, cap_lt = mid.intersection(gt), mid.intersection(lt)
+    if q_j == 0:
+        P = lt.union(mid)
+    elif p_j == cap_gt.size:
+        P = lt.union(cap_gt)
+    elif q_j == cap_lt.size:
+        P = lt.union(mid).difference(cap_lt)
+    else:
+        sigma, nu = lt.union(gt).twice, mid.twice
+        P = next(HalfIntMultiset(above + nu[i:]) for i, v in enumerate(nu)
+                 for above in [tuple(x for x in sigma if x > v)]
+                 if len(above) + len(nu) - i == psi.sig.p)
+    return kweight_from_pq(psi.sig, P, inf_char(psi).difference(P))
+
+
+def test_lowest_weight_of_packet_equals_the_four_branch_rule_at_n_7_and_8():
+    # The search, run one step past nu_j, names the P of both attained
+    # bounds; every psi of character window 3 at N = 7 and 8.
+    found = 0
+    for n in (7, 8):
+        for p in range(n + 1):
+            for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(3)):
+                expected = _four_branch_lowest_weight(psi)
+                assert lowest_weight_of_packet(psi) == expected, psi
+                found += expected is not None
+    assert found == 5804
 
 
 def test_packets_containing_fixtures():

@@ -105,7 +105,7 @@ def test_normalize_is_idempotent_on_packet_members(psi):
     for m in packet(psi):
         if not m.nonzero:
             continue
-        out = tableau_pair(m.descriptor)
+        out = tableau_pair(InductionDescriptor(m.d, psi._values))
         again = trapa_normalize(out.stack)
         assert not again.is_zero
         assert again.stack == out.stack

@@ -12,7 +12,7 @@ from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tabl
 from upq_packets.errors import InternalInconsistencyError, IterationCapExceeded
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import SweepReport, _check_two_block, good_parameters_in_window
-from upq_packets.packets import AParameter, enumerate_D, member
+from upq_packets.packets import AParameter, enumerate_D
 from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, ColumnStack,
                                   NormalizeOutcome,
                                   _bump, _entries_segment, _idle, _overlap, _rewrite_pair,
@@ -505,7 +505,7 @@ def _pinned_descriptors():
              for sig, summands in LONG_REWRITES]
     for psi in psis:
         for d in enumerate_D(psi):
-            yield member(psi, d).descriptor
+            yield InductionDescriptor(d, psi._values)
 
 
 def test_rewrite_engine_outputs_are_pinned():
@@ -759,7 +759,7 @@ def test_a_member_stack_holds_the_segments_its_packet_keeps():
     for sig, summands in [*LONG_REWRITES, ((2, 2), [(3, 1), (1, 1), (-1, 1), (-3, 1)])]:
         psi = AParameter.from_summands(GroupSignature(*sig), summands)
         for d in enumerate_D(psi):
-            desc = member(psi, d).descriptor
+            desc = InductionDescriptor(d, psi._values)
             segs = cohind._range_entry(desc)[1]
             assert all(type(pair) is tuple and list(map(type, pair)) == [int, int]
                        for pair in segs)

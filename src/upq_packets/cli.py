@@ -22,7 +22,7 @@ from .errors import InternalInconsistencyError
 from .halfint import HalfInt, _json_dumps
 from .oracle import SweepConfig, sweep_verify
 from .packets import (AParameter, PacketMember, d_zero, epsilon, inf_char,
-                      lowest_weight_of_packet, member, packet, packets_containing)
+                      lowest_weight_of_packet, packet, packets_containing)
 from .tableaux import MINUS, PLUS, AntiTableau, SignedTableau
 from .weights import GroupSignature, KWeight, is_unitarizable
 
@@ -193,7 +193,7 @@ def cmd_classify_psi(args: argparse.Namespace) -> tuple[int, str]:
     psi = _parse_psi(args, sig)
     w = lowest_weight_of_packet(psi)
     d0 = d_zero(psi)
-    m = member(psi, d0)
+    m = psi._d0_member
 
     def as_json() -> str:
         head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, HalfIntMultiset, _segment_str, _segment_values
-from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau,
-                       as_pair_equal, build_initial, trapa_normalize)
+from .tableaux import (AntiTableau, NormalizeOutcome, PLUS, SignedTableau, build_initial,
+                       trapa_normalize)
 from .weights import GroupSignature, KWeight, _gap_case, _primes, is_unitarizable
 
 
@@ -136,10 +136,15 @@ def range_class(desc: InductionDescriptor) -> bool:
     for all i < j.  Both routes are computed and must agree.
 
     The answer reads only N, the block sizes and the values, not how each
-    block splits into plus and minus parts.  Every member of a packet
-    shares those three, so the last 256 answers are kept per process, with
-    the segments beside them as (doubled start, length) pairs, and a
-    packet computes both once, for its first member.
+    block splits into plus and minus parts.  The last 256 answers are kept
+    per process, with the segments beside them as (doubled start, length)
+    pairs.  A packet asks once, for d_0's member: its other members are
+    decided from psi's segments.  The hits come from data asked about
+    again soon after: the sweep's two-block share and the block rewrites
+    test a datum here and then normalize it (tableau_pair), a descriptor's
+    JSON and inf_char read the segments of a datum already asked about,
+    and a lowest weight module's realization can share N, sizes and
+    values with a parameter's d_0.
     """
     return _range_entry(desc)[0]
 
@@ -266,10 +271,11 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
     kept on psi (AParameter._d0_member).  A datum outside the mediocre
     range raises.
 
-    packet() calls this for d_0's member, whose verdict on the mediocre
-    range holds for the whole packet, and for each member whose placed
-    pairs would move.  Every other member is decided from where its boxes
-    are placed, with no stack built (packets._placed_invariants).
+    packet() calls this for d_0's member only, whose verdict on the
+    mediocre range holds for the whole packet.  Every other member is
+    decided from where its boxes are placed (packets._placed_invariants),
+    which builds and normalizes a stack, with no descriptor, only for a
+    member whose placed pairs move.
 
     The mediocre verdict and the segments come from one lookup of
     range_class's memo; they depend only on what a whole packet shares
@@ -470,9 +476,3 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
     if not range_class(out):
         raise ValueError("rewrite unavailable: outside mediocre range")
     return out
-
-
-def _same_invariants(out_a: NormalizeOutcome, out_b: NormalizeOutcome) -> bool:
-    if out_a.is_zero or out_b.is_zero:
-        return out_a.is_zero == out_b.is_zero
-    return as_pair_equal((out_a.ann, out_a.as_tab), (out_b.ann, out_b.as_tab))

@@ -23,8 +23,8 @@ from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfIntMultiset, _segment_str, _segment_values, partition_into_segments
-from .tableaux import (AntiTableau, SignedTableau, _idle, _place, as_pair_equal,
-                       assemble_antitableau)
+from .tableaux import (AntiTableau, SignedTableau, _idle, _pair_segments, _place,
+                       as_pair_equal, assemble_antitableau, build_initial, trapa_normalize)
 from .weights import (GroupSignature, KWeight, _gap_case, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
@@ -264,55 +264,48 @@ class PacketMember:
         return self.invariants is not None
 
 
-def _member(psi: AParameter, d: ThetaData) -> PacketMember:
-    # The member for d in D(psi), from its normalized stack.
+def member(psi: AParameter, d: ThetaData) -> PacketMember:
+    """The packet member attached to d, with its tableau invariants, read
+    off its normalized stack (tableau_pair).  psi keeps d_0's member
+    (AParameter._d0_member); packet() decides the others from their
+    placement."""
+    if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
+        raise ValueError(f"{d.blocks} does not belong to D({psi})")
     out = tableau_pair(InductionDescriptor(d, psi._values))
     return PacketMember(d, None if out.is_zero else (out.ann, out.as_tab))
 
 
-def member(psi: AParameter, d: ThetaData) -> PacketMember:
-    """The packet member attached to d, with its tableau invariants."""
-    if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
-        raise ValueError(f"{d.blocks} does not belong to D({psi})")
-    return _member(psi, d)
-
-
-def _open_pairs(segs: Sequence[tuple[int, int]]) -> list[int]:
-    # The adjacent pairs i whose right segment is not wholly below the left
-    # one (end_r >= start_l): the pairs _idle must test.
-    return [i for i, ((start_l, _), (start_r, a_r)) in enumerate(zip(segs, segs[1:]))
-            if start_r + 2 * a_r - 2 >= start_l]
-
-
 def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
-                       segs: Sequence[tuple[int, int]], pairs: Sequence[int]
-                       ) -> tuple[bool, Optional[tuple[AntiTableau, SignedTableau]]]:
+                       segs: Sequence[tuple[int, int]], pairs: Sequence[tuple[int, int, bool]]
+                       ) -> Optional[tuple[AntiTableau, SignedTableau]]:
     """Trapa's verdict on the stack of these blocks and segments, read from
-    where _place puts its boxes: (moves, invariants).
+    where _place puts its boxes: the invariant pair, or None when the
+    stack vanishes.
 
-    pairs lists the adjacent pairs i whose right segment is not wholly
-    below the left one (_open_pairs); every other pair is idle as placed
-    (see _idle).  trapa_normalize's first sweep tests the pairs of
-    build_initial's stack in order, and the first that is not idle
+    pairs lists (i, sing, aligned) for each adjacent pair i that is not
+    apart, as _pair_segments reads them off the segments; every other
+    pair is idle as placed.  trapa_normalize's first sweep tests the pairs
+    of build_initial's stack in order, and the first that is not idle
     decides:
 
-    * a zero pair (overlap < sing): the stack vanishes, (False, None);
-    * a pair that moves: (True, None), and the stack must be built and
-      rewritten;
+    * a zero pair (overlap < sing): the stack vanishes, None;
+    * a pair that moves: the stack is built and normalized here, and its
+      invariant pair, or None if it vanishes, is returned;
     * no such pair: the stack is normal as placed, and its invariants are
-      read off its segments and columns as trapa_normalize reads them,
-      (False, (antitableau, signed tableau)).
+      read off its segments and columns as trapa_normalize reads them.
 
-    So this is trapa_normalize up to its first rewrite, with _idle given
-    the same columns and segments, and _idle's proof covers it."""
+    So up to its first rewrite this is trapa_normalize, with _idle given
+    the same columns and the segment facts of the same segments, and the
+    proofs of _pair_segments and _idle cover it."""
     row_shapes, cols, _, _ = _place(sig, blocks)
-    for i in pairs:
-        idle = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
+    for i, sing, aligned in pairs:
+        idle = _idle(cols[i], cols[i + 1], sing, aligned)[0]
         if idle is None:
-            return False, None
+            return None
         if not idle:
-            return True, None
-    return False, (assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes))
+            out = trapa_normalize(build_initial(sig, blocks, segs))
+            return None if out.is_zero else (out.ann, out.as_tab)
+    return assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes)
 
 
 def packet(psi: AParameter) -> list[PacketMember]:
@@ -323,16 +316,18 @@ def packet(psi: AParameter) -> list[PacketMember]:
     enumerate_D order is d_0's, kept on psi (AParameter._d0_member): its
     stack is built and normalized by tableau_pair, which also checks that
     the data are mediocre, a verdict that reads only what the members
-    share (N, sizes, values).  The block values and their check against
-    psi's segments are kept on psi.  An adjacent pair whose right segment
-    lies wholly below the left one is idle on every member, so the
-    segments fix the pairs that need a test (_open_pairs).  Every member
-    but d_0's is placed (_placed_invariants) and tested at those pairs
-    only: it vanishes at a zero pair or is normal as placed, with no stack
-    built, unless a pair moves; only then is its stack built and
-    normalized, by tableau_pair (_member), and only then is an
-    InductionDescriptor built for it.  A member holds its datum and its
-    invariant pair (PacketMember); its epsilon is not computed here.
+    share (N, sizes, values).  It is the only member for which an
+    InductionDescriptor is built.  The block values and their check
+    against psi's segments are kept on psi.  The half of each pair test
+    that reads only the segments (_pair_segments) is the same on every
+    member, so it is read once: the pairs that are apart, idle on every
+    member, are dropped, and the others keep their sing and alignment.
+    Every member but d_0's is placed and tested at those pairs only
+    (_placed_invariants): it vanishes at a zero pair or is normal as
+    placed, with no stack built, unless a pair moves; only then is its
+    stack built and normalized, right there.  A member holds its datum
+    and its invariant pair (PacketMember); its epsilon is not computed
+    here.
 
     Every nonzero member is then checked against psi: its signed tableau
     has psi's signature and its antitableau holds exactly inf_char(psi),
@@ -353,11 +348,11 @@ def packet(psi: AParameter) -> list[PacketMember]:
         raise ValueError(f"the packet of {psi} has {count} members, more than "
                          f"the limit of {_MAX_PACKET_MEMBERS}")
     sig, segs = psi.sig, psi._segments
-    pairs = _open_pairs(segs)
+    pairs = [(i, *facts) for i, facts in enumerate(map(_pair_segments, segs, segs[1:]))
+             if facts is not None]
     members = [psi._d0_member]
-    for d in enumerate_D(psi)[1:]:
-        moves, invariants = _placed_invariants(sig, d.blocks, segs, pairs)
-        members.append(_member(psi, d) if moves else PacketMember(d, invariants))
+    members += [PacketMember(d, _placed_invariants(sig, d.blocks, segs, pairs))
+                for d in enumerate_D(psi)[1:]]
     live = [m for m in members if m.nonzero]
     chi = psi._chi.twice
     for m in live:

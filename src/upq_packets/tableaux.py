@@ -22,11 +22,15 @@ returns them as a stack in that form, trapa_normalize decides it from its
 segments and columns and rewrites it in the same form, and to_json writes
 each box from those fields.
 
-Most stacks need no rewrite: they vanish at their first pair that is not
-idle, or are normal as placed.  So a packet builds a stack only for its
-holomorphic member and for a member whose placed pairs would move; every
-other member is decided from _place's columns and row shapes by _idle and
-assemble_antitableau alone (packets._placed_invariants).
+The test of a pair has two halves.  _pair_segments reads only the two
+segments: it finds the pairs that are apart, always idle, and for the
+others the sing count and whether the segments are aligned.  _idle reads
+the columns.  Most stacks need no rewrite: they vanish at their first pair
+that is not idle, or are normal as placed.  So a packet reads the segment
+half once from psi's segments, which all its members share, and builds a
+stack only for its holomorphic member and for a member whose placed pairs
+move; every other member is decided from _place's columns and row shapes
+by _idle and assemble_antitableau alone (packets._placed_invariants).
 """
 
 from __future__ import annotations
@@ -160,9 +164,6 @@ class ColumnStack:
     rows: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def signed_tableau(self) -> SignedTableau:
-        return SignedTableau(self.sig, self.row_shapes)
-
     def to_json(self) -> dict:
         rows, signs = iter(self.rows), iter(self.signs)  # flat, in block order
         return {"p": self.sig.p, "q": self.sig.q,
@@ -181,9 +182,10 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
     need no record: box k of a block whose segment tops at `top` receives
     top - 2k.
 
-    packet() builds a stack only for a member whose placed pairs
-    trapa_normalize would move, and for the holomorphic member; every other
-    member is decided from _place's columns and row shapes alone.
+    packet() builds a stack only for the holomorphic member, through
+    tableau_pair, and for a member whose placed pairs move, which
+    packets._placed_invariants normalizes where it finds the move; every
+    other member is decided from _place's columns and row shapes alone.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
@@ -393,33 +395,53 @@ def _unit_shift(twice: int) -> int:
     return twice // 2
 
 
-def _idle(left: Sequence[int], right: Sequence[int], seg_l: tuple[int, int],
-          seg_r: tuple[int, int]) -> tuple[Optional[bool], int, int]:
-    """Is the pair of blocks with these columns (top to bottom), holding
-    these segments, already normal?
+def _pair_segments(seg_l: tuple[int, int], seg_r: tuple[int, int]
+                   ) -> Optional[tuple[int, bool]]:
+    """The half of the pair test that reads only the two segments, each a
+    (doubled start, length) pair.  Returns None when the pair is apart:
+    its right segment lies wholly below its left one (end_r < start_l).
+    Otherwise returns (sing, aligned): sing counts the entries the two
+    segments share, and aligned is condition (a) of _idle,
 
-    Returns (verdict, overlap, sing).  The verdict is None when the pair
+    (a) start_r <= start_l and end_r <= end_l.
+
+    A pair that is apart is already normal, whatever its columns.  Proof.
+    If end_r < start_l the segments share no entry, so sing is 0 and
+    neither the zero case nor a shift applies; every value in
+    [start_r, end_r] is held only by a right-block box, so the
+    repartition chain is the right block in its own order; the rest is
+    the left block in its own order; so the blocks after equal the blocks
+    before.
+
+    A rewrite changes the segments of its pair, so trapa_normalize asks
+    this of its current segments at each pair.  The members of a packet
+    are placed on psi's segments, so packet() asks it once per psi."""
+    (start_l, ai), (start_r, aj) = seg_l, seg_r
+    end_r = start_r + 2 * aj - 2
+    if end_r < start_l:
+        return None
+    return _sing(seg_l, seg_r), start_r <= start_l and end_r <= start_l + 2 * ai - 2
+
+
+def _idle(left: Sequence[int], right: Sequence[int], sing: int,
+          aligned: bool) -> tuple[Optional[bool], int]:
+    """Is a pair of blocks that is not apart already normal?  left and
+    right are the blocks' columns, top to bottom, and sing and aligned
+    are what _pair_segments read off their segments.
+
+    Returns (verdict, overlap).  The verdict is None when the pair
     rewrites to the formal zero tableau (overlap < sing), True when
     Trapa's pair rewrite would leave it as it is, and False when the
-    rewrite would move it; _rewrite_pair takes the counts of a pair that
-    moves.  A pair whose right segment lies wholly below its left one
-    shares no entry and its overlap is not measured: its counts are given
-    as 0, 0.  The pair is already normal when its right segment lies
-    wholly below its left one (end_r < start_l), or when all of these
-    hold:
+    rewrite would move it; _rewrite_pair takes the overlap and sing of a
+    pair that moves.  The pair is already normal when all of these hold:
 
-    (a) start_r <= start_l and end_r <= end_l;
+    (a) start_r <= start_l and end_r <= end_l (aligned);
     (b) overlap >= sing;
     (c) for each shared value, the right block's box lies in a column no
         further left than the left block's box.
 
-    Proof.  If end_r < start_l the segments share no entry, so sing is 0
-    and neither the zero case nor a shift applies; every value in
-    [start_r, end_r] is held only by a right-block box, so the
-    repartition chain is the right block in its own order; the rest is
-    the left block in its own order; so the blocks after equal the blocks
-    before.  Otherwise, under (b) the pair is not zero, and under (a) no
-    shift applies (m = 0): the descent case (seg_r inside seg_l) needs
+    Proof.  Under (b) the pair is not zero, and under (a) no shift
+    applies (m = 0): the descent case (seg_r inside seg_l) needs
     start_r >= start_l and shifts by start_r - start_l = 0, the ascent
     case (seg_l inside seg_r) needs end_l <= end_r and shifts by
     end_r - end_l = 0.  The chain then runs over [start_r, end_r], the
@@ -439,30 +461,25 @@ def _idle(left: Sequence[int], right: Sequence[int], seg_l: tuple[int, int],
     tested rather than assumed; the one test serves both, and on a pair
     of placed blocks it never fails.
 
-    The test is exact: when overlap >= sing and end_r >= start_l but (a)
-    or (c) fails, the rewrite moves the pair.  If (a) fails, the new
-    right block holds [min(start_l, start_r), min(end_l, end_r)], which
-    differs from seg_r in its bottom or its top.  If (a) holds and (c)
-    fails at v, the chain takes the left box holding v, in another column
-    than the right box that held it.
+    The test is exact: when overlap >= sing on a pair that is not apart
+    but (a) or (c) fails, the rewrite moves the pair.  If (a) fails, the
+    new right block holds [min(start_l, start_r), min(end_l, end_r)],
+    which differs from seg_r in its bottom or its top.  If (a) holds and
+    (c) fails at v, the chain takes the left box holding v, in another
+    column than the right box that held it.
     """
-    (start_l, ai), (start_r, aj) = seg_l, seg_r
-    end_r = start_r + 2 * aj - 2
-    if end_r < start_l:
-        return True, 0, 0
-    sg = _sing(seg_l, seg_r)
     ov = _overlap(left, right)
-    if ov < sg:
-        return None, ov, sg
-    return (start_r <= start_l and end_r <= start_l + 2 * ai - 2
-            and all(map(le, left[ai - sg:], right))), ov, sg
+    if ov < sing:
+        return None, ov
+    return aligned and all(map(le, left[len(left) - sing:], right)), ov
 
 
 def _rewrite_pair(segs: list[tuple[int, int]], cols: list[tuple[int, ...]],
                   rows: list[int], signs: list[int], i: int, ov: int, sg: int) -> None:
     """Normalize the adjacent pair (i, i+1), holding segments segs[i] and
     segs[i+1], which _idle found neither zero nor already normal, with
-    the overlap ov and sing sg that _idle measured.
+    the overlap ov that _idle measured and the sing sg that
+    _pair_segments read.
 
     The four cases compare overlap and sing; the descent (resp. ascent)
     case shifts the right (resp. left) block's entries and restores them
@@ -545,10 +562,6 @@ class NormalizeOutcome:
     def is_zero(self) -> bool:
         return self.stack is None
 
-    @classmethod
-    def zero(cls) -> "NormalizeOutcome":
-        return cls(None, None, None)
-
 
 def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequence[int]],
                          row_shapes: tuple[tuple[int, int], ...]) -> AntiTableau:
@@ -622,26 +635,26 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     antitableau and signed tableau.  The sweep count is capped; hitting the
     cap raises, it never hangs or silently stops.
 
-    Each sweep tests the pairs in order with _idle, which reads each
-    block's segment and columns and moves nothing: a pair found zero ends
-    the run, a pair found already normal is left as it is, and any other
-    pair is rewritten by _rewrite_pair, which writes back the pair's
-    segments, columns, rows and signs.  The stack's tuples are copied into
-    lists at the first rewrite, so a stack whose pairs are all already normal
-    costs one _idle call per pair, and the returned stack is the input
-    object itself; a rewritten stack is returned in the same form, and
-    the antitableau is read off its segments and columns.
+    Each sweep tests the pairs in order: _pair_segments reads the pair's
+    current segments, and a pair that is apart is left as it is; _idle
+    reads the columns of any other pair and moves nothing.  A pair found
+    zero ends the run, a pair found already normal is left as it is, and
+    any other pair is rewritten by _rewrite_pair, which writes back the
+    pair's segments, columns, rows and signs.  The stack's tuples are
+    copied into lists at the first rewrite, so a stack whose pairs are
+    all already normal is only tested, and the returned stack is the
+    input object itself; a rewritten stack is returned in the same form,
+    and the antitableau is read off its segments and columns.
 
     The final conditions, that every adjacent pair has overlap >= sing and
-    seg(i+1) <= seg(i) componentwise, then hold by _idle's definition: the
-    sweeps stop only after a sweep in which _idle found every pair already
-    normal, that is with its right segment wholly below its left one
-    (end_r < start_l, so start_r <= end_r < start_l <= end_l and sing is
-    0), or with start_r <= start_l, end_r <= end_l and overlap >= sing.
-    Either gives seg(i+1) <= seg(i) componentwise.  On a stack that moved
-    the componentwise test is still made, and a failure raises
-    InternalInconsistencyError: it would be a fault in the rewriting, not
-    a module that vanishes.
+    seg(i+1) <= seg(i) componentwise, then hold by the two tests'
+    definitions: the sweeps stop only after a sweep in which every pair
+    was apart (end_r < start_l, so start_r <= end_r < start_l <= end_l and
+    sing is 0) or found already normal by _idle, with start_r <= start_l,
+    end_r <= end_l and overlap >= sing.  Either gives seg(i+1) <= seg(i)
+    componentwise.  On a stack that moved the componentwise test is still
+    made, and a failure raises InternalInconsistencyError: it would be a
+    fault in the rewriting, not a module that vanishes.
     """
     segs = list(stack.segments)
     cols, rows, signs = stack.cols, stack.rows, stack.signs  # copied at the first rewrite
@@ -650,13 +663,16 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
     for _ in range(cap):
         changed = False
         for i in pairs:
-            idle, ov, sg = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])
+            facts = _pair_segments(segs[i], segs[i + 1])
+            if facts is None:
+                continue
+            idle, ov = _idle(cols[i], cols[i + 1], *facts)
             if idle is None:
-                return NormalizeOutcome.zero()
+                return NormalizeOutcome(None, None, None)
             if not idle:
                 if rows is stack.rows:
                     cols, rows, signs = list(cols), list(rows), list(signs)
-                _rewrite_pair(segs, cols, rows, signs, i, ov, sg)
+                _rewrite_pair(segs, cols, rows, signs, i, ov, facts[0])
                 changed = True
         if not changed:
             break
@@ -672,7 +688,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
         stack = ColumnStack(stack.sig, stack.row_shapes, tuple(segs), tuple(cols), tuple(rows),
                             tuple(signs))
     return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
-                            stack.signed_tableau())
+                            SignedTableau(stack.sig, stack.row_shapes))
 
 
 def as_pair_equal(a: tuple[AntiTableau, SignedTableau],

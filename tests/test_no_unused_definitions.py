@@ -10,10 +10,13 @@ Dunder methods are called by Python itself and are not checked.
 
 The check goes by name alone: a dead method that shares its name with a
 live one is not seen.  Every `to_json` passes because some `to_json` is
-called, whether or not that class's is.
+called, whether or not that class's is.  So the names that more than one
+class or module defines are pinned: a new one fails until someone has
+checked that every definition of it is read.
 """
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -66,3 +69,34 @@ def test_every_package_definition_is_named_somewhere():
                     and not _is_dunder(node.name) and node.name not in named):
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def _owners(tree: ast.Module, module: str) -> dict[str, set[str]]:
+    # Each function or class defined at module level or in a class body,
+    # by name, with the module or class that defines it.  Functions nested
+    # in functions are local and left out.
+    out = collections.defaultdict(set)
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out[node.name].add(owner)
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{owner}.{node.name}")
+
+    visit(tree.body, module)
+    return out
+
+
+def test_names_defined_by_more_than_one_class_or_module_are_pinned():
+    # Each of these is read on every class or module that defines it:
+    # AParameter._chi and KWeight._chi; packets.inf_char and
+    # InductionDescriptor.inf_char; AParameter.sizes and ThetaData.sizes;
+    # and every to_json, which the CLI's JSON and the report write.
+    owners = collections.defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for name, where in _owners(ast.parse(path.read_text()), path.stem).items():
+                owners[name] |= where
+    shared = {name for name, where in owners.items() if len(where) > 1 and not _is_dunder(name)}
+    assert shared == {"_chi", "inf_char", "sizes", "to_json"}

@@ -9,7 +9,7 @@ import pytest
 
 from upq_packets import cohind, oracle, packets
 from upq_packets.cohind import (ThetaData, absorb_adjacent, normalize_blocks,
-                                realize_lowest_weight)
+                                realize_lowest_weight, segments_of, tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
@@ -20,6 +20,7 @@ from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, inf_char,
                                  good_parameters_with_inf_char, lowest_weight_of_packet,
                                  packet)
+from upq_packets.tableaux import NormalizeOutcome, SignedTableau, _sing, trapa_normalize
 from upq_packets.weights import (GroupSignature, inf_char_of_lowest_weight,
                                  is_unitarizable, kweight_from_pq)
 
@@ -604,3 +605,66 @@ def test_a_fault_in_normalizing_a_rewritten_datum_is_recorded_and_the_sweep_comp
     # U(0,1) is the first signature and lambda = (2) its first weight.
     assert expected[0] == {"kind": "normalize-blocks-error", "lambda": [2], "p": 0, "q": 1,
                            "error": message}
+
+
+@pytest.mark.parametrize("shift, count, first_values", [(1, 42, [0, 0]), (-1, 10, [-1, 0])])
+def test_a_sing_one_off_shows_as_two_block_nonvanishing(monkeypatch, shift, count,
+                                                       first_values):
+    # The two-block criterion min(p1, q2) + min(q1, p2) >= sing, with sing
+    # read one off.  Each two-block datum whose vanishing the criterion
+    # then misstates is recorded, in sweep order (the data by rank, after
+    # every signature), so the first record is the first such datum of
+    # the least rank: U(0,2) with blocks (0,1), (0,1).
+    expected = []
+    for desc in two_block_data(FAULT_CFG.max_N):
+        (p1, q1), (p2, q2) = desc.d.blocks
+        nonzero = not tableau_pair(desc).is_zero
+        claimed = min(p1, q2) + min(q1, p2) >= _sing(*segments_of(desc)) + shift
+        if claimed != nonzero:
+            expected.append({"kind": "two-block-nonvanishing", "descriptor": desc.to_json(),
+                             "expected_nonzero": claimed, "got_nonzero": nonzero})
+    monkeypatch.setattr(oracle, "_sing", lambda a, b: _sing(a, b) + shift)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    first = expected[0]["descriptor"]
+    assert ((first["p"], first["q"]), first["blocks"], first["values"]) == (
+        (0, 2), [[0, 1], [0, 1]], first_values)
+
+
+def _with_a_row_flipped(out):
+    # out with its signed tableau's longest row of even length starting on
+    # the other sign, which keeps the signature and changes the pair; out
+    # itself when no row has even length.
+    rows = list(out.as_tab.rows)
+    for k, (length, first) in enumerate(rows):
+        if length % 2 == 0:
+            rows[k] = (length, -first)
+            return NormalizeOutcome(out.stack, out.ann, SignedTableau(out.as_tab.sig, tuple(rows)))
+    return out
+
+
+@pytest.mark.parametrize("fault, count, first_sig, first_values", [
+    ("zero", 82, (0, 2), [0, 0]), ("changed", 58, (1, 1), [-1, 0])])
+def test_a_renormalized_stack_that_changes_shows_as_idempotence(monkeypatch, fault, count,
+                                                                first_sig, first_values):
+    # The second trapa_normalize in _check_two_block, on the normalized
+    # stack, returns the zero outcome, or a changed pair (a row flipped).
+    # Each nonzero two-block datum it changes is recorded, in sweep order,
+    # so the first record is the first such datum of the least rank.
+    faults = {"zero": lambda out: NormalizeOutcome(None, None, None),
+              "changed": _with_a_row_flipped}
+    expected = []
+    for desc in two_block_data(FAULT_CFG.max_N):
+        out = tableau_pair(desc)
+        if not out.is_zero and faults[fault](out) != out:
+            expected.append({"kind": "idempotence", "descriptor": desc.to_json()})
+    monkeypatch.setattr(oracle, "trapa_normalize",
+                        lambda stack: faults[fault](trapa_normalize(stack)))
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    first = expected[0]["descriptor"]
+    assert ((first["p"], first["q"]), first["values"]) == (first_sig, first_values)

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upq_packets import packets
+from upq_packets import packets, tableaux
 from upq_packets.cohind import (InductionDescriptor, ThetaData, lowest_weight_invariants,
                                 tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
@@ -18,8 +18,8 @@ from upq_packets.packets import (AParameter, PacketMember, contains_lowest_weigh
                                  good_parameters_with_inf_char, inf_char,
                                  lowest_weight_of_packet, member,
                                  oracle_contains, packet, packets_containing)
-from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, SignedTableau, build_initial,
-                                  trapa_normalize)
+from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, SignedTableau, _pair_segments,
+                                  build_initial, trapa_normalize)
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable, kweight_from_pq)
 
@@ -190,17 +190,45 @@ TEN_LIVE = psi_of(3, 2, (8, 1), (4, 1), (0, 1), (-4, 1), (-8, 1))
 
 def _with_invariants(monkeypatch, invariants_of):
     """Make packets._placed_invariants, which decides every member of
-    TEN_LIVE but d_0's (no pair of it moves), hand out the invariants
-    invariants_of(blocks, real) returns for the member with these blocks,
-    where real is the pair actually read off its placement."""
+    TEN_LIVE but d_0's (every pair of it is apart, so none moves), hand
+    out the invariants invariants_of(blocks, real) returns for the member
+    with these blocks, where real is the pair actually read off its
+    placement."""
     real_placed = packets._placed_invariants
 
     def fake(sig, blocks, segs, pairs):
-        moves, invariants = real_placed(sig, blocks, segs, pairs)
-        assert not moves
-        return moves, invariants_of(blocks, invariants)
+        assert not pairs
+        return invariants_of(blocks, real_placed(sig, blocks, segs, pairs))
 
     monkeypatch.setattr(packets, "_placed_invariants", fake)
+
+
+def _open_pairs(segs):
+    # (i, sing, aligned) for each adjacent pair of these segments that is
+    # not apart: the pairs a member's placement is tested at.
+    return [(i, *facts) for i, (left, right) in enumerate(zip(segs, segs[1:]))
+            for facts in [_pair_segments(left, right)] if facts is not None]
+
+
+def _normalized(stack):
+    # trapa_normalize(stack), and whether it rewrote a pair.
+    rewritten = []
+    real = tableaux._rewrite_pair
+
+    def counted(*args):
+        rewritten.append(args)
+        real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableaux, "_rewrite_pair", counted)
+        out = trapa_normalize(stack)
+    return out, bool(rewritten)
+
+
+def _moving_members(psi):
+    # The data of psi's members, d_0's left out, whose stack moves.
+    return [d for d in enumerate_D(psi)[1:]
+            if _normalized(build_initial(psi.sig, d.blocks, psi._segments))[1]]
 
 
 @pytest.mark.parametrize("source, target", [(1, 4), (4, 1), (0, 9)])
@@ -216,15 +244,15 @@ def test_packet_repeated_pair_raises_naming_members_in_order(monkeypatch, source
         packet(psi)
 
 
-def test_packet_builds_a_descriptor_only_for_d0_and_the_members_that_move(monkeypatch):
+def test_packet_builds_a_descriptor_only_for_d0_once_per_psi(monkeypatch):
     # A member is its datum and its invariant pair.  packet() computes no
-    # epsilon, and builds an InductionDescriptor only to normalize a stack:
-    # d_0's and that of each member whose placement moves.  Every psi of
-    # character window 2 up to N = 4, each a fresh object.
+    # epsilon, and builds an InductionDescriptor only for d_0, whose member
+    # psi keeps: once per psi, however often its packet is asked for and
+    # whether or not a member moves.  Every psi of character window 2 up
+    # to N = 4, each a fresh object.
     assert [f.name for f in dataclasses.fields(PacketMember)] == ["d", "invariants"]
     calls = collections.Counter()
-    real_descriptor, real_placed, real_epsilon = (packets.InductionDescriptor,
-                                                  packets._placed_invariants, packets.epsilon)
+    real_descriptor, real_epsilon = packets.InductionDescriptor, packets.epsilon
 
     def counting(name, real):
         def run(*args):
@@ -232,22 +260,18 @@ def test_packet_builds_a_descriptor_only_for_d0_and_the_members_that_move(monkey
             return real(*args)
         return run
 
-    def placed(*args):
-        moves, invariants = real_placed(*args)
-        calls["moves"] += moves
-        return moves, invariants
-
     monkeypatch.setattr(packets, "InductionDescriptor",
                         counting("descriptor", real_descriptor))
     monkeypatch.setattr(packets, "epsilon", counting("epsilon", real_epsilon))
-    monkeypatch.setattr(packets, "_placed_invariants", placed)
     for n in range(1, 5):
         for p in range(n + 1):
             for psi in good_parameters_in_window(GroupSignature(p, n - p), HalfInt.whole(2)):
                 calls["members"] += len(packet(psi))
+                assert packet(psi)[0] is psi._d0_member
                 calls["psi"] += 1
+                calls["moves"] += len(_moving_members(psi))
     assert calls["epsilon"] == 0
-    assert calls["descriptor"] == calls["psi"] + calls["moves"]
+    assert calls["descriptor"] == calls["psi"]
     assert calls["members"] > calls["descriptor"] and calls["moves"] > 0
 
 
@@ -334,23 +358,24 @@ def _check_placed_verdicts(psi):
     """packets._placed_invariants on every member of psi, d_0's included,
     against trapa_normalize on build_initial's stack, and packet(psi)
     against tableau_pair on every member's descriptor.  Returns the
-    census of the verdicts."""
+    census of the verdicts: a member moved when normalizing its stack
+    rewrites a pair."""
     census = collections.Counter()
     segs = psi._segments
-    pairs = packets._open_pairs(segs)
+    pairs = _open_pairs(segs)
     for d in enumerate_D(psi):
         stack = build_initial(psi.sig, d.blocks, segs)
-        out = trapa_normalize(stack)
-        moves, invariants = packets._placed_invariants(psi.sig, d.blocks, segs, pairs)
-        if moves:
+        out, moved = _normalized(stack)
+        invariants = packets._placed_invariants(psi.sig, d.blocks, segs, pairs)
+        assert invariants == (None if out.is_zero else (out.ann, out.as_tab)), (psi, d)
+        if moved:
             # Rewritten, or zero at a pair after the first rewrite.
             assert out.is_zero or out.stack is not stack, (psi, d)
             census["moved"] += 1
-        elif invariants is None:
-            assert out.is_zero, (psi, d)
+        elif out.is_zero:
             census["zero"] += 1
         else:
-            assert out.stack is stack and invariants == (out.ann, out.as_tab), (psi, d)
+            assert out.stack is stack, (psi, d)
             census["normal"] += 1
     for m in packet(psi):
         out = tableau_pair(InductionDescriptor(m.d, psi._values))
@@ -378,17 +403,23 @@ def test_placed_verdicts_equal_the_normalized_stack_on_drawn_psi_up_to_n_10(psi)
 
 def test_packet_builds_the_stacks_of_d0_and_of_the_members_that_move(monkeypatch):
     # Every psi of the N <= 4, window-2 sweep: packet(psi), then
-    # oracle_contains(psi, w) for every weight of its character, run
-    # tableau_pair once for d_0, whose member psi keeps, and once for each
-    # member whose placement moves, and for no other.
+    # oracle_contains(psi, w) for every weight of its character, build a
+    # stack once for d_0, through tableau_pair (psi keeps its member), and
+    # once for each member whose stack moves, through build_initial where
+    # its placement moves, and for no other.
     built = collections.Counter()
-    real_pair = packets.tableau_pair
+    real_pair, real_build = packets.tableau_pair, packets.build_initial
 
-    def counted(desc):
-        built[desc.d] += 1
+    def counted_pair(desc):
+        built[desc.d.blocks] += 1
         return real_pair(desc)
 
-    monkeypatch.setattr(packets, "tableau_pair", counted)
+    def counted_build(sig, blocks, segments):
+        built[blocks] += 1
+        return real_build(sig, blocks, segments)
+
+    monkeypatch.setattr(packets, "tableau_pair", counted_pair)
+    monkeypatch.setattr(packets, "build_initial", counted_build)
     moved = 0
     for n in range(1, 5):
         for p in range(n + 1):
@@ -398,12 +429,9 @@ def test_packet_builds_the_stacks_of_d0_and_of_the_members_that_move(monkeypatch
                 members = packet(psi)
                 for kw in _unitarizable_splits(sig, inf_char(psi)):
                     oracle_contains(psi, kw)
-                segs = psi._segments
-                pairs = packets._open_pairs(segs)
-                moves = [d for d in enumerate_D(psi)[1:]
-                         if packets._placed_invariants(sig, d.blocks, segs, pairs)[0]]
+                moves = [d.blocks for d in _moving_members(psi)]
                 assert members[0] is psi._d0_member, psi
-                assert built == dict.fromkeys([d_zero(psi), *moves], 1), psi
+                assert built == dict.fromkeys([d_zero(psi).blocks, *moves], 1), psi
                 moved += len(moves)
     assert moved == 6
 

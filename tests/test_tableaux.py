@@ -15,8 +15,9 @@ from upq_packets.oracle import SweepReport, _check_two_block, good_parameters_in
 from upq_packets.packets import AParameter, enumerate_D
 from upq_packets.tableaux import (MINUS, PLUS, AntiTableau, ColumnStack,
                                   NormalizeOutcome,
-                                  _bump, _entries_segment, _idle, _overlap, _rewrite_pair,
-                                  _sing, _unit_shift, _WBox, as_pair_equal,
+                                  SignedTableau, _bump, _entries_segment, _idle, _overlap,
+                                  _pair_segments, _rewrite_pair, _sing, _unit_shift, _WBox,
+                                  as_pair_equal,
                                   assemble_antitableau, build_initial, trapa_normalize)
 from upq_packets.weights import GroupSignature
 
@@ -54,6 +55,17 @@ def ann_columns(out):
 def _cols(block):
     # A block's columns, top to bottom: what _idle and _overlap read.
     return tuple(b.col for b in block)
+
+
+def _verdict(left, right, seg_l, seg_r):
+    # The whole pair test on a pair of blocks with these columns and
+    # segments: (verdict, overlap, sing), a pair that is apart being
+    # already normal with counts 0, 0.
+    facts = _pair_segments(seg_l, seg_r)
+    if facts is None:
+        return True, 0, 0
+    idle, ov = _idle(left, right, *facts)
+    return idle, ov, facts[0]
 
 
 def _boxes(stack):
@@ -195,7 +207,7 @@ def test_normalize_preserves_entries_and_shape():
 
     assert entries(out.stack) == entries(stack)
     assert entries(stack) == HalfIntMultiset.from_values([1, -1, -1, -3])
-    assert out.as_tab == stack.signed_tableau()
+    assert out.as_tab == SignedTableau(stack.sig, stack.row_shapes)
 
 
 def test_normalize_idempotent():
@@ -296,7 +308,7 @@ def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
     # leaves it so in every sweep, and the fifth sweep would pass the cap
     # max(4, N^2) = 4.
     stack = build(1, 1, [(1, 0), (0, 1)], [seg(0, 0), seg(2, 2)])
-    assert _idle(*map(_cols, _boxes(stack)), (0, 1), (2, 1))[0] is False
+    assert _verdict(*map(_cols, _boxes(stack)), (0, 1), (2, 1))[0] is False
     monkeypatch.setattr(tableaux, "_rewrite_pair",
                         lambda segs, cols, rows, signs, i, ov, sg: None)
     with pytest.raises(IterationCapExceeded, match="within 4 sweeps"):
@@ -305,13 +317,14 @@ def test_a_rewrite_that_never_settles_raises_at_the_sweep_cap(monkeypatch):
 
 def test_a_final_pair_that_is_not_componentwise_decreasing_raises(monkeypatch):
     # U(1,3) with {-5/2}, {-3/2}, [-3/2,-1/2]: pair 1 moves, to [-3/2,-1/2]
-    # over {-3/2}, and an _idle that passes every pair whose right segment
-    # starts above its left one lets pair 0 end as {-5/2} over
-    # [-3/2,-1/2].  trapa_normalize raises rather than returning that stack.
+    # over {-3/2}, and a _pair_segments that calls every pair whose right
+    # segment starts above its left one apart lets pair 0 end as {-5/2}
+    # over [-3/2,-1/2].  trapa_normalize raises rather than returning that
+    # stack.
     stack = build(1, 3, [(0, 1), (0, 1), (1, 1)], [seg(-5, -5), seg(-3, -3), seg(-3, -1)])
-    real = _idle
-    monkeypatch.setattr(tableaux, "_idle", lambda left, right, seg_l, seg_r:
-                        (True, 0, 0) if seg_r[0] > seg_l[0] else real(left, right, seg_l, seg_r))
+    real = _pair_segments
+    monkeypatch.setattr(tableaux, "_pair_segments", lambda seg_l, seg_r:
+                        None if seg_r[0] > seg_l[0] else real(seg_l, seg_r))
     with pytest.raises(InternalInconsistencyError, match="componentwise"):
         trapa_normalize(stack)
 
@@ -408,14 +421,14 @@ def _outcome_of(rewrite, blocks, i):
 
 
 def _rewritten(blocks, segs, i):
-    # The blocks and segments _rewrite_pair leaves, given the counts _idle
-    # measured, on the blocks' segments, columns and flat rows and signs;
+    # The blocks and segments _rewrite_pair leaves, given the counts the
+    # pair test measured, on the blocks' segments, columns and flat rows and signs;
     # box k of a block whose segment tops at `top` holds top - 2k.
     segs = list(segs)
     cols = [_cols(blk) for blk in blocks]
     rows = [b.row for blk in blocks for b in blk]
     signs = [b.sign for blk in blocks for b in blk]
-    _, ov, sg = _idle(cols[i], cols[i + 1], segs[i], segs[i + 1])
+    _, ov, sg = _verdict(cols[i], cols[i + 1], segs[i], segs[i + 1])
     _rewrite_pair(segs, cols, rows, signs, i, ov, sg)
     assert len(rows) == len(signs) == sum(length for _, length in segs)
     rows, signs = iter(rows), iter(signs)
@@ -425,7 +438,7 @@ def _rewritten(blocks, segs, i):
 
 
 def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
-    # On every pair of every small stack, _idle's verdict is exact: zero
+    # On every pair of every small stack, the pair test's verdict is exact: zero
     # (None) when the full rewrite gives zero, already normal (True) when
     # it returns False and leaves the blocks as they were, and False when
     # it moves the pair.  On a pair that moves, _rewrite_pair leaves the
@@ -440,7 +453,7 @@ def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
         below = 0
         for i in range(len(blocks) - 1):
             expected = _outcome_of(_full_rewrite_pair, blocks, i)
-            idle = _idle(_cols(blocks[i]), _cols(blocks[i + 1]), segs[i], segs[i + 1])[0]
+            idle = _verdict(_cols(blocks[i]), _cols(blocks[i + 1]), segs[i], segs[i + 1])[0]
             assert idle is {None: None, False: True, True: False}[expected[0]], (blocks, i)
             if idle:
                 assert expected[1] == list(map(list, blocks)), (blocks, i)
@@ -449,6 +462,7 @@ def test_a_pair_whose_right_segment_lies_below_its_left_is_left_alone():
                     expected[1], [_entries_segment(blk) for blk in expected[1]]), (blocks, i)
             (start_l, _), (start_r, aj) = segs[i], segs[i + 1]
             if start_r + 2 * aj - 2 < start_l:
+                assert _pair_segments(segs[i], segs[i + 1]) is None, (blocks, i)
                 below += 1
                 verdicts["below"] += 1
             else:
@@ -474,7 +488,7 @@ def test_a_shared_value_moves_only_when_its_left_box_lies_further_right(col, idl
               (Box(2, 2, PLUS, 2), Box(3, 4, MINUS, 0)))
     segs = [(2, 2), (0, 2)]
     assert list(map(_entries_segment, blocks)) == segs
-    assert _idle(*map(_cols, blocks), *segs)[0] is idle
+    assert _verdict(*map(_cols, blocks), *segs)[0] is idle
     moved, expected = _outcome_of(_full_rewrite_pair, blocks, 0)
     assert moved is not idle
     if idle:
@@ -626,7 +640,7 @@ def _written_out_normalize(stack):
         for i in range(len(blocks) - 1):
             result = _full_rewrite_pair(blocks, i)
             if result is None:
-                return NormalizeOutcome.zero(), moved
+                return NormalizeOutcome(None, None, None), moved
             changed = changed or result
         if not changed:
             break
@@ -634,10 +648,10 @@ def _written_out_normalize(stack):
     segs = [_entries_segment(blk) for blk in blocks]
     for (hi_start, hi_len), (lo_start, lo_len) in zip(segs, segs[1:]):
         if not (lo_start <= hi_start and lo_start + 2 * lo_len <= hi_start + 2 * hi_len):
-            return NormalizeOutcome.zero(), moved
+            return NormalizeOutcome(None, None, None), moved
     ann = _dict_assembly(blocks, stack.row_shapes)
     out = _stack_of_boxes(stack.sig, _frozen(blocks), stack.row_shapes)
-    return NormalizeOutcome(out, ann, out.signed_tableau()), moved
+    return NormalizeOutcome(out, ann, SignedTableau(out.sig, out.row_shapes)), moved
 
 
 def _check_against_the_written_out_sweep(stack):
@@ -723,7 +737,7 @@ def test_a_pair_past_the_first_decides_the_stack(p, q, blocks, starts, kind, ver
     segments = [(s, 1) for s in starts]
     read = _boxes(build(p, q, blocks, segments))
     segs, cols = [_entries_segment(blk) for blk in read], [_cols(blk) for blk in read]
-    assert tuple(_idle(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
+    assert tuple(_verdict(cols[i], cols[i + 1], segs[i], segs[i + 1])[0]
                  for i in range(2)) == verdicts
     assert _check_against_the_written_out_sweep(build(p, q, blocks, segments)) == kind
 

@@ -283,13 +283,13 @@ def cmd_tableau(args: argparse.Namespace) -> tuple[int, str]:
     def as_json() -> str:
         obj = {"descriptor": desc.to_json(), "zero": out.is_zero}
         if not out.is_zero:
-            obj["ann"] = out.ann.to_json()
-            obj["as"] = out.as_tab.to_json()
-            obj["stack"] = out.stack.to_json()
+            ann, as_tab = out.invariants
+            obj.update({"ann": ann.to_json(), "as": as_tab.to_json(),
+                        "stack": out.stack.to_json()})
         return _json_dumps(obj)
 
     def as_ascii() -> str:
-        return "formal zero tableau" if out.is_zero else render_pair_ascii(out.ann, out.as_tab)
+        return "formal zero tableau" if out.is_zero else render_pair_ascii(*out.invariants)
 
     return 0, _dump(args.output, as_json, as_ascii)
 

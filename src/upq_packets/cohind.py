@@ -273,7 +273,7 @@ def tableau_pair(desc: InductionDescriptor) -> NormalizeOutcome:
 
     packet() calls this for d_0's member only, whose verdict on the
     mediocre range holds for the whole packet.  Every other member is
-    decided from where its boxes are placed (packets._placed_invariants),
+    decided from where its boxes are placed (tableaux._placed_invariants),
     which builds and normalizes a stack, with no descriptor, only for a
     member whose placed pairs move.
 
@@ -336,14 +336,11 @@ def lowest_weight_invariants(w: KWeight) -> tuple[AntiTableau, SignedTableau]:
     The last 256 pairs are kept per process.  A weight that is not
     unitarizable, or whose checks fail, raises on every call."""
     desc = realize_lowest_weight(w)
-    out = tableau_pair(desc)
-    if out.is_zero:
+    pair = tableau_pair(desc).invariants
+    if pair is None:
         raise InternalInconsistencyError(
             f"realization of unitarizable {w.lam} normalized to zero")
-    ann, as_tab = out.ann, out.as_tab
-    if ann is None or as_tab is None:
-        raise InternalInconsistencyError(
-            f"nonzero outcome for {w.lam} carries no invariant pair")
+    ann, as_tab = pair
     if as_tab.n_columns > 2:
         raise InternalInconsistencyError(
             f"lowest weight signed tableau {as_tab.rows} has >2 columns")
@@ -444,8 +441,7 @@ def absorb_adjacent(desc: InductionDescriptor, side: str) -> InductionDescriptor
     if j is None:
         raise ValueError("datum is not holomorphic")
     blocks = list(desc.d.blocks)
-    sizes = desc.d.sizes()
-    starts = _segment_starts(desc.d.sig.N, sizes, desc.values)
+    starts, sizes = zip(*segments_of(desc))
     tops = [start + 2 * size - 2 for start, size in zip(starts, sizes)]
     # Every segment of one datum starts at N + 1 mod 2, so a neighbour lies
     # inside nu_j exactly when its ends do.

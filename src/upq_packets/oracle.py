@@ -25,15 +25,16 @@ from math import comb
 from multiprocessing import Pool
 from typing import Iterator
 
-from .cohind import (InductionDescriptor, ThetaData, _segment_starts, absorb_adjacent,
+from .cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
                      lowest_weight_invariants, normalize_blocks, range_class,
-                     realize_lowest_weight, holomorphic_lowest_ktype, tableau_pair)
+                     realize_lowest_weight, holomorphic_lowest_ktype, segments_of,
+                     tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfInt, HalfIntMultiset, _json_dumps
 from .packets import (AParameter, contains_lowest_weight, d_zero,
                       good_parameters_with_inf_char, inf_char,
                       lowest_weight_of_packet, oracle_contains, packet)
-from .tableaux import _sing, as_pair_equal, trapa_normalize
+from .tableaux import _sing, trapa_normalize
 from .weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
@@ -274,16 +275,16 @@ def _check_lambda_side(sig: GroupSignature, w: KWeight, psis: list[AParameter],
             {"kind": "realization-inf-char", "lambda": list(w.lam),
              "p": sig.p, "q": sig.q})
 
-    # The rewrite must keep the realization's invariant pair.  A fault in
-    # the rewrite or in normalizing the rewritten datum is recorded.
+    # The rewrite must keep the realization's invariant pair: a rewritten
+    # datum that vanishes, or whose pair differs in any way, is recorded,
+    # and so is a fault in the rewrite or in normalizing the rewritten datum.
     try:
         try:
             five = normalize_blocks(desc)
         except ValueError:
             five = None  # no rewrite applies
         if five is not None:
-            out = tableau_pair(five)
-            if out.is_zero or not as_pair_equal((out.ann, out.as_tab), pair):
+            if tableau_pair(five).invariants != pair:
                 report.property_failures.append(
                     {"kind": "normalize-blocks", "lambda": list(w.lam),
                      "p": sig.p, "q": sig.q, "blocks": [list(b) for b in five.d.blocks]})
@@ -372,7 +373,14 @@ def _check_psi_side(psi: AParameter, report: SweepReport) -> None:
         return
     # The lowest weight member must be the holomorphic candidate.
     for w in oracle_hits:
-        if not oracle_contains(psi, w):
+        try:
+            holomorphic = oracle_contains(psi, w)
+        except InternalInconsistencyError as exc:
+            report.property_failures.append(
+                {"kind": "membership-error", "psi": psi.to_json(),
+                 "lambda": list(w.lam), "error": str(exc)})
+            continue
+        if not holomorphic:
             report.property_failures.append(
                 {"kind": "lowest-weight-member-not-holomorphic",
                  "psi": psi.to_json(), "lambda": list(w.lam)})
@@ -399,12 +407,11 @@ def _two_block_share(n: int) -> Iterator[InductionDescriptor]:
 
 
 def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
+    # Verdicts are compared as pairs or None, by value, so a pair of
+    # another signature or character is recorded like any other change.
     report.bump("two-block")
     (p1, q1), (p2, q2) = desc.d.blocks
-    a1, a2 = p1 + q1, p2 + q2
-    s1, s2 = _segment_starts(desc.d.sig.N, (a1, a2), desc.values)
-    sing = _sing((s1, a1), (s2, a2))
-    expected = min(p1, q2) + min(q1, p2) >= sing
+    expected = min(p1, q2) + min(q1, p2) >= _sing(*segments_of(desc))
     try:
         out = tableau_pair(desc)
     except InternalInconsistencyError as exc:
@@ -412,17 +419,21 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
             {"kind": "two-block-error", "descriptor": desc.to_json(),
              "error": str(exc)})
         return
-    if (not out.is_zero) != expected:
+    pair = out.invariants
+    if (pair is not None) != expected:
         report.property_failures.append(
             {"kind": "two-block-nonvanishing", "descriptor": desc.to_json(),
-             "expected_nonzero": expected, "got_nonzero": not out.is_zero})
-    if not out.is_zero:
+             "expected_nonzero": expected, "got_nonzero": pair is not None})
+    if pair is not None:
         # Idempotence: normalizing the normalized stack changes nothing.
-        again = trapa_normalize(out.stack)
-        if again.is_zero or not as_pair_equal((again.ann, again.as_tab),
-                                              (out.ann, out.as_tab)):
+        try:
+            if trapa_normalize(out.stack).invariants != pair:
+                report.property_failures.append(
+                    {"kind": "idempotence", "descriptor": desc.to_json()})
+        except InternalInconsistencyError as exc:
             report.property_failures.append(
-                {"kind": "idempotence", "descriptor": desc.to_json()})
+                {"kind": "two-block-error", "descriptor": desc.to_json(),
+                 "error": str(exc)})
 
     if desc.d.is_holomorphic():
         for side in ("next", "prev"):
@@ -433,16 +444,13 @@ def _check_two_block(desc: InductionDescriptor, report: SweepReport) -> None:
                     swapped = absorb_adjacent(desc, side)
                 except ValueError:
                     continue  # no rewrite applies
-                other = tableau_pair(swapped)
-                same = out.is_zero == other.is_zero and (
-                    out.is_zero or as_pair_equal((out.ann, out.as_tab),
-                                                 (other.ann, other.as_tab)))
+                other = tableau_pair(swapped).invariants
             except InternalInconsistencyError as exc:
                 report.property_failures.append(
                     {"kind": "absorb-adjacent-error", "descriptor": desc.to_json(),
                      "side": side, "error": str(exc)})
                 continue
-            if not same:
+            if other != pair:
                 report.property_failures.append(
                     {"kind": "absorb-adjacent", "descriptor": desc.to_json(),
                      "side": side})

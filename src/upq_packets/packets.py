@@ -23,8 +23,8 @@ from .cohind import (InductionDescriptor, ThetaData, _segment_starts,
                      lowest_weight_invariants, tableau_pair)
 from .errors import InternalInconsistencyError
 from .halfint import HalfIntMultiset, _segment_str, _segment_values, partition_into_segments
-from .tableaux import (AntiTableau, SignedTableau, _idle, _pair_segments, _place,
-                       as_pair_equal, assemble_antitableau, build_initial, trapa_normalize)
+from .tableaux import (AntiTableau, SignedTableau, _pair_segments, _placed_invariants,
+                       as_pair_equal)
 from .weights import (GroupSignature, KWeight, _gap_case, inf_char_of_lowest_weight,
                       is_unitarizable, kweight_from_pq, weight_stats)
 
@@ -271,41 +271,7 @@ def member(psi: AParameter, d: ThetaData) -> PacketMember:
     placement."""
     if d.sig != psi.sig or [pk + qk for pk, qk in d.blocks] != psi.sizes():
         raise ValueError(f"{d.blocks} does not belong to D({psi})")
-    out = tableau_pair(InductionDescriptor(d, psi._values))
-    return PacketMember(d, None if out.is_zero else (out.ann, out.as_tab))
-
-
-def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
-                       segs: Sequence[tuple[int, int]], pairs: Sequence[tuple[int, int, bool]]
-                       ) -> Optional[tuple[AntiTableau, SignedTableau]]:
-    """Trapa's verdict on the stack of these blocks and segments, read from
-    where _place puts its boxes: the invariant pair, or None when the
-    stack vanishes.
-
-    pairs lists (i, sing, aligned) for each adjacent pair i that is not
-    apart, as _pair_segments reads them off the segments; every other
-    pair is idle as placed.  trapa_normalize's first sweep tests the pairs
-    of build_initial's stack in order, and the first that is not idle
-    decides:
-
-    * a zero pair (overlap < sing): the stack vanishes, None;
-    * a pair that moves: the stack is built and normalized here, and its
-      invariant pair, or None if it vanishes, is returned;
-    * no such pair: the stack is normal as placed, and its invariants are
-      read off its segments and columns as trapa_normalize reads them.
-
-    So up to its first rewrite this is trapa_normalize, with _idle given
-    the same columns and the segment facts of the same segments, and the
-    proofs of _pair_segments and _idle cover it."""
-    row_shapes, cols, _, _ = _place(sig, blocks)
-    for i, sing, aligned in pairs:
-        idle = _idle(cols[i], cols[i + 1], sing, aligned)[0]
-        if idle is None:
-            return None
-        if not idle:
-            out = trapa_normalize(build_initial(sig, blocks, segs))
-            return None if out.is_zero else (out.ann, out.as_tab)
-    return assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes)
+    return PacketMember(d, tableau_pair(InductionDescriptor(d, psi._values)).invariants)
 
 
 def packet(psi: AParameter) -> list[PacketMember]:
@@ -323,9 +289,9 @@ def packet(psi: AParameter) -> list[PacketMember]:
     member, so it is read once: the pairs that are apart, idle on every
     member, are dropped, and the others keep their sing and alignment.
     Every member but d_0's is placed and tested at those pairs only
-    (_placed_invariants): it vanishes at a zero pair or is normal as
-    placed, with no stack built, unless a pair moves; only then is its
-    stack built and normalized, right there.  A member holds its datum
+    (tableaux._placed_invariants): it vanishes at a zero pair or is
+    normal as placed, with no stack built, unless a pair moves; only then
+    is its stack built and normalized, right there.  A member holds its datum
     and its invariant pair (PacketMember); its epsilon is not computed
     here.
 
@@ -387,10 +353,7 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     Degenerate signatures have no gap; they fall back to the tableau
     equality test.
     """
-    if not is_unitarizable(w):
-        raise ValueError(f"{w.lam} is not unitarizable")
-    if psi.sig != w.sig:
-        raise ValueError(f"{psi} and {w.lam} belong to different signatures")
+    _refuse_foreign_weight(psi, w)
     if psi._chi != inf_char_of_lowest_weight(w):
         return False
     _, (lt, mid, gt), nonzero = psi._candidate
@@ -415,20 +378,28 @@ def contains_lowest_weight(psi: AParameter, w: KWeight) -> bool:
     return mid == bracket
 
 
+def _refuse_foreign_weight(psi: AParameter, w: KWeight) -> None:
+    # A membership question needs a unitarizable w of psi's signature.
+    if not is_unitarizable(w):
+        raise ValueError(f"{w.lam} is not unitarizable")
+    if psi.sig != w.sig:
+        raise ValueError(f"{psi} and {w.lam} belong to different signatures")
+
+
 def oracle_contains(psi: AParameter, w: KWeight) -> bool:
     """Ground truth: the holomorphic member's invariant pair equals the
-    lowest weight module's pair.  Mismatched infinitesimal characters are
-    an immediate False.
+    lowest weight module's pair, compared by value.  A w that is not unitarizable, or of
+    another signature than psi, raises ValueError as contains_lowest_weight
+    does, whatever the characters; mismatched infinitesimal characters are
+    then an immediate False.
 
     The holomorphic member is built on the first call for a psi object and
     kept on it (AParameter._d0_member), so asking one psi about every
     weight of its character normalizes d_0's stack once."""
-    if not is_unitarizable(w):
-        raise ValueError(f"{w.lam} is not unitarizable")
+    _refuse_foreign_weight(psi, w)
     if psi._chi != inf_char_of_lowest_weight(w):
         return False
-    pair = psi._d0_member.invariants
-    return pair is not None and as_pair_equal(pair, lowest_weight_invariants(w))
+    return psi._d0_member.invariants == lowest_weight_invariants(w)
 
 
 def lowest_weight_of_packet(psi: AParameter) -> Optional[KWeight]:

@@ -30,7 +30,11 @@ that is not idle, or are normal as placed.  So a packet reads the segment
 half once from psi's segments, which all its members share, and builds a
 stack only for its holomorphic member and for a member whose placed pairs
 move; every other member is decided from _place's columns and row shapes
-by _idle and assemble_antitableau alone (packets._placed_invariants).
+by _idle and assemble_antitableau alone (_placed_invariants).
+
+Trapa's verdict on a stack is its invariant pair, or None for the formal
+zero tableau (NormalizeOutcome.invariants, _placed_invariants), and two
+verdicts are compared by value.
 """
 
 from __future__ import annotations
@@ -184,8 +188,8 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
 
     packet() builds a stack only for the holomorphic member, through
     tableau_pair, and for a member whose placed pairs move, which
-    packets._placed_invariants normalizes where it finds the move; every
-    other member is decided from _place's columns and row shapes alone.
+    _placed_invariants normalizes where it finds the move; every other
+    member is decided from _place's columns and row shapes alone.
     """
     if len(block_signs) != len(segments):
         raise ValueError("one segment per block required")
@@ -552,11 +556,13 @@ def _rewrite_pair(segs: list[tuple[int, int]], cols: list[tuple[int, ...]],
 
 @dataclass(frozen=True)
 class NormalizeOutcome:
-    """Either the formal zero tableau, or the normalized stack and invariants."""
+    """Trapa's verdict on a stack: the normalized stack and its invariant
+    pair (antitableau, signed tableau), or None for both when the stack is
+    equivalent to the formal zero tableau.  Two verdicts on one stack are
+    compared as their pairs, by value."""
 
     stack: Optional[ColumnStack]
-    ann: Optional[AntiTableau]
-    as_tab: Optional[SignedTableau]
+    invariants: Optional[tuple[AntiTableau, SignedTableau]]
 
     @property
     def is_zero(self) -> bool:
@@ -632,8 +638,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
 
     Returns the zero outcome as soon as a pair rewrites to the formal zero
     tableau.  Otherwise returns the rewritten stack together with its
-    antitableau and signed tableau.  The sweep count is capped; hitting the
-    cap raises, it never hangs or silently stops.
+    invariant pair, its antitableau and signed tableau.  The sweep count
+    is capped; hitting the cap raises, it never hangs or silently stops.
 
     Each sweep tests the pairs in order: _pair_segments reads the pair's
     current segments, and a pair that is apart is left as it is; _idle
@@ -668,7 +674,7 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
                 continue
             idle, ov = _idle(cols[i], cols[i + 1], *facts)
             if idle is None:
-                return NormalizeOutcome(None, None, None)
+                return NormalizeOutcome(None, None)
             if not idle:
                 if rows is stack.rows:
                     cols, rows, signs = list(cols), list(rows), list(signs)
@@ -687,8 +693,40 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
                     f"do not decrease componentwise")
         stack = ColumnStack(stack.sig, stack.row_shapes, tuple(segs), tuple(cols), tuple(rows),
                             tuple(signs))
-    return NormalizeOutcome(stack, assemble_antitableau(segs, cols, stack.row_shapes),
-                            SignedTableau(stack.sig, stack.row_shapes))
+    return NormalizeOutcome(stack, (assemble_antitableau(segs, cols, stack.row_shapes),
+                                    SignedTableau(stack.sig, stack.row_shapes)))
+
+
+def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
+                       segs: Sequence[tuple[int, int]], pairs: Sequence[tuple[int, int, bool]]
+                       ) -> Optional[tuple[AntiTableau, SignedTableau]]:
+    """Trapa's verdict on the stack of these blocks and segments, read from
+    where _place puts its boxes: trapa_normalize(build_initial(sig, blocks,
+    segs)).invariants, the invariant pair, or None when the stack vanishes.
+
+    pairs lists (i, sing, aligned) for each adjacent pair i that is not
+    apart, as _pair_segments reads them off the segments; every other
+    pair is idle as placed.  trapa_normalize's first sweep tests the pairs
+    of build_initial's stack in order, and the first that is not idle
+    decides:
+
+    * a zero pair (overlap < sing): the stack vanishes, None;
+    * a pair that moves: the stack is built and normalized here, and its
+      verdict is returned;
+    * no such pair: the stack is normal as placed, and its invariants are
+      read off its segments and columns as trapa_normalize reads them.
+
+    So up to its first rewrite this is trapa_normalize, with _idle given
+    the same columns and the segment facts of the same segments, and the
+    proofs of _pair_segments and _idle cover it."""
+    row_shapes, cols, _, _ = _place(sig, blocks)
+    for i, sing, aligned in pairs:
+        idle = _idle(cols[i], cols[i + 1], sing, aligned)[0]
+        if idle is None:
+            return None
+        if not idle:
+            return trapa_normalize(build_initial(sig, blocks, segs)).invariants
+    return assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes)
 
 
 def as_pair_equal(a: tuple[AntiTableau, SignedTableau],

@@ -29,8 +29,7 @@ def w(p, q, *lam):
 
 
 def invariants(dd):
-    out = tableau_pair(dd)
-    return out.ann, out.as_tab
+    return tableau_pair(dd).invariants
 
 
 def test_theta_data_validation():

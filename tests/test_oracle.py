@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from upq_packets import cohind, oracle, packets
-from upq_packets.cohind import (ThetaData, absorb_adjacent, normalize_blocks,
-                                realize_lowest_weight, segments_of, tableau_pair)
+from upq_packets.cohind import (ThetaData, absorb_adjacent, lowest_weight_invariants,
+                                normalize_blocks, realize_lowest_weight, segments_of,
+                                tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
 from upq_packets.halfint import HalfInt, HalfIntMultiset
 from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
@@ -19,7 +20,7 @@ from upq_packets.oracle import (SweepConfig, SweepReport, dominant_weight_count,
                                 sweep_verify)
 from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, inf_char,
                                  good_parameters_with_inf_char, lowest_weight_of_packet,
-                                 packet)
+                                 oracle_contains, packet)
 from upq_packets.tableaux import NormalizeOutcome, SignedTableau, _sing, trapa_normalize
 from upq_packets.weights import (GroupSignature, inf_char_of_lowest_weight,
                                  is_unitarizable, kweight_from_pq)
@@ -636,35 +637,233 @@ def test_a_sing_one_off_shows_as_two_block_nonvanishing(monkeypatch, shift, coun
 def _with_a_row_flipped(out):
     # out with its signed tableau's longest row of even length starting on
     # the other sign, which keeps the signature and changes the pair; out
-    # itself when no row has even length.
-    rows = list(out.as_tab.rows)
+    # itself when it is zero or no row has even length.
+    if out.is_zero:
+        return out
+    ann, as_tab = out.invariants
+    rows = list(as_tab.rows)
     for k, (length, first) in enumerate(rows):
         if length % 2 == 0:
             rows[k] = (length, -first)
-            return NormalizeOutcome(out.stack, out.ann, SignedTableau(out.as_tab.sig, tuple(rows)))
+            return NormalizeOutcome(out.stack, (ann, SignedTableau(as_tab.sig, tuple(rows))))
     return out
 
 
+def _signs_flipped(pair):
+    # The pair with every row of its signed tableau starting on the other
+    # sign: a signed tableau of U(q, p) beside the same antitableau.
+    ann, as_tab = pair
+    sig = GroupSignature(as_tab.sig.q, as_tab.sig.p)
+    return ann, SignedTableau(sig, tuple((length, -first) for length, first in as_tab.rows))
+
+
+def _with_every_sign_flipped(out):
+    # out with its pair's signs flipped; out itself when it is zero.
+    return out if out.is_zero else NormalizeOutcome(out.stack, _signs_flipped(out.invariants))
+
+
+# Ways to change a verdict: the zero tableau, a row flipped (same
+# signature), every sign flipped (the signature U(q, p)).
+VERDICT_FAULTS = {"zero": lambda out: NormalizeOutcome(None, None),
+                  "changed": _with_a_row_flipped, "signature": _with_every_sign_flipped}
+
+
 @pytest.mark.parametrize("fault, count, first_sig, first_values", [
-    ("zero", 82, (0, 2), [0, 0]), ("changed", 58, (1, 1), [-1, 0])])
+    ("zero", 82, (0, 2), [0, 0]), ("changed", 58, (1, 1), [-1, 0]),
+    ("signature", 82, (0, 2), [0, 0])])
 def test_a_renormalized_stack_that_changes_shows_as_idempotence(monkeypatch, fault, count,
                                                                 first_sig, first_values):
     # The second trapa_normalize in _check_two_block, on the normalized
-    # stack, returns the zero outcome, or a changed pair (a row flipped).
-    # Each nonzero two-block datum it changes is recorded, in sweep order,
-    # so the first record is the first such datum of the least rank.
-    faults = {"zero": lambda out: NormalizeOutcome(None, None, None),
-              "changed": _with_a_row_flipped}
+    # stack, returns the zero outcome, or a changed pair: a row flipped, or
+    # the signed tableau of U(q, p), which compares unequal like any other
+    # change.  Each nonzero two-block datum it changes is recorded, in
+    # sweep order, so the first record is the first such datum of the
+    # least rank.
+    change = VERDICT_FAULTS[fault]
     expected = []
     for desc in two_block_data(FAULT_CFG.max_N):
         out = tableau_pair(desc)
-        if not out.is_zero and faults[fault](out) != out:
+        if not out.is_zero and change(out) != out:
             expected.append({"kind": "idempotence", "descriptor": desc.to_json()})
-    monkeypatch.setattr(oracle, "trapa_normalize",
-                        lambda stack: faults[fault](trapa_normalize(stack)))
+    monkeypatch.setattr(oracle, "trapa_normalize", lambda stack: change(trapa_normalize(stack)))
     report = sweep_verify(FAULT_CFG)
     assert report.mismatches == []
     assert report.property_failures == expected
     assert len(expected) == count
     first = expected[0]["descriptor"]
     assert ((first["p"], first["q"]), first["values"]) == (first_sig, first_values)
+
+
+def test_a_fault_in_renormalizing_a_stack_shows_as_two_block_error(monkeypatch):
+    # The second trapa_normalize in _check_two_block raises on every
+    # normalized stack.  Each nonzero two-block datum is recorded once, in
+    # sweep order, and the sweep completes.
+    message = "planted fault in renormalizing a normalized stack"
+
+    def faulty(stack):
+        raise InternalInconsistencyError(message)
+
+    expected = [{"kind": "two-block-error", "descriptor": desc.to_json(), "error": message}
+                for desc in two_block_data(FAULT_CFG.max_N) if not tableau_pair(desc).is_zero]
+    monkeypatch.setattr(oracle, "trapa_normalize", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == 82
+    first = expected[0]["descriptor"]
+    assert ((first["p"], first["q"]), first["blocks"], first["values"]) == (
+        (0, 2), [[0, 1], [0, 1]], [0, 0])
+
+
+def test_a_fault_in_asking_about_an_oracle_hit_shows_as_membership_error(monkeypatch):
+    # oracle_contains raises on each weight that oracle_lowest_weights
+    # returns, the psi side's question about each hit, and on no other.
+    # Each hit is recorded with its psi, in the psi side's order
+    # (signatures, then the window's parameters), and the sweep completes.
+    message = "planted fault in asking about an oracle hit"
+    hits = {}  # id -> weight, kept alive so that no id is reused
+
+    def remembered(psi):
+        found = oracle_lowest_weights(psi)
+        hits.update((id(w), w) for w in found)
+        return found
+
+    def faulty(psi, w):
+        if id(w) in hits:
+            raise InternalInconsistencyError(message)
+        return oracle_contains(psi, w)
+
+    expected = [{"kind": "membership-error", "psi": psi.to_json(), "lambda": list(w.lam),
+                 "error": message}
+                for sig in FAULT_SIGS
+                for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                for w in oracle_lowest_weights(psi)]
+    monkeypatch.setattr(oracle, "oracle_lowest_weights", remembered)
+    monkeypatch.setattr(oracle, "oracle_contains", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == 177
+    # U(0,1) is the first signature and chi_4 S_1 its first parameter with a hit.
+    assert expected[0] == {"kind": "membership-error",
+                           "psi": {"p": 0, "q": 1, "summands": [{"t": 4, "a": 1}]},
+                           "lambda": [2], "error": message}
+
+
+def _rewritten_by(monkeypatch, rewrite, change):
+    # Make oracle's tableau_pair hand out change(verdict) on each datum that
+    # oracle's `rewrite` (normalize_blocks or absorb_adjacent) returns, and
+    # the true verdict on every other.
+    rewritten = {}  # id -> descriptor, kept alive so that no id is reused
+
+    def remembered(*args):
+        out = getattr(cohind, rewrite)(*args)
+        rewritten[id(out)] = out
+        return out
+
+    def faulty(desc):
+        out = cohind.tableau_pair(desc)
+        return change(out) if id(desc) in rewritten else out
+
+    monkeypatch.setattr(oracle, rewrite, remembered)
+    monkeypatch.setattr(oracle, "tableau_pair", faulty)
+
+
+@pytest.mark.parametrize("fault, count, first", [
+    ("zero", 150, {"lambda": [2], "p": 0, "q": 1, "blocks": [[0, 1]]}),
+    ("changed", 45, {"lambda": [2, 1], "p": 1, "q": 1, "blocks": [[1, 0], [0, 1]]}),
+    ("signature", 145, {"lambda": [2], "p": 0, "q": 1, "blocks": [[0, 1]]})])
+def test_a_rewritten_datum_whose_verdict_changes_shows_as_normalize_blocks(monkeypatch, fault,
+                                                                           count, first):
+    # The datum normalize_blocks returns normalizes to the zero tableau,
+    # or to a changed pair: a row flipped, or the signed tableau of U(q, p).
+    # Each weight whose rewritten verdict then differs from its own is
+    # recorded, in sweep order, so the first record is its minimal instance.
+    change = VERDICT_FAULTS[fault]
+    expected = []
+    for sig in FAULT_SIGS:
+        for w in dominant_weights(sig, FAULT_CFG.weight_window):
+            if not is_unitarizable(w):
+                continue
+            try:
+                five = normalize_blocks(realize_lowest_weight(w))
+            except ValueError:
+                continue
+            out = tableau_pair(five)
+            if change(out).invariants != out.invariants:
+                expected.append({"kind": "normalize-blocks", "lambda": list(w.lam),
+                                 "p": sig.p, "q": sig.q,
+                                 "blocks": [list(b) for b in five.d.blocks]})
+    _rewritten_by(monkeypatch, "normalize_blocks", change)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    assert expected[0] == {"kind": "normalize-blocks", **first}
+
+
+@pytest.mark.parametrize("fault", ["zero", "changed", "signature"])
+def test_a_swapped_datum_whose_verdict_changes_shows_as_absorb_adjacent(monkeypatch, fault):
+    # The datum absorb_adjacent returns normalizes to the zero tableau, or
+    # to a changed pair: a row flipped, or the signed tableau of U(q, p).
+    # All seven swaps up to N = 3 are then recorded, in sweep order; six
+    # are on U(2,1) or U(1,2), where flipping every sign changes the
+    # signature.
+    change = VERDICT_FAULTS[fault]
+    expected = []
+    for desc in two_block_data(FAULT_CFG.max_N):
+        for side in ("next", "prev") if desc.d.is_holomorphic() else ():
+            try:
+                swapped = absorb_adjacent(desc, side)
+            except ValueError:
+                continue
+            if change(tableau_pair(swapped)).invariants != tableau_pair(desc).invariants:
+                expected.append({"kind": "absorb-adjacent", "descriptor": desc.to_json(),
+                                 "side": side})
+    _rewritten_by(monkeypatch, "absorb_adjacent", change)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == 7
+    assert sum(f["descriptor"]["p"] != f["descriptor"]["q"] for f in expected) == 6
+    first = expected[0]
+    assert ((first["descriptor"]["p"], first["descriptor"]["q"]), first["descriptor"]["blocks"],
+            first["descriptor"]["values"], first["side"]) == ((1, 1), [[1, 0], [0, 1]],
+                                                              [-1, 0], "next")
+
+
+def test_a_lowest_weight_pair_of_another_signature_shows_as_theorem_main(monkeypatch):
+    # The pair oracle_contains reads for a weight of a noncompact signature
+    # has every sign flipped: on U(1,2) and U(2,1) a signed tableau of the
+    # other signature, which compares unequal to d_0's pair instead of
+    # raising.  Each membership the oracle then denies is recorded: as
+    # theorem-main on the lambda side, and as
+    # lowest-weight-member-not-holomorphic for each oracle hit on the psi
+    # side.  The compact signatures, whose membership theorem falls back
+    # to oracle_contains, are left alone.
+    noncompact = FAULT_SCOPES["noncompact"]
+
+    def faulty(w):
+        pair = lowest_weight_invariants(w)
+        return _signs_flipped(pair) if noncompact(w) else pair
+
+    def changed(w):
+        return faulty(w) != lowest_weight_invariants(w)
+
+    mismatches = [{"kind": "theorem-main", "psi": psi.to_json(), "lambda": list(w.lam),
+                   "theorem": True, "oracle": False}
+                  for psi, w in _membership_pairs() if changed(w) and oracle_contains(psi, w)]
+    failures = [{"kind": "lowest-weight-member-not-holomorphic", "psi": psi.to_json(),
+                 "lambda": list(w.lam)}
+                for sig in FAULT_SIGS
+                for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                for w in oracle_lowest_weights(psi) if changed(w)]
+    monkeypatch.setattr(packets, "lowest_weight_invariants", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == mismatches
+    assert report.property_failures == failures
+    assert (len(mismatches), len(failures)) == (72, 96)
+    # U(1,1) is the first noncompact signature.
+    assert mismatches[0] == {"kind": "theorem-main",
+                             "psi": {"p": 1, "q": 1, "summands": [{"t": 3, "a": 1}] * 2},
+                             "lambda": [2, 1], "theorem": True, "oracle": False}

@@ -303,12 +303,12 @@ def test_packet_refuses_a_member_of_another_character(monkeypatch):
 
 
 def test_packet_refuses_two_members_normalizing_to_one_outcome(monkeypatch):
-    # packets._place puts member 6's boxes where member 1's go, so the two
+    # tableaux._place puts member 6's boxes where member 1's go, so the two
     # read one pair off their placements.
     psi = TEN_LIVE
     ds = enumerate_D(psi)
-    real_place = packets._place
-    monkeypatch.setattr(packets, "_place", lambda sig, blocks: real_place(
+    real_place = tableaux._place
+    monkeypatch.setattr(tableaux, "_place", lambda sig, blocks: real_place(
         sig, ds[1].blocks if blocks == ds[6].blocks else blocks))
     expected = f"members {ds[1].blocks} and {ds[6].blocks} of"
     with pytest.raises(InternalInconsistencyError, match=re.escape(expected)) as info:
@@ -355,7 +355,7 @@ def test_packet_refuses_a_member_whose_signed_tableau_has_another_signature(monk
 
 
 def _check_placed_verdicts(psi):
-    """packets._placed_invariants on every member of psi, d_0's included,
+    """tableaux._placed_invariants on every member of psi, d_0's included,
     against trapa_normalize on build_initial's stack, and packet(psi)
     against tableau_pair on every member's descriptor.  Returns the
     census of the verdicts: a member moved when normalizing its stack
@@ -366,8 +366,8 @@ def _check_placed_verdicts(psi):
     for d in enumerate_D(psi):
         stack = build_initial(psi.sig, d.blocks, segs)
         out, moved = _normalized(stack)
-        invariants = packets._placed_invariants(psi.sig, d.blocks, segs, pairs)
-        assert invariants == (None if out.is_zero else (out.ann, out.as_tab)), (psi, d)
+        invariants = tableaux._placed_invariants(psi.sig, d.blocks, segs, pairs)
+        assert invariants == out.invariants, (psi, d)
         if moved:
             # Rewritten, or zero at a pair after the first rewrite.
             assert out.is_zero or out.stack is not stack, (psi, d)
@@ -379,7 +379,7 @@ def _check_placed_verdicts(psi):
             census["normal"] += 1
     for m in packet(psi):
         out = tableau_pair(InductionDescriptor(m.d, psi._values))
-        assert m.invariants == (None if out.is_zero else (out.ann, out.as_tab)), (psi, m.d)
+        assert m.invariants == out.invariants, (psi, m.d)
     return census
 
 
@@ -408,7 +408,7 @@ def test_packet_builds_the_stacks_of_d0_and_of_the_members_that_move(monkeypatch
     # once for each member whose stack moves, through build_initial where
     # its placement moves, and for no other.
     built = collections.Counter()
-    real_pair, real_build = packets.tableau_pair, packets.build_initial
+    real_pair, real_build = packets.tableau_pair, tableaux.build_initial
 
     def counted_pair(desc):
         built[desc.d.blocks] += 1
@@ -419,7 +419,7 @@ def test_packet_builds_the_stacks_of_d0_and_of_the_members_that_move(monkeypatch
         return real_build(sig, blocks, segments)
 
     monkeypatch.setattr(packets, "tableau_pair", counted_pair)
-    monkeypatch.setattr(packets, "build_initial", counted_build)
+    monkeypatch.setattr(tableaux, "build_initial", counted_build)
     moved = 0
     for n in range(1, 5):
         for p in range(n + 1):
@@ -450,6 +450,19 @@ def test_contains_lowest_weight_u11():
     # Same infinitesimal character, different signature: a usage error.
     with pytest.raises(ValueError):
         contains_lowest_weight(psi_of(0, 2, (0, 2)), triv)
+
+
+def test_membership_refuses_a_weight_of_another_signature_whatever_the_characters():
+    # lambda = (0,0,0) on U(2,1) against psi on U(1,2): chi_2 S_3 has
+    # another character, chi_0 S_3 the same one.  Both questions refuse
+    # both, for the signatures alone.
+    triv = w(2, 1, 0, 0, 0)
+    other, same = psi_of(1, 2, (2, 3)), psi_of(1, 2, (0, 3))
+    assert inf_char(other) != inf_char_of_lowest_weight(triv) == inf_char(same)
+    for psi in (other, same):
+        for ask in (contains_lowest_weight, oracle_contains):
+            with pytest.raises(ValueError, match="belong to different signatures"):
+                ask(psi, triv)
 
 
 def test_lowest_weight_of_packet_fixtures():

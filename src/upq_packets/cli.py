@@ -15,7 +15,8 @@ import functools
 import json
 import os
 import sys
-from typing import Callable
+from collections import Counter
+from typing import Callable, Iterable
 
 from .cohind import InductionDescriptor, ThetaData, tableau_pair
 from .errors import InternalInconsistencyError
@@ -57,6 +58,15 @@ def _dump(mode: str, as_json: Callable[[], str], as_ascii: Callable[[], str]) ->
     return as_ascii() if mode == "ascii" else as_json()
 
 
+# The JSON writers below write what `_json_dumps` writes of the payload's
+# tree, byte for byte, without building the tree.  The text that does not
+# depend on the query is rendered once per process, per indent and flag,
+# from a tree with `_HOLE` leaves: `_cut` splits that text at the holes, and
+# `_fill` puts the query's values back in.  A hole in a list stands for the
+# list's items, joined by "," and the items' indent (none of the lists
+# filled this way is empty); any other hole stands for a whole value.
+# Holes follow the order of the sorted keys.
+
 # A string leaf that no output holds; _cut splits a rendered tree at it.
 _HOLE = "\0"
 _HOLE_JSON = json.dumps(_HOLE)
@@ -68,14 +78,82 @@ def _cut(tree: object, indent: str) -> list[str]:
     return _json_dumps(tree, indent).split(_HOLE_JSON)
 
 
+def _fill(pieces: list[str], *values: object) -> str:
+    """The text that `pieces` was cut from, with the values in its holes."""
+    return "".join([f"{piece}{value}" for piece, value in zip(pieces, values)]) + pieces[-1]
+
+
+def _items(shape: list[str], pairs: Iterable[tuple[object, object]], indent: str) -> str:
+    """The items of a list, each `shape` (two holes) filled with one pair,
+    on their own lines at this indent."""
+    head, mid, tail = shape
+    return ("," + indent).join([f"{head}{x}{mid}{y}{tail}" for x, y in pairs])
+
+
 @functools.cache
-def _shapes(indent: str) -> tuple[list[str], list[str], dict[int, list[str]]]:
-    """The fixed text of a block's [p_i, q_i], of an `ann` column and of an
-    `as` row by its first sign, as list items whose own line has this
-    indent."""
-    return (_cut([_HOLE, _HOLE], indent), _cut([{"twice": _HOLE}, {"twice": _HOLE}], indent),
-            {PLUS: _cut({"first_sign": "+", "len": _HOLE}, indent),
-             MINUS: _cut({"first_sign": "-", "len": _HOLE}, indent)})
+def _shapes(indent: str) -> dict[object, list[str]]:
+    """The fixed text of each object of the payloads that needs no flag,
+    whose own line has this indent: a block's [p_i, q_i], an `ann` column
+    (its entries go between the pieces), an `as` row by its first sign
+    (PLUS, MINUS), a member's descriptor (holes: blocks, p, q, segments,
+    values) and one of its segments, an A-parameter (holes: p, q,
+    summands) and one of its summands, and an entry of a multiset."""
+    return {"pair": _cut([_HOLE, _HOLE], indent),
+            "column": _cut([{"twice": _HOLE}, {"twice": _HOLE}], indent),
+            PLUS: _cut({"first_sign": "+", "len": _HOLE}, indent),
+            MINUS: _cut({"first_sign": "-", "len": _HOLE}, indent),
+            "descriptor": _cut({"blocks": [_HOLE], "p": _HOLE, "q": _HOLE,
+                                "segments": [_HOLE], "values": [_HOLE]}, indent),
+            "segment": _cut({"len": _HOLE, "start_twice": _HOLE}, indent),
+            "psi": _cut({"p": _HOLE, "q": _HOLE, "summands": [_HOLE]}, indent),
+            "summand": _cut({"a": _HOLE, "t": _HOLE}, indent),
+            "entry": _cut({"mult": _HOLE, "twice": _HOLE}, indent)}
+
+
+@functools.cache
+def _member_skeletons(indent: str, with_d0: bool) -> tuple[list[str], list[str]]:
+    """The fixed text of a packet member whose own line has this indent,
+    when it vanishes (holes: d0 when with_d0, descriptor, epsilon) and when
+    it does not (holes: ann columns, p, q, as rows, d0 when with_d0,
+    descriptor, epsilon)."""
+    tail = {"descriptor": _HOLE, "epsilon": [_HOLE]}
+    if with_d0:
+        tail["d0"] = [_HOLE]
+    return (_cut({**tail, "nonzero": False}, indent),
+            _cut({**tail, "nonzero": True, "ann": {"columns": [_HOLE]},
+                  "as": {"p": _HOLE, "q": _HOLE, "rows": [_HOLE]}}, indent))
+
+
+def _psi_json(psi: AParameter, indent: str) -> str:
+    """`_json_dumps(psi.to_json(), indent)`."""
+    inner = indent + "    "
+    return _fill(_shapes(indent)["psi"], psi.sig.p, psi.sig.q,
+                 _items(_shapes(inner)["summand"], [(a, t) for t, a in psi.summands], inner))
+
+
+@functools.cache
+def _payload_skeleton(command: str, flag: bool) -> list[str]:
+    """The fixed text of a subcommand's JSON payload:
+    - classify-psi (holes: inf_char, lowest_k_type when flag, member, psi),
+      where flag says whether the packet contains a lowest weight module;
+    - packet (holes: inf_char, members, psi; flag is unused);
+    - classify-lambda (holes: lambda, p, packets when flag, q), where flag
+      says whether any packet contains the module."""
+    return _cut({
+        "classify-psi": {"contains": flag, "inf_char": [_HOLE], "member": _HOLE, "psi": _HOLE,
+                         "lowest_k_type": [_HOLE] if flag else None},
+        "packet": {"inf_char": [_HOLE], "members": [_HOLE], "psi": _HOLE},
+        "classify-lambda": {"lambda": [_HOLE], "p": _HOLE, "q": _HOLE,
+                            "packets": [_HOLE] if flag else []},
+    }[command], "\n")
+
+
+def _psi_payload(command: str, flag: bool, psi: AParameter, *values: str) -> str:
+    """The classify-psi or packet payload of psi, with `values` in the holes
+    between its inf_char and psi."""
+    entries = _items(_shapes("\n    ")["entry"],
+                     [(m, t) for t, m in Counter(inf_char(psi).twice).items()], "\n    ")
+    return _fill(_payload_skeleton(command, flag), entries, *values, _psi_json(psi, "\n  "))
 
 
 def _members_json(psi: AParameter, members: list[PacketMember], indent: str,
@@ -88,44 +166,40 @@ def _members_json(psi: AParameter, members: list[PacketMember], indent: str,
     `d0` key holding d0's blocks.  The members are any number of members of
     psi's packet.
 
-    The members of a packet share their signature, values and segments, so
-    the text around a member's own values is rendered once, from one
-    descriptor skeleton with psi's values and one skeleton for the zero and
-    one for the nonzero members.  Per member only the blocks, epsilon,
+    The members of a packet share their signature, values and segments (a
+    member's segments are psi's: `psi._values` checks that), so the text
+    around a member's own values is filled in once per call, for the zero
+    and for the nonzero members.  Per member only the blocks, epsilon,
     `ann` columns and `as` rows are written, the last two from their fixed
     shapes ({"twice": v} per entry, {"first_sign", "len"} per row), with no
-    dict per entry.  None of these lists is empty: a packet has at least
-    one block, a column at least one entry and, as N >= 1, a tableau at
-    least one row."""
+    dict per entry."""
     i1 = indent + "  "
-    sig = psi.sig
-    desc_open, desc_close = _cut(
-        {**InductionDescriptor(members[0].d, psi._values).to_json(), "blocks": [_HOLE]}, i1)
-    tail = {"descriptor": _HOLE, "epsilon": [_HOLE]}
-    if d0 is not None:
-        tail["d0"] = [list(b) for b in d0.blocks]
-    kinds = {m.nonzero for m in members}
-    zero = _cut({**tail, "nonzero": False}, indent) if False in kinds else None
-    live = (_cut({**tail, "nonzero": True, "ann": {"columns": [_HOLE]},
-                  "as": {"p": sig.p, "q": sig.q, "rows": [_HOLE]}}, indent)
-            if True in kinds else None)
     i2, i3 = i1 + "  ", i1 + "    "
-    pair, column, row = _shapes(i3)
+    sig = psi.sig
+    zero, live = _member_skeletons(indent, d0 is not None)
+    shapes = _shapes(i3)
+    segments = [(length, start) for start, length in psi._segments]
+    desc = _fill(_shapes(i1)["descriptor"], _HOLE, sig.p, sig.q,
+                 _items(shapes["segment"], segments, i3), ("," + i3).join(map(str, psi._values)))
+    d0_blocks = [] if d0 is None else [_items(_shapes(i2)["pair"], d0.blocks, i2)]
+    zero = _fill(zero, *d0_blocks, desc, _HOLE).split(_HOLE)
+    live = _fill(live, _HOLE, sig.p, sig.q, _HOLE, *d0_blocks, desc, _HOLE).split(_HOLE)
+    pair, column = shapes["pair"], shapes["column"]
     sep2, sep3 = "," + i2, "," + i3
     out = []
     for m in members:
-        blocks = sep3.join([f"{pair[0]}{a}{pair[1]}{b}{pair[2]}" for a, b in m.d.blocks])
+        blocks = _items(pair, m.d.blocks, i3)
         signs = sep2.join(map(str, epsilon(psi, m.d)))
         if m.invariants is None:
-            out.append(f"{zero[0]}{desc_open}{blocks}{desc_close}{zero[1]}{signs}{zero[2]}")
+            out.append(f"{zero[0]}{blocks}{zero[1]}{signs}{zero[2]}")
             continue
         ann, as_tab = m.invariants
         columns = sep3.join([column[0] + column[1].join(map(str, entries)) + column[2]
                              for entries in ann.columns])
-        rows = sep3.join([f"{row[first][0]}{length}{row[first][1]}"
+        rows = sep3.join([f"{shapes[first][0]}{length}{shapes[first][1]}"
                           for length, first in as_tab.rows])
-        out.append(f"{live[0]}{columns}{live[1]}{rows}{live[2]}{desc_open}{blocks}{desc_close}"
-                   f"{live[3]}{signs}{live[4]}")
+        out.append(f"{live[0]}{columns}{live[1]}{rows}{live[2]}{blocks}{live[3]}{signs}"
+                   f"{live[4]}")
     return out
 
 
@@ -168,9 +242,12 @@ def _int_list(obj: object, what: str) -> tuple[int, ...]:
 def _parse_psi(args: argparse.Namespace, sig: GroupSignature) -> AParameter:
     what = "--psi must be a JSON list of {t, a} objects with integer values"
     summands = _load_json(args.psi, "--psi")
-    if not isinstance(summands, list) or not all(isinstance(s, dict) for s in summands):
+    # A summand holds exactly the keys t and a: any other key is refused,
+    # never dropped.
+    if not isinstance(summands, list) or not all(
+            isinstance(s, dict) and s.keys() == {"t", "a"} for s in summands):
         raise InputError(what)
-    pairs = [_int_list([s.get("t"), s.get("a")], what) for s in summands]
+    pairs = [_int_list([s["t"], s["a"]], what) for s in summands]
     try:
         return AParameter.from_summands(sig, pairs)
     except ValueError as exc:
@@ -196,11 +273,9 @@ def cmd_classify_psi(args: argparse.Namespace) -> tuple[int, str]:
     m = psi._d0_member
 
     def as_json() -> str:
-        head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),
-                           "contains": w is not None,
-                           "lowest_k_type": list(w.lam) if w is not None else None,
-                           "member": _HOLE}, "\n")
-        return head + _members_json(psi, [m], "\n  ", d0)[0] + tail
+        lowest = [] if w is None else [",\n    ".join(map(str, w.lam))]
+        return _psi_payload("classify-psi", w is not None, psi, *lowest,
+                            _members_json(psi, [m], "\n  ", d0)[0])
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}",
@@ -226,8 +301,9 @@ def cmd_classify_lambda(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(str(exc)) from exc
 
     def as_json() -> str:
-        return _json_dumps({"lambda": list(w.lam), "p": sig.p, "q": sig.q,
-                            "packets": [psi.to_json() for psi in psis]})
+        listed = [",\n    ".join([_psi_json(psi, "\n    ") for psi in psis])] if psis else []
+        return _fill(_payload_skeleton("classify-lambda", bool(psis)),
+                     ",\n    ".join(map(str, w.lam)), sig.p, *listed, sig.q)
 
     def as_ascii() -> str:
         lines = [f"lambda = {list(w.lam)} on U({sig.p},{sig.q})"]
@@ -246,9 +322,8 @@ def cmd_packet(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(str(exc)) from exc
 
     def as_json() -> str:
-        head, tail = _cut({"psi": psi.to_json(), "inf_char": inf_char(psi).to_json(),
-                           "members": [_HOLE]}, "\n")
-        return head + ",\n    ".join(_members_json(psi, members, "\n    ")) + tail
+        return _psi_payload("packet", False, psi,
+                            ",\n    ".join(_members_json(psi, members, "\n    ")))
 
     def as_ascii() -> str:
         lines = [f"packet of {psi}: {len(members)} members"]
@@ -308,12 +383,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level argument parser and each subcommand's parser by name
+    (the subparsers action's `choices`), built on the first call and shared
+    after it.
 
-    Building it costs about as much as a small query, and parse_args keeps
-    no state between calls, so main reuses one parser per process.  It is
-    not built at import."""
+    Building them costs about as much as a small query, and parse_args
+    keeps no state between calls, so main reuses them in every call of a
+    process.  They are not built at import."""
     parser = argparse.ArgumentParser(
         prog="upq-packets",
         description="Arthur packets of U(p,q) and unitary lowest weight "
@@ -358,7 +435,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bound on |chi| entries (default: window + 1)")
     sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser()[0].parse_args(argv)`, in one parser pass when argv
+    names a subcommand.
+
+    The top-level parser hands everything after the subcommand's name to
+    that subcommand's parser and adds `command`; here the subcommand's
+    parser is called directly.  Any other argv (empty, -h, an unknown
+    name), and one that the subcommand's parser leaves arguments of, goes
+    to the top-level parser, which answers or refuses it in its own words
+    and under its own prog."""
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     text.  A reader that closes stdout early (`| head`) gets no traceback:
     stdout is pointed at the null device, so the flush at shutdown cannot
     raise again, and the command's own status is returned."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code, text = args.func(args)
     except InputError as exc:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import upq_packets
+from upq_packets import cli
 from upq_packets.cli import main
 from upq_packets.cohind import InductionDescriptor
 from upq_packets.packets import (AParameter, d_zero, epsilon, inf_char,
@@ -157,7 +158,10 @@ def test_invalid_inputs_exit_2(capsys):
             ("tableau", "--p", "1", "--q", "0", "--blocks", "[[1.5,0]]",
              "--values", "[0]"),
             ("classify-psi", "--p", "1", "--q", "1", "--psi", '[{"t":1.5,"a":2}]'),
-            ("packet", "--p", "1", "--q", "1", "--psi", '[{"t":0.5,"a":2}]')):
+            ("packet", "--p", "1", "--q", "1", "--psi", '[{"t":0.5,"a":2}]'),
+            # A key besides t and a is refused, not dropped.
+            ("packet", "--p", "1", "--q", "1", "--psi", '[{"t":0,"a":2,"x":1}]'),
+            ("classify-psi", "--p", "1", "--q", "1", "--psi", '[{"t":0}]')):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(err)["error"] == "invalid-input", argv
@@ -166,6 +170,17 @@ def test_invalid_inputs_exit_2(capsys):
                            "--psi", "{}")
     assert code == 2
     assert "--psi must be a JSON list" in json.loads(err)["message"]
+
+
+def test_classify_lambda_that_no_packet_holds_writes_an_empty_list(capsys, monkeypatch):
+    # Every unitarizable weight swept lies in some packet, so the payload's
+    # empty-list layout is checked on a planted empty answer.
+    monkeypatch.setattr(cli, "packets_containing", lambda w: [])
+    code, out, _ = run_cli(capsys, "classify-lambda", "--p", "1", "--q", "1",
+                           "--lambda", "[1,0]")
+    assert code == 0
+    assert out == json.dumps({"lambda": [1, 0], "p": 1, "q": 1, "packets": []},
+                             sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_subcommand(capsys):
@@ -379,6 +394,53 @@ def test_calls_in_one_process_match_fresh_interpreters(monkeypatch):
             fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.add(code)
     assert codes == {0, 2}
+
+
+# Argument lists that the top-level parser answers, or that a subcommand's
+# parser reads differently from a plain split: the help texts, an unknown
+# name, "--flag=value", abbreviated flags (--ps for --psi, --he for --help),
+# arguments left after a valid query, "--" and a missing required option.
+PSI_QUERY = ["classify-psi", "--p", "1", "--q", "1", "--psi", '[{"t":0,"a":2}]']
+PARSER_FALLBACK = [
+    [], ["--help"], ["bogus"], ["bogus", "--p", "1"], ["--p", "1"],
+    ["classify-psi", "--help"], ["verify", "-h"],
+    ["classify-psi", "--p=1", "--q=1", '--psi=[{"t":0,"a":2}]', "--output=ascii"],
+    ["classify-psi", "--p", "1", "--q", "1", "--ps", '[{"t":0,"a":2}]'],
+    ["classify-psi", "--he"],
+    PSI_QUERY + ["extra"], PSI_QUERY + ["--more", "x"], PSI_QUERY + ["--", "x"],
+    ["packet", "--p", "1"], ["classify-lambda", "--p", "1", "--q", "1"],
+    ["classify-lambda", "--p", "x", "--q", "1", "--lambda", "[1,0]"],
+]
+
+
+def _outcome(call, argv):
+    # (exit status or SystemExit code, stdout, stderr) of call(argv).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_fallback_matches_the_top_level_parser(monkeypatch):
+    # main parses an argv that names a subcommand with that subcommand's
+    # parser alone.  Each outcome must be what main gives through the
+    # top-level parser's parse_args, on the same Python: the same exit
+    # code, or SystemExit code, and the same text on stdout and stderr.
+    # The parse alone must give the same namespace, or the same exit.
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli.build_parser()
+    argvs = PARSER_FALLBACK + [PSI_QUERY]
+    for argv in argvs:
+        assert (_outcome(lambda a: vars(cli.parse_args(a)), list(argv))
+                == _outcome(lambda a: vars(parser.parse_args(a)), list(argv))), argv
+    one_pass = [_outcome(main, list(argv)) for argv in argvs]
+    monkeypatch.setattr(cli, "parse_args", parser.parse_args)
+    assert [_outcome(main, list(argv)) for argv in argvs] == one_pass
+    assert one_pass[-1][0] == 0
+    assert {code for code, _, _ in one_pass} == {0, ("exit", 0), ("exit", 2)}
 
 
 small_ints = st.integers(-6, 6)

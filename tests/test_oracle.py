@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from upq_packets import cohind, oracle, packets
-from upq_packets.cohind import (ThetaData, absorb_adjacent, lowest_weight_invariants,
+from upq_packets.cohind import (InductionDescriptor, ThetaData, absorb_adjacent,
+                                holomorphic_lowest_ktype, lowest_weight_invariants,
                                 normalize_blocks, realize_lowest_weight, segments_of,
                                 tableau_pair)
 from upq_packets.errors import InternalInconsistencyError
@@ -22,7 +23,7 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, inf
                                  good_parameters_with_inf_char, lowest_weight_of_packet,
                                  oracle_contains, packet)
 from upq_packets.tableaux import NormalizeOutcome, SignedTableau, _sing, trapa_normalize
-from upq_packets.weights import (GroupSignature, inf_char_of_lowest_weight,
+from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
                                  is_unitarizable, kweight_from_pq)
 
 
@@ -748,6 +749,71 @@ def test_a_fault_in_asking_about_an_oracle_hit_shows_as_membership_error(monkeyp
     assert expected[0] == {"kind": "membership-error",
                            "psi": {"p": 0, "q": 1, "summands": [{"t": 4, "a": 1}]},
                            "lambda": [2], "error": message}
+
+
+def _reached_weights(applies):
+    # The lambda side's weights at FAULT_CFG that a fault scoped by
+    # `applies` reaches, in sweep order: signatures, then weights.
+    return [w for sig in FAULT_SIGS for w in dominant_weights(sig, FAULT_CFG.weight_window)
+            if is_unitarizable(w) and applies(w)]
+
+
+@pytest.mark.parametrize("scope, count, first", [("every", 175, ((0, 1), [2])),
+                                                 ("noncompact", 65, ((1, 1), [2, 2]))])
+def test_a_shifted_round_trip_shows_as_round_trip(monkeypatch, scope, count, first):
+    # holomorphic_lowest_ktype hands back the realization's K-type with
+    # every entry raised by one.  Each weight the fault reaches is recorded
+    # with what came back, in sweep order, so the first record is its
+    # minimal instance.
+    applies = FAULT_SCOPES[scope]
+
+    def shifted(desc):
+        w = holomorphic_lowest_ktype(desc)
+        return KWeight(w.sig, tuple(x + 1 for x in w.lam)) if applies(w) else w
+
+    expected = [{"kind": "round-trip", "lambda": list(w.lam), "p": w.sig.p, "q": w.sig.q,
+                 "got": [x + 1 for x in w.lam]} for w in _reached_weights(applies)]
+    monkeypatch.setattr(oracle, "holomorphic_lowest_ktype", shifted)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    (p, q), lam = first
+    assert expected[0] == {"kind": "round-trip", "lambda": lam, "p": p, "q": q,
+                           "got": [x + 1 for x in lam]}
+
+
+class _ShiftedCharacter(InductionDescriptor):
+    # A realization that is the true one in every respect but its
+    # infinitesimal character, every value of which is raised by one.
+    def inf_char(self):
+        return HalfIntMultiset(tuple(t + 2 for t in super().inf_char().twice))
+
+
+@pytest.mark.parametrize("scope, count, first", [("every", 175, ((0, 1), [2])),
+                                                 ("noncompact", 65, ((1, 1), [2, 2]))])
+def test_a_realization_of_another_character_shows_as_realization_inf_char(monkeypatch, scope,
+                                                                          count, first):
+    # realize_lowest_weight hands back a descriptor whose infinitesimal
+    # character differs from the weight's.  Each weight the fault reaches
+    # is recorded, in sweep order, and nothing else is: the descriptor's
+    # blocks and values, and so its round trip and rewrite, are the true
+    # ones.
+    applies = FAULT_SCOPES[scope]
+
+    def realized(w):
+        desc = realize_lowest_weight(w)
+        return _ShiftedCharacter(desc.d, desc.values) if applies(w) else desc
+
+    expected = [{"kind": "realization-inf-char", "lambda": list(w.lam), "p": w.sig.p,
+                 "q": w.sig.q} for w in _reached_weights(applies)]
+    monkeypatch.setattr(oracle, "realize_lowest_weight", realized)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    (p, q), lam = first
+    assert expected[0] == {"kind": "realization-inf-char", "lambda": lam, "p": p, "q": q}
 
 
 def _rewritten_by(monkeypatch, rewrite, change):

@@ -17,14 +17,15 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from upq_packets import cli
 from upq_packets.cohind import InductionDescriptor, ThetaData, segments_of, tableau_pair
 from upq_packets.halfint import (HalfInt, HalfIntMultiset, _count_segment_partitions,
                                 _json_dumps, partition_into_segments)
 from upq_packets.oracle import (dominant_weights, good_parameters_in_window,
                                 oracle_lowest_weights)
-from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero,
+from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, epsilon,
                                  good_parameters_with_inf_char,
                                  lowest_weight_of_packet, oracle_contains, packet,
                                  packets_containing)
@@ -43,8 +44,8 @@ def segment_multiset(segments):
 
 
 @st.composite
-def random_psis(draw, max_n=9):
-    n = draw(st.integers(7, max_n))
+def random_psis(draw, max_n=9, min_n=7):
+    n = draw(st.integers(min_n, max_n))
     p = draw(st.integers(0, n))
     sizes = [1]
     for cut in draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)):
@@ -264,3 +265,40 @@ class _Dict(dict):
 def test_json_writer_refuses_what_json_does_not_hold(bad):
     with pytest.raises(TypeError):
         _json_dumps(bad)
+
+
+def _member_tree(psi, m, d0):
+    # A member of psi's packet as a tree, each part from its own to_json or
+    # from epsilon, with d0's blocks when d0 is given.
+    obj = {"descriptor": InductionDescriptor(m.d, psi._values).to_json(),
+           "epsilon": list(epsilon(psi, m.d)), "nonzero": m.nonzero}
+    if m.invariants is not None:
+        ann, as_tab = m.invariants
+        obj.update({"ann": ann.to_json(), "as": as_tab.to_json()})
+    if d0 is not None:
+        obj["d0"] = [list(b) for b in d0.blocks]
+    return obj
+
+
+# Pinned examples: U(2,1)'s packet whose first and last members vanish, and
+# U(0,1) and U(1,0), whose one member is live.
+@SEEDED
+@example(AParameter.from_summands(GroupSignature(2, 1), [(0, 1), (0, 1), (0, 1)]))
+@example(AParameter.from_summands(GroupSignature(0, 1), [(0, 1)]))
+@example(AParameter.from_summands(GroupSignature(1, 0), [(4, 1)]))
+@given(random_psis(min_n=1))
+def test_cli_fragment_writers_match_the_standard_encoder(psi):
+    # The CLI writes a psi at these two indents (a payload's "psi", and the
+    # items of classify-lambda's "packets") and members at the same two (a
+    # classify-psi "member", with d0, and the items of a packet's
+    # "members"); each writer is checked at both, members with and without
+    # d0.
+    members = packet(psi)
+    for indent in ("\n  ", "\n    "):
+        def dumps(obj):
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+        assert cli._psi_json(psi, indent) == dumps(psi.to_json())
+        for d0 in (None, d_zero(psi)):
+            assert cli._members_json(psi, members, indent, d0) == [
+                dumps(_member_tree(psi, m, d0)) for m in members]

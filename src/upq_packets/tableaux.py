@@ -22,6 +22,15 @@ returns them as a stack in that form, trapa_normalize decides it from its
 segments and columns and rewrites it in the same form, and to_json writes
 each box from those fields.
 
+What a sign pattern fixes is computed once per pattern.  build_initial
+reads the boxes from a memo keyed by (signature, block signs), the last 64
+patterns (_placement); the rewriting moves entries, never boxes, so the
+signed tableau and the antitableau's column heights depend only on the row
+shapes, and come from a memo keyed by (signature, row shapes), the last 256
+(_tableau_shape), which every stack with those shapes shares.  A packet's
+members each have their own block signs and rarely repeat one, so a
+member's placement in _placed_invariants is computed afresh, not kept.
+
 The test of a pair has two halves.  _pair_segments reads only the two
 segments: it finds the pairs that are apart, always idle, and for the
 others the sing count and whether the segments are aligned.  _idle reads
@@ -40,6 +49,7 @@ verdicts are compared by value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter, ge, gt, le, lt
 from typing import Optional, Sequence
 
@@ -181,10 +191,12 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
                   segments: Sequence[tuple[int, int]]) -> ColumnStack:
     """Construct the initial stack for blocks (p_i, q_i) and their segments,
     each a (doubled start, length) pair: the blocks and segments are
-    checked against each other and the signature, and _place's boxes are
-    kept with the segments in ColumnStack's one form.  A block's entries
-    need no record: box k of a block whose segment tops at `top` receives
-    top - 2k.
+    checked against each other and the signature on every call, and
+    _place's boxes are kept with the segments in ColumnStack's one form.
+    The boxes depend only on the signature and the block signs, so they
+    are read from _placement's memo of the last 64 sign patterns, already
+    in that form.  A block's entries need no record: box k of a block
+    whose segment tops at `top` receives top - 2k.
 
     packet() builds a stack only for the holomorphic member, through
     tableau_pair, and for a member whose placed pairs move, which
@@ -203,8 +215,19 @@ def build_initial(sig: GroupSignature, block_signs: Sequence[tuple[int, int]],
         q += qk
     if p != sig.p or q != sig.q:
         raise ValueError("block signs do not sum to the signature")
+    # The memo key is a tuple of pairs, so blocks given as lists place too.
+    row_shapes, cols, rows, signs = _placement(sig, tuple(map(tuple, block_signs)))
+    return ColumnStack(sig, row_shapes, tuple(segments), cols, rows, signs)
+
+
+@lru_cache(maxsize=64)
+def _placement(sig: GroupSignature, block_signs: tuple[tuple[int, int], ...]
+               ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...],
+                          tuple[int, ...], tuple[int, ...]]:
+    # _place's boxes as the tuples a ColumnStack holds, kept for the last 64
+    # sign patterns: where the boxes go depends on the block signs alone.
     row_shapes, cols, rows, signs = _place(sig, block_signs)
-    return ColumnStack(sig, row_shapes, tuple(segments), tuple(cols), tuple(rows), tuple(signs))
+    return row_shapes, tuple(cols), tuple(rows), tuple(signs)
 
 
 def _place(sig: GroupSignature, block_signs: Sequence[tuple[int, int]]
@@ -569,15 +592,34 @@ class NormalizeOutcome:
         return self.stack is None
 
 
+@lru_cache(maxsize=256)
+def _tableau_shape(sig: GroupSignature, row_shapes: tuple[tuple[int, int], ...]
+                   ) -> tuple[SignedTableau, tuple[int, ...]]:
+    """The signed tableau of these row shapes and the column heights every
+    antitableau on them has, the conjugate of the row lengths: column c
+    holds as many boxes as there are rows of length at least c.  Both
+    depend only on the row shapes, which the rewriting never moves, so the
+    last 256 are kept and every stack with those shapes shares one
+    SignedTableau."""
+    heights = [0] * max(row_shapes)[0]
+    for length, _ in row_shapes:
+        heights[length - 1] += 1
+    for c in range(len(heights) - 1, 0, -1):
+        heights[c - 1] += heights[c]
+    return SignedTableau(sig, row_shapes), tuple(heights)
+
+
 def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequence[int]],
-                         row_shapes: tuple[tuple[int, int], ...]) -> AntiTableau:
+                         heights: tuple[int, ...]) -> AntiTableau:
     """Read off the antitableau of a stack whose block i holds the segment
     segs[i] = (doubled start, length), largest entry first, in boxes with
     the columns cols[i], top to bottom: column c holds, sorted
-    decreasingly, the entries of all boxes in column c.
+    decreasingly, the entries of all boxes in column c.  heights are the
+    column heights the stack's row shapes fix, the conjugate of its row
+    lengths, as _tableau_shape reads them.
     Raises if the columns are not contiguous, if the result violates either
-    antitableau condition, or if its shape is not the multiset of row
-    lengths (this is asserted, never assumed).
+    antitableau condition, or if its column heights are not those heights
+    (this is asserted, never assumed).
 
     Every stack trapa_normalize returns is read this way, from the
     segments and columns it holds: box k of block i holds top_i - 2k.
@@ -585,31 +627,23 @@ def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequenc
     once.
 
     The columns are collected in a list indexed by col - 1, as long as the
-    longest row.  This reads the same tableau as grouping the boxes by
-    column and sorting each group.  Every row id holds the boxes of
-    columns 1 to its length, so the columns in use are exactly 1 to the
-    longest row; a box outside the list or an empty column means they are
-    not, and raises.  Each column is sorted largest first without a test,
-    and AntiTableau tests strict decrease once.  A sorted tuple equals the
-    input exactly when the input was strictly decreasing, as each column
-    of an unmoved stack is in block order, so this reads what sorting only
-    the columns that need it would.  The shape is checked on the
-    column heights: column c must hold as many boxes as there are rows of
-    length at least c, the conjugate of the row lengths.  Heights that
-    AntiTableau accepted weakly decrease, so they form a partition, and
-    conjugation is an involution on partitions: the heights are the
+    longest row, len(heights).  This reads the same tableau as grouping
+    the boxes by column and sorting each group.  Every row id holds the
+    boxes of columns 1 to its length, so the columns in use are exactly 1
+    to the longest row; a box outside the list or an empty column means
+    they are not, and raises.  Each column is sorted largest first without
+    a test, and AntiTableau tests strict decrease once.  A sorted tuple
+    equals the input exactly when the input was strictly decreasing, as
+    each column of an unmoved stack is in block order, so this reads what
+    sorting only the columns that need it would.  The shape is checked on
+    the column heights: column c must hold heights[c - 1] boxes.  Heights
+    that AntiTableau accepted weakly decrease, so they form a partition,
+    and conjugation is an involution on partitions: the heights are the
     conjugate of the row lengths exactly when the antitableau's shape,
     the conjugate of its heights, is the sorted row lengths.  That shape
     is built only for the error message.
     """
-    # conjugate[c] counts the rows of length above c: the height column
-    # c + 1 must have.
-    width = max(row_shapes)[0]
-    conjugate = [0] * width
-    for length, _ in row_shapes:
-        conjugate[length - 1] += 1
-    for c in range(width - 1, 0, -1):
-        conjugate[c - 1] += conjugate[c]
+    width = len(heights)
     by_col: list[list[int]] = [[] for _ in range(width)]
     for (start, length), block_cols in zip(segs, cols):
         entry = start + 2 * length
@@ -626,8 +660,8 @@ def assemble_antitableau(segs: Sequence[tuple[int, int]], cols: Sequence[Sequenc
         ann = AntiTableau(tuple(map(tuple, by_col)))
     except ValueError as exc:
         raise InternalInconsistencyError(f"assembled tableau invalid: {exc}") from exc
-    if list(map(len, by_col)) != conjugate:
-        shape = sorted((length for length, _ in row_shapes), reverse=True)
+    if tuple(map(len, by_col)) != heights:
+        shape = [sum(h > r for h in heights) for r in range(heights[0])]
         raise InternalInconsistencyError(
             f"antitableau shape {ann.shape} differs from row shape {shape}")
     return ann
@@ -693,8 +727,8 @@ def trapa_normalize(stack: ColumnStack) -> NormalizeOutcome:
                     f"do not decrease componentwise")
         stack = ColumnStack(stack.sig, stack.row_shapes, tuple(segs), tuple(cols), tuple(rows),
                             tuple(signs))
-    return NormalizeOutcome(stack, (assemble_antitableau(segs, cols, stack.row_shapes),
-                                    SignedTableau(stack.sig, stack.row_shapes)))
+    as_tab, heights = _tableau_shape(stack.sig, stack.row_shapes)
+    return NormalizeOutcome(stack, (assemble_antitableau(segs, cols, heights), as_tab))
 
 
 def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
@@ -726,7 +760,8 @@ def _placed_invariants(sig: GroupSignature, blocks: Sequence[tuple[int, int]],
             return None
         if not idle:
             return trapa_normalize(build_initial(sig, blocks, segs)).invariants
-    return assemble_antitableau(segs, cols, row_shapes), SignedTableau(sig, row_shapes)
+    as_tab, heights = _tableau_shape(sig, row_shapes)
+    return assemble_antitableau(segs, cols, heights), as_tab
 
 
 def as_pair_equal(a: tuple[AntiTableau, SignedTableau],

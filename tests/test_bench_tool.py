@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_bench_packet_pairs_runs_a_tree_against_itself(tmp_path):
     # Two pairs of sweep-n4 runs, counting the rewriting calls: both sides
-    # give the same output and make the same number of calls.
+    # give the same output, make the same number of calls and hit and miss
+    # their memos as often.
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench_packet_pairs.py"),
                     "--before", str(ROOT), "--after", str(ROOT), "--pairs", "2",
@@ -22,6 +23,8 @@ def test_bench_packet_pairs_runs_a_tree_against_itself(tmp_path):
     assert seeds["1"]["same_output"] is True
     before, after = seeds["1"]["before"], seeds["1"]["after"]
     assert before["runs"] == after["runs"] == 2
-    for name in ("trapa_normalize_calls", "_rewrite_pair_calls"):
+    for name in ("trapa_normalize_calls", "_rewrite_pair_calls",
+                 "memo_tableaux._placement_hits", "memo_tableaux._tableau_shape_misses",
+                 "memo_cohind._range_class_hits"):
         assert type(before[name]) is int and before[name] > 0, name
         assert after[name] == before[name], name

@@ -24,7 +24,7 @@ from upq_packets.packets import (AParameter, contains_lowest_weight, d_zero, inf
                                  oracle_contains, packet)
 from upq_packets.tableaux import NormalizeOutcome, SignedTableau, _sing, trapa_normalize
 from upq_packets.weights import (GroupSignature, KWeight, inf_char_of_lowest_weight,
-                                 is_unitarizable, kweight_from_pq)
+                                 is_unitarizable, kweight_from_pq, weight_stats)
 
 
 def test_dominant_weights_enumeration():
@@ -814,6 +814,134 @@ def test_a_realization_of_another_character_shows_as_realization_inf_char(monkey
     assert len(expected) == count
     (p, q), lam = first
     assert expected[0] == {"kind": "realization-inf-char", "lambda": lam, "p": p, "q": q}
+
+
+def _raised(multiset):
+    # The multiset with every value raised by one.
+    return HalfIntMultiset(tuple(t + 2 for t in multiset.twice))
+
+
+@pytest.mark.parametrize("scope, count, first", [("every", 175, ((0, 1), [2])),
+                                                 ("noncompact", 65, ((1, 1), [2, 2]))])
+def test_stats_off_the_character_show_as_inf_char_vs_pq(monkeypatch, scope, count, first):
+    # weight_stats hands the lambda side P and Q with every value raised by
+    # one, so P || Q is not the weight's character.  Each weight the fault
+    # reaches is recorded once, in sweep order, and its other checks are
+    # skipped; the psi side does not read the stats.
+    applies = FAULT_SCOPES[scope]
+
+    def raised(w):
+        st = weight_stats(w)
+        return dataclasses.replace(st, P=_raised(st.P), Q=_raised(st.Q)) if applies(w) else st
+
+    expected = [{"kind": "inf-char-vs-PQ", "lambda": list(w.lam), "p": w.sig.p, "q": w.sig.q}
+                for w in _reached_weights(applies)]
+    monkeypatch.setattr(oracle, "weight_stats", raised)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    (p, q), lam = first
+    assert expected[0] == {"kind": "inf-char-vs-PQ", "lambda": lam, "p": p, "q": q}
+
+
+@pytest.mark.parametrize("scope, count, first", [("every", 175, ((0, 1), [2])),
+                                                 ("noncompact", 65, ((1, 1), [2, 2]))])
+def test_a_fault_in_a_lowest_weight_pair_shows_as_lowest_weight_invariants(monkeypatch, scope,
+                                                                          count, first):
+    # lowest_weight_invariants raises on each weight the lambda side lists.
+    # The weights are told apart by identity: the psi side's oracle asks
+    # about the splits of each character, other objects, and gets the true
+    # pairs.  Each weight the fault reaches is recorded once with the
+    # error, in sweep order, and its other checks are skipped.
+    applies = FAULT_SCOPES[scope]
+    message = "planted fault: no invariant pair"
+    listed = {}  # id -> weight, kept alive so that no id is reused
+
+    def remembered(sig, window):
+        out = dominant_weights(sig, window)
+        listed.update((id(w), w) for w in out)
+        return out
+
+    def faulty(w):
+        if id(w) in listed and applies(w):
+            raise InternalInconsistencyError(message)
+        return lowest_weight_invariants(w)
+
+    expected = [{"kind": "lowest-weight-invariants", "lambda": list(w.lam), "p": w.sig.p,
+                 "q": w.sig.q, "error": message} for w in _reached_weights(applies)]
+    monkeypatch.setattr(oracle, "dominant_weights", remembered)
+    monkeypatch.setattr(oracle, "lowest_weight_invariants", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    (p, q), lam = first
+    assert expected[0] == {"kind": "lowest-weight-invariants", "lambda": lam, "p": p, "q": q,
+                           "error": message}
+
+
+@pytest.mark.parametrize("scope, count, first_sig", [("every", 177, (0, 1)),
+                                                     ("noncompact", 99, (1, 1))])
+def test_a_denied_extracted_weight_shows_as_round_trip_membership(monkeypatch, scope, count,
+                                                                  first_sig):
+    # contains_lowest_weight denies each K-type that lowest_weight_of_packet
+    # hands out.  The K-types are told apart by identity: the lambda side
+    # asks about the weights it lists, other objects, and gets the true
+    # answers.  Each psi the fault reaches whose packet has a lowest weight
+    # is recorded once, in the psi side's order (signatures, then the
+    # window's parameters), and nothing else is.
+    applies = FAULT_SCOPES[scope]
+    claimed = {}  # id -> weight, kept alive so that no id is reused
+
+    def remembered(psi):
+        w = lowest_weight_of_packet(psi)
+        if w is not None:
+            claimed[id(w)] = w
+        return w
+
+    def faulty(psi, w):
+        return not (id(w) in claimed and applies(psi)) and contains_lowest_weight(psi, w)
+
+    expected = [{"kind": "round-trip-membership", "psi": psi.to_json(), "lambda": list(w.lam)}
+                for sig in FAULT_SIGS
+                for psi in good_parameters_in_window(sig, FAULT_CFG.char_window)
+                if applies(psi) for w in [lowest_weight_of_packet(psi)] if w is not None]
+    monkeypatch.setattr(oracle, "lowest_weight_of_packet", remembered)
+    monkeypatch.setattr(oracle, "contains_lowest_weight", faulty)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert len(expected) == count
+    assert (expected[0]["psi"]["p"], expected[0]["psi"]["q"]) == first_sig
+
+
+def test_an_i_segment_off_the_flanks_shows_as_holomorphic_candidate_property(monkeypatch):
+    # weight_stats hands the lambda side an I-segment that also holds 9,
+    # which lies outside every character at FAULT_CFG, so in neither flank
+    # nor the middle of any d_0.  Each membership pair the oracle confirms
+    # then breaks item 4 (I in the flanks) and item 7 (I in the middle,
+    # as no I there meets both flanks), and item 8 (I meets the middle)
+    # when its true I is empty.  One record per broken item, in sweep
+    # order, so the first is at U(0,1).
+    def widened(w):
+        st = weight_stats(w)
+        return dataclasses.replace(st, I=HalfIntMultiset((18, *st.I.twice)))
+
+    expected = [{"kind": "holomorphic-candidate-property", "item": item,
+                 "psi": psi.to_json(), "lambda": list(w.lam)}
+                for psi, w in _membership_pairs() if oracle_contains(psi, w)
+                for item in ["4:I-in-flanks", "7:I-in-mid"]
+                + ["8:I-meets-mid"] * weight_stats(w).I.is_empty]
+    monkeypatch.setattr(oracle, "weight_stats", widened)
+    report = sweep_verify(FAULT_CFG)
+    assert report.mismatches == []
+    assert report.property_failures == expected
+    assert Counter(f["item"] for f in expected) == {"4:I-in-flanks": 267, "7:I-in-mid": 267,
+                                                     "8:I-meets-mid": 237}
+    assert expected[0] == {"kind": "holomorphic-candidate-property", "item": "4:I-in-flanks",
+                           "psi": {"p": 0, "q": 1, "summands": [{"t": 4, "a": 1}]},
+                           "lambda": [2]}
 
 
 def _rewritten_by(monkeypatch, rewrite, change):

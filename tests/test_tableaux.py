@@ -91,10 +91,17 @@ def _pairs(desc):
     return list(segments_of(desc))
 
 
+def _heights(row_shapes):
+    # The column heights the row shapes fix: column c + 1 holds one box of
+    # each row longer than c.
+    return tuple(sum(length > c for length, _ in row_shapes)
+                 for c in range(max(row_shapes)[0]))
+
+
 def _assembled(blocks, row_shapes):
     # assemble_antitableau on a stack given by its boxes.
     return assemble_antitableau([_entries_segment(blk) for blk in blocks],
-                                [_cols(blk) for blk in blocks], row_shapes)
+                                [_cols(blk) for blk in blocks], _heights(row_shapes))
 
 
 def test_build_single_block_u11():
@@ -801,6 +808,53 @@ def test_normalizing_a_stack_that_moves_leaves_it_as_built():
         assert out.stack != stack, desc
         moved += 1
     assert moved == 247
+
+
+def _sign_pattern_cases():
+    # (sig, blocks, segments) of every datum of D(psi) for each psi whose
+    # character lies in [-2, 2] up to N = 6, then of the sweep's two-block
+    # share up to N = 6.
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = GroupSignature(p, n - p)
+            for psi in good_parameters_in_window(sig, HalfInt.whole(2)):
+                segments = [(t - a + 1, a) for t, a in psi.summands]
+                for d in enumerate_D(psi):
+                    yield sig, d.blocks, segments
+    for desc in two_block_data(6):
+        yield desc.d.sig, desc.d.blocks, _pairs(desc)
+
+
+def test_the_sign_pattern_memos_give_what_a_fresh_placement_gives():
+    # build_initial reads its boxes from the placement memo, and
+    # trapa_normalize and _placed_invariants read the signed tableau and
+    # the column heights from the row-shape memo.  On every case, hit or
+    # miss, the stack equals one built from a fresh _place, the signed
+    # tableau equals a fresh SignedTableau of the row shapes, and the
+    # heights are the conjugate of the row lengths.
+    cases = 0
+    for sig, blocks, segments in _sign_pattern_cases():
+        row_shapes, cols, rows, signs = tableaux._place(sig, blocks)
+        fresh = ColumnStack(sig, row_shapes, tuple(segments), tuple(cols), tuple(rows),
+                            tuple(signs))
+        assert build_initial(sig, blocks, segments) == fresh, (sig, blocks)
+        as_tab, heights = tableaux._tableau_shape(sig, row_shapes)
+        assert as_tab == SignedTableau(sig, row_shapes), (sig, blocks)
+        assert heights == _heights(row_shapes), (sig, blocks)
+        cases += 1
+    assert cases == 18084 + 7082 + 605 + 1130
+    # Both memos were read on hits and on misses, and the placement memo
+    # also evicted.
+    place, shape = tableaux._placement.cache_info(), tableaux._tableau_shape.cache_info()
+    assert place.hits > place.misses > 0 and place.currsize == place.maxsize
+    assert shape.hits > shape.misses > 0
+
+
+def test_build_initial_takes_block_signs_given_as_lists():
+    # The placement memo is keyed by a tuple of pairs, so lists place too.
+    sig, segs = GroupSignature(2, 1), [(1, 1), (-1, 2)]
+    assert (build_initial(sig, [[1, 0], [1, 1]], segs)
+            == build_initial(sig, ((1, 0), (1, 1)), segs))
 
 
 def test_two_block_data_pass_the_sweep_checks():

@@ -32,14 +32,17 @@ instances checked per second, for queries the median and 90th-percentile
 query latency and the summed latency of each subcommand in the stream
 (`classify_psi_s`, `classify_lambda_s`, `packet_s`), the calls to each
 `--count` function (default `tableaux.as_pair_equal`; the option may be
-repeated) and the time spent inside its outermost calls, and the SHA-256
-of the outputs.  A function is counted by a wrapper bound in place of
-that name in every module of the run's own package; its clock calls are
-part of the wall time of both sides.  `--count` sees only the calls made
-in the run's own process, not those in a pooled sweep's workers.  The
-summary goes to `--out` (default `BENCH_packet_pairs.json` at the root of
-this checkout).  With more than one `--workload`, the file holds one
-section per workload.
+repeated) and the time spent inside its outermost calls, the hits and
+misses (`cache_info()`) of each functools memo of the package during the
+timed pass or repetition (`memo_<module>.<function>_hits` and `_misses`),
+and the SHA-256 of the outputs.  A function is counted by a wrapper bound
+in place of that name in every module of the run's own package; its clock
+calls are part of the wall time of both sides.  `--count` and the memo
+counts see only the run's own process: a pooled sweep's calls and memos
+live in its workers and are not seen, so there they read 0.  The summary
+goes to `--out` (default `BENCH_packet_pairs.json` at the root of this
+checkout).  With more than one `--workload`, the file holds one section
+per workload.
 """
 
 from __future__ import annotations
@@ -125,16 +128,25 @@ def call_counts(counters: dict[str, list[float]]) -> dict:
     return out
 
 
-def memo_clearers(package) -> list:
-    """The cache_clear of every functools memo bound in the package's
-    modules, found before any name is rebound by count_calls."""
-    clearers = {}
+def package_memos(package) -> dict:
+    """Every functools memo bound in the package's modules, by its module
+    and name, found before any name is rebound by count_calls."""
+    memos = {}
     for info in pkgutil.iter_modules(package.__path__):
         module = importlib.import_module(f"{package.__name__}.{info.name}")
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
-                clearers[id(value)] = value.cache_clear
-    return list(clearers.values())
+                memos[f"{value.__module__.rsplit('.', 1)[-1]}.{value.__qualname__}"] = value
+    return memos
+
+
+def memo_counts(memos: dict) -> dict:
+    """The hits and misses of each memo since it was last cleared."""
+    out = {}
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        out.update({f"memo_{name}_hits": info.hits, f"memo_{name}_misses": info.misses})
+    return out
 
 
 def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
@@ -148,20 +160,22 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
     if Path(upq_packets.__file__).resolve().parent != (tree / "src" / "upq_packets").resolve():
         raise SystemExit(f"imported the package from {upq_packets.__file__}")
     wl = WORKLOADS[workload]
-    clear_memos = memo_clearers(upq_packets)
+    memos = package_memos(upq_packets)
     counters = {name.split(".")[1]: count_calls(upq_packets, name) for name in counts}
     digest = hashlib.sha256()
     if isinstance(wl, SweepWorkload):
         sweep_verify(SweepConfig(2, 1, HalfInt.whole(1)))
         for counter in counters.values():
             counter[:] = [0, 0.0]
+        warm = memo_counts(memos)
         c0, start = cpu_now(), time.perf_counter()
         report = sweep_verify(SweepConfig(wl.max_N, wl.weight_window,
                                           HalfInt.whole(wl.char_window)), jobs=wl.jobs)
         wall, cpu = time.perf_counter() - start, cpu_now() - c0
         digest.update(report.dumps().encode())
         out = {"instances": report.instances_checked,
-               "instances_per_s": report.instances_checked / wall, **call_counts(counters)}
+               "instances_per_s": report.instances_checked / wall, **call_counts(counters),
+               **{key: n - warm[key] for key, n in memo_counts(memos).items()}}
     else:
         stream, _ = generate_queries(wl, seed, wl.digest_queries)
 
@@ -175,8 +189,8 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
             call(argv)
         repetitions = []
         for _ in range(QUERY_REPEATS):
-            for clear in clear_memos:
-                clear()
+            for memo in memos.values():
+                memo.cache_clear()
             for counter in counters.values():
                 counter[:] = [0, 0.0]
             latencies = []
@@ -194,7 +208,7 @@ def run_child(tree: Path, workload: str, seed: int, counts: list[str]) -> dict:
                    "latency_p90_ms": 1000 * percentile(latencies, 90)}
             rep.update({f"{command.replace('-', '_')}_s": seconds
                         for command, seconds in per_command.items()})
-            repetitions.append(rep | call_counts(counters))
+            repetitions.append(rep | call_counts(counters) | memo_counts(memos))
         out = sorted(repetitions, key=lambda rep: rep["wall_s"])[QUERY_REPEATS // 2]
         wall, cpu = out.pop("wall_s"), out.pop("cpu_s")
         out["queries"] = len(stream)
